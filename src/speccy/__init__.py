@@ -27,6 +27,7 @@ from .imq import (
 from .lattice import (
     Coset,
     DiscriminantGroup,
+    InvariantError,
     QuadLattice,
     SublatticeEmbedding,
     discriminant_group,

@@ -2,7 +2,8 @@
 
 Subcommands: disc, theta, eisenstein, degrees, chowla, verify.  Exit code
 0 on success, 1 on input or precondition errors, 2 when `verify` finds an
-identity mismatch.  Output is deterministic for fixed inputs.
+identity mismatch, 3 when an internal invariant fails (a bug, reported
+also under python -O).  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .cm import degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, completed_lambda
-from .lattice import discriminant_group
+from .lattice import InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -27,6 +28,7 @@ from .serialize import (
     load_lattice,
     load_sublattice_basis,
     loglinear_json,
+    parse_coset_key,
     parse_frac,
     parse_principal_part,
     qexp_json,
@@ -177,16 +179,16 @@ def cmd_verify(args):
     if pp_text.startswith("@"):
         with open(pp_text[1:]) as fh:
             pp_text = fh.read()
-    probe = json.loads(pp_text)
-    max_m = max([parse_frac(k.split(",")[0]) for k in probe if k != "const"]
-                or [Fraction(1)])
-    ctx = EmbeddingContext.build(lat, sub, max_m + 1)
     group = discriminant_group(lat)
-    pp = parse_principal_part(probe, group)
+    try:
+        pp = parse_principal_part(pp_text, group)
+    except ValueError as exc:  # JSONDecodeError included
+        raise InputError(f"--pp: {exc}") from None
+    max_m = max(pp.support_exponents() or [Fraction(1)])
+    ctx = EmbeddingContext.build(lat, sub, max_m + 1)
     fault = None
     if args.fault_inject:
-        m_str, idx_str = args.fault_inject.split(",")
-        fault = (parse_frac(m_str), int(idx_str))
+        fault = parse_coset_key(args.fault_inject, "--fault-inject")
     report = verify_ledger(ctx, pp, fault_negate=fault)
     payload = report.to_json()
     payload["field"] = {"d": ctx.pkg.K.d, "h": ctx.pkg.K.h, "w": ctx.pkg.K.w}
@@ -198,7 +200,9 @@ def cmd_verify(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="speccy",
-        description="Exact verification of CM special-divisor degree identities")
+        description="Exact verification of CM special-divisor degree identities",
+        epilog="exit codes: 0 success, 1 input error, 2 identity mismatch (verify), "
+               "3 internal invariant failed")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--precision", type=int, default=default_precision(),
                         help="working decimal digits (default: SPECCY_PRECISION or 30)")
@@ -255,6 +259,9 @@ def run(argv=None) -> int:
     except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

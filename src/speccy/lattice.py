@@ -5,18 +5,23 @@ Conventions.  A lattice is stored through the Gram matrix of its *bilinear*
 form [x, y], so [x, x] = 2 Q(x) and all entries are integers with even
 diagonal.  Vectors are coordinate tuples with respect to the lattice basis;
 dual vectors are rational coordinate tuples in the same basis.
+
+Enumeration.  ball_sweep and enumerate_coset_vectors share one integer
+Fincke-Pohst core with the rule: floats prune, integers confirm.  Floats
+only choose which nodes to visit; every vector returned and its norm are
+checked in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .linalg import (
     det_fraction,
-    floor_sqrt_fraction,
     identity_matrix,
     inertia,
     integer_kernel,
@@ -24,13 +29,17 @@ from .linalg import (
     mat_mul,
     mat_vec,
     snf_with_transforms,
-    sqrt_fraction_exact,
     transpose,
 )
 
 
 class DegenerateLatticeError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """A mathematical invariant failed: a bug, never bad input.  Raised
+    explicitly so the check also runs under python -O."""
 
 
 class QuadLattice:
@@ -197,7 +206,8 @@ class DiscriminantGroup:
         self.order = 1
         for d in self.orders_all:
             self.order *= abs(d)
-        assert self.order == lattice.disc
+        if self.order != lattice.disc:
+            raise InvariantError(f"group order {self.order} != disc {lattice.disc}")
         self._gen_matrix_inv = None
 
     @property
@@ -303,11 +313,15 @@ class SublatticeEmbedding:
     complement_basis: tuple   # columns, integer coordinates in ambient basis
     complement: QuadLattice
     index: int                # [L : L0 + Lambda]
+    # glue_cosets memo: (reps of L / (L0 + Lambda), J^-1) and pairs per mu
+    _glue_frame: tuple = field(default=None, init=False, repr=False, compare=False)
+    _glue: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_sub = self.sub.disc
         d_comp = self.complement.disc
-        assert d_sub * d_comp == self.ambient.disc * self.index ** 2
+        if d_sub * d_comp != self.ambient.disc * self.index ** 2:
+            raise InvariantError("disc(L0) disc(Lambda) != disc(L) [L : L0 + Lambda]^2")
 
 
 def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbedding:
@@ -341,44 +355,38 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
 
 def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     """Representatives of (mu + L) / (L0 + Lambda) as coset pairs
-    (mu1, mu2) in (L0^vee/L0) x (Lambda^vee/Lambda).  Length = glue index."""
-    L = emb.ambient
-    n = L.rank
-    r = len(emb.sub_basis[0]) if emb.sub_basis else 0
-    nc = len(emb.complement_basis[0]) if emb.complement_basis else 0
+    (mu1, mu2) in (L0^vee/L0) x (Lambda^vee/Lambda).  Length = glue index.
+    Computed once per embedding and coset; each call returns a new list."""
+    pairs = emb._glue.get(mu.coords)
+    if pairs is not None:
+        return list(pairs)
+    n, r, nc = emb.ambient.rank, emb.sub.rank, emb.complement.rank
+    if emb._glue_frame is None:
+        # representatives of Z^n / J Z^n, pulled back through U
+        J = [[emb.sub_basis[i][j] for j in range(r)] +
+             [emb.complement_basis[i][j] for j in range(nc)] for i in range(n)]
+        U, V, D = snf_with_transforms(J)
+        Uinv = inverse_fraction(U)
+        ranges = [range(abs(D[t][t])) for t in range(n)]
+        reps = [mat_vec(Uinv, list(coords)) for coords in itertools.product(*ranges)]
+        emb._glue_frame = (reps, inverse_fraction(J))
+    reps, Jinv = emb._glue_frame
     disc0 = emb.sub.disc_group()
     discc = emb.complement.disc_group()
-    # representatives of L / (L0 + Lambda)
-    J = [[emb.sub_basis[i][j] for j in range(r)] +
-         [emb.complement_basis[i][j] for j in range(nc)] for i in range(n)]
-    U, V, D = snf_with_transforms(J)
-    Uinv = inverse_fraction(U)
-    reps = []
-    ranges = [range(abs(D[t][t])) for t in range(n)]
-    for coords in itertools.product(*ranges):
-        # representative of the quotient Z^n / J Z^n pulled back through U
-        w = mat_vec(Uinv, list(coords))
-        reps.append([Fraction(x) for x in w])
-    Jinv = inverse_fraction(J)
-    mu_rep = list(mu.rep())
-    pairs = []
-    for rep in reps:
-        v = [mu_rep[i] + rep[i] for i in range(n)]
-        coeffs = mat_vec(Jinv, v)
-        x0 = coeffs[:r]
-        x1 = coeffs[r:]
-        mu1 = disc0.from_vector(x0) if r else disc0.zero()
-        mu2 = discc.from_vector(x1) if nc else discc.zero()
-        pairs.append((mu1, mu2))
-    # dedupe (SNF reps are exact coset representatives, so this is a no-op
-    # safeguard) and order deterministically
+    mu_rep = mu.rep()
+    # keyed by coset coordinates: dedupes (a no-op safeguard, SNF reps are
+    # exact coset representatives) and orders deterministically
     seen = {}
-    for p in pairs:
-        key = (p[0].coords, p[1].coords)
-        seen[key] = p
-    out = [seen[k] for k in sorted(seen)]
-    assert len(out) == emb.index
-    return out
+    for rep in reps:
+        coeffs = mat_vec(Jinv, [a + b for a, b in zip(mu_rep, rep)])
+        mu1 = disc0.from_vector(coeffs[:r]) if r else disc0.zero()
+        mu2 = discc.from_vector(coeffs[r:]) if nc else discc.zero()
+        seen[(mu1.coords, mu2.coords)] = (mu1, mu2)
+    pairs = [seen[k] for k in sorted(seen)]
+    if len(pairs) != emb.index:
+        raise InvariantError(f"{len(pairs)} glue pairs for glue index {emb.index}")
+    emb._glue[mu.coords] = pairs
+    return list(pairs)
 
 
 def enumerate_coset_vectors(lattice: QuadLattice, mu, m) -> list:
@@ -392,110 +400,100 @@ def enumerate_coset_vectors(lattice: QuadLattice, mu, m) -> list:
         raise ValueError("enumeration requires definite lattice")
     if m < 0:
         return []
-    if isinstance(mu, Coset):
-        shift = list(mu.rep())
-    else:
-        shift = [Fraction(x) for x in mu]
-    n = lattice.rank
-    if n == 0:
-        return [()] if m == 0 else []
-    # exact LDL^T: 2Q(x) = sum_i d[i] * (x_i + sum_{j>i} r[i][j] x_j)^2
-    A = [[Fraction(x) for x in row] for row in lattice.gram]
-    d = [Fraction(0)] * n
-    R = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = A[i][i]
-        for j in range(i + 1, n):
-            R[i][j] = A[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                A[k][l] -= A[k][i] * A[i][l] / A[i][i]
-    target = 2 * m
-    results = []
-    x = [Fraction(0)] * n
-
-    def rec(i, budget):
-        # x[i+1:] fixed; assign x[i] = shift[i] + t, t integer
-        center = sum(R[i][j] * x[j] for j in range(i + 1, n))
-        c0 = shift[i] + center
-        if i == 0:
-            # solve d[0] * (c0 + t)^2 == budget exactly
-            if budget < 0:
-                return
-            root = sqrt_fraction_exact(budget / d[0])
-            if root is None:
-                return
-            for r in {root, -root}:
-                t = r - c0
-                if t.denominator == 1:
-                    x[0] = shift[0] + t
-                    results.append(tuple(x))
-            return
-        # integer t with (c0 + t)^2 <= budget / d[i]
-        val = budget / d[i]
-        s = floor_sqrt_fraction(val)
-        start = -s - c0
-        t = start.numerator // start.denominator - 1
-        while True:
-            t += 1
-            z = c0 + t
-            if z * z <= val:
-                x[i] = shift[i] + t
-                rec(i - 1, budget - d[i] * z * z)
-            elif z > 0:
-                break
-    rec(n - 1, target)
-    return sorted(results)
+    shift = mu.rep() if isinstance(mu, Coset) else [Fraction(x) for x in mu]
+    # x = shift + t orders as t does, so sort the integer offsets
+    found = sorted(t for t, _ in _short_vectors(lattice.gram, shift, m, exact=True))
+    return [tuple(Fraction(s.numerator + s.denominator * ti, s.denominator)
+                  for s, ti in zip(shift, t)) for t in found]
 
 
 def ball_sweep(gram, shift, bound):
     """All x = shift + t, t integral, with (1/2) x^T gram x <= bound, for a
-    rational symmetric positive definite gram.  Yields (x, Q(x)) pairs.
+    rational symmetric positive definite gram, as a list of (t, norm): t an
+    integer tuple, norm = 2 e^2 D Q(x) an integer, with D and e the lcms
+    of the denominators of gram and of shift."""
+    return _short_vectors(gram, shift, bound, exact=False)
 
-    Exact rational arithmetic; used for bulk theta sweeps where one walk
-    over the ball replaces one enumeration per coset.
+
+def _short_vectors(gram, shift, bound, exact):
+    """Integer Fincke-Pohst: (t, norm) for every x = shift + t with
+    norm = e^2 D x^T gram x <= 2 e^2 D bound, or == when exact.
+
+    The search runs over y = e x = c + e t with A = D gram integral.  Float
+    pruning from the exact LDL^T of A, widened by a slack that bounds the
+    rounding, picks the nodes; the last coordinate and every norm are
+    exact integers.  Inputs the slack cannot cover raise ValueError.
     """
     n = len(gram)
-    bound = Fraction(bound)
+    D = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    e = lcm(*(Fraction(x).denominator for x in shift))
+    A = [[int(Fraction(x) * D) for x in row] for row in gram]
+    c = [int(Fraction(x) * e) for x in shift]
+    target = 2 * D * e * e * Fraction(bound)
+    if target < 0 or (exact and target.denominator != 1):
+        return []
+    N = target.numerator // target.denominator
     if n == 0:
-        return [((), Fraction(0))] if bound >= 0 else []
-    A = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    R = [[Fraction(0)] * n for _ in range(n)]
+        return [((), 0)] if N == 0 or not exact else []
+    # LDL^T exactly, then rounded to floats df, rf:
+    # y^T A y = sum_i d[i] (y_i + sum_{j>i} r[i][j] y_j)^2
+    M = [[Fraction(x) for x in row] for row in A]
+    df, rf = [], []
     for i in range(n):
-        d[i] = A[i][i]
-        if d[i] <= 0:
-            raise ValueError("ball sweep requires positive definite gram")
-        for j in range(i + 1, n):
-            R[i][j] = A[i][j] / d[i]
+        if M[i][i] <= 0:
+            raise ValueError("enumeration requires a positive definite gram")
+        df.append(float(M[i][i]))
+        rf.append([float(M[i][j] / M[i][i]) for j in range(n)])
         for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                A[k][l] -= A[k][i] * A[i][l] / A[i][i]
-    shift = [Fraction(x) for x in shift]
-    x = [Fraction(0)] * n
+            for j in range(k, n):
+                M[k][j] -= M[i][k] * M[i][j] / M[i][i]
+                M[j][k] = M[k][j]
+    # Rounding bound.  A vector of norm <= N has y_j^2 <= N (A^-1)_jj and
+    # d[i] r[i][j]^2 <= A_jj, so on its path every centre sum_j r[i][j] y_j
+    # has terms of size sqrt(N A_jj (A^-1)_jj / d[i]); the float error of
+    # the partial norms then stays below 4 (n+2)^2 u kappa N, u = 2^-53,
+    # kappa = sum_j sqrt(A_jj (A^-1)_jj).
+    inv = [row[j] for j, row in enumerate(inverse_fraction(A))]
+    kappa = sum(math.sqrt(A[j][j] * inv[j]) for j in range(n))
+    slack = 4 * (n + 2) ** 2 * kappa * 2.0 ** -53
+    if slack > 2.0 ** -16 or N * max(inv) > 2 ** 100:
+        raise ValueError("enumeration input too large for float pruning")
+    limit = N * (1 + 2 * slack)
     out = []
+    y = [0] * n
 
-    def rec(i, budget):
-        center = sum(R[i][j] * x[j] for j in range(i + 1, n))
-        c0 = shift[i] + center
-        val = budget / d[i]
-        s = floor_sqrt_fraction(val)
-        start = -s - c0
-        t = start.numerator // start.denominator - 1
-        while True:
-            t += 1
-            z = c0 + t
-            zz = z * z
-            if zz <= val:
-                x[i] = shift[i] + t
-                rem = budget - d[i] * zz
-                if i == 0:
-                    out.append((tuple(x), bound - rem / 2))
-                else:
-                    rec(i - 1, rem)
-            elif z > 0:
-                break
-    rec(n - 1, 2 * bound)
+    def descend(i, pf, p):
+        # y[i+1:] fixed; pf ~ sum_{k>i} d[k] z_k^2 in floats, p exact
+        g = sum(A[i][j] * y[j] for j in range(i + 1, n))
+        aii = A[i][i]
+        if i == 0:
+            # a y0^2 + 2 g y0 + p <= N holds exactly for y0 in lo..hi
+            disc = g * g - aii * (p - N)
+            if disc < 0:
+                return
+            s = isqrt(disc)
+            lo = -((g + s) // aii)
+            lo += (c[0] - lo) % e
+            rest = tuple((y[j] - c[j]) // e for j in range(1, n))
+            for y0 in range(lo, (s - g) // aii + 1, e):
+                norm = p + y0 * (aii * y0 + 2 * g)
+                if norm == N or not exact:
+                    out.append((((y0 - c[0]) // e,) + rest, norm))
+            return
+        room = limit - pf
+        if room < 0:
+            return
+        ri, di = rf[i], df[i]
+        centre = -sum(ri[j] * y[j] for j in range(i + 1, n))
+        rad = math.sqrt(room / di)
+        lo = math.ceil(centre - rad)
+        lo += (c[i] - lo) % e
+        for yi in range(lo, math.floor(centre + rad) + 1, e):
+            y[i] = yi
+            z = yi - centre
+            descend(i - 1, pf + di * z * z, p + yi * (aii * yi + 2 * g))
+
+    descend(n - 1, 0.0, 0)
     return out
 
 

@@ -424,14 +424,6 @@ def diagonalize_quadratic(G):
     return [bil(u, u) / 2 for u in vecs]
 
 
-def floor_sqrt_fraction(f):
-    """floor(sqrt(f)) for a nonnegative Fraction."""
-    f = Fraction(f)
-    if f < 0:
-        raise ValueError("negative argument")
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
 def sqrt_fraction_exact(f):
     """Exact rational square root of f, or None if irrational."""
     f = Fraction(f)

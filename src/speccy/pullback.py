@@ -25,6 +25,7 @@ from .eisenstein import EisensteinPackage, EisensteinTable, eisenstein_qexp
 from .imq import LogLinear
 from .lattice import (
     Coset,
+    InvariantError,
     QuadLattice,
     enumerate_coset_vectors,
     glue_cosets,
@@ -275,7 +276,9 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
         # cross-check: the m1 = 0 rows of the pullback table carry the
         # improper part, with multiplicity R
         improper = sum(r.count for r in tables[(m, coords)] if r.m1 == 0)
-        assert improper == lam, "pullback table disagrees with lambda_mmu"
+        if improper != lam:
+            raise InvariantError(f"pullback table disagrees with lambda_mmu at "
+                                 f"({m}, {coords}): {improper} != {lam}")
         rows.append(LedgerRow("D", (m, coords, "improper slot"),
                               t_hat * (cval * lam),
                               a00 * (-hw * cval * lam)))

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .lattice import (
     Coset,
@@ -144,25 +145,22 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
         raise ValueError("theta series requires a positive definite lattice")
     group = discriminant_group(lattice)
     ncosets = group.order
-    index = {c.coords: i for i, c in enumerate(group.elements())}
-    coeffs = {}
-    if lattice.rank == 0:
-        coeffs[Fraction(0)] = (1,)
-        return VVFormQ(Fraction(0), "contragredient", group, coeffs, cutoff)
-    Ginv = lattice.gram_inverse()
-    n = lattice.rank
-    U = group.snf_U
-    orders = group.orders_all
+    index = {c.visible_coords(): i for i, c in enumerate(group.elements())}
     # dual vectors are x = Ginv k, k integral, with Q(x) = (1/2) k^T Ginv k;
-    # the coset coordinates of x are (U k) mod the elementary divisors
-    for k, q in ball_sweep(Ginv, [0] * n, cutoff):
-        coords = tuple(sum(U[i][j] * int(k[j]) for j in range(n)) % orders[i]
-                       for i in range(n))
-        idx = index[coords]
-        if q not in coeffs:
-            coeffs[q] = [0] * ncosets
-        coeffs[q][idx] += 1
-    coeffs = {m: tuple(vec) for m, vec in coeffs.items()}
+    # the coset coordinates of x are (U k) mod the elementary divisors, and
+    # only the rows of U with a divisor above 1 can be nonzero
+    Ginv = lattice.gram_inverse()
+    den = lcm(*(x.denominator for row in Ginv for x in row))
+    rows = [(row, dv) for row, dv in zip(group.snf_U, group.orders_all) if dv > 1]
+    counts = {}
+    for k, norm in ball_sweep(Ginv, [0] * lattice.rank, cutoff):
+        vec = counts.get(norm)
+        if vec is None:
+            vec = counts[norm] = [0] * ncosets
+        vec[index[tuple(sum(u * kj for u, kj in zip(row, k)) % dv
+                        for row, dv in rows)]] += 1
+    # ball_sweep's norm is D k^T Ginv k = 2 D Q(x)
+    coeffs = {Fraction(norm, 2 * den): tuple(vec) for norm, vec in counts.items()}
     return VVFormQ(Fraction(lattice.rank, 2), "contragredient", group, coeffs, cutoff)
 
 
@@ -298,13 +296,8 @@ def constant_term_pairing(pp: PrincipalPart, eis_table, theta: VVFormQ,
     # and R(0, mu != 0) = 0
     if pp.constant:
         total = total + eis_table.coefficient(Fraction(0), eis_table.group.zero()) * pp.constant
-    glue_cache = {}
     for (m, coords), cval in pp.items():
-        mu = Coset(pp.group, coords)
-        if coords not in glue_cache:
-            glue_cache[coords] = glue_cosets(emb, mu)
-        pairs = glue_cache[coords]
-        for mu1, mu2 in pairs:
+        for mu1, mu2 in glue_cosets(emb, Coset(pp.group, coords)):
             # m2 + m3 = m with m3 in the theta support of mu2
             q3 = theta.group.q_map(mu2)
             m3 = q3

@@ -72,20 +72,47 @@ def qexp_json(form):
     }
 
 
+def _field_frac(value, field):
+    try:
+        return parse_frac(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{field}: {value!r} is not a rational number") from None
+
+
+def parse_coset_key(key, field="key"):
+    """Split an "m,cosetindex" selector into (Fraction m, int index)."""
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise ValueError(f'{field} {key!r}: expected "m,cosetindex"')
+    m = _field_frac(parts[0], f"{field} {key!r}: exponent")
+    try:
+        index = int(parts[1])
+    except ValueError:
+        raise ValueError(f"{field} {key!r}: coset index {parts[1]!r} "
+                         "is not an integer") from None
+    return m, index
+
+
 def parse_principal_part(text, group):
     """Parse {"m,cosetindex": coeff} into a PrincipalPart; "const" keys the
-    constant coefficient c+(0,0)."""
+    constant coefficient c+(0,0).  Errors name the bad field."""
     from .qseries import PrincipalPart
 
     blob = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(blob, dict):
+        raise ValueError('expected a JSON object {"m,cosetindex": coeff}, '
+                         f"got {type(blob).__name__}")
     entries = {}
     constant = Fraction(0)
     for key, coeff in blob.items():
+        value = _field_frac(coeff, f"coefficient of {key!r}")
         if key == "const":
-            constant = parse_frac(coeff)
+            constant = value
             continue
-        m_str, idx_str = key.split(",")
-        m = parse_frac(m_str)
-        mu = group.coset_by_index(int(idx_str))
-        entries[(m, mu.coords)] = entries.get((m, mu.coords), Fraction(0)) + parse_frac(coeff)
+        m, index = parse_coset_key(key)
+        if not 0 <= index < group.order:
+            raise ValueError(f"key {key!r}: coset index out of range, the group "
+                             f"has {group.order} cosets")
+        mu = group.coset_by_index(index)
+        entries[(m, mu.coords)] = entries.get((m, mu.coords), Fraction(0)) + value
     return PrincipalPart(group, entries, constant=constant)

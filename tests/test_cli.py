@@ -133,6 +133,20 @@ class TestVerify:
                            "--sub", files["sub"], "--pp", '{"1,0":1}'])
         assert code == 1
 
+    def test_pp_must_be_an_object(self, files, capsys):
+        code, _ = capture(["verify", "--lattice", files["L"], "--sub", files["sub"],
+                           "--pp", "[1]"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --pp:") and "JSON object" in err and "list" in err
+
+    def test_pp_key_needs_m_and_coset(self, files, capsys):
+        code, _ = capture(["verify", "--lattice", files["L"], "--sub", files["sub"],
+                           "--pp", '{"1":1}'])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --pp: key '1'") and '"m,cosetindex"' in err
+
     def test_round_trip_principal_part(self, files):
         from speccy.lattice import QuadLattice, discriminant_group
         from speccy.serialize import parse_principal_part

@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccy.lattice import (
     Coset,
+    InvariantError,
     QuadLattice,
+    SublatticeEmbedding,
+    ball_sweep,
     discriminant_group,
     enumerate_coset_vectors,
     even_clifford_binary,
@@ -13,6 +20,7 @@ from speccy.lattice import (
     is_maximal,
     orthogonal_complement,
 )
+from speccy.linalg import inverse_fraction
 
 L0_D7 = QuadLattice([[-2, -1], [-1, -4]])
 A1 = QuadLattice([[2]])
@@ -20,34 +28,48 @@ A2 = QuadLattice([[2, 1], [1, 2]])
 U_HYP = QuadLattice([[0, 1], [1, 0]])
 
 
-def brute_count(lat, mu_rep, m):
-    """Independent oracle: exhaustive search over the coordinate box of
-    radius ceil(sqrt(m / lambda_min)) + 1."""
-    n = lat.rank
+def box_vectors(gram, shift, bound):
+    """Independent oracle: every x in shift + Z^n with Q(x) = (1/2) x^T gram x
+    <= bound, as (x, Q(x)), by exhaustive search over the coordinate box
+    x_i^2 <= 2 bound (gram^-1)_ii (Cauchy-Schwarz), in exact arithmetic."""
+    n = len(gram)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
     if n == 0:
-        return 1 if m == 0 else 0
-    # crude rational lower bound on the smallest eigenvalue via diag dominance
-    # fallback: lambda_min >= 1 / max row sum of |G^{-1}| entries
-    Ginv = lat.gram_inverse()
-    bound = max(sum(abs(x) for x in row) for row in Ginv)
-    lam = Fraction(1, 1) / bound
-    radius = int((Fraction(2 * m) / lam) ** Fraction(1, 1)) + 2
-    r = 1
-    while r * r < (2 * Fraction(m) / lam):
-        r += 1
-    r += 1
-    count = 0
-    from itertools import product
+        return [((), Fraction(0))]
+    Ginv = inverse_fraction(gram)
+    shift = [Fraction(s) for s in shift]
     ranges = []
     for i in range(n):
-        c = Fraction(mu_rep[i])
-        lo = -(c.numerator // c.denominator) - r - 1
-        ranges.append(range(lo, lo + 2 * r + 3))
-    for t in product(*ranges):
-        x = [Fraction(mu_rep[i]) + t[i] for i in range(n)]
-        if lat.quadratic(x) == m:
-            count += 1
-    return count
+        r = isqrt(floor(2 * bound * Ginv[i][i])) + 1
+        ranges.append(range(ceil(-r - shift[i]), floor(r - shift[i]) + 1))
+    # integer norms: A = D gram, y = e x, y^T A y = D e^2 x^T gram x, with
+    # the last coordinate innermost: a y_l^2 + 2 b y_l + p
+    D = lcm(*(Fraction(g).denominator for row in gram for g in row))
+    e = lcm(*(s.denominator for s in shift))
+    A = [[int(Fraction(g) * D) for g in row] for row in gram]
+    c = [int(s * e) for s in shift]
+    limit = 2 * D * e * e * bound
+    a = A[-1][-1]
+    out = []
+    for head in product(*ranges[:-1]):
+        y = [ci + e * ti for ci, ti in zip(c, head)]
+        p = sum(A[i][j] * y[i] * y[j] for i in range(n - 1) for j in range(n - 1))
+        b = sum(A[-1][j] * y[j] for j in range(n - 1))
+        for tl in ranges[-1]:
+            yl = c[-1] + e * tl
+            norm = p + yl * (a * yl + 2 * b)
+            if norm <= limit:
+                x = tuple(s + ti for s, ti in zip(shift, head + (tl,)))
+                out.append((x, norm / Fraction(2 * D * e * e)))
+    return out
+
+
+def brute_count(lat, mu_rep, m):
+    """Independent oracle: #{x in mu_rep + L : Q(x) = m} by box search."""
+    m = Fraction(m)
+    return sum(1 for _, q in box_vectors(lat.gram, mu_rep, m) if q == m)
 
 
 class TestDiscriminantGroup:
@@ -135,6 +157,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_coset_vectors(U_HYP, [0, 0], 1)
 
+    def test_skew_within_the_float_bound(self):
+        # Q(x) = (x0 + k x1)^2 + x1^2: five vectors of norm <= 1
+        k = 2 ** 20
+        got = ball_sweep([[2, 2 * k], [2 * k, 2 * k * k + 2]], [0, 0], 1)
+        assert sorted(got) == sorted([((0, 0), 0), ((-1, 0), 2), ((1, 0), 2),
+                                      ((-k, 1), 2), ((k, -1), 2)])
+
+    def test_too_large_for_float_pruning_is_refused(self):
+        k = 2 ** 40
+        with pytest.raises(ValueError, match="float pruning"):
+            ball_sweep([[2, 2 * k], [2 * k, 2 * k * k + 2]], [0, 0], 1)
+        with pytest.raises(ValueError, match="float pruning"):
+            ball_sweep([[2]], [0], 2 ** 120)
+
     def test_rank4_count_vs_box_search(self):
         rng = random.Random(41)
         B = [[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)]
@@ -172,6 +208,78 @@ class TestEnumeration:
                 vs_neg = enumerate_coset_vectors(lat, -mu, m)
                 assert len(vs) == len(vs_neg)
                 assert len(vs) == brute_count(lat, mu.rep(), m)
+
+
+@st.composite
+def skewed_problem(draw, integral):
+    """(G0, U, G = U^T G0 U, shift, U shift, bound): a random diagonally
+    dominant G0 of rank 1-5 (even integral, or with rational diagonal),
+    skewed by a unimodular U with entries up to 50, a rational shift, and
+    the norm of one vector of the coset as the bound."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-1, 1)
+    # off-diagonal entries in {-1, 0, 1} under a diagonal that dominates them
+    G0 = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            G0[i][j] = G0[j][i] = Fraction(draw(small))
+        if integral:
+            G0[i][i] = Fraction(2 * (n // 2) + 2 * draw(st.integers(1, 2)))
+        else:
+            G0[i][i] = n - 1 + Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-7, 7))
+    for i, j, k in draw(st.lists(ops, min_size=8, max_size=24)):
+        row = [a + k * b for a, b in zip(U[i], U[j])]
+        if i != j and max(map(abs, row)) <= 50:
+            U[i] = row
+    G = [[sum(U[a][i] * G0[a][b] * U[b][j] for a in range(n) for b in range(n))
+          for j in range(n)] for i in range(n)]
+    den = draw(st.integers(1, 6))
+    shift = [Fraction(draw(st.integers(0, den - 1)), den) for _ in range(n)]
+    # the bound is the norm of a vector of the coset that is short in G0
+    # coordinates, where the coset is U shift + Z^n
+    Ushift = [sum(U[i][j] * shift[j] for j in range(n)) for i in range(n)]
+    t0 = draw(st.lists(st.integers(-1, 0), min_size=n, max_size=n))
+    bound = quad(G0, [s - floor(s) + t for s, t in zip(Ushift, t0)])
+    return G0, U, G, shift, Ushift, bound
+
+
+def quad(gram, x):
+    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x))) / 2
+
+
+def skew_back(U, vectors):
+    """Box-search vectors x' in G0 coordinates as x = U^-1 x' in G's."""
+    Uinv = inverse_fraction(U)
+    return sorted((tuple(sum(Uinv[i][j] * x[j] for j in range(len(x)))
+                         for i in range(len(x))), q) for x, q in vectors)
+
+
+class TestEnumerationProperties:
+    """The enumeration core against box search in the unskewed basis: x in
+    shift + Z^n for G is U x in U shift + Z^n for G0, with the same norm,
+    and the bound is the norm of shift + t0, so boundary vectors count."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(skewed_problem(integral=False))
+    def test_ball_sweep_matches_box_search(self, problem):
+        G0, U, G, shift, Ushift, bound = problem
+        scale = 2 * lcm(*(g.denominator for row in G for g in row)) \
+            * lcm(*(s.denominator for s in shift)) ** 2
+        got = sorted((tuple(s + ti for s, ti in zip(shift, t)), Fraction(norm, scale))
+                     for t, norm in ball_sweep(G, shift, bound))
+        assert got == skew_back(U, box_vectors(G0, Ushift, bound))
+        assert all(q == quad(G, x) for x, q in got)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(skewed_problem(integral=True))
+    def test_coset_vectors_match_box_search(self, problem):
+        G0, U, G, shift, Ushift, m = problem
+        got = enumerate_coset_vectors(QuadLattice(G), shift, m)
+        want = [x for x, q in skew_back(U, box_vectors(G0, Ushift, m)) if q == m]
+        assert got == want
+        assert len(got) == brute_count(QuadLattice(G0), Ushift, m) > 0
 
 
 class TestComplement:
@@ -275,6 +383,24 @@ class TestGlue:
         firsts = {p[0].coords for p in pairs}
         assert len(firsts) == 7
         assert any(p[0].is_zero() and p[1].is_zero() for p in pairs)
+
+
+class TestInvariants:
+    def test_glue_index_identity_is_checked(self):
+        emb = orthogonal_complement(QuadLattice([[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]),
+                                    [[1, 0], [0, 1], [0, 0]])
+        with pytest.raises(InvariantError):
+            SublatticeEmbedding(emb.ambient, emb.sub_basis, emb.sub,
+                                emb.complement_basis, emb.complement, 2)
+
+    def test_glue_pairs_are_memoised(self):
+        L, sub_basis = build_glued_index7()
+        emb = orthogonal_complement(L, sub_basis)
+        zero = discriminant_group(L).zero()
+        first = glue_cosets(emb, zero)
+        first.clear()
+        assert glue_cosets(emb, zero) == glue_cosets(emb, zero) != []
+        assert list(emb._glue) == [zero.coords]
 
 
 class TestCliffordDiscriminant:

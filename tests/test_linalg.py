@@ -4,7 +4,6 @@ from fractions import Fraction
 from speccy.linalg import (
     det_fraction,
     diagonalize_quadratic,
-    floor_sqrt_fraction,
     identity_matrix,
     inertia,
     integer_kernel,
@@ -154,7 +153,6 @@ class TestQuadratic:
         assert inertia([[2, 2], [2, 2]]) == (1, 0, 1)
 
     def test_sqrt_helpers(self):
-        assert floor_sqrt_fraction(Fraction(17, 4)) == 2
         assert sqrt_fraction_exact(Fraction(9, 16)) == Fraction(3, 4)
         assert sqrt_fraction_exact(Fraction(2)) is None
 

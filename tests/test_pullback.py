@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import speccy
 
 from speccy.eisenstein import a_plus
 from speccy.imq import LogLinear
@@ -254,3 +259,28 @@ class TestLedger:
         assert blob["totals"]["all_match"] is True
         assert "residual" in blob["totals"]
         assert all("identity" in r and "match" in r for r in blob["rows"])
+
+
+class TestInvariants:
+    def test_cross_check_fires_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the lambda_mmu cross-check
+        # must still stop a verify run, with exit code 3
+        (tmp_path / "L.json").write_text('{"gram": [[-2,-1,0],[-1,-4,0],[0,0,2]]}')
+        (tmp_path / "sub.json").write_text('{"basis": [[1,0],[0,1],[0,0]]}')
+        script = (
+            "import sys\n"
+            "assert False, 'python -O is not in effect'\n"
+            "import speccy.pullback as pb\n"
+            "from speccy.cli import run\n"
+            "real = pb.lambda_mmu\n"
+            "pb.lambda_mmu = lambda ctx, m, mu: real(ctx, m, mu) + [None]\n"
+            "sys.exit(run(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(speccy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "verify", "--lattice", "L.json",
+             "--sub", "sub.json", "--pp", '{"1,0":1}'],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "pullback table disagrees with lambda_mmu" in proc.stderr
+        assert proc.stdout == ""

@@ -96,6 +96,18 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta_series(QuadLattice([[0, 1], [1, 0]]), 2)
 
+    def test_e8_is_eisenstein_e4(self):
+        # E8 is even unimodular: its theta series is E4, r(n) = 240 sigma_3(n)
+        E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+              [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+              [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+              [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
+        th = theta_series(QuadLattice(E8), 3)
+        assert th.weight == 4 and th.group.order == 1
+        sigma3 = {n: sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in (1, 2, 3)}
+        assert th.coeffs == {Fraction(0): (1,), **{Fraction(n): (240 * s,)
+                                                   for n, s in sigma3.items()}}
+
 
 class TestEvaluate:
     def test_zero_form(self):
