@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cm import degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, completed_lambda
-from .lattice import InvariantError, discriminant_group
+from .lattice import Coset, InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -97,7 +97,7 @@ def cmd_eisenstein(args):
     dps = args.precision
     entries = []
     for (m, coords), val in sorted(table.values.items()):
-        mu = next(c for c in pkg.disc0.elements() if c.coords == coords)
+        mu = Coset(pkg.disc0, coords)
         entries.append({
             "exponent": frac_str(m),
             "coset": list(mu.visible_coords()),

@@ -263,16 +263,26 @@ class DiscriminantGroup:
             yield Coset(self, coords)
 
     def coset_by_index(self, k):
-        for i, c in enumerate(self.elements()):
-            if i == k:
-                return c
-        raise IndexError("coset index out of range")
+        """The k-th coset of elements(): mixed radix over orders_all."""
+        if not 0 <= k < self.order:
+            raise ValueError(f"coset index {k} out of range: the group has "
+                             f"{self.order} cosets")
+        coords = []
+        for d in reversed(self.orders_all):
+            k, a = divmod(k, d)
+            coords.append(a)
+        return Coset(self, tuple(reversed(coords)))
 
     def index_of(self, coset):
-        for i, c in enumerate(self.elements()):
-            if c == coset:
-                return i
-        raise ValueError("coset not in group")
+        """Position of coset in elements(), inverse of coset_by_index."""
+        if coset.group is not self:
+            raise ValueError("coset not in group")
+        k = 0
+        for a, d in zip(coset.coords, self.orders_all):
+            if not 0 <= a < d:
+                raise ValueError("coset not in group")
+            k = k * d + a
+        return k
 
     def q_map(self, coset):
         """Q(mu) mod Z, as a Fraction in [0, 1)."""

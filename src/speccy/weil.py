@@ -11,15 +11,17 @@ Metaplectic elements are words in the generators S, T, T^-1; the cocycle
 is never needed because every computation composes generator matrices.
 Matrices carry their power of 1/sqrt(|D|) separately so products of
 generators stay exact; comparisons fold the square root in via Gauss sums
-when the powers disagree in parity.
+when the powers disagree in parity.  A product accumulates each entry's
+sum of products in one exponent dict (cyclotomic._matmul).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import CycNum, sqrt_cyclotomic
+from .cyclotomic import CycNum, _matmul, sqrt_cyclotomic
 from .lattice import DiscriminantGroup
 
 VARIANTS = ("omega", "conjugate", "contragredient")
@@ -70,6 +72,22 @@ class MetaWord:
         return len(self.word)
 
 
+def _same_group(a, b):
+    if a.disc_order != b.disc_order:
+        raise ValueError(f"matrices over discriminant groups of orders "
+                         f"{a.disc_order} and {b.disc_order}")
+
+
+def _fold(xs, D, s, den=1):
+    """xs * D^(-s/2) / den, exact: the square root of an odd power as a
+    Gauss sum with integer coefficients, then one rational scale."""
+    if s % 2:
+        root = sqrt_cyclotomic(D)
+        xs = [x * root for x in xs]
+    scale = Fraction(1, den * D ** ((s + 1) // 2))
+    return list(xs) if scale == 1 else [x * scale for x in xs]
+
+
 class ScaledMatrix:
     """entries * |D|^(-s/2) with exact cyclotomic entries."""
 
@@ -83,37 +101,16 @@ class ScaledMatrix:
         return len(self.entries)
 
     def matmul(self, other):
-        assert self.disc_order == other.disc_order
-        n = self.dim
-        A, B = self.entries, other.entries
-        out = [[CycNum() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                a = A[i][k]
-                if not a.terms:
-                    continue
-                for j in range(n):
-                    b = B[k][j]
-                    if b.terms:
-                        out[i][j] = out[i][j] + a * b
-        return ScaledMatrix(out, self.sqrt_power + other.sqrt_power, self.disc_order)
+        _same_group(self, other)
+        return ScaledMatrix(_matmul(self.entries, other.entries),
+                            self.sqrt_power + other.sqrt_power, self.disc_order)
 
     def apply(self, vec):
-        n = self.dim
-        out = []
-        for i in range(n):
-            acc = CycNum()
-            for j in range(n):
-                if self.entries[i][j].terms:
-                    acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
-        if self.sqrt_power:
-            D = self.disc_order
-            # 1/sqrt(D) = sqrt(D)/D, folded exactly into the entries
-            factor = sqrt_cyclotomic(D) * Fraction(1, D)
-            for _ in range(self.sqrt_power):
-                out = [x * factor for x in out]
-        return out
+        vec = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
+        # integer coefficients through the product, one rational scale after
+        den = lcm(*(c.denominator for x in vec for c in x.terms.values()))
+        out = _matmul(self.entries, [[x * den] for x in vec])
+        return _fold([row[0] for row in out], self.disc_order, self.sqrt_power, den)
 
     def conjugate(self):
         return ScaledMatrix([[x.conjugate() for x in row] for row in self.entries],
@@ -126,31 +123,23 @@ class ScaledMatrix:
 
     def scaled_entries(self):
         """Entries with the square-root scale folded in exactly."""
-        if not self.sqrt_power:
-            return [list(row) for row in self.entries]
-        D = self.disc_order
-        factor = CycNum.from_rational(1)
-        f1 = sqrt_cyclotomic(D) * Fraction(1, D)
-        for _ in range(self.sqrt_power):
-            factor = factor * f1
-        return [[x * factor for x in row] for row in self.entries]
+        return [_fold(row, self.disc_order, self.sqrt_power) for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):
             return NotImplemented
-        assert self.disc_order == other.disc_order
+        _same_group(self, other)
         if self.dim != other.dim:
             return False
         D = self.disc_order
+        A, B = self.entries, other.entries
         diff = self.sqrt_power - other.sqrt_power
-        A = self.entries
-        B = other.entries
-        # value equality: A * D^(-sA/2) == B * D^(-sB/2)
-        if diff % 2 == 0:
-            scale = Fraction(D) ** (diff // 2)
-            return all(A[i][j] == B[i][j] * scale
-                       for i in range(self.dim) for j in range(self.dim))
-        scale = sqrt_cyclotomic(D) * (Fraction(D) ** ((diff - 1) // 2))
+        if diff < 0:
+            A, B, diff = B, A, -diff
+        # value equality: A * D^(-sA/2) == B * D^(-sB/2), i.e. A == B * D^(diff/2)
+        scale = D ** (diff // 2)
+        if diff % 2:
+            scale = sqrt_cyclotomic(D) * scale
         return all(A[i][j] == B[i][j] * scale
                    for i in range(self.dim) for j in range(self.dim))
 
@@ -168,21 +157,25 @@ class WeilRep:
         p, q = disc.lattice.signature
         self.sig8 = (p - q) % 8
         self._cosets = list(disc.elements())
-        self._index = {c.coords: i for i, c in enumerate(self._cosets)}
-        self._neg = [self._index[(-c).coords] for c in self._cosets]
+        self._neg = [disc.index_of(-c) for c in self._cosets]
         self._q = [disc.q_map(c) for c in self._cosets]
-        self._b = None
+        # [g_s, g_t] = P[s][t] / E mod 1 for the SNF generators g_s, with E
+        # the exponent of the group; row i of _paired is coords(mu_i) * P
+        self._exponent = E = lcm(*disc.orders_all)
+        gens = disc.generators_all
+        P = [[int(disc.lattice.bilinear(g, h) * E) % E for h in gens] for g in gens]
+        self._paired = [[sum(a * P[s][t] for s, a in enumerate(c.coords)) % E
+                         for t in range(len(gens))] for c in self._cosets]
         self._gen_cache = {}
 
     def cosets(self):
         return list(self._cosets)
 
     def _bilinear(self, i, j):
-        if self._b is None:
-            n = self.dim
-            self._b = [[self.disc.b_map(self._cosets[i], self._cosets[j])
-                        for j in range(n)] for i in range(n)]
-        return self._b[i][j]
+        """[mu_i, mu_j] = k / E mod 1, E the exponent of the group; returns
+        the integer k in [0, E)."""
+        k = sum(x * y for x, y in zip(self._paired[i], self._cosets[j].coords))
+        return k % self._exponent
 
     def omega_T(self) -> ScaledMatrix:
         """Diagonal matrix with entry e(-Q(mu))."""
@@ -195,8 +188,11 @@ class WeilRep:
     def omega_S(self) -> ScaledMatrix:
         """(nu, mu) entry e(sig8/8) e([mu, nu]) / sqrt(|D|)."""
         n = self.dim
-        root8 = CycNum.e(Fraction(self.sig8, 8))
-        ent = [[root8 * CycNum.e(self._bilinear(j, i)) for j in range(n)]
+        E = self._exponent
+        cond = lcm(8, E)
+        root8 = self.sig8 * (cond // 8)
+        step = cond // E
+        ent = [[CycNum({root8 + step * self._bilinear(j, i): 1}, cond) for j in range(n)]
                for i in range(n)]
         return ScaledMatrix(ent, 1, self.dim)
 

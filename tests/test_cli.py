@@ -91,6 +91,13 @@ class TestDegrees:
         code, _ = capture(["degrees", "--lattice", files["l0"], "--m", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("mu", ["99", "-1"])
+    def test_mu_out_of_range_is_input_error(self, files, mu, capsys):
+        code, _ = capture(["degrees", "--lattice", files["l0"], "--m", "1", "--mu", mu])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"coset index {mu} out of range" in err and "7 cosets" in err
+
 
 class TestChowla:
     def test_by_disc(self):

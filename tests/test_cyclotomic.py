@@ -1,0 +1,118 @@
+import cmath
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speccy import cyclotomic
+from speccy.cyclotomic import CycNum, sqrt_cyclotomic
+from speccy.lattice import InvariantError
+
+PRIMES = (2, 3, 5, 7)
+X = sympy.Symbol("x")
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def cycnums(draw):
+    """A CycNum with exponent denominators up to 24: a few random terms plus
+    random multiples of the vanishing p-gon sums  sum_j e(k/n + j/p)  for
+    primes p dividing the conductor n, so that many draws are zero."""
+    n = draw(st.integers(1, 24))
+    x = CycNum()
+    for _ in range(draw(st.integers(0, 3))):
+        x = x + CycNum.e(Fraction(draw(st.integers(0, n - 1)), n)) * draw(coefficients)
+    for p in PRIMES:
+        if n % p == 0 and draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            c = draw(coefficients)
+            for j in range(p):
+                x = x + CycNum.e(Fraction(k, n) + Fraction(j, p)) * c
+    return x
+
+
+def oracle_is_zero(x):
+    """x = P(zeta_n) with P = sum c x^k; zero iff Phi_n divides P."""
+    P = sum((sympy.Rational(c.numerator, c.denominator) * X ** k
+             for k, c in x.terms.items()), sympy.Integer(0))
+    return sympy.rem(P, sympy.cyclotomic_poly(x.n, X), X) == 0
+
+
+class TestRingAxioms:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cycnums(), cycnums(), cycnums())
+    def test_ring_axioms_mixed_conductors(self, a, b, c):
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - a).is_zero() and a + 0 == a and a * 1 == a
+        assert (a * 0).is_zero()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cycnums())
+    def test_conjugate_and_to_complex(self, a):
+        z = a.to_complex()
+        assert abs(a.conjugate().to_complex() - z.conjugate()) < 1e-9
+        # x * conj(x) = |x|^2 is real and nonnegative
+        zz = (a * a.conjugate()).to_complex()
+        assert abs(zz - abs(z) ** 2) < 1e-9
+        if a.is_zero():
+            assert abs(z) < 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cycnums())
+    def test_is_zero_matches_sympy_reduction(self, a):
+        assert a.is_zero() == oracle_is_zero(a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cycnums(), cycnums())
+    def test_difference_is_zero_matches_sympy_reduction(self, a, b):
+        d = a - b
+        assert d.is_zero() == oracle_is_zero(d) == (a == b)
+
+
+class TestFixedCases:
+    @pytest.mark.parametrize("p", [p for p in range(2, 32) if sympy.isprime(p)])
+    def test_sum_of_pth_roots_vanishes(self, p):
+        total = CycNum()
+        for k in range(p):
+            total = total + CycNum.e(Fraction(k, p))
+        assert total.is_zero() and total == 0
+
+    def test_sqrt_squares_back(self):
+        for n in range(1, 201):
+            r = sqrt_cyclotomic(n)
+            assert r * r == n, n
+            assert abs(r.to_complex() - n ** 0.5) < 1e-9, n
+
+    def test_product_of_roots(self):
+        assert CycNum.e(Fraction(1, 4)) * CycNum.e(Fraction(1, 6)) == CycNum.e(Fraction(5, 12))
+        assert CycNum.e(Fraction(1, 4)) * CycNum.e(Fraction(1, 6)) != CycNum.e(Fraction(1, 12))
+
+    def test_lift_to_lcm(self):
+        x = CycNum.e(Fraction(1, 4)) + CycNum.e(Fraction(1, 6))
+        assert x.n == 12 and set(x.terms) == {3, 2}
+        assert abs(x.to_complex() - (1j + cmath.exp(1j * cmath.pi / 3))) < 1e-12
+
+    def test_coefficients_stay_integral(self):
+        x = (CycNum.e(Fraction(1, 8)) + 3) * CycNum.from_rational(Fraction(4, 2))
+        assert all(type(c) is int for c in x.terms.values())
+
+    def test_true_order_below_the_conductor(self):
+        # 1 + e(2/4) = 1 + e(1/2) = 0, stored at conductor 4
+        x = CycNum({0: 1, 2: 1}, 4)
+        assert x.is_zero()
+        assert not CycNum({0: 1, 1: 1}, 4).is_zero()
+
+
+class TestInvariants:
+    def test_wrong_cyclotomic_factor_is_an_invariant_error(self, monkeypatch):
+        # 2x + 1 in place of Phi_2 leaves a remainder in x^4 - 1
+        monkeypatch.setattr(cyclotomic, "_PHI_CACHE", {1: [-1, 1], 2: [1, 2]})
+        with pytest.raises(InvariantError):
+            cyclotomic.cyclotomic_polynomial(4)

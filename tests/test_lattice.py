@@ -111,6 +111,22 @@ class TestDiscriminantGroup:
                 rhs = (g.q_map(mu + nu) - g.q_map(mu) - g.q_map(nu)) % 1
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("gram", [[[2]], [[0, 1], [1, 0]], [[2, 1], [1, 4]],
+                                      [[2, 0, 0], [0, 2, 0], [0, 0, 6]],
+                                      [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]],
+                                      [[4, 2, 0], [2, 6, 0], [0, 0, 12]]])
+    def test_coset_index_follows_elements(self, gram):
+        g = discriminant_group(QuadLattice(gram))
+        cosets = list(g.elements())
+        assert [g.index_of(c) for c in cosets] == list(range(g.order))
+        assert [g.coset_by_index(k) for k in range(g.order)] == cosets
+        for k in (-1, g.order):
+            with pytest.raises(ValueError, match=f"coset index {k} out of range"):
+                g.coset_by_index(k)
+        other = discriminant_group(QuadLattice([[2]]))
+        with pytest.raises(ValueError, match="not in group"):
+            g.index_of(other.zero())
+
     def test_singular_rejected(self):
         lat = QuadLattice([[2, 2], [2, 2]])
         with pytest.raises(Exception):

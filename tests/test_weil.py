@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import speccy
 from speccy.cyclotomic import CycNum
 from speccy.lattice import QuadLattice, discriminant_group
 from speccy.weil import S, T, T_INV, MetaWord, WeilRep
@@ -33,13 +37,22 @@ class TestGenerators:
         M = w.omega_T()
         assert M.dim == 1 and M.entries[0][0] == 1
 
-    def test_S_trivial_group_sig12(self):
-        # signature (1,2): sig8 = 7, and omega(S) = e(7/8) = e(-1/8)
+    def test_sig8_of_signature_1_2(self):
+        # U + <-2> has signature (1, 2), so sig8 = (1 - 2) mod 8 = 7
         lat = QuadLattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
-        # det = 2: not trivial; use a genuinely unimodular (1,2) lattice
-        # instead: U + <-2> has det 2, so build U + U + ... skip; check sig8 only
         w = wrep(lat)
-        assert w.sig8 == (1 - 2) % 8
+        assert w.sig8 == 7
+
+    @pytest.mark.parametrize("lat", LATTICES + [QuadLattice([[-2, 0, 0], [0, 2, 0], [0, 0, 6]])])
+    def test_S_entries_from_the_pairing(self, lat):
+        # the pairing-matrix bilinear form against b_map on coset representatives
+        w = wrep(lat)
+        M = w.omega_S()
+        cosets = w.cosets()
+        for i, mu in enumerate(cosets):
+            for j, nu in enumerate(cosets):
+                want = CycNum.e(Fraction(w.sig8, 8) + w.disc.b_map(nu, mu))
+                assert M.entries[i][j] == want
 
     def test_S_a1(self):
         # gram [[2]], signature (1,0): 2x2 matrix e(1/8)/sqrt(2)*[[1,1],[1,-1]]
@@ -197,6 +210,60 @@ class TestNegatedLattice:
                         lhs = A.entries[i][j]
                         rhs = B.entries[perm[i]][perm[j]]
                         assert (lhs - rhs).is_zero(), (gram, tok, i, j)
+
+
+class TestLargerGroup:
+    def test_relations_disc_71(self):
+        # |D| = 71: a 71 x 71 representation over Q(zeta_284)
+        w = wrep(QuadLattice([[2, 1], [1, 36]]))
+        assert w.dim == 71
+        S = w.omega_S()
+        Z = w.omega_Z()
+        assert S.matmul(S) == Z
+        Z2 = Z.matmul(Z)
+        phase = CycNum.e(Fraction(w.sig8, 2))
+        for i in range(w.dim):
+            for j in range(w.dim):
+                want = phase if i == j else CycNum()
+                assert (Z2.entries[i][j] - want).is_zero()
+
+
+class TestGroupMismatch:
+    def test_matmul_and_eq_refuse_two_lattices(self):
+        a = wrep(QuadLattice([[2]])).omega_S()
+        b = wrep(QuadLattice([[2, 1], [1, 2]])).omega_S()
+        with pytest.raises(ValueError, match="orders 2 and 3"):
+            a.matmul(b)
+        with pytest.raises(ValueError, match="orders 2 and 3"):
+            a == b  # noqa: B015
+
+    def test_checks_survive_optimize(self):
+        # python -O strips assert statements; these checks must still fire
+        script = (
+            "assert False, 'python -O is not in effect'\n"
+            "from speccy import cyclotomic\n"
+            "from speccy.lattice import InvariantError, QuadLattice\n"
+            "from speccy.weil import WeilRep\n"
+            "a = WeilRep(QuadLattice([[2]]).disc_group()).omega_T()\n"
+            "b = WeilRep(QuadLattice([[2, 1], [1, 2]]).disc_group()).omega_T()\n"
+            "for check in (lambda: a.matmul(b), lambda: a == b):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except ValueError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise SystemExit('mismatch not refused')\n"
+            "cyclotomic._PHI_CACHE.update({2: [1, 2]})\n"
+            "try:\n"
+            "    cyclotomic.cyclotomic_polynomial(4)\n"
+            "except InvariantError:\n"
+            "    print('ok')\n")
+        src = os.path.dirname(os.path.dirname(speccy.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestMixedSignatureSweep:
