@@ -6,10 +6,8 @@ from .cm import (
     CMDegree,
     QuaternionAlgebra,
     QuaternionOrder,
-    construct_Bpinfty,
     degree_bruteforce,
     degree_formula,
-    embed_cm,
 )
 from .eisenstein import EisensteinPackage, EisensteinTable, a_plus, eisenstein_qexp, s_mu
 from .imq import (

@@ -40,7 +40,14 @@ class InputError(Exception):
 
 
 def default_precision():
-    return int(os.environ.get("SPECCY_PRECISION", "30"))
+    text = os.environ.get("SPECCY_PRECISION", "30")
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError(f"SPECCY_PRECISION: {text!r} is not an integer of at least 1")
+    return value
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -81,7 +88,7 @@ def cmd_disc(args):
 
 def cmd_theta(args):
     lat = load_lattice(args.lattice)
-    th = theta_series(lat, parse_frac(args.cutoff))
+    th = theta_series(lat, parse_frac(args.cutoff, "--cutoff"))
     payload = {"lattice": args.lattice, "theta": qexp_json(th)}
     rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in sorted(th.coeffs.items())]
     header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
@@ -92,7 +99,7 @@ def cmd_theta(args):
 def cmd_eisenstein(args):
     lat = load_lattice(args.lattice)
     pkg = EisensteinPackage.from_lattice(lat)
-    table = eisenstein_qexp(pkg, parse_frac(args.cutoff))
+    table = eisenstein_qexp(pkg, parse_frac(args.cutoff, "--cutoff"))
     K = pkg.K
     dps = args.precision
     entries = []
@@ -114,7 +121,7 @@ def cmd_eisenstein(args):
 def cmd_degrees(args):
     lat = load_lattice(args.lattice)
     pkg = EisensteinPackage.from_lattice(lat)
-    m = parse_frac(args.m)
+    m = parse_frac(args.m, "--m")
     mu = pkg.disc0.coset_by_index(args.mu)
     res = degree_formula(pkg, m, mu)
     K = pkg.K
@@ -204,8 +211,9 @@ def build_parser():
         epilog="exit codes: 0 success, 1 input error, 2 identity mismatch (verify), "
                "3 internal invariant failed")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--precision", type=int, default=default_precision(),
-                        help="working decimal digits (default: SPECCY_PRECISION or 30)")
+    parser.add_argument("--precision", type=int, default=None,
+                        help="working decimal digits, at least 1 "
+                             "(default: SPECCY_PRECISION or 30)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
@@ -255,6 +263,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision is None:
+            args.precision = default_precision()
+        if args.precision < 1:
+            raise InputError(f"--precision must be at least 1, got {args.precision}")
         return args.func(args)
     except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,12 +17,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .eisenstein import EisensteinPackage, s_mu
-from .imq import ImQField, LogLinear, hilbert_symbol, ord_p, rho
-from .lattice import Coset, QuadLattice, enumerate_coset_vectors
+from .imq import LogLinear, _hilbert_candidates, _prime_factors, hilbert_symbol, ord_p, rho
+from .lattice import Coset, InvariantError, QuadLattice, enumerate_coset_vectors
 from .linalg import (
+    _scale_to_int,
     det_fraction,
     integer_kernel,
     inverse_fraction,
@@ -32,6 +32,7 @@ from .linalg import (
     mat_vec,
     solve_integer,
     sqrt_fraction_exact,
+    transpose,
 )
 
 
@@ -66,21 +67,12 @@ class QuaternionAlgebra:
     def ramified_primes(self):
         """Finite ramification set, computed from Hilbert symbols; the set
         including infinity always has even cardinality."""
-        cands = {2}
-        for val in (self.a, self.b):
-            for n in (abs(val.numerator), val.denominator):
-                k = 2
-                while k * k <= n:
-                    if n % k == 0:
-                        cands.add(k)
-                        while n % k == 0:
-                            n //= k
-                    k += 1
-                if n > 1:
-                    cands.add(n)
-        finite = {p for p in cands if hilbert_symbol(self.a, self.b, p) == -1}
+        finite = {p for p in _hilbert_candidates((self.a, self.b))
+                  if hilbert_symbol(self.a, self.b, p) == -1}
         infinite = hilbert_symbol(self.a, self.b, "inf") == -1
-        assert (len(finite) + (1 if infinite else 0)) % 2 == 0
+        if (len(finite) + infinite) % 2:
+            raise InvariantError(f"odd ramification set {sorted(finite)}, "
+                                 f"infinity {infinite}")
         return frozenset(finite), infinite
 
 
@@ -124,7 +116,8 @@ class QuaternionOrder:
     def reduced_discriminant(self) -> int:
         d2 = abs(det_fraction(self.trace_gram()))
         root = sqrt_fraction_exact(d2)
-        assert root is not None and root.denominator == 1
+        if root is None or root.denominator != 1:
+            raise InvariantError(f"|det trace_gram| = {d2} is not a square")
         return int(root)
 
     def is_maximal(self):
@@ -166,7 +159,7 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
             break
         defect = disc // target
         found = False
-        for l in _prime_divisors(defect):
+        for l in _prime_factors(defect):
             for coeffs in itertools.product(range(l), repeat=4):
                 if not any(coeffs):
                     continue
@@ -189,98 +182,9 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
                 break
         if not found:
             raise RuntimeError("saturation failed to enlarge a non-maximal order")
-    assert order.is_maximal()
+    if not order.is_maximal():
+        raise InvariantError("saturation stopped at a non-maximal order")
     return order
-
-
-def construct_Bpinfty(p: int):
-    """A quaternion algebra ramified exactly at p and infinity, plus a
-    maximal order found by saturating the obvious order Z<1, i, j, k>."""
-    p = int(p)
-    candidates = [Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-5),
-                  Fraction(-7), Fraction(-11), Fraction(-13), Fraction(-17),
-                  Fraction(-19), Fraction(-23)]
-    alg = None
-    if p == 2:
-        alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
-    else:
-        for a in candidates:
-            trial = QuaternionAlgebra(a, Fraction(-p))
-            finite, infinite = trial.ramified_primes()
-            if finite == {p} and infinite:
-                alg = trial
-                break
-    if alg is None:
-        raise ValueError(f"no standard algebra found for p = {p}")
-    order = QuaternionOrder(alg, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                  [0, 0, 1, 0], [0, 0, 0, 1]])
-    return alg, saturate_to_maximal(alg, order)
-
-
-def _prime_divisors(n):
-    out = []
-    k = 2
-    n = abs(n)
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def embed_cm(order: QuaternionOrder, K: ImQField):
-    """An element of the order with the minimal polynomial of (d + sqrt(d))/2,
-    i.e. reduced trace d and reduced norm (d^2 - d)/4, by exact enumeration.
-
-    Exists iff the ramified prime of the algebra is non-split in K (the
-    caller is expected to reject split primes earlier)."""
-    alg = order.algebra
-    d = K.d
-    target_trace = d
-    target_norm = Fraction(d * d - d, 4)
-    # solve trd(sum c_r b_r) = d over the integers; trd is linear
-    tvec = [alg.trd(tuple(b)) for b in order.basis]
-    sol = solve_integer([[int(t) for t in tvec]], [target_trace])
-    if sol is None:
-        raise ValueError("no optimal embedding")
-    kernel = integer_kernel([[int(t) for t in tvec]])
-    kcols = [[kernel[i][j] for i in range(4)] for j in range(len(kernel[0]))]
-    # norm on the affine slice sol + <kernel>: even integral gram
-    def basis_vec(c):
-        return [sum(Fraction(c[r]) * order.basis[r][i] for r in range(4))
-                for i in range(4)]
-    x0 = basis_vec(sol)
-    kvecs = [basis_vec(c) for c in kcols]
-    n = len(kvecs)
-    bil = [[alg.trd(alg.mul(tuple(u), alg.conj(tuple(v)))) for v in kvecs]
-           for u in kvecs]
-    gram = [[int(x) for x in row] for row in bil]
-    slice_lat = QuadLattice(gram)
-    # coset shift: coordinates of x0 over the kernel lattice (rational)
-    # Q(x0 + sum t_i k_i) = nrd(...): expand around x0
-    # nrd(x) = Q0 + sum t_i B(x0, k_i) + (1/2) sum t_i t_j gram_ij
-    # complete the square by shifting the coset: solve gram * s = B(x0, k)
-    bvec = [alg.trd(alg.mul(tuple(x0), alg.conj(tuple(kv)))) for kv in kvecs]
-    shift = mat_vec(inverse_fraction(gram), bvec)
-    const = alg.nrd(tuple(x0)) - Fraction(1, 2) * sum(
-        shift[i] * gram[i][j] * shift[j] for i in range(n) for j in range(n))
-    m = target_norm - const
-    sols = enumerate_coset_vectors(slice_lat, shift, m)
-    if not sols:
-        raise ValueError("no optimal embedding")
-    t = [x - s for x, s in zip(sols[0], shift)]
-    alpha = tuple(x0[i] + sum(t[j] * kvecs[j][i] for j in range(n))
-                  for i in range(4))
-    # verify the minimal polynomial exactly
-    sq = alg.mul(alpha, alpha)
-    want = tuple(Fraction(d) * alpha[i] - (target_norm if i == 0 else 0)
-                 for i in range(4))
-    assert sq == want, "embedding fails its minimal polynomial"
-    return alpha
 
 
 @dataclass
@@ -292,7 +196,9 @@ class CMDegree:
     degree: LogLinear
 
     def __post_init__(self):
-        assert (self.weighted_count == 0) == self.degree.is_zero()
+        if (self.weighted_count == 0) != self.degree.is_zero():
+            raise InvariantError(f"weighted count {self.weighted_count} "
+                                 f"disagrees with degree {self.degree}")
 
 
 def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
@@ -308,7 +214,8 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
         return CMDegree(m, mu.coords, None, Fraction(0), LogLinear.make(0))
     (p,) = diff
     chi_p = K.chi(p)
-    assert chi_p != 1
+    if chi_p == 1:
+        raise InvariantError(f"Diff({m}) contains the split prime {p}")
     eps = 1 if chi_p == -1 else 0
     r = rho(K, m * abs(K.d) / Fraction(p) ** eps)
     length = ord_p(p * m, p)
@@ -348,7 +255,8 @@ def _cm_order_data(p, d, skip_models=0):
     jtheta = alg.mul(j, theta)
     order = QuaternionOrder(alg, [[1, 0, 0, 0], list(theta), list(j), list(jtheta)])
     order = saturate_to_maximal(alg, order)
-    assert order.contains(theta)
+    if not order.contains(theta):
+        raise InvariantError("the maximal order lost the CM element")
     # O^-: kernel of x -> x theta + theta x - d x on the order
     rows = []
     for b in order.basis:
@@ -356,19 +264,16 @@ def _cm_order_data(p, d, skip_models=0):
                     - Fraction(d) * b[i] for i in range(4))
         rows.append(list(img))
     # express images in the order basis to keep the kernel integral
-    den = 1
-    for img in rows:
-        for x in img:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    mat = [[int(Fraction(x) * den) for x in img] for img in rows]
-    ker = integer_kernel([[mat[r][i] for r in range(4)] for i in range(4)])
+    mat, _ = _scale_to_int(rows)
+    ker = integer_kernel(transpose(mat))
     ominus = []
     for jcol in range(len(ker[0]) if ker and ker[0] else 0):
         coeffs = [ker[r][jcol] for r in range(4)]
         vec = [sum(Fraction(coeffs[r]) * order.basis[r][i] for r in range(4))
                for i in range(4)]
         ominus.append(vec)
-    assert len(ominus) == 2, "conjugate-linear part must have rank 2"
+    if len(ominus) != 2:
+        raise InvariantError(f"conjugate-linear part has rank {len(ominus)}, not 2")
     return alg, order, theta, ominus
 
 
@@ -427,7 +332,8 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     # sanity: Wstd satisfies x^2 - d x + (d^2 - d)/4 = 0
     tr = Wstd[0][0] + Wstd[1][1]
     det = Wstd[0][0] * Wstd[1][1] - Wstd[0][1] * Wstd[1][0]
-    assert tr == d and det == Fraction(d * d - d, 4)
+    if tr != d or det != Fraction(d * d - d, 4):
+        raise InvariantError("the Clifford generator fails x^2 - d x + (d^2 - d)/4")
 
     # the fractional ideal a with L0 = a * e1: (u, v) with u e1 + v (w e1)
     # integral; A maps k-coordinates to L0-coordinates
@@ -447,7 +353,8 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     # full lattice: iota(a) * O; ambient for the coset: iota(d^-1 a) * O^-
     M_full = _module_lattice(alg, iota_a, [list(b) for b in order.basis])
     M_amb = _module_lattice(alg, iota_dinv_a, ominus)
-    assert len(M_full) == 4 and len(M_amb) == 2
+    if len(M_full) != 4 or len(M_amb) != 2:
+        raise InvariantError(f"module ranks {len(M_full)}, {len(M_amb)}, not 4, 2")
 
     # the shift iota(mu~) where mu = mu~ * e1
     mu_rep = mu.rep()
@@ -456,28 +363,24 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
 
     # one solution x0 in M_amb with x0 - shift in M_full
     cols = [list(c) for c in M_amb] + [[-x for x in c] for c in M_full]
-    den = 1
-    for colv in cols + [shift]:
-        for x in colv:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    Aint = [[int(Fraction(cols[j][i]) * den) for j in range(len(cols))]
-            for i in range(4)]
-    bint = [int(Fraction(x) * den) for x in shift]
-    sol = solve_integer(Aint, bint)
+    scaled, _ = _scale_to_int(cols + [shift])
+    sol = solve_integer(transpose(scaled[:-1]), scaled[-1])
     count = 0
     if sol is not None:
         x0 = [sum(Fraction(sol[j]) * M_amb[j][i] for j in range(2)) for i in range(4)]
         # V_mu = x0 + (M_amb cap M_full); count Q = m with
         # Q(x) = -Q(e1) nrd(x)
         L = lattice_intersection(M_amb, M_full)
-        assert len(L) == 2
+        if len(L) != 2:
+            raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
         scale = -q1  # -Q(e1) > 0; Q_W(x) = -Q(e1) nrd(x)
         gram = []
         for u in L:
             row = []
             for v in L:
                 x = scale * _nrd_bilinear(alg, u, v)
-                assert Fraction(x).denominator == 1
+                if Fraction(x).denominator != 1:
+                    raise InvariantError(f"non-integral Gram entry {x}")
                 row.append(int(x))
             gram.append(row)
         lat = QuadLattice(gram)
@@ -499,14 +402,14 @@ def _rational_coords(basis_cols, v):
     n = len(v)
     r = len(basis_cols)
     # solve least-structure: pick r independent rows
-    import itertools as _it
-    for rows in _it.combinations(range(n), r):
+    for rows in itertools.combinations(range(n), r):
         M = [[Fraction(basis_cols[j][i]) for j in range(r)] for i in rows]
         if det_fraction(M) != 0:
             sol = mat_vec(inverse_fraction(M), [Fraction(v[i]) for i in rows])
             # verify against all coordinates
             for i in range(n):
                 got = sum(Fraction(basis_cols[j][i]) * sol[j] for j in range(r))
-                assert got == Fraction(v[i])
+                if got != v[i]:
+                    raise InvariantError(f"coordinate {i}: {got} != {v[i]}")
             return sol
     raise ValueError("vector not in span")

@@ -16,29 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .imq import ImQField, LogLinear, diff_set, ord_p, rho
+from .imq import ImQField, LogLinear, _prime_factors, diff_set, ord_p, rho
 from .lattice import (
     Coset,
     DiscriminantGroup,
+    InvariantError,
     QuadLattice,
     discriminant_group,
     even_clifford_binary,
 )
-
-
-def _prime_factors(n):
-    n = abs(n)
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass
@@ -89,7 +75,8 @@ def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:
         return LogLinear.make(0)
     (p,) = diff
     chi_p = K.chi(p)
-    assert chi_p != 1, "Diff contains a split prime"
+    if chi_p == 1:
+        raise InvariantError(f"Diff({m}) contains the split prime {p}")
     eps = 1 if chi_p == -1 else 0
     arg = m * abs(K.d) / Fraction(p) ** eps
     r = rho(K, arg)
@@ -144,5 +131,6 @@ def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> EisensteinTable:
             values[(Fraction(0), mu.coords)] = a_plus(pkg, Fraction(0), mu)
     # sanity: the support step divides every stored exponent
     for (m, _c) in values:
-        assert (m / step).denominator == 1
+        if (m / step).denominator != 1:
+            raise InvariantError(f"exponent {m} off the support lattice {step} Z")
     return EisensteinTable(pkg, cutoff, values)

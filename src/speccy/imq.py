@@ -21,8 +21,14 @@ from math import isqrt
 
 import mpmath
 
-from .lattice import QuadLattice
-from .linalg import diagonalize_quadratic
+from .lattice import (
+    Coset,
+    InvariantError,
+    QuadLattice,
+    glue_cosets,
+    is_fundamental_discriminant,
+)
+from .linalg import congruence_diagonal
 
 SPECIAL_SYMBOLS = ("gamma", "log_pi", "log_abs_d", "Lprime_over_L")
 
@@ -152,14 +158,29 @@ def kronecker_symbol(a, n):
     return result if n == 1 else 0
 
 
-def _squarefree(n):
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division."""
     n = abs(n)
+    out = []
     k = 2
     while k * k <= n:
-        if n % (k * k) == 0:
-            return False
+        if n % k == 0:
+            out.append(k)
+            while n % k == 0:
+                n //= k
         k += 1
-    return n != 0
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _hilbert_candidates(values):
+    """2 and every prime of a numerator or denominator of the rational
+    values: outside these primes every Hilbert symbol of them is 1."""
+    cands = {2}
+    for x in values:
+        cands.update(_prime_factors(x.numerator), _prime_factors(x.denominator))
+    return sorted(cands)
 
 
 def reduced_forms(d):
@@ -198,7 +219,7 @@ class ImQField:
         d = int(d)
         if d >= 0 or d % 2 == 0:
             raise ValueError("discriminant must be negative and odd")
-        if d % 4 != 1 or not _squarefree(d):
+        if not is_fundamental_discriminant(d):
             raise ValueError("discriminant must be fundamental (odd case: squarefree, 1 mod 4)")
         h = len(reduced_forms(d))
         w = 6 if d == -3 else 2
@@ -264,7 +285,8 @@ def rho_bruteforce(K: ImQField, m: int) -> int:
         raise ValueError(f"oracle bound {RHO_ORACLE_BOUND} exceeded")
     counts = _form_histogram(K.d, RHO_ORACLE_BOUND)
     reps = counts[m]
-    assert reps % K.w == 0
+    if reps % K.w:
+        raise InvariantError(f"{reps} representations of {m} not divisible by w = {K.w}")
     return reps // K.w
 
 
@@ -334,24 +356,11 @@ def diff_set(L0: QuadLattice, m) -> frozenset:
         raise ValueError("diff_set requires m > 0")
     if L0.rank != 2 or not L0.is_negative_definite():
         raise ValueError("diff_set requires a negative definite binary lattice")
-    a1, a2 = diagonalize_quadratic([list(r) for r in L0.gram])
+    a1, a2 = (x / 2 for x in congruence_diagonal(L0.gram))
     coeffs = [a1, a2, -m]
-    # candidate primes: 2 and everything dividing a numerator or denominator
-    cands = {2}
-    for x in coeffs:
-        for n in (abs(x.numerator), x.denominator):
-            k = 2
-            while k * k <= n:
-                if n % k == 0:
-                    cands.add(k)
-                    while n % k == 0:
-                        n //= k
-                k += 1
-            if n > 1:
-                cands.add(n)
     det = coeffs[0] * coeffs[1] * coeffs[2]
     out = set()
-    for p in sorted(cands):
+    for p in _hilbert_candidates(coeffs):
         hasse = (hilbert_symbol(coeffs[0], coeffs[1], p)
                  * hilbert_symbol(coeffs[0], coeffs[2], p)
                  * hilbert_symbol(coeffs[1], coeffs[2], p))
@@ -404,7 +413,8 @@ def _lderiv_cached(d, dps):
 def L_derivative_data(K: ImQField, dps=30):
     """Exact L(chi, 0) plus high-precision L'(chi, 0) and L'/L(chi, 0)."""
     L0 = L_chi_exact_at_0(K)
-    assert L0 == Fraction(2 * K.h, K.w), "character sum disagrees with 2h/w"
+    if L0 != Fraction(2 * K.h, K.w):
+        raise InvariantError(f"character sum L(chi, 0) = {L0} disagrees with 2h/w")
     lp, ratio = _lderiv_cached(K.d, dps)
     return {"L_at_0": L0, "Lprime_at_0": lp, "Lprime_over_L": ratio}
 
@@ -433,14 +443,14 @@ def rankin_selberg_L(b_coeffs, theta, s, cutoff, growth=(1, 2), dps=30,
     C, e = growth
     restricted = None
     if emb is not None:
-        from .lattice import glue_cosets as _glue
         amb_group = emb.ambient.disc_group()
-        theta_index = {c.coords: i for i, c in enumerate(theta.group.elements())}
+        group = theta.group
         restricted = []
         for mu in amb_group.elements():
-            # restriction hits the glue pairs with trivial sublattice part
-            idxs = [theta_index[mu2.coords] for mu1, mu2 in _glue(emb, mu)
-                    if mu1.is_zero()]
+            # restriction hits the glue pairs with trivial sublattice part;
+            # mu2 lies in the complement's group, theta's may be an equal copy
+            idxs = [group.index_of(Coset(group, mu2.coords))
+                    for mu1, mu2 in glue_cosets(emb, mu) if mu1.is_zero()]
             restricted.append(idxs)
     with mpmath.workdps(2 * dps + 10):
         s = mpmath.mpmathify(s)

@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import (
+    congruence_diagonal,
     det_fraction,
     identity_matrix,
-    inertia,
     integer_kernel,
     inverse_fraction,
     mat_mul,
@@ -42,15 +42,29 @@ class InvariantError(RuntimeError):
     explicitly so the check also runs under python -O."""
 
 
+def _integer_entry(x, label, i, j):
+    """A matrix entry as an int; anything non-integral is refused by name."""
+    if type(x) is int:
+        return x
+    try:
+        v = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v.denominator != 1:
+        raise ValueError(f"{label} entry [{i}][{j}] = {x!r} is not an integer")
+    return int(v)
+
+
 class QuadLattice:
     """An integral lattice with even Gram matrix (rank 0 allowed)."""
 
     def __init__(self, gram, name=None):
-        gram = [[int(x) for x in row] for row in gram]
         n = len(gram)
+        if any(len(row) != n for row in gram):
+            raise ValueError("gram matrix must be square")
+        gram = [[_integer_entry(x, "gram", i, j) for j, x in enumerate(row)]
+                for i, row in enumerate(gram)]
         for i, row in enumerate(gram):
-            if len(row) != n:
-                raise ValueError("gram matrix must be square")
             if row[i] % 2 != 0:
                 raise ValueError("gram diagonal must be even (Q must be Z-valued)")
             for j in range(n):
@@ -60,15 +74,10 @@ class QuadLattice:
         self.rank = n
         self.name = name
         self._disc_group = None
-        d = det_fraction(gram) if n else Fraction(1)
-        self.det = int(d)
-        p, q, z = inertia(gram) if n else (0, 0, 0)
-        if z:
-            self.signature = (p, q)
-            self._degenerate = True
-        else:
-            self.signature = (p, q)
-            self._degenerate = False
+        diag = congruence_diagonal(gram)
+        self.det = int(math.prod(diag))
+        self.signature = (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0))
+        self._degenerate = sum(self.signature) < n
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, det={self.det}, signature={self.signature})"
@@ -337,7 +346,11 @@ class SublatticeEmbedding:
 def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbedding:
     """Saturated orthogonal complement of a direct summand, with glue index."""
     n = lattice.rank
-    S = [[int(x) for x in row] for row in sub_basis]  # n x r
+    if len(sub_basis) != n:
+        raise ValueError(f"sublattice basis has {len(sub_basis)} rows, "
+                         f"the ambient lattice rank {n}")
+    S = [[_integer_entry(x, "basis", i, j) for j, x in enumerate(row)]
+         for i, row in enumerate(sub_basis)]  # n x r
     r = len(S[0]) if S and S[0] else 0
     if r:
         U, V, D = snf_with_transforms(S)

@@ -8,7 +8,7 @@ matrices whose *columns* are the basis vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 
 def identity_matrix(n):
@@ -26,10 +26,6 @@ def mat_vec(A, v):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
-
-
-def mat_fraction(A):
-    return [[Fraction(x) for x in row] for row in A]
 
 
 def det_fraction(A):
@@ -74,11 +70,6 @@ def inverse_fraction(A):
     return [row[n:] for row in M]
 
 
-def solve_fraction(A, b):
-    """Solve A x = b over the rationals (A square invertible)."""
-    return mat_vec(inverse_fraction(A), b)
-
-
 # ---------------------------------------------------------------------------
 # Integer normal forms
 
@@ -117,12 +108,6 @@ def row_hnf(rows):
                 M[i] = [a - q * b for a, b in zip(M[i], M[r])]
         r += 1
     return [row for row in M[:r]]
-
-
-def column_hnf(cols_matrix):
-    """HNF basis (as columns) of the lattice spanned by the columns."""
-    rows = row_hnf(transpose(cols_matrix))
-    return transpose(rows) if rows else [[] for _ in cols_matrix]
 
 
 def snf_with_transforms(A):
@@ -262,50 +247,29 @@ def solve_integer(A, b):
 # Rational lattices (full or partial rank), columns = generators
 
 
-def _scale_to_int(cols):
-    den = 1
-    for col in cols:
-        for x in col:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    return [[int(Fraction(x) * den) for x in col] for col in cols], den
+def _scale_to_int(vectors):
+    """(integer vectors, den): the rational vectors times den, the lcm of
+    the denominators of all their entries."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
 
 def lattice_basis(generators):
     """Canonical basis (list of column vectors) from rational generators."""
-    gens = [[Fraction(x) for x in g] for g in generators]
-    gens = [g for g in gens if any(x != 0 for x in g)]
+    gens = [g for g in generators if any(x != 0 for x in g)]
     if not gens:
         return []
-    n = len(gens[0])
-    den = 1
-    for g in gens:
-        for x in g:
-            den = den * x.denominator // gcd(den, x.denominator)
-    M = [[int(gens[j][i] * den) for j in range(len(gens))] for i in range(n)]
-    H = column_hnf(M)
-    basis = []
-    for j in range(len(H[0]) if H and H[0] else 0):
-        col = [Fraction(H[i][j], den) for i in range(n)]
-        if any(x != 0 for x in col):
-            basis.append(col)
-    return basis
+    cols, den = _scale_to_int(gens)
+    return [[Fraction(x, den) for x in row] for row in row_hnf(cols)]
 
 
 def lattice_member(basis_cols, v):
     """Integer coefficient vector c with basis * c = v, or None."""
     if not basis_cols:
         return [] if all(Fraction(x) == 0 for x in v) else None
-    n = len(basis_cols[0])
-    den = 1
-    for col in basis_cols:
-        for x in col:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    for x in v:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    A = [[int(Fraction(basis_cols[j][i]) * den) for j in range(len(basis_cols))]
-         for i in range(n)]
-    b = [int(Fraction(x) * den) for x in v]
-    return solve_integer(A, b)
+    cols, _ = _scale_to_int(list(basis_cols) + [v])
+    return solve_integer(transpose(cols[:-1]), cols[-1])
 
 
 def lattice_intersection(basis1, basis2):
@@ -313,15 +277,9 @@ def lattice_intersection(basis1, basis2):
     if not basis1 or not basis2:
         return []
     n = len(basis1[0])
-    den = 1
-    for col in basis1 + basis2:
-        for x in col:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    A = [[int(Fraction(basis1[j][i]) * den) for j in range(len(basis1))] +
-         [-int(Fraction(basis2[j][i]) * den) for j in range(len(basis2))]
-         for i in range(n)]
-    ker = integer_kernel(A)
     r1 = len(basis1)
+    cols, _ = _scale_to_int(list(basis1) + list(basis2))
+    ker = integer_kernel(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]]))
     gens = []
     for j in range(len(ker[0]) if ker and ker[0] else 0):
         coeffs = [ker[i][j] for i in range(r1)]
@@ -334,28 +292,24 @@ def lattice_intersection(basis1, basis2):
 # Quadratic form utilities
 
 
-def inertia(G):
-    """Signature (n_plus, n_minus, n_zero) of a rational symmetric matrix,
-    by exact congruence diagonalization."""
+def congruence_diagonal(G):
+    """Diagonal of P^T G P for a rational symmetric G, by exact congruence
+    elimination with det P = 1: one entry per dimension, a 0 for each
+    dimension of the radical.  Its signs give the signature and its
+    product is det G."""
     n = len(G)
     M = [[Fraction(x) for x in row] for row in G]
-    plus = minus = zero = 0
+    diag = []
     idx = list(range(n))
     while idx:
         # find a nonzero diagonal entry
         d = next((i for i in idx if M[i][i] != 0), None)
         if d is None:
             # all diagonal zero: look for off-diagonal to fold in
-            pair = None
-            for i in idx:
-                for j in idx:
-                    if i != j and M[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in idx for j in idx if i != j and M[i][j] != 0),
+                        None)
             if pair is None:
-                zero += len(idx)
+                diag += [Fraction(0)] * len(idx)
                 break
             i, j = pair
             # congruence x_i -> x_i + x_j makes M[i][i] = 2 M[i][j] != 0
@@ -364,12 +318,9 @@ def inertia(G):
             for t in range(n):
                 M[t][i] += M[t][j]
             d = i
-        if M[d][d] > 0:
-            plus += 1
-        else:
-            minus += 1
         pivot = M[d][d]
-        idx = [i for i in idx if i != d]
+        diag.append(pivot)
+        idx.remove(d)
         for i in idx:
             if M[i][d] != 0:
                 f = M[i][d] / pivot
@@ -377,51 +328,7 @@ def inertia(G):
                     M[i][t] -= f * M[d][t]
                 for t in range(n):
                     M[t][i] -= f * M[t][d]
-    return plus, minus, zero
-
-
-def diagonalize_quadratic(G):
-    """Rational diagonalization of the quadratic form x^T G x / 2.
-
-    Returns the list of diagonal Q-values [Q(u_1), ..., Q(u_r)] for an
-    orthogonal rational basis (zero values omitted require nondegenerate G).
-    """
-    n = len(G)
-    M = [[Fraction(x) for x in row] for row in G]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def bil(u, v):
-        return sum(u[i] * M0[i][j] * v[j] for i in range(n) for j in range(n))
-
-    M0 = [[Fraction(x) for x in row] for row in G]
-    vecs = []
-    remaining = list(basis)
-    while remaining:
-        u = next((v for v in remaining if bil(v, v) != 0), None)
-        if u is None:
-            # combine two vectors with nonzero pairing
-            found = None
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    if bil(remaining[i], remaining[j]) != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                break  # totally isotropic remainder (degenerate form)
-            i, j = found
-            u = [a + b for a, b in zip(remaining[i], remaining[j])]
-        vecs.append(u)
-        qu = bil(u, u)
-        new_rem = []
-        for v in remaining:
-            if v is u:
-                continue
-            f = bil(u, v) / qu
-            new_rem.append([a - f * b for a, b in zip(v, u)])
-        remaining = [v for v in new_rem if any(x != 0 for x in v)]
-    return [bil(u, u) / 2 for u in vecs]
+    return diag
 
 
 def sqrt_fraction_exact(f):

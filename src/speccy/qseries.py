@@ -196,23 +196,18 @@ def extend_by_zero(f: VVFormQ, emb: SublatticeEmbedding) -> VVFormQ:
             block[r + i][r + j] = emb.complement.gram[i][j]
     P = QuadLattice(block)
     pgroup = discriminant_group(P)
-    pcosets = list(pgroup.elements())
-    pindex = {c.coords: i for i, c in enumerate(pcosets)}
     # map each L-coset to the product-group indices of its glue pairs
-    lcosets = list(f.group.elements())
     images = []
-    disc0 = emb.sub.disc_group()
-    discc = emb.complement.disc_group()
-    for mu in lcosets:
+    for mu in f.group.elements():
         pairs = glue_cosets(emb, mu)
         idxs = []
         for mu1, mu2 in pairs:
             vec = list(mu1.rep()) + list(mu2.rep())
-            idxs.append(pindex[pgroup.from_vector(vec).coords])
+            idxs.append(pgroup.index_of(pgroup.from_vector(vec)))
         images.append(idxs)
     coeffs = {}
     for m, vec in f.coeffs.items():
-        new = [0] * len(pcosets)
+        new = [0] * pgroup.order
         for i, val in enumerate(vec):
             if val:
                 for j in images[i]:

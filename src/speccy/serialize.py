@@ -22,24 +22,38 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def parse_frac(s) -> Fraction:
-    return Fraction(str(s))
+def parse_frac(s, field=None) -> Fraction:
+    """A rational from "num/den" (or an int); with a field name, a bad
+    value raises a ValueError that names the field."""
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        if field is None:
+            raise
+        raise ValueError(f"{field}: {s!r} is not a rational number") from None
+
+
+def _load_matrix(path, key):
+    """The JSON object in path and its matrix under key, a list of equally
+    long rows."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    if not isinstance(blob, dict) or key not in blob:
+        raise ValueError(f"{path}: missing '{key}'")
+    rows = blob[key]
+    if (not isinstance(rows, list) or not all(isinstance(r, list) for r in rows)
+            or len({len(r) for r in rows}) > 1):
+        raise ValueError(f"{path}: '{key}' must be a list of equally long rows")
+    return blob, rows
 
 
 def load_lattice(path) -> QuadLattice:
-    with open(path) as fh:
-        blob = json.load(fh)
-    if "gram" not in blob:
-        raise ValueError(f"{path}: missing 'gram'")
-    return QuadLattice(blob["gram"], name=blob.get("name"))
+    blob, gram = _load_matrix(path, "gram")
+    return QuadLattice(gram, name=blob.get("name"))
 
 
 def load_sublattice_basis(path):
-    with open(path) as fh:
-        blob = json.load(fh)
-    if "basis" not in blob:
-        raise ValueError(f"{path}: missing 'basis'")
-    return blob["basis"]
+    return _load_matrix(path, "basis")[1]
 
 
 def loglinear_json(value: LogLinear, field=None, dps=30):
@@ -72,19 +86,12 @@ def qexp_json(form):
     }
 
 
-def _field_frac(value, field):
-    try:
-        return parse_frac(value)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{field}: {value!r} is not a rational number") from None
-
-
 def parse_coset_key(key, field="key"):
     """Split an "m,cosetindex" selector into (Fraction m, int index)."""
     parts = key.split(",")
     if len(parts) != 2:
         raise ValueError(f'{field} {key!r}: expected "m,cosetindex"')
-    m = _field_frac(parts[0], f"{field} {key!r}: exponent")
+    m = parse_frac(parts[0], f"{field} {key!r}: exponent")
     try:
         index = int(parts[1])
     except ValueError:
@@ -105,7 +112,7 @@ def parse_principal_part(text, group):
     entries = {}
     constant = Fraction(0)
     for key, coeff in blob.items():
-        value = _field_frac(coeff, f"coefficient of {key!r}")
+        value = parse_frac(coeff, f"coefficient of {key!r}")
         if key == "const":
             constant = value
             continue

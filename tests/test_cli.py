@@ -161,3 +161,61 @@ class TestVerify:
         pp = parse_principal_part('{"1,0": 1, "const": "2"}', g)
         assert pp.constant == 2
         assert pp.entries == {(1, g.zero().coords): 1}
+
+
+def error_of(argv, capsys):
+    """Exit code and stderr of a run that must print nothing on stdout."""
+    code, out = capture(argv)
+    assert out == ""
+    return code, capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,flag", [
+        (["theta", "--lattice", "{a1}", "--cutoff", "1/0"], "--cutoff"),
+        (["eisenstein", "--lattice", "{l0}", "--cutoff", "1/0"], "--cutoff"),
+        (["degrees", "--lattice", "{l0}", "--m", "1/0"], "--m"),
+        (["chowla", "--disc", "-7", "--precision", "-5"], "--precision"),
+        (["--precision", "0", "chowla", "--disc", "-7"], "--precision"),
+    ])
+    def test_bad_numeric_flag(self, files, capsys, argv, flag):
+        argv = [a.format(**files) for a in argv]
+        code, err = error_of(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {flag}")
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_precision_environment(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SPECCY_PRECISION", value)
+        code, err = error_of(["chowla", "--disc", "-7"], capsys)
+        assert code == 1
+        assert err.startswith("error: SPECCY_PRECISION")
+
+    def test_non_integral_gram_entry(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        bad.write_text('{"gram": [[2, 1.5], [1.5, 2]]}')
+        code, err = error_of(["disc", "--lattice", str(bad)], capsys)
+        assert code == 1
+        assert "gram entry [0][1] = 1.5 is not an integer" in err
+
+    @pytest.mark.parametrize("text", ['{"gram": 5}', '{"gram": [1, 2]}',
+                                      '{"gram": [[2], [2, 1]]}', "[1]"])
+    def test_gram_must_be_a_matrix(self, tmp_path, capsys, text):
+        bad = tmp_path / "g.json"
+        bad.write_text(text)
+        code, err = error_of(["disc", "--lattice", str(bad)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "'gram'" in err
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"basis": 3}', "'basis' must be a list"),
+        ('{"basis": [[1, 0], [0, 1]]}', "has 2 rows"),
+        ('{"basis": [[1, 0], [0, 0.5], [0, 0]]}', "basis entry [1][1] = 0.5"),
+    ])
+    def test_basis_must_be_an_integer_matrix(self, files, tmp_path, capsys, text, needle):
+        bad = tmp_path / "sub.json"
+        bad.write_text(text)
+        code, err = error_of(["verify", "--lattice", files["L"], "--sub", str(bad),
+                              "--pp", '{"1,0":1}'], capsys)
+        assert code == 1
+        assert needle in err

@@ -5,15 +5,15 @@ import pytest
 from speccy.cm import (
     QuaternionAlgebra,
     QuaternionOrder,
-    construct_Bpinfty,
+    _cm_order_data,
+    _nrd_bilinear,
     degree_bruteforce,
     degree_formula,
-    embed_cm,
-    _nrd_bilinear,
 )
 from speccy.eisenstein import EisensteinPackage, a_plus
-from speccy.imq import ImQField, ord_p, reduced_forms
-from speccy.lattice import QuadLattice
+from speccy.imq import ImQField, kronecker_symbol, ord_p, reduced_forms
+from speccy.lattice import QuadLattice, enumerate_coset_vectors
+from speccy.linalg import det_fraction
 
 
 def principal_lattice(d):
@@ -57,31 +57,48 @@ class TestAlgebra:
             assert (len(finite) + (1 if infinite else 0)) % 2 == 0
 
 
+def nonsplit_disc(p):
+    """The first of -3, -7, -11, -19 in which p does not split."""
+    return next(d for d in (-3, -7, -11, -19) if kronecker_symbol(d, p) != 1)
+
+
+def starting_order(alg, theta):
+    """Z<1, theta, j, j theta>, the order _cm_order_data saturates."""
+    j = (0, 0, 1, 0)
+    return QuaternionOrder(alg, [[1, 0, 0, 0], list(theta), list(j),
+                                 list(alg.mul(j, theta))])
+
+
 class TestMaximalOrders:
     def test_hurwitz_p2(self):
-        alg, order = construct_Bpinfty(2)
-        assert order.reduced_discriminant() == 2
-        finite, infinite = alg.ramified_primes()
-        assert finite == {2} and infinite
+        # the maximal order of B_{2, inf} is the Hurwitz order: 24 units
+        alg, order, _, _ = _cm_order_data(2, -3)
+        gram = [[int(_nrd_bilinear(alg, u, v)) for v in order.basis]
+                for u in order.basis]
+        assert len(enumerate_coset_vectors(QuadLattice(gram), [0] * 4, 1)) == 24
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23, 43])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23, 43])
     def test_saturation_reaches_p(self, p):
-        alg, order = construct_Bpinfty(p)
+        d = nonsplit_disc(p)
+        alg, order, theta, _ = _cm_order_data(p, d)
         assert order.reduced_discriminant() == p
         finite, infinite = alg.ramified_primes()
         assert finite == {p} and infinite
         # maximality certificate: det of reduced-trace gram = p^2
-        from speccy.linalg import det_fraction
         assert abs(det_fraction(order.trace_gram())) == p * p
+        # theta is the CM element (d + sqrt d)/2, inside the order
+        assert order.contains(theta)
+        lin = tuple(Fraction(d) * theta[i] - (Fraction(d * d - d, 4) if i == 0 else 0)
+                    for i in range(4))
+        assert alg.mul(theta, theta) == lin
 
     def test_p7_contains_standard_order(self):
-        alg, order = construct_Bpinfty(7)
-        for v in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
+        alg, order, theta, _ = _cm_order_data(7, -11)
+        start = starting_order(alg, theta)
+        for v in start.basis:
             assert order.contains(v)
-        # index of Z<1,i,j,k> from the discriminant ratio 28 / 7
-        std = QuaternionOrder(alg, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                    [0, 0, 1, 0], [0, 0, 0, 1]])
-        assert std.reduced_discriminant() // order.reduced_discriminant() == 4
+        # index of Z<1, theta, j, j theta> from the discriminant ratio 77 / 7
+        assert start.reduced_discriminant() // order.reduced_discriminant() == 11
 
     def test_non_order_rejected(self):
         alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
@@ -92,28 +109,25 @@ class TestMaximalOrders:
 
 class TestEmbedCM:
     def test_d7_p7(self):
-        alg, order = construct_Bpinfty(7)
-        K = ImQField.from_discriminant(-7)
-        alpha = embed_cm(order, K)
-        assert alg.trd(alpha) == -7
-        assert alg.nrd(alpha) == 14
+        alg, order, theta, _ = _cm_order_data(7, -7)
+        assert alg.trd(theta) == -7
+        assert alg.nrd(theta) == 14
 
     def test_minimal_polynomial(self):
         for d, p in [(-3, 3), (-7, 7), (-11, 11), (-7, 5), (-3, 2)]:
             K = ImQField.from_discriminant(d)
             if K.chi(p) == 1:
                 continue
-            alg, order = construct_Bpinfty(p)
-            alpha = embed_cm(order, K)
-            sq = alg.mul(alpha, alpha)
-            lin = tuple(Fraction(d) * alpha[i]
+            alg, order, theta, _ = _cm_order_data(p, d)
+            assert order.contains(theta)
+            sq = alg.mul(theta, theta)
+            lin = tuple(Fraction(d) * theta[i]
                         - (Fraction(d * d - d, 4) if i == 0 else 0)
                         for i in range(4))
             assert sq == lin
 
     def test_conjugate_linear_rank2_orthogonal(self):
         # {x : x alpha = conj(alpha) x} is rank 2 and orthogonal to O_k
-        from speccy.cm import _cm_order_data
         alg, order, theta, ominus = _cm_order_data(7, -7)
         assert len(ominus) == 2
         for x in ominus:

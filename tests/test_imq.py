@@ -1,11 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import speccy
 from speccy.imq import (
     ImQField,
+    _hilbert_candidates,
+    _prime_factors,
     L_chi,
     L_chi_exact_at_0,
     L_derivative_data,
@@ -66,6 +75,37 @@ class TestField:
         K = FIELDS[-15]
         for p in (2, 3, 5, 7, 11, 13):
             assert (K.chi(p) == 0) == (15 % p == 0)
+
+
+class TestPrimeHelpers:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(-10 ** 7, 10 ** 7))
+    def test_prime_factors_match_factorint(self, n):
+        want = sorted(sympy.factorint(abs(n))) if n else []
+        assert _prime_factors(n) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.fractions(-1000, 1000, max_denominator=500).filter(lambda x: x != 0),
+           st.fractions(-1000, 1000, max_denominator=500).filter(lambda x: x != 0))
+    def test_hilbert_symbols_trivial_off_candidates(self, a, b):
+        cands = _hilbert_candidates((a, b))
+        assert cands == sorted({2} | set(sympy.factorint(abs(a.numerator)))
+                               | set(sympy.factorint(a.denominator))
+                               | set(sympy.factorint(abs(b.numerator)))
+                               | set(sympy.factorint(b.denominator)))
+        for p in sympy.primerange(3, 60):
+            if p not in cands:
+                assert hilbert_symbol(a, b, p) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(-20000, -1).filter(lambda d: d % 2))
+    def test_fields_exactly_at_fundamental_discriminants(self, d):
+        fundamental = d % 4 == 1 and all(e == 1 for e in sympy.factorint(-d).values())
+        if fundamental:
+            assert ImQField.from_discriminant(d).d == d
+        else:
+            with pytest.raises(ValueError):
+                ImQField.from_discriminant(d)
 
 
 class TestRho:
@@ -313,3 +353,25 @@ class TestOrdP:
         assert ord_p(Fraction(7, 2), 7) == 1
         assert ord_p(Fraction(1, 49), 7) == -2
         assert ord_p(12, 2) == 2
+
+
+class TestInvariants:
+    def test_character_sum_check_fires_under_optimize(self, tmp_path):
+        # python -O strips assert statements; L(chi, 0) = 2h/w must still
+        # stop a chowla run, with exit code 3
+        script = (
+            "import sys\n"
+            "assert False, 'python -O is not in effect'\n"
+            "import speccy.imq as imq\n"
+            "from speccy.cli import run\n"
+            "real = imq.L_chi_exact_at_0\n"
+            "imq.L_chi_exact_at_0 = lambda K: real(K) + 1\n"
+            "sys.exit(run(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(speccy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "chowla", "--disc", "-7"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "disagrees with 2h/w" in proc.stderr
+        assert proc.stdout == ""

@@ -4,6 +4,7 @@ from itertools import product
 from math import ceil, floor, isqrt, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from speccy.lattice import (
     enumerate_coset_vectors,
     even_clifford_binary,
     glue_cosets,
+    is_fundamental_discriminant,
     is_maximal,
     orthogonal_complement,
 )
@@ -70,6 +72,26 @@ def brute_count(lat, mu_rep, m):
     """Independent oracle: #{x in mu_rep + L : Q(x) = m} by box search."""
     m = Fraction(m)
     return sum(1 for _, q in box_vectors(lat.gram, mu_rep, m) if q == m)
+
+
+class TestGram:
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"gram entry \[0\]\[1\] = 1.5 is not an integer"):
+            QuadLattice([[2, 1.5], [1.5, 2]])
+        with pytest.raises(ValueError, match="is not an integer"):
+            QuadLattice([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])
+        with pytest.raises(ValueError, match="is not an integer"):
+            QuadLattice([[2, None], [None, 2]])
+
+    def test_integral_values_accepted(self):
+        assert QuadLattice([[2.0, Fraction(1)], [1, 2]]).gram == ((2, 1), (1, 2))
+
+    def test_signature_and_det(self):
+        assert (A2.det, A2.signature, A2.is_degenerate) == (3, (2, 0), False)
+        assert (U_HYP.det, U_HYP.signature) == (-1, (1, 1))
+        flat = QuadLattice([[2, 2], [2, 2]])
+        assert (flat.det, flat.signature, flat.is_degenerate) == (0, (1, 0), True)
+        assert QuadLattice([]).signature == (0, 0)
 
 
 class TestDiscriminantGroup:
@@ -451,3 +473,13 @@ class TestCliffordDiscriminant:
     def test_requires_negative_definite(self):
         with pytest.raises(ValueError):
             even_clifford_binary(A2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(-10 ** 6, 10 ** 6))
+    def test_fundamental_matches_factorint(self, d):
+        def squarefree(n):
+            return n != 0 and all(e == 1 for e in sympy.factorint(abs(n)).values())
+
+        want = (d == 1 or (d % 4 == 1 and squarefree(d))
+                or (d % 16 in (8, 12) and squarefree(d // 4)))
+        assert is_fundamental_discriminant(d) == want

@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from speccy.linalg import (
+    _scale_to_int,
+    congruence_diagonal,
     det_fraction,
-    diagonalize_quadratic,
     identity_matrix,
-    inertia,
     integer_kernel,
     inverse_fraction,
     lattice_basis,
@@ -125,32 +130,68 @@ class TestLattices:
                 if inside is not None:
                     assert lattice_member(I, col) is not None
 
+    def test_scale_to_int(self):
+        vecs = [[Fraction(1, 4), 3], [Fraction(-5, 6), Fraction(2, 3)]]
+        ints, den = _scale_to_int(vecs)
+        assert den == 12
+        assert ints == [[3, 36], [-10, 8]]
+        assert _scale_to_int([]) == ([], 1)
+
     def test_member_negative(self):
         B = lattice_basis([[2, 0], [0, 2]])
         assert lattice_member(B, [1, 0]) is None
         assert lattice_member(B, [2, -4]) is not None
 
 
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    """Symmetric rational matrices with small entries; singular ones and
+    zero diagonals (the folding step) come up often."""
+    n = draw(st.integers(1, max_n))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = draw(entry)
+    return G
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def signs(diag):
+    return (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0),
+            sum(1 for x in diag if x == 0))
+
+
 class TestQuadratic:
-    def test_inertia_vs_diagonalization(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            A = rand_matrix(rng, n, n, -4, 4)
-            G = [[A[i][j] + A[j][i] for j in range(n)] for i in range(n)]
-            p1, m1, z1 = inertia(G)
-            if z1:
-                continue  # diagonalize_quadratic assumes nondegenerate
-            qs = diagonalize_quadratic(G)
-            p2 = sum(1 for q in qs if q > 0)
-            m2 = sum(1 for q in qs if q < 0)
-            assert (p1, m1) == (p2, m2)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(symmetric_matrices())
+    def test_diagonal_signs_match_charpoly(self, G):
+        # every root of the characteristic polynomial of a symmetric matrix
+        # is real, so Descartes's rule of signs counts them exactly
+        n = len(G)
+        coeffs = sympy.Matrix(G).charpoly().all_coeffs()  # leading first
+        mirrored = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
+        zeros = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
+        diag = congruence_diagonal(G)
+        assert len(diag) == n
+        assert signs(diag) == (sign_changes(coeffs), sign_changes(mirrored), zeros)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(symmetric_matrices())
+    def test_diagonal_product_is_det(self, G):
+        assert math.prod(congruence_diagonal(G)) == det_fraction(G)
 
     def test_inertia_known(self):
-        assert inertia([[2, 0], [0, -2]]) == (1, 1, 0)
-        assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-        assert inertia([[2, 1], [1, 2]]) == (2, 0, 0)
-        assert inertia([[2, 2], [2, 2]]) == (1, 0, 1)
+        assert signs(congruence_diagonal([[2, 0], [0, -2]])) == (1, 1, 0)
+        assert signs(congruence_diagonal([[0, 1], [1, 0]])) == (1, 1, 0)
+        assert signs(congruence_diagonal([[2, 1], [1, 2]])) == (2, 0, 0)
+        assert signs(congruence_diagonal([[2, 2], [2, 2]])) == (1, 0, 1)
+        assert congruence_diagonal([[2, 1], [1, 2]]) == [2, Fraction(3, 2)]
+        assert congruence_diagonal([]) == []
 
     def test_sqrt_helpers(self):
         assert sqrt_fraction_exact(Fraction(9, 16)) == Fraction(3, 4)
