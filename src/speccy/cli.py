@@ -39,6 +39,15 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 naming the flag, not argparse's
+    exit 2, which means an identity mismatch here."""
+
+    def error(self, message):
+        raise InputError(f"{message.removeprefix('argument ')}\n"
+                         f"{self.format_usage().rstrip()}")
+
+
 def default_precision():
     text = os.environ.get("SPECCY_PRECISION", "30")
     try:
@@ -205,7 +214,7 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="speccy",
         description="Exact verification of CM special-divisor degree identities",
         epilog="exit codes: 0 success, 1 input error, 2 identity mismatch (verify), "
@@ -214,12 +223,12 @@ def build_parser():
     parser.add_argument("--precision", type=int, default=None,
                         help="working decimal digits, at least 1 "
                              "(default: SPECCY_PRECISION or 30)")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=lambda **kw: argparse.ArgumentParser(
+                                 parser_class=lambda **kw: _Parser(
                                      parents=[common], **kw))
 
     p = subs.add_parser("disc", help="discriminant group report")
@@ -260,9 +269,8 @@ def build_parser():
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.precision is None:
             args.precision = default_precision()
         if args.precision < 1:

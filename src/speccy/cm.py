@@ -85,6 +85,8 @@ class QuaternionOrder:
         if len(self.basis) != 4:
             raise ValueError("order basis must have rank 4")
         self._check()
+        self._forms = None
+        self._disc = None
 
     def _check(self):
         alg = self.algebra
@@ -113,12 +115,32 @@ class QuaternionOrder:
         return [[alg.trd(alg.mul(tuple(x), tuple(y))) for y in self.basis]
                 for x in self.basis]
 
+    def integral_forms(self):
+        """The trace vector t_r = trd(b_r) and the reduced-norm Gram
+        N_rs = trd(b_r conj(b_s)) of the basis, as integers (both are
+        integral because the order is).  Computed once per order."""
+        if self._forms is None:
+            a, b = self.algebra.a, self.algebra.b
+            weights = (2, -2 * a, -2 * b, 2 * a * b)
+            trace = [2 * x[0] for x in self.basis]
+            gram = [[sum(w * x[i] * y[i] for i, w in enumerate(weights))
+                     for y in self.basis] for x in self.basis]
+            if any(Fraction(v).denominator != 1 for v in trace + sum(gram, [])):
+                raise InvariantError("an order has a non-integral trace or norm form")
+            self._forms = ([int(v) for v in trace],
+                           [[int(v) for v in row] for row in gram])
+        return self._forms
+
     def reduced_discriminant(self) -> int:
-        d2 = abs(det_fraction(self.trace_gram()))
-        root = sqrt_fraction_exact(d2)
-        if root is None or root.denominator != 1:
-            raise InvariantError(f"|det trace_gram| = {d2} is not a square")
-        return int(root)
+        """sqrt |det N|, which is sqrt |det trace_gram| because conjugation
+        maps the order onto itself (a unimodular change of basis)."""
+        if self._disc is None:
+            d2 = abs(det_fraction(self.integral_forms()[1]))
+            root = sqrt_fraction_exact(d2)
+            if root is None or root.denominator != 1:
+                raise InvariantError(f"|det N| = {d2} is not a square")
+            self._disc = int(root)
+        return self._disc
 
     def is_maximal(self):
         finite, _ = self.algebra.ramified_primes()
@@ -126,6 +148,27 @@ class QuaternionOrder:
         for p in finite:
             target *= p
         return self.reduced_discriminant() == target
+
+
+def _integral_coefficients(trace, gram, l):
+    """Every c in [0, l)^4, in itertools.product order, for which
+    x = sum c_r b_r / l is integral, given the integer trace vector t and
+    reduced-norm Gram N of the basis b: trd(x) = c.t / l and
+    nrd(x) = c^T N c / (2 l^2), so x is integral exactly when
+    c.t = 0 (mod l) and c^T N c / 2 = 0 (mod l^2)."""
+    l2 = l * l
+    t0, t1, t2, t3 = trace
+    (n00, n01, n02, n03), (_, n11, n12, n13), (_, _, n22, n23), (_, _, _, n33) = gram
+    n00, n11, n22, n33 = n00 // 2, n11 // 2, n22 // 2, n33 // 2
+    for c in itertools.product(range(l), repeat=4):
+        c0, c1, c2, c3 = c
+        if (c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3) % l:
+            continue
+        half_norm = (c0 * (n00 * c0 + n01 * c1 + n02 * c2 + n03 * c3)
+                     + c1 * (n11 * c1 + n12 * c2 + n13 * c3)
+                     + c2 * (n22 * c2 + n23 * c3) + n33 * c3 * c3)
+        if half_norm % l2 == 0:
+            yield c
 
 
 def _closure(alg: QuaternionAlgebra, generators, max_rounds=16):
@@ -148,7 +191,16 @@ def _closure(alg: QuaternionAlgebra, generators, max_rounds=16):
 
 def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
     """Enlarge an order to a maximal one by repeatedly adjoining integral
-    elements with prime denominator dividing the discriminant defect."""
+    elements with prime denominator dividing the discriminant defect.
+
+    The candidates are x = sum c_r b_r / l for c in [0, l)^4 over the
+    current basis b.  With the integer trace vector t_r = trd(b_r) and
+    reduced-norm Gram N_rs = trd(b_r conj(b_s)) of the order, x is integral
+    exactly when c.t = 0 (mod l) and c^T N c / 2 = 0 (mod l^2); that test
+    runs on ints, and only a candidate passing it is built in fractions,
+    where its trd and nrd are checked again.  The first candidate (in
+    itertools.product order) whose closure is an order of smaller
+    discriminant replaces the order."""
     finite, _ = alg.ramified_primes()
     target = 1
     for q in finite:
@@ -158,16 +210,18 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
         if disc == target:
             break
         defect = disc // target
+        trace, gram = order.integral_forms()
         found = False
         for l in _prime_factors(defect):
-            for coeffs in itertools.product(range(l), repeat=4):
+            for coeffs in _integral_coefficients(trace, gram, l):
                 if not any(coeffs):
                     continue
                 x = [sum(Fraction(coeffs[r]) * order.basis[r][i] for r in range(4))
                      / l for i in range(4)]
                 if (Fraction(alg.trd(x)).denominator != 1
                         or Fraction(alg.nrd(x)).denominator != 1):
-                    continue
+                    raise InvariantError(f"the integer forms accepted {coeffs}/{l}, "
+                                         f"whose trd or nrd is not integral")
                 try:
                     cols = _closure(alg, [list(b) for b in order.basis] + [x])
                     cand = [[c[i] for i in range(4)] for c in cols]
@@ -260,9 +314,9 @@ def _cm_order_data(p, d, skip_models=0):
     # O^-: kernel of x -> x theta + theta x - d x on the order
     rows = []
     for b in order.basis:
-        img = tuple(alg.mul(tuple(b), theta)[i] + alg.mul(theta, tuple(b))[i]
-                    - Fraction(d) * b[i] for i in range(4))
-        rows.append(list(img))
+        bt = alg.mul(tuple(b), theta)
+        tb = alg.mul(theta, tuple(b))
+        rows.append([bt[i] + tb[i] - d * b[i] for i in range(4)])
     # express images in the order basis to keep the kernel integral
     mat, _ = _scale_to_int(rows)
     ker = integer_kernel(transpose(mat))

@@ -10,6 +10,9 @@ LogLinear is the currency of arithmetic degrees: an exact element of the
 Q-span of 1, log p (p prime), the Euler-Mascheroni constant, log pi,
 log|d_k|, and L'/L(chi, 0).  The last two stay symbolic so that degree
 identities can be checked coefficientwise.
+
+mpmath is imported inside the functions that evaluate numerically, so
+importing speccy or its CLI does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 from .lattice import (
     Coset,
@@ -96,6 +97,8 @@ class LogLinear:
 
     def evaluate(self, field=None, dps=30):
         """Numeric value; a field is required whenever log|d| or L'/L occur."""
+        import mpmath
+
         with mpmath.workdps(dps + 10):
             total = mpmath.mpf(self.rational.numerator) / self.rational.denominator
             for p, c in self.logs:
@@ -381,6 +384,8 @@ def L_chi_exact_at_0(K: ImQField) -> Fraction:
 
 def L_chi(K: ImQField, s, dps=30):
     """L(chi, s) by the Hurwitz zeta expansion q^-s sum chi(a) zeta(s, a/q)."""
+    import mpmath
+
     q = -K.d
     with mpmath.workdps(2 * dps + 10):
         s = mpmath.mpmathify(s)
@@ -395,6 +400,8 @@ def L_chi(K: ImQField, s, dps=30):
 
 @functools.lru_cache(maxsize=None)
 def _lderiv_cached(d, dps):
+    import mpmath
+
     K = ImQField.from_discriminant(d)
     q = -d
     L0 = L_chi_exact_at_0(K)
@@ -421,6 +428,8 @@ def L_derivative_data(K: ImQField, dps=30):
 
 def completed_lambda(K: ImQField, s, dps=30):
     """Lambda(s) = (|d|/pi)^((s+1)/2) Gamma((s+1)/2) L(chi, s)."""
+    import mpmath
+
     with mpmath.workdps(2 * dps + 10):
         s = mpmath.mpmathify(s)
         pref = mpmath.power(mpmath.mpf(-K.d) / mpmath.pi, (s + 1) / 2)
@@ -452,6 +461,8 @@ def rankin_selberg_L(b_coeffs, theta, s, cutoff, growth=(1, 2), dps=30,
             idxs = [group.index_of(Coset(group, mu2.coords))
                     for mu1, mu2 in glue_cosets(emb, mu) if mu1.is_zero()]
             restricted.append(idxs)
+    import mpmath
+
     with mpmath.workdps(2 * dps + 10):
         s = mpmath.mpmathify(s)
         sigma = mpmath.re(s)

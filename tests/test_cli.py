@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -177,12 +180,21 @@ class TestBadInput:
         (["degrees", "--lattice", "{l0}", "--m", "1/0"], "--m"),
         (["chowla", "--disc", "-7", "--precision", "-5"], "--precision"),
         (["--precision", "0", "chowla", "--disc", "-7"], "--precision"),
+        (["chowla", "--disc", "-7", "--precision", "abc"], "--precision"),
+        (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "x"], "--mu"),
+        (["chowla", "--disc", "abc"], "--disc"),
     ])
     def test_bad_numeric_flag(self, files, capsys, argv, flag):
         argv = [a.format(**files) for a in argv]
         code, err = error_of(argv, capsys)
         assert code == 1
         assert err.startswith(f"error: {flag}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "exit codes" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_precision_environment(self, monkeypatch, capsys, value):
@@ -219,3 +231,15 @@ class TestBadInput:
                               "--pp", '{"1,0":1}'], capsys)
         assert code == 1
         assert needle in err
+
+
+def test_import_leaves_mpmath_unloaded():
+    # only the L-function analytics need mpmath; it is imported on first use
+    import speccy
+    src = os.path.dirname(os.path.dirname(speccy.__file__))
+    code = "import sys, speccy.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from speccy.cm import (
     QuaternionAlgebra,
     QuaternionOrder,
     _cm_order_data,
+    _integral_coefficients,
     _nrd_bilinear,
     degree_bruteforce,
     degree_formula,
@@ -99,6 +101,46 @@ class TestMaximalOrders:
             assert order.contains(v)
         # index of Z<1, theta, j, j theta> from the discriminant ratio 77 / 7
         assert start.reduced_discriminant() // order.reduced_discriminant() == 11
+
+    @pytest.mark.parametrize("p,d", [(2, -3), (3, -3), (5, -7), (7, -11),
+                                     (13, -19), (2, -163)])
+    def test_integer_filter_matches_fractions(self, p, d):
+        # the int criterion accepts exactly the c in (Z/l)^4 whose
+        # sum c_r b_r / l has integral Fraction trd and nrd
+        alg, order, theta, _ = _cm_order_data(p, d)
+        for o in (starting_order(alg, theta), order):
+            trace, gram = o.integral_forms()
+            for l in (2, 3, 5, 7):
+                expected = []
+                for c in itertools.product(range(l), repeat=4):
+                    x = [sum(c[r] * o.basis[r][i] for r in range(4)) / l
+                         for i in range(4)]
+                    if (alg.trd(x).denominator == 1
+                            and alg.nrd(x).denominator == 1):
+                        expected.append(c)
+                assert list(_integral_coefficients(trace, gram, l)) == expected
+
+    def test_integral_forms(self):
+        alg, order, theta, _ = _cm_order_data(7, -11)
+        for o in (starting_order(alg, theta), order):
+            trace, gram = o.integral_forms()
+            assert trace == [alg.trd(b) for b in o.basis]
+            assert gram == [[_nrd_bilinear(alg, u, v) for v in o.basis]
+                            for u in o.basis]
+            assert abs(det_fraction(gram)) == abs(det_fraction(o.trace_gram()))
+
+    @pytest.mark.parametrize("p,rows", [
+        (2, [["1/2", "1/326", "0", "77/163"], ["0", "1/163", "0", "154/163"],
+             ["0", "0", "1/2", "1/2"], ["0", "0", "0", "1"]]),
+        (7, [["1/2", "1/326", "0", "155/163"], ["0", "1/163", "0", "147/163"],
+             ["0", "0", "1/2", "1/2"], ["0", "0", "0", "1"]]),
+    ])
+    def test_pinned_basis_d163(self, p, rows):
+        # saturation picks the first enlarging candidate in product order,
+        # so the basis it reaches is fixed
+        _, order, _, _ = _cm_order_data(p, -163)
+        assert order.basis == [[Fraction(x) for x in row] for row in rows]
+        assert order.reduced_discriminant() == p
 
     def test_non_order_rejected(self):
         alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
@@ -208,6 +250,34 @@ class TestOracle:
                             checked += 1
                     m += 1
         assert checked > 30
+
+    def test_d163_sweep(self):
+        # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 1 in
+        # Q(sqrt -163), one mu of each pair +-mu: 27 primes p, so 27
+        # saturated orders
+        pkg = EisensteinPackage.from_lattice(principal_lattice(-163))
+        seen = set()
+        primes = set()
+        checked = 0
+        for mu in pkg.disc0.elements():
+            if (-mu).coords in seen:
+                continue
+            seen.add(mu.coords)
+            q = pkg.disc0.q_map(mu)
+            m = q if q > 0 else Fraction(1)
+            if m > 1:
+                continue
+            diff = pkg.diff(m)
+            if len(diff) != 1 or ord_p(m, min(diff)) < 0:
+                continue
+            bf = degree_bruteforce(pkg, m, mu)
+            fm = degree_formula(pkg, m, mu)
+            assert bf.degree == fm.degree, (m, mu)
+            assert bf.weighted_count == fm.weighted_count, (m, mu)
+            primes |= diff
+            checked += 1
+        assert checked == 69
+        assert len(primes) == 27
 
     def test_class_number_one_required(self):
         pkg = EisensteinPackage.from_lattice(principal_lattice(-15))
