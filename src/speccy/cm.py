@@ -9,12 +9,17 @@ constructed maximal order of the quaternion algebra ramified at p and
 infinity.  The prime-above-p bookkeeping cancels in the degree: the
 length of each point is ord_p(pm) log p / log N(P), and the degree sums
 length * log N(P) over points weighted by 1/#Aut.
+
+Quaternion lattices are compared through their Hermite normal form
+(linalg.lattice_basis), which is canonical: rank, membership and
+multiplicative closure of an order are each one HNF equality.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +33,15 @@ from .linalg import (
     inverse_fraction,
     lattice_basis,
     lattice_intersection,
-    lattice_member,
+    mat_mul,
     mat_vec,
     solve_integer,
     sqrt_fraction_exact,
     transpose,
 )
+
+# rounds of _closure before a growing closure is given up on
+_CLOSURE_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,10 @@ class QuaternionAlgebra:
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
 
+    def products(self, xs, ys):
+        """Every product x * y (x in xs outer, y in ys inner), as lists."""
+        return [list(self.mul(tuple(x), tuple(y))) for x in xs for y in ys]
+
     def conj(self, x):
         return (x[0], -x[1], -x[2], -x[3])
 
@@ -63,6 +75,13 @@ class QuaternionAlgebra:
     def nrd(self, x):
         return (x[0] * x[0] - self.a * x[1] * x[1] - self.b * x[2] * x[2]
                 + self.a * self.b * x[3] * x[3])
+
+    def norm_gram(self, xs):
+        """The Gram matrix trd(x conj(y)) = 2 (x0 y0 - a x1 y1 - b x2 y2
+        + ab x3 y3) of the reduced norm on xs; no quaternion products."""
+        w = (2, -2 * self.a, -2 * self.b, 2 * self.a * self.b)
+        return [[sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)) for y in xs]
+                for x in xs]
 
     def ramified_primes(self):
         """Finite ramification set, computed from Hilbert symbols; the set
@@ -75,56 +94,49 @@ class QuaternionAlgebra:
                                  f"infinity {infinite}")
         return frozenset(finite), infinite
 
+    def discriminant(self) -> int:
+        """The product of the finite ramified primes: the reduced
+        discriminant of a maximal order."""
+        return math.prod(self.ramified_primes()[0])
+
 
 class QuaternionOrder:
-    """An order given by a basis (rows, coordinates in 1, i, j, k)."""
+    """An order given by a basis (rows, coordinates in 1, i, j, k).
+
+    The rows are kept as given; the lattice they span is held as its HNF.
+    Rank 4 is the length of that HNF, and 1 in O and O * O = O each leave
+    it unchanged when the element or the products are adjoined."""
 
     def __init__(self, algebra: QuaternionAlgebra, basis):
         self.algebra = algebra
         self.basis = [[Fraction(x) for x in row] for row in basis]
-        if len(self.basis) != 4:
+        self._hnf = lattice_basis(self.basis)
+        if len(self.basis) != 4 or len(self._hnf) != 4:
             raise ValueError("order basis must have rank 4")
-        self._check()
+        if not self.contains((1, 0, 0, 0)):
+            raise ValueError("order must contain 1")
+        if any(Fraction(algebra.trd(row)).denominator != 1
+               or Fraction(algebra.nrd(row)).denominator != 1 for row in self.basis):
+            raise ValueError("order basis must be integral")
+        if lattice_basis(self._hnf + algebra.products(self.basis, self.basis)) != self._hnf:
+            raise ValueError("order basis is not multiplicatively closed")
         self._forms = None
         self._disc = None
 
-    def _check(self):
-        alg = self.algebra
-        # contains 1
-        if lattice_member([list(b) for b in self._cols()], [1, 0, 0, 0]) is None:
-            raise ValueError("order must contain 1")
-        for row in self.basis:
-            t = alg.trd(row)
-            n = alg.nrd(row)
-            if Fraction(t).denominator != 1 or Fraction(n).denominator != 1:
-                raise ValueError("order basis must be integral")
-        # closed under multiplication
-        for x in self.basis:
-            for y in self.basis:
-                if lattice_member(self._cols(), list(alg.mul(tuple(x), tuple(y)))) is None:
-                    raise ValueError("order basis is not multiplicatively closed")
-
-    def _cols(self):
-        return [list(b) for b in self.basis]
-
     def contains(self, x):
-        return lattice_member(self._cols(), list(x)) is not None
+        return lattice_basis(self._hnf + [list(x)]) == self._hnf
 
     def trace_gram(self):
         alg = self.algebra
-        return [[alg.trd(alg.mul(tuple(x), tuple(y))) for y in self.basis]
-                for x in self.basis]
+        return [[alg.trd(xy) for xy in alg.products([x], self.basis)] for x in self.basis]
 
     def integral_forms(self):
         """The trace vector t_r = trd(b_r) and the reduced-norm Gram
         N_rs = trd(b_r conj(b_s)) of the basis, as integers (both are
         integral because the order is).  Computed once per order."""
         if self._forms is None:
-            a, b = self.algebra.a, self.algebra.b
-            weights = (2, -2 * a, -2 * b, 2 * a * b)
-            trace = [2 * x[0] for x in self.basis]
-            gram = [[sum(w * x[i] * y[i] for i, w in enumerate(weights))
-                     for y in self.basis] for x in self.basis]
+            trace = [self.algebra.trd(x) for x in self.basis]
+            gram = self.algebra.norm_gram(self.basis)
             if any(Fraction(v).denominator != 1 for v in trace + sum(gram, [])):
                 raise InvariantError("an order has a non-integral trace or norm form")
             self._forms = ([int(v) for v in trace],
@@ -143,11 +155,7 @@ class QuaternionOrder:
         return self._disc
 
     def is_maximal(self):
-        finite, _ = self.algebra.ramified_primes()
-        target = 1
-        for p in finite:
-            target *= p
-        return self.reduced_discriminant() == target
+        return self.reduced_discriminant() == self.algebra.discriminant()
 
 
 def _integral_coefficients(trace, gram, l):
@@ -171,18 +179,16 @@ def _integral_coefficients(trace, gram, l):
             yield c
 
 
-def _closure(alg: QuaternionAlgebra, generators, max_rounds=16):
-    """Smallest multiplicatively closed lattice containing the generators.
+def _closure(alg: QuaternionAlgebra, generators):
+    """Smallest multiplicatively closed lattice containing the generators:
+    the HNF fixed point of L -> L + L * L.
 
     Bounded: adjoining an integral element need not generate a finitely
     generated module in a noncommutative algebra, so a candidate whose
     closure keeps growing is rejected rather than looped on."""
     basis = lattice_basis([list(g) for g in generators])
-    for _ in range(max_rounds):
-        prods = [list(b) for b in basis]
-        for x, y in itertools.product(basis, repeat=2):
-            prods.append(list(alg.mul(tuple(x), tuple(y))))
-        new_basis = lattice_basis(prods)
+    for _ in range(_CLOSURE_ROUNDS):
+        new_basis = lattice_basis(basis + alg.products(basis, basis))
         if new_basis == basis:
             return basis
         basis = new_basis
@@ -201,10 +207,7 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
     where its trd and nrd are checked again.  The first candidate (in
     itertools.product order) whose closure is an order of smaller
     discriminant replaces the order."""
-    finite, _ = alg.ramified_primes()
-    target = 1
-    for q in finite:
-        target *= q
+    target = alg.discriminant()
     for _ in range(64):
         disc = order.reduced_discriminant()
         if disc == target:
@@ -223,9 +226,7 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
                     raise InvariantError(f"the integer forms accepted {coeffs}/{l}, "
                                          f"whose trd or nrd is not integral")
                 try:
-                    cols = _closure(alg, [list(b) for b in order.basis] + [x])
-                    cand = [[c[i] for i in range(4)] for c in cols]
-                    bigger = QuaternionOrder(alg, cand)
+                    bigger = QuaternionOrder(alg, _closure(alg, order.basis + [x]))
                 except ValueError:
                     continue
                 if bigger.reduced_discriminant() < disc:
@@ -331,24 +332,6 @@ def _cm_order_data(p, d, skip_models=0):
     return alg, order, theta, ominus
 
 
-def _iota_matrix(theta):
-    """The embedding k -> B sending the standard generator w = (d + sqrt d)/2
-    to theta; k-coordinates are (u, v) with beta = u + v w."""
-    def iota(u, v):
-        return tuple(Fraction(u) * (1 if i == 0 else 0) + Fraction(v) * theta[i]
-                     for i in range(4))
-    return iota
-
-
-def _module_lattice(alg, left_gens, right_gens):
-    """Z-lattice spanned by all products x * y (x in left, y in right)."""
-    gens = []
-    for x in left_gens:
-        for y in right_gens:
-            gens.append(list(alg.mul(tuple(x), tuple(y))))
-    return lattice_basis(gens)
-
-
 def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
                       skip_models=0) -> CMDegree:
     """Oracle for degree_formula, restricted to class number one.
@@ -400,20 +383,19 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     Rdelta_inv = inverse_fraction(Rdelta)
     dinv_a_basis = [mat_vec(Rdelta_inv, col) for col in a_basis]
 
-    iota = _iota_matrix(theta)
-    iota_a = [iota(col[0], col[1]) for col in a_basis]
-    iota_dinv_a = [iota(col[0], col[1]) for col in dinv_a_basis]
+    def iota(u, v):  # the embedding k -> B: u + v w goes to u + v theta
+        return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
 
     # full lattice: iota(a) * O; ambient for the coset: iota(d^-1 a) * O^-
-    M_full = _module_lattice(alg, iota_a, [list(b) for b in order.basis])
-    M_amb = _module_lattice(alg, iota_dinv_a, ominus)
+    M_full = lattice_basis(alg.products([iota(*col) for col in a_basis], order.basis))
+    M_amb = lattice_basis(alg.products([iota(*col) for col in dinv_a_basis], ominus))
     if len(M_full) != 4 or len(M_amb) != 2:
         raise InvariantError(f"module ranks {len(M_full)}, {len(M_amb)}, not 4, 2")
 
     # the shift iota(mu~) where mu = mu~ * e1
     mu_rep = mu.rep()
     mu_k = mat_vec(Ainv, list(mu_rep))
-    shift = list(iota(mu_k[0], mu_k[1]))
+    shift = iota(*mu_k)
 
     # one solution x0 in M_amb with x0 - shift in M_full
     cols = [list(c) for c in M_amb] + [[-x for x in c] for c in M_full]
@@ -427,43 +409,17 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
         L = lattice_intersection(M_amb, M_full)
         if len(L) != 2:
             raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
-        scale = -q1  # -Q(e1) > 0; Q_W(x) = -Q(e1) nrd(x)
-        gram = []
-        for u in L:
-            row = []
-            for v in L:
-                x = scale * _nrd_bilinear(alg, u, v)
-                if Fraction(x).denominator != 1:
-                    raise InvariantError(f"non-integral Gram entry {x}")
-                row.append(int(x))
-            gram.append(row)
-        lat = QuadLattice(gram)
-        coords = _rational_coords(L, x0)
+        # -Q(e1) > 0; Q_W(x) = -Q(e1) nrd(x), so the Gram is -Q(e1) N
+        gram = [[-q1 * x for x in row] for row in alg.norm_gram(L)]
+        if any(x.denominator != 1 for row in gram for x in row):
+            raise InvariantError(f"non-integral Gram {gram}")
+        lat = QuadLattice([[int(x) for x in row] for row in gram])
+        # coordinates of x0 in L: one solve through the Euclidean Gram L L^T
+        coords = mat_vec(inverse_fraction(mat_mul(L, transpose(L))), mat_vec(L, x0))
+        if mat_vec(transpose(L), coords) != x0:
+            raise InvariantError(f"{x0} is not in the span of the coset lattice")
         count = len(enumerate_coset_vectors(lat, coords, m))
     length = ord_p(p * m, p)
     wc = Fraction(count, K.w) * length
     return CMDegree(m, mu.coords, p, wc,
                     LogLinear.make(0, {p: wc}) if wc else LogLinear.make(0))
-
-
-def _nrd_bilinear(alg, u, v):
-    """trd(u * conj(v)): the bilinear form of the reduced norm."""
-    return alg.trd(alg.mul(tuple(u), alg.conj(tuple(v))))
-
-
-def _rational_coords(basis_cols, v):
-    """Coordinates of v in the rational span of the basis columns."""
-    n = len(v)
-    r = len(basis_cols)
-    # solve least-structure: pick r independent rows
-    for rows in itertools.combinations(range(n), r):
-        M = [[Fraction(basis_cols[j][i]) for j in range(r)] for i in rows]
-        if det_fraction(M) != 0:
-            sol = mat_vec(inverse_fraction(M), [Fraction(v[i]) for i in rows])
-            # verify against all coordinates
-            for i in range(n):
-                got = sum(Fraction(basis_cols[j][i]) * sol[j] for j in range(r))
-                if got != v[i]:
-                    raise InvariantError(f"coordinate {i}: {got} != {v[i]}")
-            return sol
-    raise ValueError("vector not in span")

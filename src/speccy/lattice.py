@@ -197,7 +197,7 @@ class DiscriminantGroup:
         if n == 0:
             self.orders_all = ()
             self.generators_all = ()
-            self.snf_U = ()
+            U = ()
         else:
             U, V, D = snf_with_transforms([list(r) for r in lattice.gram])
             orders = []
@@ -210,14 +210,15 @@ class DiscriminantGroup:
                 gens.append(tuple(col))
             self.orders_all = tuple(orders)
             self.generators_all = tuple(gens)
-            # G^{-1} k = sum_i (U k)_i g_i: U classifies dual vectors by coset
-            self.snf_U = tuple(tuple(row) for row in U)
+        # G^{-1} k = sum_i (U k)_i g_i: the rows of U with a divisor above 1
+        # classify dual vectors by coset (see dual_index)
+        self._dual_rows = tuple((tuple(row), d) for row, d in zip(U, self.orders_all)
+                                if d > 1)
         self.order = 1
         for d in self.orders_all:
             self.order *= abs(d)
         if self.order != lattice.disc:
             raise InvariantError(f"group order {self.order} != disc {lattice.disc}")
-        self._gen_matrix_inv = None
 
     @property
     def elementary_divisors(self):
@@ -240,29 +241,20 @@ class DiscriminantGroup:
         return Coset(self, tuple(full))
 
     def from_vector(self, v):
-        """Coset of a rational vector v in L^vee (lattice-basis coordinates)."""
-        lat = self.lattice
-        n = lat.rank
-        v = [Fraction(x) for x in v]
-        # membership in the dual: pairing with every basis vector is integral
-        for i in range(n):
-            pairing = sum(Fraction(lat.gram[i][j]) * v[j] for j in range(n))
-            if pairing.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-        if n == 0:
-            return self.zero()
-        # coordinates: v = sum a_i g_i with g_i the SNF generators
-        if self._gen_matrix_inv is None:
-            cols = [list(g) for g in self.generators_all]
-            self._gen_matrix_inv = inverse_fraction(transpose(cols))
-        sol = mat_vec(self._gen_matrix_inv, v)
-        coords = []
-        for a, d in zip(sol, self.orders_all):
-            ai = Fraction(a)
-            if ai.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            coords.append(int(ai) % d)
-        return Coset(self, tuple(coords))
+        """Coset of a rational vector v in L^vee (lattice-basis coordinates):
+        k = G v is integral exactly when v is dual, and names its coset."""
+        k = [sum(Fraction(g) * x for g, x in zip(row, v)) for row in self.lattice.gram]
+        if any(x.denominator != 1 for x in k):
+            raise ValueError("vector is not in the dual lattice")
+        return self.coset_by_index(self.dual_index([int(x) for x in k]))
+
+    def dual_index(self, k):
+        """Position in elements() of the coset of G^{-1} k, k integral: its
+        coordinates are (U k) mod the elementary divisors, in mixed radix."""
+        index = 0
+        for row, d in self._dual_rows:
+            index = index * d + sum(u * x for u, x in zip(row, k)) % d
+        return index
 
     def elements(self):
         """All cosets, ordered lexicographically by visible coordinates

@@ -231,15 +231,14 @@ def solve_integer(A, b):
     U, V, D = snf_with_transforms(A)
     c = mat_vec(U, b)
     y = [0] * m
-    for t in range(min(n, m)):
-        d = D[t][t]
-        if d != 0:
-            if c[t] % d != 0:
-                return None
-            y[t] = c[t] // d
-    for t in range(min(n, m), n):
-        if c[t] != 0:
+    # D y = U b: a zero diagonal entry (or a row past the diagonal) needs
+    # (U b)_t = 0, a nonzero one needs d | (U b)_t
+    for t in range(n):
+        d = D[t][t] if t < m else 0
+        if (c[t] % d if d else c[t]) != 0:
             return None
+        if d:
+            y[t] = c[t] // d
     return mat_vec(V, y)
 
 

@@ -244,9 +244,10 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
                 rows.append(LedgerRow("A", (row.m1, row.mu1_coords), lhs, rhs))
 
     # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
+    hearts = {}
     for (m, coords), cval in pp.items():
         mu = Coset(pp.group, coords)
-        lhs = finite_heart_degree(ctx, m, mu)
+        lhs = hearts[(m, coords)] = finite_heart_degree(ctx, m, mu)
         rhs = LogLinear.make(0)
         for row in tables[(m, coords)]:
             if row.m1 > 0:
@@ -286,7 +287,6 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     # conclusion: residual of [Z(f):Y] + c+(0,0)[T:Y] + (h/w) L' = 0-side
     residual = t_hat * pp.constant + ct * hw
     for (m, coords), cval in pp.items():
-        mu = Coset(pp.group, coords)
-        residual = residual + finite_heart_degree(ctx, m, mu) * cval
+        residual = residual + hearts[(m, coords)] * cval
         residual = residual + t_hat * (cval * lambda_counts[(m, coords)])
     return LedgerReport(rows, t_hat, ct, residual, -hw, pp.is_integral)

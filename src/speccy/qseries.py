@@ -145,20 +145,16 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
         raise ValueError("theta series requires a positive definite lattice")
     group = discriminant_group(lattice)
     ncosets = group.order
-    index = {c.visible_coords(): i for i, c in enumerate(group.elements())}
-    # dual vectors are x = Ginv k, k integral, with Q(x) = (1/2) k^T Ginv k;
-    # the coset coordinates of x are (U k) mod the elementary divisors, and
-    # only the rows of U with a divisor above 1 can be nonzero
+    dual_index = group.dual_index
+    # dual vectors are x = Ginv k, k integral, with Q(x) = (1/2) k^T Ginv k
     Ginv = lattice.gram_inverse()
     den = lcm(*(x.denominator for row in Ginv for x in row))
-    rows = [(row, dv) for row, dv in zip(group.snf_U, group.orders_all) if dv > 1]
     counts = {}
     for k, norm in ball_sweep(Ginv, [0] * lattice.rank, cutoff):
         vec = counts.get(norm)
         if vec is None:
             vec = counts[norm] = [0] * ncosets
-        vec[index[tuple(sum(u * kj for u, kj in zip(row, k)) % dv
-                        for row, dv in rows)]] += 1
+        vec[dual_index(k)] += 1
     # ball_sweep's norm is D k^T Ginv k = 2 D Q(x)
     coeffs = {Fraction(norm, 2 * den): tuple(vec) for norm, vec in counts.items()}
     return VVFormQ(Fraction(lattice.rank, 2), "contragredient", group, coeffs, cutoff)

@@ -8,14 +8,19 @@ from speccy.cm import (
     QuaternionOrder,
     _cm_order_data,
     _integral_coefficients,
-    _nrd_bilinear,
     degree_bruteforce,
     degree_formula,
 )
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors
-from speccy.linalg import det_fraction
+from speccy.linalg import det_fraction, lattice_member
+
+
+def nrd_bilinear(alg, u, v):
+    """trd(u * conj(v)) through a quaternion product: the reference for
+    QuaternionAlgebra.norm_gram."""
+    return alg.trd(alg.mul(tuple(u), alg.conj(tuple(v))))
 
 
 def principal_lattice(d):
@@ -52,6 +57,22 @@ class TestAlgebra:
         y = (Fraction(2), Fraction(0), Fraction(1), Fraction(-1))
         assert alg.conj(alg.mul(x, y)) == alg.mul(alg.conj(y), alg.conj(x))
 
+    def test_norm_gram_and_products(self):
+        alg = QuaternionAlgebra(Fraction(-3), Fraction(-5, 2))
+        xs = [(Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)),
+              (Fraction(0), Fraction(-1), Fraction(3), Fraction(1)),
+              (Fraction(1, 3), Fraction(0), Fraction(2), Fraction(-1))]
+        assert alg.norm_gram(xs) == [[nrd_bilinear(alg, x, y) for y in xs] for x in xs]
+        assert all(alg.norm_gram([x])[0][0] == 2 * alg.nrd(x) for x in xs)
+        assert alg.products(xs, xs[:2]) == [list(alg.mul(x, y)) for x in xs
+                                            for y in xs[:2]]
+
+    def test_discriminant(self):
+        for a, b, disc in [(-1, -1, 2), (-1, -3, 3), (-3, -1, 3), (-1, 3, 6),
+                           (-7, -5, 5)]:
+            alg = QuaternionAlgebra(Fraction(a), Fraction(b))
+            assert alg.discriminant() == disc
+
     def test_ramification_even(self):
         for a, b in [(-1, -1), (-1, -3), (-2, -5), (-1, -7), (-3, -11)]:
             alg = QuaternionAlgebra(Fraction(a), Fraction(b))
@@ -75,7 +96,7 @@ class TestMaximalOrders:
     def test_hurwitz_p2(self):
         # the maximal order of B_{2, inf} is the Hurwitz order: 24 units
         alg, order, _, _ = _cm_order_data(2, -3)
-        gram = [[int(_nrd_bilinear(alg, u, v)) for v in order.basis]
+        gram = [[int(nrd_bilinear(alg, u, v)) for v in order.basis]
                 for u in order.basis]
         assert len(enumerate_coset_vectors(QuadLattice(gram), [0] * 4, 1)) == 24
 
@@ -125,7 +146,7 @@ class TestMaximalOrders:
         for o in (starting_order(alg, theta), order):
             trace, gram = o.integral_forms()
             assert trace == [alg.trd(b) for b in o.basis]
-            assert gram == [[_nrd_bilinear(alg, u, v) for v in o.basis]
+            assert gram == [[nrd_bilinear(alg, u, v) for v in o.basis]
                             for u in o.basis]
             assert abs(det_fraction(gram)) == abs(det_fraction(o.trace_gram()))
 
@@ -142,11 +163,47 @@ class TestMaximalOrders:
         assert order.basis == [[Fraction(x) for x in row] for row in rows]
         assert order.reduced_discriminant() == p
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[1, 0, 0, 0]] * 4, "must have rank 4"),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "must have rank 4"),
+        ([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "must contain 1"),
+        # Z<1, i, j, 2k> is integral but i j = k is not in it
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+         "not multiplicatively closed"),
+    ])
+    def test_each_refusal_named(self, rows, message):
+        alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
+        with pytest.raises(ValueError, match=message):
+            QuaternionOrder(alg, rows)
+
     def test_non_order_rejected(self):
         alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be integral"):
             QuaternionOrder(alg, [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
                                   [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def test_lipschitz_and_hurwitz_accepted(self):
+        alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
+        lipschitz = QuaternionOrder(alg, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]])
+        half = Fraction(1, 2)
+        hurwitz = QuaternionOrder(alg, [[half] * 4, [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert lipschitz.reduced_discriminant() == 4
+        assert hurwitz.is_maximal() and not lipschitz.is_maximal()
+
+    @pytest.mark.parametrize("p,d", [(7, -11), (2, -163)])
+    def test_contains_matches_lattice_member(self, p, d):
+        # HNF membership against the SNF solve, on x = sum c_r b_r / l with
+        # c in [0, l]^4, so x is in O exactly when l divides every c_r
+        _, order, _, _ = _cm_order_data(p, d)
+        cols = [list(b) for b in order.basis]
+        for l in (2, 3):
+            for c in itertools.product(range(l + 1), repeat=4):
+                x = [sum(c[r] * order.basis[r][i] for r in range(4)) / l
+                     for i in range(4)]
+                assert order.contains(x) == (lattice_member(cols, x) is not None)
+                assert order.contains(x) == all(cr % l == 0 for cr in c)
 
 
 class TestEmbedCM:
@@ -174,7 +231,7 @@ class TestEmbedCM:
         assert len(ominus) == 2
         for x in ominus:
             for y in ([1, 0, 0, 0], theta):
-                assert _nrd_bilinear(alg, x, list(y)) == 0
+                assert nrd_bilinear(alg, x, list(y)) == 0
 
 
 class TestDegreeFormula:

@@ -149,6 +149,40 @@ class TestDiscriminantGroup:
         with pytest.raises(ValueError, match="not in group"):
             g.index_of(other.zero())
 
+    def test_dual_index_and_from_vector_random(self):
+        # random even lattices of rank <= 5, indefinite ones included: every
+        # coset comes back from its representative, dual_index(G rep) is its
+        # position, and a vector outside the dual is refused
+        rng = random.Random(17)
+        checked = raised = 0
+        while checked < 40:
+            n = rng.randint(1, 5)
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                G[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i + 1, n):
+                    G[i][j] = G[j][i] = rng.randint(-2, 2)
+            lat = QuadLattice(G)
+            if lat.det == 0 or lat.disc > 400:
+                continue
+            g = discriminant_group(lat)
+            for k, mu in enumerate(g.elements()):
+                rep = mu.rep()
+                assert g.from_vector(rep) == mu
+                Grep = [int(sum(G[i][j] * rep[j] for j in range(n))) for i in range(n)]
+                assert g.dual_index(Grep) == k
+            for _ in range(3):
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                if all(sum(G[i][j] * v[j] for j in range(n)).denominator == 1
+                       for i in range(n)):
+                    assert g.from_vector(v) in list(g.elements())
+                else:
+                    raised += 1
+                    with pytest.raises(ValueError, match="not in the dual lattice"):
+                        g.from_vector(v)
+            checked += 1
+        assert raised > 20
+
     def test_singular_rejected(self):
         lat = QuadLattice([[2, 2], [2, 2]])
         with pytest.raises(Exception):

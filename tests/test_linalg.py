@@ -106,6 +106,29 @@ class TestKernelSolve:
     def test_unsolvable(self):
         assert solve_integer([[2]], [1]) is None
 
+    def test_inconsistent_singular(self):
+        # a zero diagonal entry of D inside min(n, m) must meet (U b)_t = 0
+        assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+        assert lattice_member([[1, 0], [1, 0]], [0, 1]) is None
+        assert solve_integer([[1, 1], [1, 1]], [2, 2]) is not None
+
+    def test_rank_deficient_matches_hnf_membership(self):
+        # None exactly when adjoining b changes the HNF of the column span
+        rng = random.Random(41)
+        for _ in range(150):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            r = rng.randint(0, min(n, m) - 1)
+            A = mat_mul(rand_matrix(rng, n, r, -3, 3), rand_matrix(rng, r, m, -3, 3)) \
+                if r else [[0] * m for _ in range(n)]
+            x = [rng.randint(-3, 3) for _ in range(m)]
+            b = mat_vec(A, x) if rng.random() < 0.5 else \
+                [rng.randint(-4, 4) for _ in range(n)]
+            cols = [[A[i][j] for i in range(n)] for j in range(m)]
+            sol = solve_integer(A, b)
+            assert (sol is None) == (lattice_basis(cols + [b]) != lattice_basis(cols))
+            if sol is not None:
+                assert mat_vec(A, sol) == b
+
 
 class TestLattices:
     def test_intersection_contains_and_is_contained(self):
