@@ -243,7 +243,10 @@ class DiscriminantGroup:
     def from_vector(self, v):
         """Coset of a rational vector v in L^vee (lattice-basis coordinates):
         k = G v is integral exactly when v is dual, and names its coset."""
-        k = [sum(Fraction(g) * x for g, x in zip(row, v)) for row in self.lattice.gram]
+        gram = self.lattice.gram
+        if len(v) != len(gram):
+            raise ValueError(f"vector has {len(v)} coordinates, the lattice rank {len(gram)}")
+        k = [sum(Fraction(g) * x for g, x in zip(row, v)) for row in gram]
         if any(x.denominator != 1 for x in k):
             raise ValueError("vector is not in the dual lattice")
         return self.coset_by_index(self.dual_index([int(x) for x in k]))

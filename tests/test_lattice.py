@@ -182,6 +182,8 @@ class TestDiscriminantGroup:
                         g.from_vector(v)
             checked += 1
         assert raised > 20
+        with pytest.raises(ValueError, match="coordinates"):
+            g.from_vector([0] * (n + 1))
 
     def test_singular_rejected(self):
         lat = QuadLattice([[2, 2], [2, 2]])
