@@ -245,7 +245,8 @@ class DiscriminantGroup:
         k = G v is integral exactly when v is dual, and names its coset."""
         gram = self.lattice.gram
         if len(v) != len(gram):
-            raise ValueError(f"vector has {len(v)} coordinates, the lattice rank {len(gram)}")
+            raise ValueError(f"vector has {len(v)} coordinates, but the lattice "
+                             f"has rank {len(gram)}")
         k = [sum(Fraction(g) * x for g, x in zip(row, v)) for row in gram]
         if any(x.denominator != 1 for x in k):
             raise ValueError("vector is not in the dual lattice")
