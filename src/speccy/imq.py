@@ -54,10 +54,6 @@ class LogLinear:
                 sp.append((s, Fraction(c)))
         return cls(Fraction(rational), lg, tuple(sorted(sp)))
 
-    @classmethod
-    def log_prime(cls, p, coeff=1):
-        return cls.make(logs={p: coeff})
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LogLinear.make(other)

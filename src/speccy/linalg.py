@@ -126,9 +126,7 @@ def snf_with_transforms(A):
         U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
+        for row in D + V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
@@ -136,78 +134,55 @@ def snf_with_transforms(A):
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(dst, src, q):
-        for row in D:
+        for row in D + V:
             row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+
+    # Euclid down column t / along row t; True if a remainder became the pivot
+    def clear_column(t):
+        moved = False
+        for i in range(t + 1, n):
+            if D[i][t] != 0:
+                add_row(i, t, -(D[i][t] // D[t][t]))
+                if D[i][t] != 0:
+                    swap_rows(t, i)
+                    moved = True
+        return moved
+
+    def clear_row(t):
+        moved = False
+        for j in range(t + 1, m):
+            if D[t][j] != 0:
+                add_col(j, t, -(D[t][j] // D[t][t]))
+                if D[t][j] != 0:
+                    swap_cols(t, j)
+                    moved = True
+        return moved
 
     t = 0
     while t < min(n, m):
-        # find pivot: smallest nonzero |entry| in the remaining block
-        piv = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
+        # pivot: the first smallest nonzero |entry| of the remaining block
+        piv = min(((abs(D[i][j]), i, j) for i in range(t, n) for j in range(t, m)
+                   if D[i][j] != 0), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, n):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, -q)
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, m):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, -q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility fix-up: d_t must divide every later entry
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if D[i][j] % D[t][t] != 0:
-                    add_row(t, i, 1)
-                    dirty = True
-                    while dirty:
-                        dirty = False
-                        for jj in range(t + 1, m):
-                            if D[t][jj] != 0:
-                                q = D[t][jj] // D[t][t]
-                                add_col(jj, t, -q)
-                                if D[t][jj] != 0:
-                                    # rotate pivot via column swap
-                                    swap_cols(t, jj)
-                                    dirty = True
-                        for ii in range(t + 1, n):
-                            if D[ii][t] != 0:
-                                q = D[ii][t] // D[t][t]
-                                add_row(ii, t, -q)
-                                if D[ii][t] != 0:
-                                    swap_rows(t, ii)
-                                    dirty = True
-                    break
-            else:
-                continue
-            break
-        else:
-            if D[t][t] < 0:
-                for j in range(m):
-                    D[t][j] = -D[t][j]
-                U[t] = [-x for x in U[t]]
-            t += 1
+        swap_rows(t, piv[1])
+        swap_cols(t, piv[2])
+        # | not or: both passes run on every round
+        while clear_column(t) | clear_row(t):
+            pass
+        # divisibility fix-up: d_t must divide every later entry; if one
+        # does not, add its row to row t, clear, and redo this pivot
+        bad = next((i for i in range(t + 1, n) for j in range(t + 1, m)
+                    if D[i][j] % D[t][t] != 0), None)
+        if bad is not None:
+            add_row(t, bad, 1)
+            while clear_row(t) | clear_column(t):
+                pass
             continue
-        # divisibility was violated; redo this pivot
-        continue
+        if D[t][t] < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
     return U, V, D
 
 

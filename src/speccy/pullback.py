@@ -198,9 +198,10 @@ class LedgerReport:
 def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
                   fault_negate=None) -> LedgerReport:
     """Check the exact finite-part identities (A) to (D) and assemble the
-    residual of the conclusion row; fault_negate, if given, flips the sign
-    of the Eisenstein coefficient at one (m1, mu1 coords) pair so tests can
-    confirm that faults are caught and localized."""
+    residual of the conclusion row; fault_negate, if given as (m, coset
+    index) with the index in the coset order of the L0 discriminant group,
+    flips the sign of that Eisenstein coefficient so tests can confirm
+    that faults are caught and localized."""
     if pp.group.lattice.gram != ctx.ambient.gram:
         raise ValueError("principal part lives on a different lattice")
     max_m = max([m for m, _ in pp.entries] or [Fraction(0)])
@@ -208,85 +209,54 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
         raise ValueError("context cutoff too small for this principal part")
     hw = ctx.field_ratio()
     pkg = ctx.pkg
-
-    eis_table = ctx.eis
+    eis = ctx.eis
     if fault_negate is not None:
-        m_f, mu_f = fault_negate
-        if isinstance(mu_f, Coset):
-            coords_f = mu_f.coords
-        elif isinstance(mu_f, int):
-            coords_f = pkg.disc0.coset_by_index(mu_f).coords
-        else:
-            coords_f = tuple(mu_f)
-        faulted = dict(eis_table.values)
-        key = (Fraction(m_f), coords_f)
-        if key not in faulted:
+        m_f, index_f = fault_negate
+        key = Fraction(m_f), pkg.disc0.coset_by_index(index_f).coords
+        if key not in eis.values:
             raise ValueError("fault target has no nonzero coefficient")
-        faulted[key] = faulted[key] * Fraction(-1)
-        eis_table = EisensteinTable(pkg, eis_table.cutoff, faulted)
+        eis = EisensteinTable(pkg, eis.cutoff, {**eis.values, key: -eis.values[key]})
 
-    def eis_coeff(m1, mu1):
-        return eis_table.coefficient(m1, mu1)
-
-    rows = []
-    # (A): per reachable (m1, mu1): degree = -(h/w) a+
-    seen_a = set()
-    tables = {}
-    for (m, coords), cval in pp.items():
-        mu = Coset(pp.group, coords)
-        tables[(m, coords)] = pullback_table(ctx, m, mu)
-        for row in tables[(m, coords)]:
-            if row.m1 > 0 and (row.m1, row.mu1_coords) not in seen_a:
-                seen_a.add((row.m1, row.mu1_coords))
-                mu1 = Coset(pkg.disc0, row.mu1_coords)
-                lhs = degree_formula(pkg, row.m1, mu1).degree
-                rhs = eis_coeff(row.m1, mu1) * (-hw)
-                rows.append(LedgerRow("A", (row.m1, row.mu1_coords), lhs, rhs))
-
-    # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
-    hearts = {}
-    for (m, coords), cval in pp.items():
-        mu = Coset(pp.group, coords)
-        lhs = hearts[(m, coords)] = finite_heart_degree(ctx, m, mu)
-        rhs = LogLinear.make(0)
-        for row in tables[(m, coords)]:
-            if row.m1 > 0:
-                mu1 = Coset(pkg.disc0, row.mu1_coords)
-                rhs = rhs + eis_coeff(row.m1, mu1) * (-hw * row.count)
-        rows.append(LedgerRow("B", (m, coords), lhs, rhs))
-
-    # (C): the generic constant-term pairing against the proof's expansion
-    ct = constant_term_pairing(pp, eis_table, ctx.theta, ctx.emb)
-    ct_expanded = eis_coeff(Fraction(0), pkg.disc0.zero()) * pp.constant
-    for (m, coords), cval in pp.items():
-        for row in tables[(m, coords)]:
-            mu1 = Coset(pkg.disc0, row.mu1_coords)
-            ct_expanded = ct_expanded + eis_coeff(row.m1, mu1) * (cval * row.count)
-    rows.append(LedgerRow("C", ("constant term",), ct, ct_expanded))
-
-    # (D): cotautological slots through the constant coefficient
     t_hat = cotaut_degree(ctx)
-    a00 = eis_coeff(Fraction(0), pkg.disc0.zero())
-    rows.append(LedgerRow("D", ("c+(0,0) slot",), t_hat * pp.constant,
-                          a00 * (-hw * pp.constant)))
-    lambda_counts = {}
+    a00 = eis.coefficient(0, pkg.disc0.zero())
+    rows_a, rows_b, rows_d = {}, [], []
+    ct_expanded = a00 * pp.constant
+    # conclusion: residual of [Z(f):Y] + c+(0,0)[T:Y] + (h/w) L' = 0-side
+    residual = t_hat * pp.constant
     for (m, coords), cval in pp.items():
         mu = Coset(pp.group, coords)
+        eis_side = LogLinear.make(0)
+        improper = 0
+        for row in pullback_table(ctx, m, mu):
+            mu1 = Coset(pkg.disc0, row.mu1_coords)
+            a = eis.coefficient(row.m1, mu1)
+            ct_expanded = ct_expanded + a * (cval * row.count)
+            if row.m1 == 0:  # the improper part, with multiplicity R
+                improper += row.count
+                continue
+            eis_side = eis_side + a * (-hw * row.count)
+            # (A): per reachable (m1, mu1): degree = -(h/w) a+
+            if (row.m1, row.mu1_coords) not in rows_a:
+                rows_a[row.m1, row.mu1_coords] = LedgerRow(
+                    "A", (row.m1, row.mu1_coords),
+                    degree_formula(pkg, row.m1, mu1).degree, a * (-hw))
+        # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
+        heart = finite_heart_degree(ctx, m, mu)
+        rows_b.append(LedgerRow("B", (m, coords), heart, eis_side))
+        # (D) per improper slot, cross-checked against lambda_mmu
         lam = len(lambda_mmu(ctx, m, mu))
-        lambda_counts[(m, coords)] = lam
-        # cross-check: the m1 = 0 rows of the pullback table carry the
-        # improper part, with multiplicity R
-        improper = sum(r.count for r in tables[(m, coords)] if r.m1 == 0)
         if improper != lam:
             raise InvariantError(f"pullback table disagrees with lambda_mmu at "
                                  f"({m}, {coords}): {improper} != {lam}")
-        rows.append(LedgerRow("D", (m, coords, "improper slot"),
-                              t_hat * (cval * lam),
-                              a00 * (-hw * cval * lam)))
+        rows_d.append(LedgerRow("D", (m, coords, "improper slot"),
+                                t_hat * (cval * lam), a00 * (-hw * cval * lam)))
+        residual = residual + heart * cval + t_hat * (cval * lam)
 
-    # conclusion: residual of [Z(f):Y] + c+(0,0)[T:Y] + (h/w) L' = 0-side
-    residual = t_hat * pp.constant + ct * hw
-    for (m, coords), cval in pp.items():
-        residual = residual + hearts[(m, coords)] * cval
-        residual = residual + t_hat * (cval * lambda_counts[(m, coords)])
-    return LedgerReport(rows, t_hat, ct, residual, -hw, pp.is_integral)
+    # (C): constant-term pairing vs the proof's expansion; (D) for c+(0,0)
+    ct = constant_term_pairing(pp, eis, ctx.theta, ctx.emb)
+    rows = [*rows_a.values(), *rows_b,
+            LedgerRow("C", ("constant term",), ct, ct_expanded),
+            LedgerRow("D", ("c+(0,0) slot",), t_hat * pp.constant,
+                      a00 * (-hw * pp.constant)),
+            *rows_d]
+    return LedgerReport(rows, t_hat, ct, residual + ct * hw, -hw, pp.is_integral)

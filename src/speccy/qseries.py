@@ -56,10 +56,6 @@ class VVFormQ:
         if self.variant not in VARIANT_SUPPORT_SIGN:
             raise ValueError(f"unknown variant {self.variant!r}")
 
-    @property
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else Fraction(0)
-
     def coefficient(self, m):
         m = Fraction(m)
         if m in self.coeffs:
@@ -85,7 +81,9 @@ class VVFormQ:
 
     def evaluate(self, tau):
         """(value vector, certified tail bound) at tau in the upper half
-        plane, from the finite table up to the cutoff."""
+        plane, from the finite table up to the cutoff.  The bound is
+        math.inf when Im tau is too small for theta_tail_bound to reach
+        the geometric closure of its series."""
         v = tau.imag if isinstance(tau, complex) else 0.0
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
@@ -128,6 +126,9 @@ def theta_tail_bound(lattice: QuadLattice, cutoff, v) -> float:
             last = r2 * math.exp(-2 * math.pi * v * float(m))
             total += last / (1 - math.sqrt(t))
             break
+    else:
+        # no geometric closure reached: a partial sum is not a bound
+        return math.inf
     return total * 1.0000001
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -20,9 +21,14 @@ from speccy.pullback import (
     verify_ledger,
 )
 from speccy.qseries import PrincipalPart, hejhal_principal_part
+from speccy.serialize import parse_principal_part
 
 BLOCK_GRAM = [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]
 BLOCK_SUB = [[1, 0], [0, 1], [0, 0]]
+E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+      [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+      [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +265,33 @@ class TestLedger:
         assert blob["totals"]["all_match"] is True
         assert "residual" in blob["totals"]
         assert all("identity" in r and "match" in r for r in blob["rows"])
+
+    @pytest.mark.parametrize("case", ["readme", "readme_fault", "e8"])
+    def test_ledger_pinned(self, case):
+        # rows in order (identity, key, lhs, rhs) and totals, recorded from
+        # the four-loop ledger that predates the one-pass rewrite
+        with open(os.path.join(os.path.dirname(__file__), "ledger_pin.json")) as fh:
+            want = json.load(fh)[case]
+        if case == "e8":
+            gram = [[0] * 10 for _ in range(10)]
+            gram[0][:2], gram[1][:2] = [-2, -1], [-1, -4]
+            for i in range(8):
+                gram[2 + i][2:] = E8[i]
+            sub = BLOCK_SUB[:2] + [[0, 0]] * 8
+            pp = {"2,0": 1, "13/7,1": 1, "13/7,6": 1, "const": "1/2"}
+        else:
+            gram, sub, pp = BLOCK_GRAM, BLOCK_SUB, {"1,0": 1}
+        L = QuadLattice(gram)
+        pp = parse_principal_part(pp, discriminant_group(L))
+        ctx = EmbeddingContext.build(L, sub, max(pp.support_exponents()) + 1)
+        rep = verify_ledger(ctx, pp, fault_negate=(1, 0) if case == "readme_fault" else None)
+        assert json.loads(json.dumps(rep.to_json())) == want
+
+    def test_fault_target_must_be_nonzero(self, block_ctx):
+        g = discriminant_group(block_ctx.ambient)
+        pp = hejhal_principal_part(1, g.zero())
+        with pytest.raises(ValueError, match="no nonzero coefficient"):
+            verify_ledger(block_ctx, pp, fault_negate=(Fraction(1, 7), 0))
 
 
 class TestInvariants:

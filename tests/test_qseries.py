@@ -14,11 +14,17 @@ from speccy.qseries import (
     pair,
     rep_number,
     theta_series,
+    theta_tail_bound,
 )
 from speccy.weil import S, T, WeilRep
 
 A1 = QuadLattice([[2]])
 A2 = QuadLattice([[2, 1], [1, 2]])
+E8 = QuadLattice([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+                  [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+                  [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+                  [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]])
+B21 = QuadLattice([[2, 1], [1, 4]])
 
 
 class TestRepNumber:
@@ -98,11 +104,7 @@ class TestTheta:
 
     def test_e8_is_eisenstein_e4(self):
         # E8 is even unimodular: its theta series is E4, r(n) = 240 sigma_3(n)
-        E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
-              [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
-              [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
-              [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
-        th = theta_series(QuadLattice(E8), 3)
+        th = theta_series(E8, 3)
         assert th.weight == 4 and th.group.order == 1
         sigma3 = {n: sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in (1, 2, 3)}
         assert th.coeffs == {Fraction(0): (1,), **{Fraction(n): (240 * s,)
@@ -134,6 +136,18 @@ class TestEvaluate:
             v40, _ = th40.evaluate(tau)
             for a, b in zip(v5, v40):
                 assert abs(a - b) <= t5
+
+    def test_tail_bound_infinite_before_closure(self):
+        # at Im tau = 1e-5 the terms still grow when the step budget runs
+        # out; the partial sums (2.51e34 for E8, 2.37e9 for B21) lie below
+        # the closed series (3.39e34, 1.17e10), so only inf is a bound
+        assert theta_tail_bound(E8, 3, 1e-5) == math.inf
+        _, tail = theta_series(B21, 3).evaluate(1e-5j)
+        assert tail == math.inf
+
+    def test_tail_bound_pinned(self):
+        assert theta_tail_bound(E8, 3, 1e-4) == 3.4141056306460535e29
+        assert theta_tail_bound(B21, 3, 1e-4) == 121773009.52959132
 
     def test_requires_upper_half_plane(self):
         th = theta_series(A1, 3)
@@ -208,7 +222,6 @@ def cached_theta(lat, cutoff):
 
 
 def certified_cutoff(lat, v, target=1e-10):
-    from speccy.qseries import theta_tail_bound
     cutoff = 10
     while theta_tail_bound(lat, cutoff, v) >= target:
         cutoff += 10
