@@ -12,7 +12,15 @@ length * log N(P) over points weighted by 1/#Aut.
 
 Quaternion lattices are compared through their Hermite normal form
 (linalg.lattice_basis), which is canonical: rank, membership and
-multiplicative closure of an order are each one HNF equality.
+multiplicative closure of an order are each one HNF equality.  Quaternion
+products and norm forms run on ints: the algebra models (d, -q) have int
+parameters, and rational rows are scaled to one denominator first.
+
+The oracle's per-field work is done once per frame (_coset_frame, keyed
+on p, d, the algebra model and the Gram of L0): the maximal order and O^-,
+the modules iota(a) O and iota(d^-1 a) O^-, their intersection L with its
+rank-2 QuadLattice, and the coordinate map into L.  Each (m, mu) then
+costs one shift solve and one coset enumeration.
 """
 
 from __future__ import annotations
@@ -28,15 +36,14 @@ from .imq import LogLinear, _hilbert_candidates, _prime_factors, hilbert_symbol,
 from .lattice import Coset, InvariantError, QuadLattice, enumerate_coset_vectors
 from .linalg import (
     _scale_to_int,
-    det_fraction,
     integer_kernel,
     inverse_fraction,
     lattice_basis,
     lattice_intersection,
     mat_mul,
     mat_vec,
+    row_hnf,
     solve_integer,
-    sqrt_fraction_exact,
     transpose,
 )
 
@@ -46,10 +53,11 @@ _CLOSURE_ROUNDS = 16
 
 @dataclass(frozen=True)
 class QuaternionAlgebra:
-    """(a, b / Q): i^2 = a, j^2 = b, ij = -ji = k."""
+    """(a, b / Q): i^2 = a, j^2 = b, ij = -ji = k.  a and b are ints or
+    Fractions; with ints, products and norm forms run on ints."""
 
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
 
     def mul(self, x, y):
         a, b = self.a, self.b
@@ -63,8 +71,13 @@ class QuaternionAlgebra:
         )
 
     def products(self, xs, ys):
-        """Every product x * y (x in xs outer, y in ys inner), as lists."""
-        return [list(self.mul(tuple(x), tuple(y))) for x in xs for y in ys]
+        """Every product x * y (x in xs outer, y in ys inner), as lists of
+        Fractions: the rows are scaled to ints over one denominator each,
+        multiplied by mul, and divided once."""
+        xs, dx = _scale_to_int(xs)
+        ys, dy = _scale_to_int(ys)
+        den = dx * dy
+        return [[Fraction(v, den) for v in self.mul(x, y)] for x in xs for y in ys]
 
     def conj(self, x):
         return (x[0], -x[1], -x[2], -x[3])
@@ -80,8 +93,10 @@ class QuaternionAlgebra:
         """The Gram matrix trd(x conj(y)) = 2 (x0 y0 - a x1 y1 - b x2 y2
         + ab x3 y3) of the reduced norm on xs; no quaternion products."""
         w = (2, -2 * self.a, -2 * self.b, 2 * self.a * self.b)
-        return [[sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)) for y in xs]
-                for x in xs]
+        xs, den = _scale_to_int(xs)
+        den *= den
+        return [[Fraction(sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)), den)
+                 for y in xs] for x in xs]
 
     def ramified_primes(self):
         """Finite ramification set, computed from Hilbert symbols; the set
@@ -145,13 +160,15 @@ class QuaternionOrder:
 
     def reduced_discriminant(self) -> int:
         """sqrt |det N|, which is sqrt |det trace_gram| because conjugation
-        maps the order onto itself (a unimodular change of basis)."""
+        maps the order onto itself (a unimodular change of basis).  |det N|
+        is the product of the pivots of the integer HNF of N."""
         if self._disc is None:
-            d2 = abs(det_fraction(self.integral_forms()[1]))
-            root = sqrt_fraction_exact(d2)
-            if root is None or root.denominator != 1:
+            hnf = row_hnf(self.integral_forms()[1])
+            d2 = math.prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == 4 else 0
+            root = math.isqrt(d2)
+            if root * root != d2:
                 raise InvariantError(f"|det N| = {d2} is not a square")
-            self._disc = int(root)
+            self._disc = root
         return self._disc
 
     def is_maximal(self):
@@ -296,7 +313,11 @@ def _cm_order_data(p, d, skip_models=0):
     alg = None
     remaining = skip_models
     for q in range(1, 2000):
-        trial = QuaternionAlgebra(Fraction(d), Fraction(-q))
+        # p must ramify; the full ramification set (and its parity check)
+        # is computed only for the models that pass this one symbol
+        if hilbert_symbol(d, -q, p) != -1:
+            continue
+        trial = QuaternionAlgebra(d, -q)
         finite, infinite = trial.ramified_primes()
         if finite == {p} and infinite:
             if remaining == 0:
@@ -313,11 +334,9 @@ def _cm_order_data(p, d, skip_models=0):
     if not order.contains(theta):
         raise InvariantError("the maximal order lost the CM element")
     # O^-: kernel of x -> x theta + theta x - d x on the order
-    rows = []
-    for b in order.basis:
-        bt = alg.mul(tuple(b), theta)
-        tb = alg.mul(theta, tuple(b))
-        rows.append([bt[i] + tb[i] - d * b[i] for i in range(4)])
+    rows = [[x + y - d * z for x, y, z in zip(bt, tb, b)]
+            for bt, tb, b in zip(alg.products(order.basis, [theta]),
+                                 alg.products([theta], order.basis), order.basis)]
     # express images in the order basis to keep the kernel integral
     mat, _ = _scale_to_int(rows)
     ker = integer_kernel(transpose(mat))
@@ -332,37 +351,21 @@ def _cm_order_data(p, d, skip_models=0):
     return alg, order, theta, ominus
 
 
-def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
-                      skip_models=0) -> CMDegree:
-    """Oracle for degree_formula, restricted to class number one.
-
-    Realizes the special quasi-endomorphisms as an explicit rank-2 lattice
-    inside the quaternion algebra ramified at Diff(m) and infinity, counts
-    the coset vectors of norm m exactly, and applies the canonical-lifting
-    length ord_p(pm) and the 1/w automorphism weight.
-    """
-    m = Fraction(m)
-    K = pkg.K
-    if K.h != 1:
-        raise ValueError("brute-force oracle requires class number one")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    diff = pkg.diff(m)
-    if len(diff) != 1:
-        raise ValueError("oracle requires Diff = {p}; degree vanishes otherwise")
-    (p,) = diff
-    if ord_p(m, p) < 0:
-        raise ValueError("oracle requires ord_p(m) >= 0")
-    alg, order, theta, ominus = _cm_order_data(p, K.d, skip_models)
-    d = K.d
+@functools.lru_cache(maxsize=None)
+def _coset_frame(p, d, skip_models, gram):
+    """Everything degree_bruteforce needs that depends only on the prime,
+    the field, the algebra model and the Gram of L0, built once: theta,
+    A^-1 (L0-coordinates to k-coordinates), the columns of M_amb and
+    -M_full for the shift solve, the rank-2 coset lattice L = M_amb cap
+    M_full with its QuadLattice, and the coordinate map (L L^T)^-1 L."""
+    alg, order, theta, ominus = _cm_order_data(p, d, skip_models)
 
     # k acts on L0 through the even Clifford algebra: w_cl = e1 e2 with
     # w_cl e1 = [e1,e2] e1 - Q(e1) e2, w_cl e2 = Q(e2) e1; the standard
     # generator is w = (d - t)/2 + w_cl with t = [e1, e2]
-    G = pkg.L0.gram
-    t = G[0][1]
-    q1 = Fraction(G[0][0], 2)
-    q2 = Fraction(G[1][1], 2)
+    t = gram[0][1]
+    q1 = Fraction(gram[0][0], 2)
+    q2 = Fraction(gram[1][1], 2)
     Wcl = [[Fraction(t), q2], [-q1, Fraction(0)]]
     c = Fraction(d - t, 2)
     Wstd = [[Wcl[0][0] + c, Wcl[0][1]], [Wcl[1][0], Wcl[1][1] + c]]
@@ -383,39 +386,69 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     Rdelta_inv = inverse_fraction(Rdelta)
     dinv_a_basis = [mat_vec(Rdelta_inv, col) for col in a_basis]
 
-    def iota(u, v):  # the embedding k -> B: u + v w goes to u + v theta
-        return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
-
     # full lattice: iota(a) * O; ambient for the coset: iota(d^-1 a) * O^-
-    M_full = lattice_basis(alg.products([iota(*col) for col in a_basis], order.basis))
-    M_amb = lattice_basis(alg.products([iota(*col) for col in dinv_a_basis], ominus))
+    M_full = lattice_basis(alg.products([_iota(theta, *col) for col in a_basis],
+                                        order.basis))
+    M_amb = lattice_basis(alg.products([_iota(theta, *col) for col in dinv_a_basis],
+                                       ominus))
     if len(M_full) != 4 or len(M_amb) != 2:
         raise InvariantError(f"module ranks {len(M_full)}, {len(M_amb)}, not 4, 2")
+    cols = [list(c) for c in M_amb] + [[-x for x in c] for c in M_full]
+
+    # V_mu = x0 + (M_amb cap M_full); Q(x) = -Q(e1) nrd(x) with -Q(e1) > 0,
+    # so the Gram is -Q(e1) N
+    L = lattice_intersection(M_amb, M_full)
+    if len(L) != 2:
+        raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
+    lgram = [[-q1 * x for x in row] for row in alg.norm_gram(L)]
+    if any(x.denominator != 1 for row in lgram for x in row):
+        raise InvariantError(f"non-integral Gram {lgram}")
+    lat = QuadLattice([[int(x) for x in row] for row in lgram])
+    # coordinates in L: one solve through the Euclidean Gram L L^T
+    coord_map = mat_mul(inverse_fraction(mat_mul(L, transpose(L))), L)
+    return theta, Ainv, M_amb, cols, L, lat, coord_map
+
+
+def _iota(theta, u, v):
+    """The embedding k -> B: u + v w goes to u + v theta."""
+    return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
+
+
+def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
+                      skip_models=0) -> CMDegree:
+    """Oracle for degree_formula, restricted to class number one.
+
+    Realizes the special quasi-endomorphisms as an explicit rank-2 lattice
+    inside the quaternion algebra ramified at Diff(m) and infinity, counts
+    the coset vectors of norm m exactly, and applies the canonical-lifting
+    length ord_p(pm) and the 1/w automorphism weight.  The lattice comes
+    from the cached _coset_frame; each call solves for one shift.
+    """
+    m = Fraction(m)
+    K = pkg.K
+    if K.h != 1:
+        raise ValueError("brute-force oracle requires class number one")
+    if m <= 0:
+        raise ValueError("m must be positive")
+    diff = pkg.diff(m)
+    if len(diff) != 1:
+        raise ValueError("oracle requires Diff = {p}; degree vanishes otherwise")
+    (p,) = diff
+    if ord_p(m, p) < 0:
+        raise ValueError("oracle requires ord_p(m) >= 0")
+    theta, Ainv, M_amb, cols, L, lat, coord_map = _coset_frame(
+        p, K.d, skip_models, pkg.L0.gram)
 
     # the shift iota(mu~) where mu = mu~ * e1
-    mu_rep = mu.rep()
-    mu_k = mat_vec(Ainv, list(mu_rep))
-    shift = iota(*mu_k)
+    shift = _iota(theta, *mat_vec(Ainv, list(mu.rep())))
 
     # one solution x0 in M_amb with x0 - shift in M_full
-    cols = [list(c) for c in M_amb] + [[-x for x in c] for c in M_full]
     scaled, _ = _scale_to_int(cols + [shift])
     sol = solve_integer(transpose(scaled[:-1]), scaled[-1])
     count = 0
     if sol is not None:
         x0 = [sum(Fraction(sol[j]) * M_amb[j][i] for j in range(2)) for i in range(4)]
-        # V_mu = x0 + (M_amb cap M_full); count Q = m with
-        # Q(x) = -Q(e1) nrd(x)
-        L = lattice_intersection(M_amb, M_full)
-        if len(L) != 2:
-            raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
-        # -Q(e1) > 0; Q_W(x) = -Q(e1) nrd(x), so the Gram is -Q(e1) N
-        gram = [[-q1 * x for x in row] for row in alg.norm_gram(L)]
-        if any(x.denominator != 1 for row in gram for x in row):
-            raise InvariantError(f"non-integral Gram {gram}")
-        lat = QuadLattice([[int(x) for x in row] for row in gram])
-        # coordinates of x0 in L: one solve through the Euclidean Gram L L^T
-        coords = mat_vec(inverse_fraction(mat_mul(L, transpose(L))), mat_vec(L, x0))
+        coords = mat_vec(coord_map, x0)
         if mat_vec(transpose(L), coords) != x0:
             raise InvariantError(f"{x0} is not in the span of the coset lattice")
         count = len(enumerate_coset_vectors(lat, coords, m))

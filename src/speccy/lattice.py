@@ -98,8 +98,9 @@ class QuadLattice:
         return abs(self.det)
 
     def bilinear(self, x, y):
-        return sum(Fraction(x[i]) * self.gram[i][j] * Fraction(y[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        # a Fraction start keeps rank 0 exact: an empty sum is Fraction(0)
+        return sum((Fraction(x[i]) * self.gram[i][j] * Fraction(y[j])
+                    for i in range(self.rank) for j in range(self.rank)), Fraction(0))
 
     def quadratic(self, x):
         return self.bilinear(x, x) / 2

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from speccy.cli import run
+from speccy.lattice import QuadLattice
 
 
 @pytest.fixture()
@@ -50,6 +52,20 @@ class TestDisc:
         lines = out.strip().split("\n")
         assert lines[0] == "index,coords,q,order"
         assert len(lines) == 8
+
+    def test_rank_zero(self, tmp_path):
+        # the empty lattice has one coset, the zero coset with q = 0
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"gram": []}')
+        assert QuadLattice([]).quadratic(()) == Fraction(0)
+        assert type(QuadLattice([]).quadratic(())) is Fraction
+        code, out = capture(["disc", "--lattice", str(empty)])
+        assert code == 0
+        blob = json.loads(out)
+        assert [(c["coords"], c["q"], c["order"]) for c in blob["cosets"]] == [([], "0", 1)]
+        code, out = capture(["--format", "csv", "disc", "--lattice", str(empty)])
+        assert code == 0
+        assert out.strip().split("\n") == ["index,coords,q,order", "0,,0,1"]
 
 
 class TestTheta:

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speccy.cm import (
     QuaternionAlgebra,
@@ -14,7 +16,7 @@ from speccy.cm import (
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors
-from speccy.linalg import det_fraction, lattice_member
+from speccy.linalg import det_fraction, lattice_member, sqrt_fraction_exact
 
 
 def nrd_bilinear(alg, u, v):
@@ -31,6 +33,23 @@ def principal_lattice(d):
 
 PKGS = {d: EisensteinPackage.from_lattice(principal_lattice(d))
         for d in (-3, -7, -11)}
+
+rational_rows = st.lists(
+    st.lists(st.fractions(-20, 20, max_denominator=12), min_size=4, max_size=4),
+    min_size=1, max_size=3)
+
+
+def admissible(pkg, m_max):
+    """Every (m, mu) with m <= m_max, Q(mu) = m mod Z, Diff(m) = {p} and
+    ord_p(m) >= 0: the oracle's domain."""
+    for mu in pkg.disc0.elements():
+        q = pkg.disc0.q_map(mu)
+        m = q if q > 0 else Fraction(1)
+        while m <= m_max:
+            diff = pkg.diff(m)
+            if len(diff) == 1 and ord_p(m, min(diff)) >= 0:
+                yield m, mu
+            m += 1
 
 
 class TestAlgebra:
@@ -57,15 +76,20 @@ class TestAlgebra:
         y = (Fraction(2), Fraction(0), Fraction(1), Fraction(-1))
         assert alg.conj(alg.mul(x, y)) == alg.mul(alg.conj(y), alg.conj(x))
 
-    def test_norm_gram_and_products(self):
-        alg = QuaternionAlgebra(Fraction(-3), Fraction(-5, 2))
-        xs = [(Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)),
-              (Fraction(0), Fraction(-1), Fraction(3), Fraction(1)),
-              (Fraction(1, 3), Fraction(0), Fraction(2), Fraction(-1))]
-        assert alg.norm_gram(xs) == [[nrd_bilinear(alg, x, y) for y in xs] for x in xs]
-        assert all(alg.norm_gram([x])[0][0] == 2 * alg.nrd(x) for x in xs)
-        assert alg.products(xs, xs[:2]) == [list(alg.mul(x, y)) for x in xs
-                                            for y in xs[:2]]
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(xs=rational_rows, ys=rational_rows)
+    @example(xs=[[1, 2, -1, Fraction(1, 2)], [0, -1, 3, 1], [Fraction(1, 3), 0, 2, -1]],
+             ys=[[1, 2, -1, Fraction(1, 2)], [0, -1, 3, 1]])
+    def test_norm_gram_and_products(self, xs, ys):
+        # the integer products and norm Gram against Fraction mul and a
+        # product-based trd(x conj(y)), on an integral and a rational algebra
+        xs = [tuple(x) for x in xs]
+        for alg in (QuaternionAlgebra(-7, -5),
+                    QuaternionAlgebra(Fraction(-3), Fraction(-5, 2))):
+            assert alg.norm_gram(xs) == [[nrd_bilinear(alg, x, y) for y in xs] for x in xs]
+            assert all(alg.norm_gram([x])[0][0] == 2 * alg.nrd(x) for x in xs)
+            assert alg.products(xs, ys) == [list(alg.mul(x, tuple(y))) for x in xs
+                                            for y in ys]
 
     def test_discriminant(self):
         for a, b, disc in [(-1, -1, 2), (-1, -3, 3), (-3, -1, 3), (-1, 3, 6),
@@ -105,6 +129,8 @@ class TestMaximalOrders:
         d = nonsplit_disc(p)
         alg, order, theta, _ = _cm_order_data(p, d)
         assert order.reduced_discriminant() == p
+        # the HNF-pivot determinant against the Fraction one
+        assert sqrt_fraction_exact(abs(det_fraction(order.integral_forms()[1]))) == p
         finite, infinite = alg.ramified_primes()
         assert finite == {p} and infinite
         # maximality certificate: det of reduced-trace gram = p^2
@@ -292,21 +318,28 @@ class TestOracle:
         # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 10
         checked = 0
         for d, pkg in PKGS.items():
-            for mu in pkg.disc0.elements():
-                q = pkg.disc0.q_map(mu)
-                m = q if q > 0 else Fraction(1)
-                while m <= 10:
-                    diff = pkg.diff(m)
-                    if len(diff) == 1:
-                        (p,) = diff
-                        if ord_p(m, p) >= 0:
-                            bf = degree_bruteforce(pkg, m, mu)
-                            fm = degree_formula(pkg, m, mu)
-                            assert bf.degree == fm.degree, (d, m, mu)
-                            assert bf.weighted_count == fm.weighted_count, (d, m, mu)
-                            checked += 1
-                    m += 1
+            for m, mu in admissible(pkg, 10):
+                bf = degree_bruteforce(pkg, m, mu)
+                fm = degree_formula(pkg, m, mu)
+                assert bf.degree == fm.degree, (d, m, mu)
+                assert bf.weighted_count == fm.weighted_count, (d, m, mu)
+                checked += 1
         assert checked > 30
+
+    def test_frame_keyed_on_gram(self):
+        # L0(-7) in two bases, the second the first under U = [[1, 1], [0, 1]]:
+        # both share (p, d, model), so a frame cached for one basis must not
+        # answer for the other
+        for gram in ([[-2, -1], [-1, -4]], [[-2, -3], [-3, -8]]):
+            pkg = EisensteinPackage.from_lattice(QuadLattice(gram))
+            checked = 0
+            for m, mu in admissible(pkg, 4):
+                bf = degree_bruteforce(pkg, m, mu)
+                fm = degree_formula(pkg, m, mu)
+                assert bf.weighted_count == fm.weighted_count, (gram, m, mu)
+                assert bf.degree == fm.degree, (gram, m, mu)
+                checked += 1
+            assert checked == 28
 
     def test_d163_sweep(self):
         # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 1 in
