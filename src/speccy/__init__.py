@@ -17,6 +17,7 @@ from .imq import (
     LogLinear,
     completed_lambda,
     diff_set,
+    functional_equation_defects,
     hilbert_symbol,
     rankin_selberg_L,
     rho,

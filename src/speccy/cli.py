@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cm import degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, eisenstein_qexp
-from .imq import ImQField, L_derivative_data, completed_lambda
+from .imq import ImQField, L_derivative_data, functional_equation_defects
 from .lattice import Coset, InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
@@ -179,8 +179,7 @@ def cmd_chowla(args):
         "Lprime_at_0": str(data["Lprime_at_0"]),
         "Lprime_over_L": str(data["Lprime_over_L"]),
         "functional_equation_defect": [
-            str(abs(completed_lambda(K, s, dps=dps) - completed_lambda(K, 1 - s, dps=dps)))
-            for s in (0.25, 0.7, 1.3)
+            str(x) for x in functional_equation_defects(K, (0.25, 0.7, 1.3), dps=dps)
         ],
     }
     rows = [[K.d, K.h, K.w, payload["L_at_0"], payload["Lprime_over_L"]]]

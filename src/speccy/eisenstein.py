@@ -13,7 +13,7 @@ everything else vanishes.  Values are exact LogLinear elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .imq import ImQField, LogLinear, _prime_factors, diff_set, ord_p, rho
@@ -34,6 +34,7 @@ class EisensteinPackage:
     L0: QuadLattice
     K: ImQField
     disc0: DiscriminantGroup
+    _diff: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_lattice(cls, L0: QuadLattice):
@@ -46,7 +47,12 @@ class EisensteinPackage:
         return cls(L0, K, discriminant_group(L0))
 
     def diff(self, m):
-        return diff_set(self.L0, m)
+        """Diff(m), computed once per m."""
+        m = Fraction(m)
+        found = self._diff.get(m)
+        if found is None:
+            found = self._diff[m] = diff_set(self.L0, m)
+        return found
 
 
 def s_mu(pkg: EisensteinPackage, mu: Coset) -> int:

@@ -18,6 +18,8 @@ importing speccy or its CLI does not load it.
 from __future__ import annotations
 
 import functools
+import marshal
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -430,6 +432,54 @@ def completed_lambda(K: ImQField, s, dps=30):
         s = mpmath.mpmathify(s)
         pref = mpmath.power(mpmath.mpf(-K.d) / mpmath.pi, (s + 1) / 2)
         return +(pref * mpmath.gamma((s + 1) / 2) * L_chi(K, s, dps=dps))
+
+
+def functional_equation_defects(K: ImQField, points, dps=30):
+    """|Lambda(s) - Lambda(1 - s)| for each real s in points.
+
+    The Lambda values are shared round-robin between this process and one
+    forked child per further CPU in the affinity mask; a child sends its
+    values back as exact mpf tuples, so the result does not depend on the
+    number of CPUs.  The subtraction runs at the ambient precision.  A
+    process with a second thread never forks: its child could deadlock."""
+    import threading
+
+    import mpmath
+
+    args = [x for s in points for x in (s, 1 - s)]
+    forkable = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and threading.active_count() == 1)
+    workers = max(1, min(len(os.sched_getaffinity(0)) if forkable else 1, len(args)))
+    values = [None] * len(args)
+    children = []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    share = [completed_lambda(K, s, dps=dps)._mpf_ for s in args[k::workers]]
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(marshal.dumps([(g, int(m), e, b) for g, m, e, b in share]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        values[0::workers] = [completed_lambda(K, s, dps=dps) for s in args[0::workers]]
+        shares = [fh.read() for _, fh in children]
+    finally:
+        for _, fh in children:
+            fh.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for k, (code, data) in enumerate(zip(codes, shares), 1):
+        if code:
+            raise InvariantError(f"Lambda worker {k} of {workers} exited with code {code}")
+        values[k::workers] = [mpmath.mp.make_mpf((g, mpmath.libmp.MPZ(m), e, b))
+                              for g, m, e, b in marshal.loads(data)]
+    return [abs(values[i] - values[i + 1]) for i in range(0, len(values), 2)]
 
 
 def rankin_selberg_L(b_coeffs, theta, s, cutoff, growth=(1, 2), dps=30,

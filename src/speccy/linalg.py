@@ -222,9 +222,8 @@ def solve_integer(A, b):
 
 
 def _scale_to_int(vectors):
-    """(integer vectors, den): the rational vectors times den, the lcm of
-    the denominators of all their entries."""
-    vectors = [[Fraction(x) for x in v] for v in vectors]
+    """(integer vectors, den): the rational vectors (entries int or
+    Fraction) times den, the lcm of the denominators of all their entries."""
     den = lcm(*(x.denominator for v in vectors for x in v))
     return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 

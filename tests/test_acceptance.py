@@ -19,8 +19,8 @@ from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import (
     ImQField,
     L_chi_exact_at_0,
-    completed_lambda,
     diff_set,
+    functional_equation_defects,
     ord_p,
     reduced_forms,
     rho,
@@ -172,11 +172,10 @@ def test_criterion_6_class_number_l_value():
         assert L_chi_exact_at_0(K) == Fraction(2 * K.h, K.w), d
         count += 1
     worst = 0.0
+    points = (0.25, 0.7, 1.3)
     for d in (-7, -23):
         K = ImQField.from_discriminant(d)
-        for s in (0.25, 0.7, 1.3):
-            defect = abs(completed_lambda(K, s, dps=30)
-                         - completed_lambda(K, 1 - s, dps=30))
+        for s, defect in zip(points, functional_equation_defects(K, points, dps=30)):
             worst = max(worst, float(defect))
             assert defect < 1e-10, (d, s)
     report(6, True,

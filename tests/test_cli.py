@@ -130,6 +130,15 @@ class TestChowla:
         code, _ = capture(["chowla"])
         assert code == 1
 
+    def test_one_cpu_prints_the_same_bytes(self, monkeypatch):
+        # the Lambda values are shared over the CPUs of the affinity mask
+        argv = ["--precision", "15", "chowla", "--disc", "-103"]
+        outs = []
+        for mask in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+            outs.append(capture(argv))
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
 
 class TestVerify:
     def test_ok_exit_zero(self, files):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from speccy.eisenstein import EisensteinPackage, a_plus, eisenstein_qexp, s_mu
-from speccy.imq import LogLinear, reduced_forms
+from speccy.imq import LogLinear, diff_set, reduced_forms
 from speccy.lattice import QuadLattice
 
 
@@ -28,6 +28,17 @@ class TestPackage:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             EisensteinPackage.from_lattice(QuadLattice([[-2, 0], [0, -2]]))
+
+
+    def test_diff_is_memoised(self):
+        pkg = EisensteinPackage.from_lattice(principal_lattice(-7))
+        for n in range(1, 71):      # m <= 10 on the support (1/7) Z
+            m = Fraction(n, 7)
+            first = pkg.diff(m)
+            assert first == diff_set(pkg.L0, m)
+            assert pkg.diff(m) is first
+        assert pkg.diff(2) is pkg.diff(Fraction(2))
+        assert "_diff" not in repr(pkg)
 
 
 class TestSMu:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speccy
+from speccy import imq
 from speccy.imq import (
     ImQField,
     _hilbert_candidates,
@@ -19,8 +21,8 @@ from speccy.imq import (
     L_chi_exact_at_0,
     L_derivative_data,
     LogLinear,
-    completed_lambda,
     diff_set,
+    functional_equation_defects,
     hilbert_symbol,
     kronecker_symbol,
     ord_p,
@@ -29,7 +31,7 @@ from speccy.imq import (
     rho,
     rho_bruteforce,
 )
-from speccy.lattice import QuadLattice
+from speccy.lattice import InvariantError, QuadLattice
 
 
 def principal_lattice(d):
@@ -256,11 +258,8 @@ class TestLFunctions:
 
     def test_functional_equation(self):
         for d in (-7, -23):
-            K = FIELDS[d]
-            for s in (0.25, 0.7, 1.3):
-                lhs = completed_lambda(K, s, dps=30)
-                rhs = completed_lambda(K, 1 - s, dps=30)
-                assert abs(lhs - rhs) < 1e-10, (d, s)
+            defects = functional_equation_defects(FIELDS[d], (0.25, 0.7, 1.3), dps=30)
+            assert len(defects) == 3 and all(x < 1e-10 for x in defects), d
 
     def test_lprime_ratio_chowla_selberg_d3(self):
         # Chowla-Selberg for d = -3: the CM period is known in closed form;
@@ -273,6 +272,86 @@ class TestLFunctions:
         exact = L_chi_exact_at_0(K)
         ratio = num / (mpmath.mpf(exact.numerator) / exact.denominator)
         assert abs(ratio - data["Lprime_over_L"]) < 1e-9
+
+
+POINTS = (0.25, 0.7, 1.3)
+
+
+def cpus(monkeypatch, n):
+    """Pretend the affinity mask holds n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestDefectWorkers:
+    """functional_equation_defects shares its Lambda values between forked
+    workers; the result must not depend on how many there are."""
+
+    @pytest.mark.parametrize("dps", [15, 30])
+    @pytest.mark.parametrize("d", [-7, -23, -103])
+    def test_forked_matches_serial_bit_for_bit(self, monkeypatch, d, dps):
+        K = ImQField.from_discriminant(d)
+        runs = []
+        for n in (1, 2):
+            cpus(monkeypatch, n)
+            runs.append([x._mpf_ for x in functional_equation_defects(K, POINTS, dps=dps)])
+        assert runs[0] == runs[1]
+
+    def test_more_workers_and_no_fork(self, monkeypatch):
+        K = FIELDS[-7]
+        cpus(monkeypatch, 1)
+        want = [x._mpf_ for x in functional_equation_defects(K, POINTS, dps=15)]
+        cpus(monkeypatch, 8)        # capped at the six Lambda values
+        assert [x._mpf_ for x in functional_equation_defects(K, POINTS, dps=15)] == want
+        monkeypatch.delattr(os, "fork")
+        assert [x._mpf_ for x in functional_equation_defects(K, POINTS, dps=15)] == want
+        assert functional_equation_defects(K, (), dps=15) == []
+
+    def test_a_second_thread_keeps_every_call_in_process(self, monkeypatch):
+        K = FIELDS[-7]
+        cpus(monkeypatch, 1)
+        want = [x._mpf_ for x in functional_equation_defects(K, POINTS, dps=15)]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,), daemon=True)
+        thread.start()
+        try:
+            cpus(monkeypatch, 2)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+            got = [x._mpf_ for x in functional_equation_defects(K, POINTS, dps=15)]
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert got == want
+
+    def test_failing_worker_is_an_invariant_error(self, monkeypatch, capfd):
+        parent = os.getpid()
+        real = imq.completed_lambda
+
+        def fails_in_child(K, s, dps=30):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return real(K, s, dps=dps)
+
+        monkeypatch.setattr(imq, "completed_lambda", fails_in_child)
+        cpus(monkeypatch, 2)
+        with pytest.raises(InvariantError, match="worker 1 of 2 exited with code 1"):
+            functional_equation_defects(FIELDS[-7], POINTS, dps=15)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)      # every worker was reaped
+        assert capfd.readouterr().out == ""
+
+    def test_worker_leaves_parent_stdout_alone(self):
+        # text still buffered in the parent at the fork is written once
+        src = os.path.dirname(os.path.dirname(speccy.__file__))
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from speccy.imq import ImQField, functional_equation_defects; "
+                "sys.stdout.write('once'); "
+                "functional_equation_defects(ImQField.from_discriminant(-7), (0.25,), dps=15)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "once"
 
 
 class TestLogLinear:

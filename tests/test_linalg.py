@@ -160,6 +160,14 @@ class TestLattices:
         assert ints == [[3, 36], [-10, 8]]
         assert _scale_to_int([]) == ([], 1)
 
+    def test_scale_to_int_mixed_entries(self):
+        # ints and Fractions side by side, in lists and tuples
+        vecs = [[3, Fraction(1, 4), 0], (Fraction(-5, 6), -2, Fraction(7)), [1, 2, 3]]
+        ints, den = _scale_to_int(vecs)
+        assert den == 12
+        assert ints == [[36, 3, 0], [-10, -24, 84], [12, 24, 36]]
+        assert all(type(x) is int for v in ints for x in v)
+
     def test_member_negative(self):
         B = lattice_basis([[2, 0], [0, 2]])
         assert lattice_member(B, [1, 0]) is None
