@@ -162,14 +162,10 @@ def cmd_degrees(args):
 
 
 def cmd_chowla(args):
-    if args.lattice:
-        lat = load_lattice(args.lattice)
-        pkg = EisensteinPackage.from_lattice(lat)
-        K = pkg.K
-    elif args.disc is not None:
-        K = ImQField.from_discriminant(args.disc)
+    if args.lattice is not None:
+        K = EisensteinPackage.from_lattice(load_lattice(args.lattice)).K
     else:
-        raise InputError("chowla requires --lattice or --disc")
+        K = ImQField.from_discriminant(args.disc)
     dps = args.precision
     data = L_derivative_data(K, dps=dps)
     payload = {
@@ -252,8 +248,9 @@ def build_parser():
     p.set_defaults(func=cmd_degrees)
 
     p = subs.add_parser("chowla", help="L-value and derivative report")
-    p.add_argument("--lattice")
-    p.add_argument("--disc", type=int)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lattice")
+    source.add_argument("--disc", type=int)
     p.set_defaults(func=cmd_chowla)
 
     p = subs.add_parser("verify", help="finite-part identity ledger")

@@ -6,10 +6,10 @@ form [x, y], so [x, x] = 2 Q(x) and all entries are integers with even
 diagonal.  Vectors are coordinate tuples with respect to the lattice basis;
 dual vectors are rational coordinate tuples in the same basis.
 
-Enumeration.  ball_sweep and enumerate_coset_vectors share one integer
-Fincke-Pohst core with the rule: floats prune, integers confirm.  Floats
-only choose which nodes to visit; every vector returned and its norm are
-checked in exact integer arithmetic.
+Enumeration.  ball_sweep and enumerate_coset_vectors share one
+Fincke-Pohst core that runs in integers only: each level's range comes
+from a fraction-free LDL^T by an integer square root, so the nodes it
+visits, every vector it returns and its norm are exact.
 """
 
 from __future__ import annotations
@@ -235,11 +235,11 @@ class DiscriminantGroup:
     def from_coords(self, coords):
         """Coset from coordinates in the visible (nontrivial) generators."""
         coords = list(coords)
-        full = []
+        if len(coords) != len(self.elementary_divisors):
+            raise ValueError(f"{len(coords)} coordinates given, but the group has "
+                             f"{len(self.elementary_divisors)} visible generators")
         it = iter(coords)
-        for d in self.orders_all:
-            full.append(next(it) % d if d > 1 else 0)
-        return Coset(self, tuple(full))
+        return Coset(self, tuple(next(it) % d if d > 1 else 0 for d in self.orders_all))
 
     def from_vector(self, v):
         """Coset of a rational vector v in L^vee (lattice-basis coordinates):
@@ -439,10 +439,12 @@ def _short_vectors(gram, shift, bound, exact):
     """Integer Fincke-Pohst: (t, norm) for every x = shift + t with
     norm = e^2 D x^T gram x <= 2 e^2 D bound, or == when exact.
 
-    The search runs over y = e x = c + e t with A = D gram integral.  Float
-    pruning from the exact LDL^T of A, widened by a slack that bounds the
-    rounding, picks the nodes; the last coordinate and every norm are
-    exact integers.  Inputs the slack cannot cover raise ValueError.
+    The search runs over y = e x = c + e t with A = D gram integral, in
+    integers only.  A fraction-free (Bareiss) elimination of A gives its
+    leading minors delta_0 = 1, ..., delta_n and integer rows B[k] with
+    B[k][k] = delta_{k+1}, so that y^T A y = sum_k u_k^2 / (delta_k
+    delta_{k+1}) with u_k = sum_{j>=k} B[k][j] y_j.  Inputs too
+    ill-conditioned or too large to search raise ValueError.
     """
     n = len(gram)
     D = lcm(*(Fraction(x).denominator for row in gram for x in row))
@@ -455,65 +457,58 @@ def _short_vectors(gram, shift, bound, exact):
     N = target.numerator // target.denominator
     if n == 0:
         return [((), 0)] if N == 0 or not exact else []
-    # LDL^T exactly, then rounded to floats df, rf:
-    # y^T A y = sum_i d[i] (y_i + sum_{j>i} r[i][j] y_j)^2
-    M = [[Fraction(x) for x in row] for row in A]
-    df, rf = [], []
-    for i in range(n):
-        if M[i][i] <= 0:
+    M = [row[:] for row in A]
+    B, delta = [], [1]
+    for k in range(n):
+        p = M[k][k]
+        if p <= 0:
             raise ValueError("enumeration requires a positive definite gram")
-        df.append(float(M[i][i]))
-        rf.append([float(M[i][j] / M[i][i]) for j in range(n)])
-        for k in range(i + 1, n):
-            for j in range(k, n):
-                M[k][j] -= M[i][k] * M[i][j] / M[i][i]
-                M[j][k] = M[k][j]
-    # Rounding bound.  A vector of norm <= N has y_j^2 <= N (A^-1)_jj and
-    # d[i] r[i][j]^2 <= A_jj, so on its path every centre sum_j r[i][j] y_j
-    # has terms of size sqrt(N A_jj (A^-1)_jj / d[i]); the float error of
-    # the partial norms then stays below 4 (n+2)^2 u kappa N, u = 2^-53,
-    # kappa = sum_j sqrt(A_jj (A^-1)_jj).
+        B.append(M[k])
+        for i in range(k + 1, n):
+            Mi = M[i]
+            for j in range(k + 1, n):
+                Mi[j] = (p * Mi[j] - Mi[k] * M[k][j]) // delta[k]
+        delta.append(p)
+    # Conditioning and size guard: refuse before the search when
+    # kappa = sum_j sqrt(A_jj (A^-1)_jj) or N (A^-1)_jj is out of range,
+    # since the search tree grows with them.  A single term past 2^74
+    # already puts kappa over its threshold, and is refused before any
+    # float could overflow.
     inv = [row[j] for j, row in enumerate(inverse_fraction(A))]
-    kappa = sum(math.sqrt(A[j][j] * inv[j]) for j in range(n))
-    slack = 4 * (n + 2) ** 2 * kappa * 2.0 ** -53
-    if slack > 2.0 ** -16 or N * max(inv) > 2 ** 100:
-        raise ValueError("enumeration input too large for float pruning")
-    limit = N * (1 + 2 * slack)
+    terms = [A[j][j] * inv[j] for j in range(n)]
+    if (max(terms) > 2 ** 74
+            or 4 * (n + 2) ** 2 * sum(math.sqrt(t) for t in terms) > 2.0 ** 37
+            or N * max(inv) > 2 ** 100):
+        raise ValueError("enumeration input too ill-conditioned or too large to search")
     out = []
     y = [0] * n
 
-    def descend(i, pf, p):
-        # y[i+1:] fixed; pf ~ sum_{k>i} d[k] z_k^2 in floats, p exact
-        g = sum(A[i][j] * y[j] for j in range(i + 1, n))
-        aii = A[i][i]
-        if i == 0:
-            # a y0^2 + 2 g y0 + p <= N holds exactly for y0 in lo..hi
-            disc = g * g - aii * (p - N)
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            lo = -((g + s) // aii)
-            lo += (c[0] - lo) % e
+    def descend(k, T):
+        # y[k+1:] fixed, T = delta_{k+1} * (their share of the norm); y_k
+        # is admitted when u = delta_{k+1} y_k + s has u^2 <= delta_k
+        # (delta_{k+1} N - T).  The T passed down is an integer: delta_k
+        # times a Schur-complement value of A.
+        Bk, dk, dk1 = B[k], delta[k], delta[k + 1]
+        s = sum(Bk[j] * y[j] for j in range(k + 1, n))
+        r = isqrt(dk * (dk1 * N - T))
+        lo = -((r + s) // dk1)
+        lo += (c[k] - lo) % e
+        stop = (r - s) // dk1 + 1
+        if k == 0:
+            # delta_0 = 1: the passed-down value is the exact norm y^T A y
             rest = tuple((y[j] - c[j]) // e for j in range(1, n))
-            for y0 in range(lo, (s - g) // aii + 1, e):
-                norm = p + y0 * (aii * y0 + 2 * g)
+            for y0 in range(lo, stop, e):
+                u = dk1 * y0 + s
+                norm = (T + u * u) // dk1
                 if norm == N or not exact:
                     out.append((((y0 - c[0]) // e,) + rest, norm))
             return
-        room = limit - pf
-        if room < 0:
-            return
-        ri, di = rf[i], df[i]
-        centre = -sum(ri[j] * y[j] for j in range(i + 1, n))
-        rad = math.sqrt(room / di)
-        lo = math.ceil(centre - rad)
-        lo += (c[i] - lo) % e
-        for yi in range(lo, math.floor(centre + rad) + 1, e):
-            y[i] = yi
-            z = yi - centre
-            descend(i - 1, pf + di * z * z, p + yi * (aii * yi + 2 * g))
+        for yk in range(lo, stop, e):
+            y[k] = yk
+            u = dk1 * yk + s
+            descend(k - 1, (dk * T + u * u) // dk1)
 
-    descend(n - 1, 0.0, 0)
+    descend(n - 1, 0)
     return out
 
 

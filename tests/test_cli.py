@@ -126,9 +126,15 @@ class TestChowla:
         assert blob["L_at_0"] == "1"
         assert blob["L_at_0_equals_2h_over_w"] is True
 
-    def test_requires_input(self):
-        code, _ = capture(["chowla"])
+    def test_requires_input(self, capsys):
+        code, err = error_of(["chowla"], capsys)
         assert code == 1
+        assert err.startswith("error: one of the arguments --lattice --disc is required")
+
+    def test_lattice_and_disc_exclude_each_other(self, files, capsys):
+        code, err = error_of(["chowla", "--lattice", files["l0"], "--disc", "-23"], capsys)
+        assert code == 1
+        assert err.startswith("error: --disc: not allowed with argument --lattice")
 
     def test_one_cpu_prints_the_same_bytes(self, monkeypatch):
         # the Lambda values are shared over the CPUs of the affinity mask
@@ -227,6 +233,17 @@ class TestBadInput:
         code, err = error_of(["chowla", "--disc", "-7"], capsys)
         assert code == 1
         assert err.startswith("error: SPECCY_PRECISION")
+
+    @pytest.mark.parametrize("gram", [
+        [[2 ** 1100, 0], [0, 2]],
+        [[2, 2 ** 601], [2 ** 601, 2 ** 1201 + 2]],  # skewed by k = 2^600
+    ])
+    def test_enumeration_input_past_the_float_range(self, tmp_path, capsys, gram):
+        bad = tmp_path / "g.json"
+        bad.write_text(json.dumps({"gram": gram}))
+        code, err = error_of(["theta", "--lattice", str(bad), "--cutoff", "2"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_non_integral_gram_entry(self, tmp_path, capsys):
         bad = tmp_path / "g.json"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -185,6 +186,14 @@ class TestDiscriminantGroup:
         with pytest.raises(ValueError, match="coordinates"):
             g.from_vector([0] * (n + 1))
 
+    def test_from_coords_needs_one_coordinate_per_visible_generator(self):
+        g = discriminant_group(QuadLattice([[2, 0], [0, 4]]))
+        assert g.from_coords([1, 3]) == Coset(g, (1, 3))
+        with pytest.raises(ValueError, match="1 coordinates given, but the group has 2"):
+            g.from_coords([1])
+        with pytest.raises(ValueError, match="4 coordinates given, but the group has 2"):
+            g.from_coords([1, 1, 1, 1])
+
     def test_singular_rejected(self):
         lat = QuadLattice([[2, 2], [2, 2]])
         with pytest.raises(Exception):
@@ -238,12 +247,50 @@ class TestEnumeration:
         assert sorted(got) == sorted([((0, 0), 0), ((-1, 0), 2), ((1, 0), 2),
                                       ((-k, 1), 2), ((k, -1), 2)])
 
-    def test_too_large_for_float_pruning_is_refused(self):
+    def test_ill_conditioned_or_huge_input_is_refused(self):
         k = 2 ** 40
-        with pytest.raises(ValueError, match="float pruning"):
+        with pytest.raises(ValueError, match="too ill-conditioned or too large"):
             ball_sweep([[2, 2 * k], [2 * k, 2 * k * k + 2]], [0, 0], 1)
-        with pytest.raises(ValueError, match="float pruning"):
+        with pytest.raises(ValueError, match="too ill-conditioned or too large"):
             ball_sweep([[2]], [0], 2 ** 120)
+
+    def test_skewed_a4_counts_or_is_refused(self):
+        # A4 under elementary column operations (column j += k column i,
+        # and the same on rows) keeps its 111 vectors of Q <= 3 while the
+        # conditioning guard admits it; at k = 2^6 an unguarded search
+        # takes about 10 s, so 2^6 and 2^8 are refused up front
+        def skewed(k):
+            G = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+            for i, j in ((1, 0), (3, 1), (2, 3), (3, 1), (0, 2)):
+                for row in G:
+                    row[j] += k * row[i]
+                G[j] = [a + k * b for a, b in zip(G[j], G[i])]
+            return G
+        for k in (2 ** 2, 2 ** 4):
+            assert len(ball_sweep(skewed(k), [0] * 4, 3)) == 111
+        for k in (2 ** 6, 2 ** 8):
+            with pytest.raises(ValueError, match="too ill-conditioned or too large"):
+                ball_sweep(skewed(k), [0] * 4, 3)
+
+    @pytest.mark.parametrize("gram,bound,count,digest", [
+        # E8, with the Gram of test_qseries, to Q <= 3
+        ([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+          [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+          [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+          [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]], 3, 9121,
+         "c7dbea6d8fea26d6cb6595f62af75c188bcbdc289399b081fe674da0f86b5e38"),
+        # the dual of the rank-6 path lattice of det 67 (last diagonal 12)
+        (inverse_fraction([[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0],
+                           [0, -1, 2, -1, 0, 0], [0, 0, -1, 2, -1, 0],
+                           [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 12]]), 8, 174909,
+         "01fe27c4d883d6ce2bd5795a53ad6050b5a49671ceb78d91b178dc56deb08ac8"),
+    ])
+    def test_sweep_output_is_pinned(self, gram, bound, count, digest):
+        # the exact list, order included: it fixes the insertion order of
+        # the theta tables built from it
+        out = ball_sweep(gram, [0] * len(gram), bound)
+        assert len(out) == count
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
     def test_rank4_count_vs_box_search(self):
         rng = random.Random(41)
