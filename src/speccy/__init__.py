@@ -19,7 +19,6 @@ from .imq import (
     diff_set,
     functional_equation_defects,
     hilbert_symbol,
-    rankin_selberg_L,
     rho,
     rho_bruteforce,
 )
@@ -49,12 +48,10 @@ from .qseries import (
     PrincipalPart,
     VVFormQ,
     constant_term_pairing,
-    extend_by_zero,
     hejhal_principal_part,
-    pair,
     rep_number,
     theta_series,
 )
-from .weil import MetaWord, WeilRep
+from .weil import WeilRep
 
 __version__ = "0.1.0"

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .lattice import (
-    Coset,
-    InvariantError,
-    QuadLattice,
-    glue_cosets,
-    is_fundamental_discriminant,
-)
+from .lattice import InvariantError, QuadLattice, is_fundamental_discriminant
 from .linalg import congruence_diagonal
 
 SPECIAL_SYMBOLS = ("gamma", "log_pi", "log_abs_d", "Lprime_over_L")
@@ -481,56 +475,3 @@ def functional_equation_defects(K: ImQField, points, dps=30):
                               for g, m, e, b in marshal.loads(data)]
     return [abs(values[i] - values[i + 1]) for i in range(0, len(values), 2)]
 
-
-def rankin_selberg_L(b_coeffs, theta, s, cutoff, growth=(1, 2), dps=30,
-                     emb=None):
-    """Truncated Rankin-Selberg Dirichlet series against a theta table.
-
-    b_coeffs maps an exponent m to a (conjugated) coefficient vector: on
-    the theta group's cosets directly, or, when a sublattice embedding is
-    supplied, on the ambient group with the pairing running through the
-    extension-by-zero / restriction-of-functions description.  growth =
-    (C, e) certifies |{b(m), R(m)}| <= C m^e for the tail estimate.
-
-    Returns (value, tail_bound).  Raises outside the certified half-plane.
-    """
-    n = theta.group.lattice.rank
-    C, e = growth
-    restricted = None
-    if emb is not None:
-        amb_group = emb.ambient.disc_group()
-        group = theta.group
-        restricted = []
-        for mu in amb_group.elements():
-            # restriction hits the glue pairs with trivial sublattice part;
-            # mu2 lies in the complement's group, theta's may be an equal copy
-            idxs = [group.index_of(Coset(group, mu2.coords))
-                    for mu1, mu2 in glue_cosets(emb, mu) if mu1.is_zero()]
-            restricted.append(idxs)
-    import mpmath
-
-    with mpmath.workdps(2 * dps + 10):
-        s = mpmath.mpmathify(s)
-        sigma = mpmath.re(s)
-        expo = (sigma + n) / 2
-        if expo <= e + 1:
-            raise ValueError("outside certified convergence region")
-        gam = mpmath.gamma((s + n) / 2)
-        total = mpmath.mpf(0)
-        for m, vec in sorted(b_coeffs.items()):
-            m = Fraction(m)
-            if m <= 0 or m > cutoff:
-                continue
-            rvec = theta.coefficient(m)
-            if restricted is None:
-                pairing = sum(mpmath.mpmathify(complex(a)) * int(b)
-                              for a, b in zip(vec, rvec))
-            else:
-                pairing = sum(mpmath.mpmathify(complex(a)) * sum(rvec[i] for i in idxs)
-                              for a, idxs in zip(vec, restricted))
-            total += pairing / mpmath.power(4 * mpmath.pi * float(m), (s + n) / 2)
-        total *= gam
-        # tail: C * Gamma * (4 pi)^(-expo) * integral_cutoff^inf t^(e - expo) dt
-        tail = (abs(gam) * C * mpmath.power(4 * mpmath.pi, -expo)
-                * mpmath.power(cutoff, e + 1 - expo) / (expo - e - 1))
-        return +total, +tail

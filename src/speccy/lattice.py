@@ -47,7 +47,7 @@ def _integer_entry(x, label, i, j):
     if type(x) is int:
         return x
     try:
-        v = Fraction(x)
+        v = None if isinstance(x, (bool, str)) else Fraction(x)
     except (TypeError, ValueError, OverflowError):
         v = None
     if v is None or v.denominator != 1:
@@ -176,9 +176,6 @@ class Coset:
                 o = o * k // gcd(o, k)
         return o
 
-    def q(self):
-        return self.group.q_map(self)
-
     def __repr__(self):
         return f"Coset{self.visible_coords()}"
 
@@ -224,10 +221,6 @@ class DiscriminantGroup:
     @property
     def elementary_divisors(self):
         return tuple(d for d in self.orders_all if d > 1)
-
-    @property
-    def generators(self):
-        return tuple(g for g, d in zip(self.generators_all, self.orders_all) if d > 1)
 
     def zero(self):
         return Coset(self, tuple(0 for _ in self.orders_all))
@@ -350,19 +343,17 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
          for i, row in enumerate(sub_basis)]  # n x r
     r = len(S[0]) if S and S[0] else 0
     if r:
-        U, V, D = snf_with_transforms(S)
-        divisors = [D[t][t] for t in range(min(len(D), r)) if t < r]
-        if any(abs(d) != 1 for d in divisors[:r]) or len([d for d in divisors if d != 0]) < r:
+        _, _, D = snf_with_transforms(S)
+        if n < r or any(abs(D[t][t]) != 1 for t in range(r)):
             raise ValueError("non-primitive sublattice")
-    sub_gram = mat_mul(mat_mul(transpose(S), [list(row) for row in lattice.gram]), S) if r else []
-    sub = QuadLattice([[int(x) for x in row] for row in sub_gram])
+    StG = mat_mul(transpose(S), lattice.gram) if r else []
+    sub = QuadLattice([[int(x) for x in row] for row in mat_mul(StG, S)] if r else [])
     if r and sub.is_degenerate:
         raise ValueError("non-primitive sublattice")  # degenerate summand unsupported
     # complement: integer kernel of S^T G
-    StG = mat_mul(transpose(S), [list(row) for row in lattice.gram]) if r else []
     C = integer_kernel(StG) if r else identity_matrix(n)
     ncomp = len(C[0]) if C and C[0] else 0
-    comp_gram = mat_mul(mat_mul(transpose(C), [list(row) for row in lattice.gram]), C) if ncomp else []
+    comp_gram = mat_mul(mat_mul(transpose(C), lattice.gram), C) if ncomp else []
     comp = QuadLattice([[int(x) for x in row] for row in comp_gram])
     # glue index [L : L0 + Lambda]
     if r + ncomp != n:

@@ -1,6 +1,5 @@
 """Vector-valued q-expansions graded over the rationals: theta series of
-definite lattices, the tautological pairing, extension by zero across a
-sublattice splitting, constant-term extraction against an Eisenstein and a
+definite lattices, constant-term extraction against an Eisenstein and a
 theta table, and formal principal parts of Hejhal-Poincare type.
 
 Exponents are exact Fractions throughout; support laws are congruences
@@ -159,58 +158,6 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
     # ball_sweep's norm is D k^T Ginv k = 2 D Q(x)
     coeffs = {Fraction(norm, 2 * den): tuple(vec) for norm, vec in counts.items()}
     return VVFormQ(Fraction(lattice.rank, 2), "contragredient", group, coeffs, cutoff)
-
-
-def pair(f: VVFormQ, g: VVFormQ) -> dict:
-    """Exponentwise convolution {f, g}(m) = sum <c_f(m1), c_g(m2)> over
-    m1 + m2 = m; f lives on the group, g on its dual side."""
-    if f.group.lattice.gram != g.group.lattice.gram:
-        raise ValueError("discriminant group mismatch")
-    out = {}
-    for m1, v1 in f.coeffs.items():
-        for m2, v2 in g.coeffs.items():
-            val = sum(a * b for a, b in zip(v1, v2))
-            if val:
-                key = m1 + m2
-                out[key] = out.get(key, 0) + val
-    return {m: v for m, v in sorted(out.items()) if v}
-
-
-def extend_by_zero(f: VVFormQ, emb: SublatticeEmbedding) -> VVFormQ:
-    """View a form on S_L inside S_{L0 + Lambda}: each coefficient vector is
-    supported exactly on the glue image of L^vee."""
-    L = emb.ambient
-    if f.group.lattice.gram != L.gram:
-        raise ValueError("form is not defined on the ambient lattice")
-    r = len(emb.sub_basis[0]) if emb.sub_basis else 0
-    nc = len(emb.complement_basis[0]) if emb.complement_basis else 0
-    block = [[0] * (r + nc) for _ in range(r + nc)]
-    for i in range(r):
-        for j in range(r):
-            block[i][j] = emb.sub.gram[i][j]
-    for i in range(nc):
-        for j in range(nc):
-            block[r + i][r + j] = emb.complement.gram[i][j]
-    P = QuadLattice(block)
-    pgroup = discriminant_group(P)
-    # map each L-coset to the product-group indices of its glue pairs
-    images = []
-    for mu in f.group.elements():
-        pairs = glue_cosets(emb, mu)
-        idxs = []
-        for mu1, mu2 in pairs:
-            vec = list(mu1.rep()) + list(mu2.rep())
-            idxs.append(pgroup.index_of(pgroup.from_vector(vec)))
-        images.append(idxs)
-    coeffs = {}
-    for m, vec in f.coeffs.items():
-        new = [0] * pgroup.order
-        for i, val in enumerate(vec):
-            if val:
-                for j in images[i]:
-                    new[j] = val
-        coeffs[m] = tuple(new)
-    return VVFormQ(f.weight, f.variant, pgroup, coeffs, f.cutoff)
 
 
 @dataclass

@@ -17,7 +17,6 @@ sum of products in one exponent dict (cyclotomic._matmul).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -29,47 +28,6 @@ VARIANTS = ("omega", "conjugate", "contragredient")
 S = "S"
 T = "T"
 T_INV = "T^-1"
-_TOKENS = {S, T, T_INV}
-
-
-@dataclass(frozen=True)
-class MetaWord:
-    """A word in the generators of the metaplectic group."""
-
-    word: tuple
-
-    def __post_init__(self):
-        for g in self.word:
-            if g not in _TOKENS:
-                raise ValueError(f"unknown generator {g!r}")
-
-    @classmethod
-    def parse(cls, text):
-        """Parse e.g. 'S T', 'ST', 'S T^-1' into a word."""
-        tokens = []
-        i = 0
-        text = text.replace(" ", "")
-        while i < len(text):
-            ch = text[i]
-            if ch == "S":
-                tokens.append(S)
-                i += 1
-            elif ch == "T":
-                if text[i + 1:i + 4] == "^-1":
-                    tokens.append(T_INV)
-                    i += 4
-                else:
-                    tokens.append(T)
-                    i += 1
-            else:
-                raise ValueError(f"cannot parse metaplectic word {text!r}")
-        return cls(tuple(tokens))
-
-    def __iter__(self):
-        return iter(self.word)
-
-    def __len__(self):
-        return len(self.word)
 
 
 def _same_group(a, b):
@@ -228,8 +186,6 @@ class WeilRep:
 
     def rep_matrix(self, word, variant="omega") -> ScaledMatrix:
         """Matrix of the word g1 g2 ... gr: product of generator matrices."""
-        if isinstance(word, MetaWord):
-            word = word.word
         n = self.dim
         ent = [[CycNum.from_rational(int(i == j)) for j in range(n)] for i in range(n)]
         out = ScaledMatrix(ent, 0, self.dim)
@@ -248,8 +204,6 @@ class WeilRep:
         if len(vec) != self.dim:
             raise ValueError("vector length does not match discriminant group order")
         out = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
-        if isinstance(word, MetaWord):
-            word = word.word
         for g in reversed(word):
             # rightmost generator acts first
             M = self.generator_matrix(g, variant)

@@ -252,6 +252,17 @@ class TestBadInput:
         assert code == 1
         assert "gram entry [0][1] = 1.5 is not an integer" in err
 
+    @pytest.mark.parametrize("text,needle", [
+        ('{"gram": [[2, true], [true, 2]]}', "gram entry [0][1] = True is not an integer"),
+        ('{"gram": [["2", "4/4"], ["1", "2"]]}', "gram entry [0][0] = '2' is not an integer"),
+    ])
+    def test_bool_or_string_gram_entry(self, tmp_path, capsys, text, needle):
+        bad = tmp_path / "g.json"
+        bad.write_text(text)
+        code, err = error_of(["disc", "--lattice", str(bad)], capsys)
+        assert code == 1
+        assert needle in err
+
     @pytest.mark.parametrize("text", ['{"gram": 5}', '{"gram": [1, 2]}',
                                       '{"gram": [[2], [2, 1]]}', "[1]"])
     def test_gram_must_be_a_matrix(self, tmp_path, capsys, text):
@@ -265,6 +276,8 @@ class TestBadInput:
         ('{"basis": 3}', "'basis' must be a list"),
         ('{"basis": [[1, 0], [0, 1]]}', "has 2 rows"),
         ('{"basis": [[1, 0], [0, 0.5], [0, 0]]}', "basis entry [1][1] = 0.5"),
+        ('{"basis": [[1, 0], [0, true], [0, 0]]}', "basis entry [1][1] = True"),
+        ('{"basis": [[1, 0], ["0", 1], [0, 0]]}', "basis entry [1][0] = '0'"),
     ])
     def test_basis_must_be_an_integer_matrix(self, files, tmp_path, capsys, text, needle):
         bad = tmp_path / "sub.json"

@@ -26,7 +26,6 @@ from speccy.imq import (
     hilbert_symbol,
     kronecker_symbol,
     ord_p,
-    rankin_selberg_L,
     reduced_forms,
     rho,
     rho_bruteforce,
@@ -375,56 +374,6 @@ class TestLogLinear:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             LogLinear.make(0, {}, {"nope": 1})
-
-
-class TestRankinSelberg:
-    def test_zero_form(self):
-        from speccy.qseries import theta_series
-        theta = theta_series(QuadLattice([[2]]), 10)
-        val, tail = rankin_selberg_L({}, theta, 6.0, 10)
-        assert val == 0
-
-    def test_single_term_closed_form(self):
-        from speccy.qseries import theta_series
-        theta = theta_series(QuadLattice([[2]]), 10)
-        b = {Fraction(1): [1, 0]}
-        s = 5.0
-        val, tail = rankin_selberg_L(b, theta, s, 10, growth=(2, 1))
-        n = 1
-        want = mpmath.gamma((s + n) / 2) * 2 / mpmath.power(4 * mpmath.pi, (s + n) / 2)
-        assert abs(val - want) < 1e-18
-
-    def test_doubling_cutoff_within_tail(self):
-        from speccy.qseries import theta_series
-        theta = theta_series(QuadLattice([[2]]), 40)
-        b = {Fraction(k): [1, 0] for k in range(1, 41)}
-        v1, t1 = rankin_selberg_L(b, theta, 8.0, 20, growth=(3, 1))
-        v2, t2 = rankin_selberg_L(b, theta, 8.0, 40, growth=(3, 1))
-        assert abs(v2 - v1) <= t1
-
-    def test_outside_region_rejected(self):
-        from speccy.qseries import theta_series
-        theta = theta_series(QuadLattice([[2]]), 5)
-        with pytest.raises(ValueError):
-            rankin_selberg_L({}, theta, 0.5, 5)
-
-    def test_restriction_through_embedding(self):
-        # coefficients over the ambient group, paired through the glue
-        # description: on a block lattice this restricts to the Lambda part
-        from speccy.lattice import orthogonal_complement
-        from speccy.qseries import theta_series
-        L = QuadLattice([[-2, -1, 0], [-1, -4, 0], [0, 0, 2]])
-        emb = orthogonal_complement(L, [[1, 0], [0, 1], [0, 0]])
-        theta = theta_series(emb.complement, 10)
-        amb = L.disc_group()
-        nco = amb.order
-        vec = [0] * nco
-        vec[0] = 1  # the zero coset restricts to the zero Lambda-coset
-        b = {Fraction(1): vec}
-        got, _ = rankin_selberg_L(b, theta, 5.0, 10, growth=(2, 1), emb=emb)
-        direct = {Fraction(1): [1, 0]}
-        want, _ = rankin_selberg_L(direct, theta, 5.0, 10, growth=(2, 1))
-        assert abs(got - want) < 1e-25
 
 
 class TestOrdP:

@@ -83,6 +83,11 @@ class TestGram:
             QuadLattice([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])
         with pytest.raises(ValueError, match="is not an integer"):
             QuadLattice([[2, None], [None, 2]])
+        # JSON true and "2" would otherwise convert through Fraction
+        with pytest.raises(ValueError, match=r"gram entry \[0\]\[1\] = True is not an integer"):
+            QuadLattice([[2, True], [True, 2]])
+        with pytest.raises(ValueError, match=r"gram entry \[0\]\[0\] = '2' is not an integer"):
+            QuadLattice([["2", "4/4"], ["1", "2"]])
 
     def test_integral_values_accepted(self):
         assert QuadLattice([[2.0, Fraction(1)], [1, 2]]).gram == ((2, 1), (1, 2))

@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from speccy.lattice import QuadLattice, discriminant_group, orthogonal_complement
+from speccy.lattice import QuadLattice, discriminant_group
 from speccy.qseries import (
     PrincipalPart,
     VVFormQ,
-    extend_by_zero,
     hejhal_principal_part,
-    pair,
     rep_number,
     theta_series,
     theta_tail_bound,
@@ -265,83 +263,6 @@ class TestThetaModularity:
         tau = complex(0.3, 1.1)
         for word in [(T,), (S,)]:
             assert theta_transformation_defect(lat, word, tau) < 1e-8
-
-
-class TestPair:
-    def test_zero(self):
-        th = theta_series(A1, 3)
-        zero = VVFormQ(Fraction(1, 2), "omega", th.group, {}, Fraction(3))
-        assert pair(zero, th) == {}
-
-    def test_delta_forms(self):
-        g = discriminant_group(A1)
-        f = VVFormQ(Fraction(1, 2), "omega", g, {Fraction(0): (2, 3)}, Fraction(0))
-        h = VVFormQ(Fraction(1, 2), "contragredient", g, {Fraction(0): (5, 7)}, Fraction(0))
-        assert pair(f, h) == {Fraction(0): 2 * 5 + 3 * 7}
-
-    def test_bilinear(self):
-        rng = random.Random(14)
-        g = discriminant_group(A1)
-
-        def rand_form():
-            return VVFormQ(Fraction(1, 2), "omega", g,
-                           {Fraction(k, 4): (rng.randint(-3, 3), rng.randint(-3, 3))
-                            for k in range(4)}, Fraction(1))
-
-        f1, f2 = rand_form(), rand_form()
-        h = theta_series(A1, 2)
-        s12 = pair(VVFormQ(f1.weight, "omega", g,
-                           {m: tuple(a + b for a, b in zip(f1.coeffs.get(m, (0, 0)),
-                                                           f2.coeffs.get(m, (0, 0))))
-                            for m in set(f1.coeffs) | set(f2.coeffs)}, Fraction(1)), h)
-        s1 = pair(f1, h)
-        s2 = pair(f2, h)
-        keys = set(s1) | set(s2) | set(s12)
-        for k in keys:
-            assert s12.get(k, 0) == s1.get(k, 0) + s2.get(k, 0)
-
-    def test_group_mismatch(self):
-        with pytest.raises(ValueError):
-            pair(theta_series(A1, 1), theta_series(A2, 1))
-
-    def test_support_in_level_lattice(self):
-        th = theta_series(A1, 3)
-        f = VVFormQ(Fraction(1, 2), "omega", th.group,
-                    {Fraction(3, 4): (0, 1)}, Fraction(1))
-        conv = pair(f, th)
-        level = A1.level()
-        for m in conv:
-            assert (m * level).denominator == 1
-
-
-class TestExtendByZero:
-    def block(self):
-        G = [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]
-        L = QuadLattice(G)
-        emb = orthogonal_complement(L, [[1, 0], [0, 1], [0, 0]])
-        return L, emb
-
-    def test_block_identity_relabeling(self):
-        L, emb = self.block()
-        g = discriminant_group(L)
-        f = VVFormQ(Fraction(1, 2), "omega", g,
-                    {Fraction(0): tuple(range(1, g.order + 1))}, Fraction(0))
-        ext = extend_by_zero(f, emb)
-        assert ext.group.order == g.order  # index 1: same total size
-        for m, vec in ext.coeffs.items():
-            assert sorted(vec) == sorted(f.coeffs[m])
-            assert sum(1 for v in vec if v) == sum(1 for v in f.coeffs[m] if v)
-
-    def test_glued_support_count(self):
-        from test_lattice import build_glued_index7
-        L, sub_basis = build_glued_index7()
-        emb = orthogonal_complement(L, sub_basis)
-        g = discriminant_group(L)
-        f = VVFormQ(Fraction(1, 2), "omega", g, {Fraction(0): (1,)}, Fraction(0))
-        ext = extend_by_zero(f, emb)
-        vec = ext.coeffs[Fraction(0)]
-        assert sum(1 for v in vec if v) == 7  # the glue group image
-        assert ext.group.order == 49
 
 
 class TestPrincipalPart:

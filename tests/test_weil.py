@@ -9,7 +9,7 @@ import pytest
 import speccy
 from speccy.cyclotomic import CycNum
 from speccy.lattice import QuadLattice, discriminant_group
-from speccy.weil import S, T, T_INV, MetaWord, WeilRep
+from speccy.weil import S, T, T_INV, WeilRep
 
 LATTICES = [
     QuadLattice([[2]]),
@@ -121,7 +121,7 @@ class TestApply:
     def test_empty_word(self):
         w = wrep(QuadLattice([[2]]))
         v = [Fraction(3), Fraction(-1, 2)]
-        out = w.apply("omega", MetaWord(()), v)
+        out = w.apply("omega", (), v)
         assert out[0] == 3 and out[1] == Fraction(-1, 2)
 
     def test_T_Tinv_cancels(self):
@@ -161,9 +161,12 @@ class TestApply:
                 assert all((A.entries[i][j] - B.entries[i][j]).is_zero()
                            for i in range(w.dim) for j in range(w.dim))
 
-    def test_parse(self):
-        assert MetaWord.parse("ST").word == (S, T)
-        assert MetaWord.parse("S T^-1 T").word == (S, T_INV, T)
+    def test_unknown_generator_refused(self):
+        w = wrep(QuadLattice([[2]]))
+        with pytest.raises(ValueError, match="unknown generator 'U'"):
+            w.apply("omega", ("U",), [1, 0])
+        with pytest.raises(ValueError, match="unknown generator 'U'"):
+            w.rep_matrix(("U",))
 
     def test_apply_matches_word_matrix(self):
         # generator-by-generator application with Gauss-sum folding against
