@@ -28,6 +28,7 @@ from .lattice import (
     InvariantError,
     QuadLattice,
     SublatticeEmbedding,
+    count_coset_vectors,
     discriminant_group,
     enumerate_coset_vectors,
     even_clifford_binary,

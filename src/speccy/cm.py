@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .eisenstein import EisensteinPackage, s_mu
 from .imq import LogLinear, _hilbert_candidates, _prime_factors, hilbert_symbol, ord_p, rho
-from .lattice import Coset, InvariantError, QuadLattice, enumerate_coset_vectors
+from .lattice import Coset, InvariantError, QuadLattice, count_coset_vectors
 from .linalg import (
     _scale_to_int,
     integer_kernel,
@@ -451,7 +451,7 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
         coords = mat_vec(coord_map, x0)
         if mat_vec(transpose(L), coords) != x0:
             raise InvariantError(f"{x0} is not in the span of the coset lattice")
-        count = len(enumerate_coset_vectors(lat, coords, m))
+        count = count_coset_vectors(lat, coords, m)
     length = ord_p(p * m, p)
     wc = Fraction(count, K.w) * length
     return CMDegree(m, mu.coords, p, wc,

@@ -6,14 +6,26 @@ form [x, y], so [x, x] = 2 Q(x) and all entries are integers with even
 diagonal.  Vectors are coordinate tuples with respect to the lattice basis;
 dual vectors are rational coordinate tuples in the same basis.
 
-Enumeration.  ball_sweep and enumerate_coset_vectors share one
-Fincke-Pohst core that runs in integers only: each level's range comes
-from a fraction-free LDL^T by an integer square root, so the nodes it
-visits, every vector it returns and its norm are exact.
+Discriminant forms.  A DiscriminantGroup keeps, for its visible
+generators g_s, the integer table E [g_s, g_t] (E the exponent of the
+group), so q_map and b_map read a coset's values off its coordinates
+without building a representative.
+
+Enumeration.  ball_sweep, enumerate_coset_vectors and count_coset_vectors
+share one Fincke-Pohst core that runs in integers only: each level's range
+comes from a fraction-free LDL^T by an integer square root, so the nodes
+it visits, every vector it returns and its norm are exact.  The part of
+the search that depends only on the Gram matrix (the elimination rows,
+the leading minors and the conditioning guard) is computed once per
+integer Gram and kept in a bounded cache; only the size test, which
+depends on the norm bound, runs per call.  count_coset_vectors counts a
+shell without building its Fraction vectors, for callers that only need
+R(m, mu).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -150,8 +162,9 @@ class Coset:
         n = g.lattice.rank
         v = [Fraction(0)] * n
         for a, gen in zip(self.coords, g.generators_all):
-            for i in range(n):
-                v[i] += a * gen[i]
+            if a:
+                for i in range(n):
+                    v[i] += a * gen[i]
         return tuple(x - (x.numerator // x.denominator) for x in v)
 
     def __neg__(self):
@@ -195,7 +208,7 @@ class DiscriminantGroup:
         if n == 0:
             self.orders_all = ()
             self.generators_all = ()
-            U = ()
+            U = V = ()
         else:
             U, V, D = snf_with_transforms([list(r) for r in lattice.gram])
             orders = []
@@ -217,6 +230,21 @@ class DiscriminantGroup:
             self.order *= abs(d)
         if self.order != lattice.disc:
             raise InvariantError(f"group order {self.order} != disc {lattice.disc}")
+        # generator table over the visible generators g_s = V_s / d_s, with
+        # E the exponent: pairing[s][t] = E [g_s, g_t] mod E and _q2[s] =
+        # 2E Q(g_s) mod 2E, from W = V^T G V in integers; E W_st / (d_s d_t)
+        # is integral because d_s g_s lies in L
+        self.exponent = E = lcm(*self.orders_all)
+        d = self.orders_all
+        vis = self._visible = tuple(i for i, o in enumerate(d) if o > 1)
+        GV = [[sum(g * V[b][t] for b, g in enumerate(row)) for t in vis]
+              for row in lattice.gram]
+        table = [[divmod(E * sum(V[a][s] * GV[a][j] for a in range(n)), d[s] * d[t])
+                  for j, t in enumerate(vis)] for s in vis]
+        if any(r for row in table for _, r in row):
+            raise InvariantError(f"E [g_s, g_t] not integral for exponent {E}")
+        self.pairing = tuple(tuple(w % E for w, _ in row) for row in table)
+        self._q2 = tuple(row[s][0] % (2 * E) for s, row in enumerate(table))
 
     @property
     def elementary_divisors(self):
@@ -284,14 +312,22 @@ class DiscriminantGroup:
         return k
 
     def q_map(self, coset):
-        """Q(mu) mod Z, as a Fraction in [0, 1)."""
-        q = self.lattice.quadratic(coset.rep())
-        return q - (q.numerator // q.denominator)
+        """Q(mu) mod Z, as a Fraction in [0, 1): for mu = sum a_s g_s,
+        2E Q(mu) = sum a_s^2 2E Q(g_s) + 2 sum_{s<t} a_s a_t E [g_s, g_t]."""
+        a = [coset.coords[i] for i in self._visible]
+        P = self.pairing
+        total = sum(x * x * q for x, q in zip(a, self._q2))
+        for s in range(1, len(a)):
+            if a[s]:
+                total += 2 * a[s] * sum(a[t] * P[s][t] for t in range(s))
+        return Fraction(total % (2 * self.exponent), 2 * self.exponent)
 
     def b_map(self, c1, c2):
         """[mu, nu] mod Z, as a Fraction in [0, 1)."""
-        b = self.lattice.bilinear(c1.rep(), c2.rep())
-        return b - (b.numerator // b.denominator)
+        a = [c1.coords[i] for i in self._visible]
+        b = [c2.coords[i] for i in self._visible]
+        total = sum(x * sum(y * p for y, p in zip(b, row)) for x, row in zip(a, self.pairing))
+        return Fraction(total % self.exponent, self.exponent)
 
 
 def discriminant_group(lattice: QuadLattice) -> DiscriminantGroup:
@@ -400,22 +436,31 @@ def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     return list(pairs)
 
 
+def _coset_shell(lattice: QuadLattice, mu, m):
+    """(shift, the (t, norm) of every x = shift + t with Q(x) = m), for
+    mu a Coset or a rational coordinate vector and L positive definite."""
+    if lattice.rank and not lattice.is_positive_definite():
+        raise ValueError("enumeration requires definite lattice")
+    shift = mu.rep() if isinstance(mu, Coset) else [Fraction(x) for x in mu]
+    return shift, _short_vectors(lattice.gram, shift, Fraction(m), exact=True)
+
+
 def enumerate_coset_vectors(lattice: QuadLattice, mu, m) -> list:
     """All x in mu + L with Q(x) = m, for positive definite L.
 
     mu may be a Coset or a rational coordinate vector; vectors are returned
     as tuples of Fractions in the lattice basis, lexicographically sorted.
     """
-    m = Fraction(m)
-    if lattice.rank and not lattice.is_positive_definite():
-        raise ValueError("enumeration requires definite lattice")
-    if m < 0:
-        return []
-    shift = mu.rep() if isinstance(mu, Coset) else [Fraction(x) for x in mu]
+    shift, found = _coset_shell(lattice, mu, m)
     # x = shift + t orders as t does, so sort the integer offsets
-    found = sorted(t for t, _ in _short_vectors(lattice.gram, shift, m, exact=True))
     return [tuple(Fraction(s.numerator + s.denominator * ti, s.denominator)
-                  for s, ti in zip(shift, t)) for t in found]
+                  for s, ti in zip(shift, t)) for t in sorted(t for t, _ in found)]
+
+
+def count_coset_vectors(lattice: QuadLattice, mu, m) -> int:
+    """len(enumerate_coset_vectors(lattice, mu, m)), without building or
+    sorting the vectors."""
+    return len(_coset_shell(lattice, mu, m)[1])
 
 
 def ball_sweep(gram, shift, bound):
@@ -426,6 +471,41 @@ def ball_sweep(gram, shift, bound):
     return _short_vectors(gram, shift, bound, exact=False)
 
 
+_REFUSED = "enumeration input too ill-conditioned or too large to search"
+
+
+@functools.lru_cache(maxsize=256)
+def _search_setup(A):
+    """The Gram-only part of the search for an integer Gram A (a tuple of
+    int tuples): the fraction-free (Bareiss) rows B, the leading minors
+    delta and max_j (A^-1)_jj, all immutable.  Raises ValueError, and
+    caches nothing, for an A that is not positive definite or that the
+    conditioning guard refuses."""
+    n = len(A)
+    M = [list(row) for row in A]
+    B, delta = [], [1]
+    for k in range(n):
+        p = M[k][k]
+        if p <= 0:
+            raise ValueError("enumeration requires a positive definite gram")
+        B.append(tuple(M[k]))
+        for i in range(k + 1, n):
+            Mi = M[i]
+            for j in range(k + 1, n):
+                Mi[j] = (p * Mi[j] - Mi[k] * M[k][j]) // delta[k]
+        delta.append(p)
+    # Conditioning guard: refuse before the search when kappa = sum_j
+    # sqrt(A_jj (A^-1)_jj) is out of range, since the search tree grows
+    # with it.  A single term past 2^74 already puts kappa over its
+    # threshold, and is refused before any float could overflow.
+    inv = [row[j] for j, row in enumerate(inverse_fraction(A))]
+    terms = [A[j][j] * inv[j] for j in range(n)]
+    if (max(terms) > 2 ** 74
+            or 4 * (n + 2) ** 2 * sum(math.sqrt(t) for t in terms) > 2.0 ** 37):
+        raise ValueError(_REFUSED)
+    return tuple(B), tuple(delta), max(inv)
+
+
 def _short_vectors(gram, shift, bound, exact):
     """Integer Fincke-Pohst: (t, norm) for every x = shift + t with
     norm = e^2 D x^T gram x <= 2 e^2 D bound, or == when exact.
@@ -434,13 +514,14 @@ def _short_vectors(gram, shift, bound, exact):
     integers only.  A fraction-free (Bareiss) elimination of A gives its
     leading minors delta_0 = 1, ..., delta_n and integer rows B[k] with
     B[k][k] = delta_{k+1}, so that y^T A y = sum_k u_k^2 / (delta_k
-    delta_{k+1}) with u_k = sum_{j>=k} B[k][j] y_j.  Inputs too
-    ill-conditioned or too large to search raise ValueError.
+    delta_{k+1}) with u_k = sum_{j>=k} B[k][j] y_j; both come from
+    _search_setup, once per A.  Inputs too ill-conditioned or too large
+    to search raise ValueError.
     """
     n = len(gram)
-    D = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    D = lcm(*(x.denominator for row in gram for x in row))
     e = lcm(*(Fraction(x).denominator for x in shift))
-    A = [[int(Fraction(x) * D) for x in row] for row in gram]
+    A = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in gram)
     c = [int(Fraction(x) * e) for x in shift]
     target = 2 * D * e * e * Fraction(bound)
     if target < 0 or (exact and target.denominator != 1):
@@ -448,29 +529,10 @@ def _short_vectors(gram, shift, bound, exact):
     N = target.numerator // target.denominator
     if n == 0:
         return [((), 0)] if N == 0 or not exact else []
-    M = [row[:] for row in A]
-    B, delta = [], [1]
-    for k in range(n):
-        p = M[k][k]
-        if p <= 0:
-            raise ValueError("enumeration requires a positive definite gram")
-        B.append(M[k])
-        for i in range(k + 1, n):
-            Mi = M[i]
-            for j in range(k + 1, n):
-                Mi[j] = (p * Mi[j] - Mi[k] * M[k][j]) // delta[k]
-        delta.append(p)
-    # Conditioning and size guard: refuse before the search when
-    # kappa = sum_j sqrt(A_jj (A^-1)_jj) or N (A^-1)_jj is out of range,
-    # since the search tree grows with them.  A single term past 2^74
-    # already puts kappa over its threshold, and is refused before any
-    # float could overflow.
-    inv = [row[j] for j, row in enumerate(inverse_fraction(A))]
-    terms = [A[j][j] * inv[j] for j in range(n)]
-    if (max(terms) > 2 ** 74
-            or 4 * (n + 2) ** 2 * sum(math.sqrt(t) for t in terms) > 2.0 ** 37
-            or N * max(inv) > 2 ** 100):
-        raise ValueError("enumeration input too ill-conditioned or too large to search")
+    B, delta, max_inv = _search_setup(A)
+    # size guard: the search tree also grows with N (A^-1)_jj
+    if N * max_inv > 2 ** 100:
+        raise ValueError(_REFUSED)
     out = []
     y = [0] * n
 

@@ -7,6 +7,7 @@ matrices whose *columns* are the basis vectors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -28,46 +29,67 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
+def _gauss_jordan(M, n):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the first n
+    columns of the integer rows M, in place: every row step is
+    r_i <- (p r_i - M[i][k] r_k) / p_prev, an exact division.  Returns
+    (p, sign), p the last pivot and sign the parity of the row swaps, so
+    that det A = sign * p for the leading n x n block A; the columns past
+    n end as p A^-1 times what they held.  Returns None when A is
+    singular.  Columns left of the pivot are not kept up to date."""
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
+        if piv is None:
+            return None
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        Mk = M[k]
+        p = Mk[k]
+        for i in range(n):
+            if i != k:
+                Mi = M[i]
+                f = Mi[k]
+                M[i] = Mi[:k] + [(p * x - f * y) // prev
+                                 for x, y in zip(Mi[k:], Mk[k:])]
+        prev = p
+    return prev, sign
+
+
+def _integer_rows(A):
+    """(rows of A, each scaled to integers, the row scale factors); entries
+    are ints or Fractions."""
+    scaled = [_scale_to_int([row]) for row in A]
+    return [ints for (ints,), _ in scaled], [den for _, den in scaled]
+
+
 def det_fraction(A):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant, exact, by one fraction-free elimination."""
     n = len(A)
     if n == 0:
         return Fraction(1)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = Fraction(1) / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c] != 0:
-                f = M[r][c] * inv
-                for j in range(c, n):
-                    M[r][j] -= f * M[c][j]
-    return det
+    M, scales = _integer_rows(A)
+    done = _gauss_jordan(M, n)
+    if done is None:
+        return Fraction(0)
+    p, sign = done
+    return Fraction(sign * p, math.prod(scales))
 
 
 def inverse_fraction(A):
+    """Inverse, exact: rows scaled to integers, one fraction-free
+    Gauss-Jordan pass on [A | I], and one division by the final pivot."""
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = Fraction(1) / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [row[n:] for row in M]
+    M, scales = _integer_rows(A)
+    for i, row in enumerate(M):
+        row.extend(int(i == j) for j in range(n))
+    done = _gauss_jordan(M, n)
+    if done is None:
+        raise ValueError("singular matrix")
+    p = done[0]
+    # (D A)^-1 = right block / p, with D the row scales; A^-1 = (D A)^-1 D
+    return [[Fraction(x * s, p) for x, s in zip(row[n:], scales)] for row in M]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .lattice import (
     Coset,
     InvariantError,
     QuadLattice,
+    count_coset_vectors,
     enumerate_coset_vectors,
     glue_cosets,
     is_maximal,
@@ -80,17 +81,24 @@ class EmbeddingContext:
         return Fraction(self.pkg.K.h, self.pkg.K.w)
 
 
+def _improper_cosets(ctx: EmbeddingContext, m, mu: Coset) -> list:
+    """The mu2 of the glue pairs (mu1, mu2) of mu with mu1 = 0."""
+    if Fraction(m) <= 0:
+        raise ValueError("m must be positive")
+    return [mu2 for mu1, mu2 in glue_cosets(ctx.emb, mu) if mu1.is_zero()]
+
+
 def lambda_mmu(ctx: EmbeddingContext, m, mu: Coset) -> list:
     """{lambda in Lambda^vee : Q(lambda) = m, lambda in mu + L}: the glue
     pairs of mu with trivial first component, enumerated on the complement."""
-    m = Fraction(m)
-    if m <= 0:
-        raise ValueError("m must be positive")
-    out = []
-    for mu1, mu2 in glue_cosets(ctx.emb, mu):
-        if mu1.is_zero():
-            out.extend(enumerate_coset_vectors(ctx.emb.complement, mu2, m))
-    return sorted(out)
+    return sorted(x for mu2 in _improper_cosets(ctx, m, mu)
+                  for x in enumerate_coset_vectors(ctx.emb.complement, mu2, m))
+
+
+def lambda_mmu_count(ctx: EmbeddingContext, m, mu: Coset) -> int:
+    """len(lambda_mmu(ctx, m, mu)), counted without building the vectors."""
+    return sum(count_coset_vectors(ctx.emb.complement, mu2, m)
+               for mu2 in _improper_cosets(ctx, m, mu))
 
 
 @dataclass(frozen=True)
@@ -244,7 +252,7 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
         heart = finite_heart_degree(ctx, m, mu)
         rows_b.append(LedgerRow("B", (m, coords), heart, eis_side))
         # (D) per improper slot, cross-checked against lambda_mmu
-        lam = len(lambda_mmu(ctx, m, mu))
+        lam = lambda_mmu_count(ctx, m, mu)
         if improper != lam:
             raise InvariantError(f"pullback table disagrees with lambda_mmu at "
                                  f"({m}, {coords}): {improper} != {lam}")

@@ -20,8 +20,8 @@ from .lattice import (
     QuadLattice,
     SublatticeEmbedding,
     ball_sweep,
+    count_coset_vectors,
     discriminant_group,
-    enumerate_coset_vectors,
     glue_cosets,
 )
 
@@ -33,7 +33,7 @@ def rep_number(lattice: QuadLattice, m, mu) -> int:
     m = Fraction(m)
     if m < 0:
         return 0
-    return len(enumerate_coset_vectors(lattice, mu, m))
+    return count_coset_vectors(lattice, mu, m)
 
 
 @dataclass

@@ -117,13 +117,14 @@ class WeilRep:
         self._cosets = list(disc.elements())
         self._neg = [disc.index_of(-c) for c in self._cosets]
         self._q = [disc.q_map(c) for c in self._cosets]
-        # [g_s, g_t] = P[s][t] / E mod 1 for the SNF generators g_s, with E
-        # the exponent of the group; row i of _paired is coords(mu_i) * P
-        self._exponent = E = lcm(*disc.orders_all)
-        gens = disc.generators_all
-        P = [[int(disc.lattice.bilinear(g, h) * E) % E for h in gens] for g in gens]
-        self._paired = [[sum(a * P[s][t] for s, a in enumerate(c.coords)) % E
-                         for t in range(len(gens))] for c in self._cosets]
+        # [g_s, g_t] = P[s][t] / E mod 1 for the visible generators g_s,
+        # with E the exponent of the group (the group's generator table);
+        # row i of _paired is the visible coordinates of mu_i times P
+        E = disc.exponent
+        P = disc.pairing
+        self._coords = [c.visible_coords() for c in self._cosets]
+        self._paired = [[sum(a * P[s][t] for s, a in enumerate(v)) % E
+                         for t in range(len(P))] for v in self._coords]
         self._gen_cache = {}
 
     def cosets(self):
@@ -132,8 +133,8 @@ class WeilRep:
     def _bilinear(self, i, j):
         """[mu_i, mu_j] = k / E mod 1, E the exponent of the group; returns
         the integer k in [0, E)."""
-        k = sum(x * y for x, y in zip(self._paired[i], self._cosets[j].coords))
-        return k % self._exponent
+        k = sum(x * y for x, y in zip(self._paired[i], self._coords[j]))
+        return k % self.disc.exponent
 
     def omega_T(self) -> ScaledMatrix:
         """Diagonal matrix with entry e(-Q(mu))."""
@@ -146,7 +147,7 @@ class WeilRep:
     def omega_S(self) -> ScaledMatrix:
         """(nu, mu) entry e(sig8/8) e([mu, nu]) / sqrt(|D|)."""
         n = self.dim
-        E = self._exponent
+        E = self.disc.exponent
         cond = lcm(8, E)
         root8 = self.sig8 * (cond // 8)
         step = cond // E

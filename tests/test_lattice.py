@@ -15,6 +15,7 @@ from speccy.lattice import (
     QuadLattice,
     SublatticeEmbedding,
     ball_sweep,
+    count_coset_vectors,
     discriminant_group,
     enumerate_coset_vectors,
     even_clifford_binary,
@@ -29,6 +30,30 @@ L0_D7 = QuadLattice([[-2, -1], [-1, -4]])
 A1 = QuadLattice([[2]])
 A2 = QuadLattice([[2, 1], [1, 2]])
 U_HYP = QuadLattice([[0, 1], [1, 0]])
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+def skewed_a4(k):
+    """A4 under elementary column operations (column j += k column i, and
+    the same on rows): the same lattice in an ever more skewed basis."""
+    G = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    for i, j in ((1, 0), (3, 1), (2, 3), (3, 1), (0, 2)):
+        for row in G:
+            row[j] += k * row[i]
+        G[j] = [a + k * b for a, b in zip(G[j], G[i])]
+    return G
+
+
+def assert_table_matches_representatives(g):
+    """Oracle for the generator table: q_map and b_map against the
+    quadratic and bilinear form of the coset representatives, mod 1."""
+    lat = g.lattice
+    cosets = list(g.elements())
+    reps = [mu.rep() for mu in cosets]
+    for mu, x in zip(cosets, reps):
+        assert g.q_map(mu) == lat.quadratic(x) % 1
+        for nu, y in zip(cosets, reps):
+            assert g.b_map(mu, nu) == lat.bilinear(x, y) % 1
 
 
 def box_vectors(gram, shift, bound):
@@ -138,6 +163,35 @@ class TestDiscriminantGroup:
                 lhs = g.b_map(mu, nu)
                 rhs = (g.q_map(mu + nu) - g.q_map(mu) - g.q_map(nu)) % 1
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("gram", [[[2, 0, 0], [0, 2, 0], [0, 0, 2]], D4,
+                                      [[2, 0, 0], [0, 2, 0], [0, 0, 6]],
+                                      [[2, 0, 0], [0, -2, 0], [0, 0, -6]]])
+    def test_generator_table_several_generators(self, gram):
+        g = discriminant_group(QuadLattice(gram))
+        assert len(g.elementary_divisors) >= 2
+        assert_table_matches_representatives(g)
+
+    def test_generator_table_random(self):
+        # random even lattices of rank <= 5, indefinite ones included
+        rng = random.Random(23)
+        checked = indefinite = several = 0
+        while checked < 40:
+            n = rng.randint(1, 5)
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                G[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i + 1, n):
+                    G[i][j] = G[j][i] = rng.randint(-2, 2)
+            lat = QuadLattice(G)
+            if lat.det == 0 or lat.disc > 60:
+                continue
+            g = discriminant_group(lat)
+            assert_table_matches_representatives(g)
+            indefinite += min(lat.signature) > 0
+            several += len(g.elementary_divisors) >= 2
+            checked += 1
+        assert indefinite >= 10 and several >= 5
 
     @pytest.mark.parametrize("gram", [[[2]], [[0, 1], [1, 0]], [[2, 1], [1, 4]],
                                       [[2, 0, 0], [0, 2, 0], [0, 0, 6]],
@@ -259,23 +313,29 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="too ill-conditioned or too large"):
             ball_sweep([[2]], [0], 2 ** 120)
 
+    def test_refusal_survives_the_setup_cache(self):
+        # the Gram-only set-up is cached, so a refused Gram must be refused
+        # on every call, and a Gram refused only for its bound must still
+        # be searched at a smaller one
+        k = 2 ** 40
+        for G, bound in (([[2, 2 * k], [2 * k, 2 * k * k + 2]], 1), (skewed_a4(2 ** 6), 3)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="too ill-conditioned or too large"):
+                    ball_sweep(G, [0] * len(G), bound)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too ill-conditioned or too large"):
+                ball_sweep([[2]], [0], 2 ** 120)
+            assert sorted(ball_sweep([[2]], [0], 1)) == [((-1,), 2), ((0,), 0), ((1,), 2)]
+
     def test_skewed_a4_counts_or_is_refused(self):
-        # A4 under elementary column operations (column j += k column i,
-        # and the same on rows) keeps its 111 vectors of Q <= 3 while the
-        # conditioning guard admits it; at k = 2^6 an unguarded search
-        # takes about 10 s, so 2^6 and 2^8 are refused up front
-        def skewed(k):
-            G = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-            for i, j in ((1, 0), (3, 1), (2, 3), (3, 1), (0, 2)):
-                for row in G:
-                    row[j] += k * row[i]
-                G[j] = [a + k * b for a, b in zip(G[j], G[i])]
-            return G
+        # skewed A4 keeps its 111 vectors of Q <= 3 while the conditioning
+        # guard admits it; at k = 2^6 an unguarded search takes about
+        # 10 s, so 2^6 and 2^8 are refused up front
         for k in (2 ** 2, 2 ** 4):
-            assert len(ball_sweep(skewed(k), [0] * 4, 3)) == 111
+            assert len(ball_sweep(skewed_a4(k), [0] * 4, 3)) == 111
         for k in (2 ** 6, 2 ** 8):
             with pytest.raises(ValueError, match="too ill-conditioned or too large"):
-                ball_sweep(skewed(k), [0] * 4, 3)
+                ball_sweep(skewed_a4(k), [0] * 4, 3)
 
     @pytest.mark.parametrize("gram,bound,count,digest", [
         # E8, with the Gram of test_qseries, to Q <= 3
@@ -292,10 +352,12 @@ class TestEnumeration:
     ])
     def test_sweep_output_is_pinned(self, gram, bound, count, digest):
         # the exact list, order included: it fixes the insertion order of
-        # the theta tables built from it
-        out = ball_sweep(gram, [0] * len(gram), bound)
-        assert len(out) == count
-        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+        # the theta tables built from it; the second sweep runs on the
+        # cached set-up of the first, which must come back unchanged
+        for _ in range(2):
+            out = ball_sweep(gram, [0] * len(gram), bound)
+            assert len(out) == count
+            assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
     def test_rank4_count_vs_box_search(self):
         rng = random.Random(41)
@@ -405,6 +467,7 @@ class TestEnumerationProperties:
         got = enumerate_coset_vectors(QuadLattice(G), shift, m)
         want = [x for x, q in skew_back(U, box_vectors(G0, Ushift, m)) if q == m]
         assert got == want
+        assert count_coset_vectors(QuadLattice(G), shift, m) == len(got)
         assert len(got) == brute_count(QuadLattice(G0), Ushift, m) > 0
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,15 +232,26 @@ class TestQuadratic:
 
 class TestFractionCore:
     def test_inverse_random(self):
+        # integer and rational entries; det against sympy, and a singular
+        # matrix (one row a rational combination of the others) refused
         rng = random.Random(61)
-        for _ in range(30):
-            n = rng.randint(1, 4)
+        for t in range(60):
+            n = rng.randint(1, 5)
             while True:
                 A = rand_matrix(rng, n, n)
+                if t % 2:
+                    A = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in A]
                 if det_fraction(A) != 0:
                     break
+            assert det_fraction(A) == Fraction(str(sympy.Matrix(A).det()))
             Ainv = inverse_fraction(A)
-            assert mat_mul(A, Ainv) == identity_matrix(n)
+            assert mat_mul(A, Ainv) == identity_matrix(n) == mat_mul(Ainv, A)
+            if n > 1:
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                S = A[:-1] + [[c * x + y for x, y in zip(A[0], A[-2])]]
+                assert det_fraction(S) == 0
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    inverse_fraction(S)
 
     def test_det_multiplicative(self):
         rng = random.Random(71)

@@ -17,6 +17,7 @@ from speccy.pullback import (
     cotaut_degree,
     finite_heart_degree,
     lambda_mmu,
+    lambda_mmu_count,
     pullback_table,
     verify_ledger,
 )
@@ -115,7 +116,7 @@ class TestPullbackTable:
                     continue
                 rows = pullback_table(ctx, m, mu)
                 improper = sum(r.count for r in rows if r.m1 == 0)
-                assert improper == len(lambda_mmu(ctx, m, mu))
+                assert improper == len(lambda_mmu(ctx, m, mu)) == lambda_mmu_count(ctx, m, mu)
 
     def test_m1_zero_only_for_trivial_mu1(self, glued_ctx):
         g = discriminant_group(glued_ctx.ambient)
@@ -295,7 +296,8 @@ class TestLedger:
 class TestInvariants:
     def test_cross_check_fires_under_optimize(self, tmp_path):
         # python -O strips assert statements; the lambda_mmu cross-check
-        # must still stop a verify run, with exit code 3
+        # (verify_ledger counts through lambda_mmu_count) must still stop a
+        # verify run, with exit code 3
         (tmp_path / "L.json").write_text('{"gram": [[-2,-1,0],[-1,-4,0],[0,0,2]]}')
         (tmp_path / "sub.json").write_text('{"basis": [[1,0],[0,1],[0,0]]}')
         script = (
@@ -303,8 +305,8 @@ class TestInvariants:
             "assert False, 'python -O is not in effect'\n"
             "import speccy.pullback as pb\n"
             "from speccy.cli import run\n"
-            "real = pb.lambda_mmu\n"
-            "pb.lambda_mmu = lambda ctx, m, mu: real(ctx, m, mu) + [None]\n"
+            "real = pb.lambda_mmu_count\n"
+            "pb.lambda_mmu_count = lambda ctx, m, mu: real(ctx, m, mu) + 1\n"
             "sys.exit(run(sys.argv[1:]))\n")
         src = os.path.dirname(os.path.dirname(speccy.__file__))
         env = dict(os.environ, PYTHONPATH=src)
