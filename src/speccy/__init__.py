@@ -28,7 +28,6 @@ from .lattice import (
     InvariantError,
     QuadLattice,
     SublatticeEmbedding,
-    count_coset_vectors,
     discriminant_group,
     enumerate_coset_vectors,
     even_clifford_binary,

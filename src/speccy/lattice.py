@@ -480,7 +480,11 @@ def _search_setup(A):
     int tuples): the fraction-free (Bareiss) rows B, the leading minors
     delta and max_j (A^-1)_jj, all immutable.  Raises ValueError, and
     caches nothing, for an A that is not positive definite or that the
-    conditioning guard refuses."""
+    conditioning guard refuses.  The cache serves callers that search
+    many shells of one lattice, such as R(m, mu) over every coset and m
+    or the degree oracle's quaternion orders (78 distinct Grams over the
+    whole cm-oracle benchmark sweep); a verify run searches each of its
+    Grams once."""
     n = len(A)
     M = [list(row) for row in A]
     B, delta = [], [1]
