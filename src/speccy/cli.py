@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cm import degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
-from .lattice import Coset, InvariantError, discriminant_group
+from .lattice import InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -84,7 +84,7 @@ def cmd_disc(args):
         "level": lat.level(),
         "elementary_divisors": list(group.elementary_divisors),
         "cosets": [
-            {"index": i, "coords": list(c.visible_coords()),
+            {"index": i, "coords": list(c.coords),
              "q": frac_str(group.q_map(c)), "order": c.order()}
             for i, c in enumerate(cosets)
         ],
@@ -113,10 +113,9 @@ def cmd_eisenstein(args):
     dps = args.precision
     entries = []
     for (m, coords), val in sorted(table.values.items()):
-        mu = Coset(pkg.disc0, coords)
         entries.append({
             "exponent": frac_str(m),
-            "coset": list(mu.visible_coords()),
+            "coset": list(coords),
             "value": loglinear_json(val, K, dps),
         })
     payload = {"lattice": args.lattice, "field": {"d": K.d, "h": K.h, "w": K.w},
@@ -138,7 +137,7 @@ def cmd_degrees(args):
     payload = {
         "lattice": args.lattice,
         "m": frac_str(m),
-        "mu": list(mu.visible_coords()),
+        "mu": list(mu.coords),
         "formula": {
             "prime": res.prime,
             "weighted_count": frac_str(res.weighted_count),
@@ -196,7 +195,7 @@ def cmd_verify(args):
     except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"--pp: {exc}") from None
     max_m = max(pp.support_exponents() or [Fraction(1)])
-    ctx = EmbeddingContext.build(lat, sub, max_m + 1)
+    ctx = EmbeddingContext.build(lat, sub, max_m)
     fault = None
     if args.fault_inject:
         fault = parse_coset_key(args.fault_inject, "--fault-inject")

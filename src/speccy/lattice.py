@@ -6,10 +6,13 @@ form [x, y], so [x, x] = 2 Q(x) and all entries are integers with even
 diagonal.  Vectors are coordinate tuples with respect to the lattice basis;
 dual vectors are rational coordinate tuples in the same basis.
 
-Discriminant forms.  A DiscriminantGroup keeps, for its visible
-generators g_s, the integer table E [g_s, g_t] (E the exponent of the
-group), so q_map and b_map read a coset's values off its coordinates
-without building a representative.
+Discriminant forms.  A DiscriminantGroup keeps one generator g_s per
+elementary divisor d_s > 1 of the Smith form (the unit divisors add
+nothing to L^vee / L), and a Coset is the one tuple of its coefficients
+a_s mod d_s.  The group keeps the integer table E [g_s, g_t] (E the
+exponent of the group), so q_map and b_map read a coset's values off its
+coordinates without building a representative, and the level of the
+lattice is read off the same table.
 
 Enumeration.  ball_sweep, enumerate_coset_vectors and count_coset_vectors
 share one Fincke-Pohst core that runs in integers only: each level's range
@@ -129,18 +132,9 @@ class QuadLattice:
         return inverse_fraction(self.gram) if self.rank else []
 
     def level(self):
-        """Smallest N with N * Q(mu) integral for every dual vector mu."""
-        if self.rank == 0:
-            return 1
-        Ginv = self.gram_inverse()
-        N = 1
-        for i in range(self.rank):
-            for j in range(self.rank):
-                d = Ginv[i][j].denominator
-                if i == j:
-                    d = (Ginv[i][j] / 2).denominator
-                N = N * d // gcd(N, d)
-        return N
+        """Smallest N with N * Q(mu) integral for every dual vector mu,
+        read off the discriminant group's generator table."""
+        return self.disc_group().level
 
     def disc_group(self):
         if self._disc_group is None:
@@ -150,7 +144,8 @@ class QuadLattice:
 
 @dataclass(frozen=True)
 class Coset:
-    """Element of L^vee / L, normalized to elementary-divisor coordinates."""
+    """Element of L^vee / L: coords[s] is the coefficient of the s-th
+    generator, one per elementary divisor d_s > 1, reduced mod d_s."""
 
     group: "DiscriminantGroup"
     coords: tuple
@@ -161,7 +156,7 @@ class Coset:
         g = self.group
         n = g.lattice.rank
         v = [Fraction(0)] * n
-        for a, gen in zip(self.coords, g.generators_all):
+        for a, gen in zip(self.coords, g._generators):
             if a:
                 for i in range(n):
                     v[i] += a * gen[i]
@@ -169,32 +164,28 @@ class Coset:
 
     def __neg__(self):
         g = self.group
-        return Coset(g, tuple((-a) % d for a, d in zip(self.coords, g.orders_all)))
+        return Coset(g, tuple((-a) % d for a, d in zip(self.coords, g.elementary_divisors)))
 
     def __add__(self, other):
         if other.group is not self.group:
             raise ValueError("cosets from different discriminant groups")
         g = self.group
         return Coset(g, tuple((a + b) % d for a, b, d in
-                              zip(self.coords, other.coords, g.orders_all)))
+                              zip(self.coords, other.coords, g.elementary_divisors)))
 
     def is_zero(self):
         return all(a == 0 for a in self.coords)
 
     def order(self):
         o = 1
-        for a, d in zip(self.coords, self.group.orders_all):
+        for a, d in zip(self.coords, self.group.elementary_divisors):
             if a:
                 k = d // gcd(a, d)
                 o = o * k // gcd(o, k)
         return o
 
     def __repr__(self):
-        return f"Coset{self.visible_coords()}"
-
-    def visible_coords(self):
-        g = self.group
-        return tuple(a for a, d in zip(self.coords, g.orders_all) if d > 1)
+        return f"Coset{self.coords}"
 
 
 class DiscriminantGroup:
@@ -205,62 +196,47 @@ class DiscriminantGroup:
             raise DegenerateLatticeError("degenerate lattice")
         self.lattice = lattice
         n = lattice.rank
-        if n == 0:
-            self.orders_all = ()
-            self.generators_all = ()
-            U = V = ()
-        else:
-            U, V, D = snf_with_transforms([list(r) for r in lattice.gram])
-            orders = []
-            gens = []
-            for i in range(n):
-                d = D[i][i]
-                orders.append(d)
-                # generator: (1/d) * (column i of V), an element of L^vee
-                col = [Fraction(V[t][i], d) for t in range(n)]
-                gens.append(tuple(col))
-            self.orders_all = tuple(orders)
-            self.generators_all = tuple(gens)
-        # G^{-1} k = sum_i (U k)_i g_i: the rows of U with a divisor above 1
-        # classify dual vectors by coset (see dual_index)
-        self._dual_rows = tuple((tuple(row), d) for row, d in zip(U, self.orders_all)
-                                if d > 1)
-        self.order = 1
-        for d in self.orders_all:
-            self.order *= abs(d)
+        U, V, D = snf_with_transforms([list(r) for r in lattice.gram])
+        # the divisors ascend, so the unit ones come first; their generators
+        # lie in L, and g_s = V_s / d_s over the rest generate L^vee / L
+        vis = [i for i in range(n) if D[i][i] > 1]
+        self.elementary_divisors = d = tuple(D[i][i] for i in vis)
+        self._generators = tuple(tuple(Fraction(V[t][i], D[i][i]) for t in range(n))
+                                 for i in vis)
+        # G^{-1} k = sum_i (U k)_i V_i / D_ii: the rows of U that name a
+        # generator classify dual vectors by coset (see dual_index)
+        self._dual_rows = tuple((tuple(U[i]), D[i][i]) for i in vis)
+        self.order = math.prod(d)
         if self.order != lattice.disc:
             raise InvariantError(f"group order {self.order} != disc {lattice.disc}")
-        # generator table over the visible generators g_s = V_s / d_s, with
-        # E the exponent: pairing[s][t] = E [g_s, g_t] mod E and _q2[s] =
-        # 2E Q(g_s) mod 2E, from W = V^T G V in integers; E W_st / (d_s d_t)
-        # is integral because d_s g_s lies in L
-        self.exponent = E = lcm(*self.orders_all)
-        d = self.orders_all
-        vis = self._visible = tuple(i for i, o in enumerate(d) if o > 1)
+        # generator table, with E the exponent: pairing[s][t] = E [g_s, g_t]
+        # mod E and _q2[s] = 2E Q(g_s) mod 2E, from W = V^T G V in integers;
+        # E W_st / (d_s d_t) is integral because d_s g_s lies in L
+        self.exponent = E = lcm(*d)
         GV = [[sum(g * V[b][t] for b, g in enumerate(row)) for t in vis]
               for row in lattice.gram]
-        table = [[divmod(E * sum(V[a][s] * GV[a][j] for a in range(n)), d[s] * d[t])
-                  for j, t in enumerate(vis)] for s in vis]
+        table = [[divmod(E * sum(V[a][i] * GV[a][t] for a in range(n)), d[s] * d[t])
+                  for t in range(len(d))] for s, i in enumerate(vis)]
         if any(r for row in table for _, r in row):
             raise InvariantError(f"E [g_s, g_t] not integral for exponent {E}")
-        self.pairing = tuple(tuple(w % E for w, _ in row) for row in table)
+        self.pairing = P = tuple(tuple(w % E for w, _ in row) for row in table)
         self._q2 = tuple(row[s][0] % (2 * E) for s, row in enumerate(table))
-
-    @property
-    def elementary_divisors(self):
-        return tuple(d for d in self.orders_all if d > 1)
+        # the level: N Q(sum a_s g_s) is integral for all a exactly when
+        # every N Q(g_s) and every N [g_s, g_t], s < t, is
+        self.level = lcm(*(Fraction(q, 2 * E).denominator for q in self._q2),
+                         *(Fraction(P[s][t], E).denominator
+                           for s in range(len(P)) for t in range(s)))
 
     def zero(self):
-        return Coset(self, tuple(0 for _ in self.orders_all))
+        return Coset(self, (0,) * len(self.elementary_divisors))
 
     def from_coords(self, coords):
-        """Coset from coordinates in the visible (nontrivial) generators."""
+        """Coset from one coordinate per generator, reduced mod its divisor."""
         coords = list(coords)
         if len(coords) != len(self.elementary_divisors):
             raise ValueError(f"{len(coords)} coordinates given, but the group has "
                              f"{len(self.elementary_divisors)} visible generators")
-        it = iter(coords)
-        return Coset(self, tuple(next(it) % d if d > 1 else 0 for d in self.orders_all))
+        return Coset(self, tuple(a % d for a, d in zip(coords, self.elementary_divisors)))
 
     def from_vector(self, v):
         """Coset of a rational vector v in L^vee (lattice-basis coordinates):
@@ -283,29 +259,28 @@ class DiscriminantGroup:
         return index
 
     def elements(self):
-        """All cosets, ordered lexicographically by visible coordinates
-        (the zero coset always comes first)."""
-        ranges = [range(d) if d > 1 else range(1) for d in self.orders_all]
-        for coords in itertools.product(*ranges):
+        """All cosets, ordered lexicographically by coordinates (the zero
+        coset always comes first)."""
+        for coords in itertools.product(*map(range, self.elementary_divisors)):
             yield Coset(self, coords)
 
     def coset_by_index(self, k):
-        """The k-th coset of elements(): mixed radix over orders_all."""
+        """The k-th coset of elements(): mixed radix over the divisors."""
         if not 0 <= k < self.order:
             raise ValueError(f"coset index {k} out of range: the group has "
                              f"{self.order} cosets")
         coords = []
-        for d in reversed(self.orders_all):
+        for d in reversed(self.elementary_divisors):
             k, a = divmod(k, d)
             coords.append(a)
         return Coset(self, tuple(reversed(coords)))
 
     def index_of(self, coset):
         """Position of coset in elements(), inverse of coset_by_index."""
-        if coset.group is not self:
+        if coset.group is not self or len(coset.coords) != len(self.elementary_divisors):
             raise ValueError("coset not in group")
         k = 0
-        for a, d in zip(coset.coords, self.orders_all):
+        for a, d in zip(coset.coords, self.elementary_divisors):
             if not 0 <= a < d:
                 raise ValueError("coset not in group")
             k = k * d + a
@@ -314,7 +289,7 @@ class DiscriminantGroup:
     def q_map(self, coset):
         """Q(mu) mod Z, as a Fraction in [0, 1): for mu = sum a_s g_s,
         2E Q(mu) = sum a_s^2 2E Q(g_s) + 2 sum_{s<t} a_s a_t E [g_s, g_t]."""
-        a = [coset.coords[i] for i in self._visible]
+        a = coset.coords
         P = self.pairing
         total = sum(x * x * q for x, q in zip(a, self._q2))
         for s in range(1, len(a)):
@@ -324,9 +299,8 @@ class DiscriminantGroup:
 
     def b_map(self, c1, c2):
         """[mu, nu] mod Z, as a Fraction in [0, 1)."""
-        a = [c1.coords[i] for i in self._visible]
-        b = [c2.coords[i] for i in self._visible]
-        total = sum(x * sum(y * p for y, p in zip(b, row)) for x, row in zip(a, self.pairing))
+        total = sum(x * sum(y * p for y, p in zip(c2.coords, row))
+                    for x, row in zip(c1.coords, self.pairing))
         return Fraction(total % self.exponent, self.exponent)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 
 def identity_matrix(n):
@@ -325,14 +325,3 @@ def congruence_diagonal(G):
                     M[t][i] -= f * M[t][d]
     return diag
 
-
-def sqrt_fraction_exact(f):
-    """Exact rational square root of f, or None if irrational."""
-    f = Fraction(f)
-    if f < 0:
-        return None
-    rn = isqrt(f.numerator)
-    rd = isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None

@@ -151,6 +151,13 @@ def finite_heart_degree(ctx: EmbeddingContext, m, mu: Coset) -> LogLinear:
     return total
 
 
+def _ledger_coords(group, coords):
+    """coords with a 0 in front for each unit elementary divisor, as the
+    ledger keys print them: the Smith form puts the unit divisors first,
+    so this is the coset's coordinate tuple over all rank divisors."""
+    return (0,) * (group.lattice.rank - len(coords)) + coords
+
+
 @dataclass
 class LedgerRow:
     identity: str
@@ -246,17 +253,18 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
             # (A): per reachable (m1, mu1): degree = -(h/w) a+
             if (row.m1, row.mu1_coords) not in rows_a:
                 rows_a[row.m1, row.mu1_coords] = LedgerRow(
-                    "A", (row.m1, row.mu1_coords),
+                    "A", (row.m1, _ledger_coords(pkg.disc0, row.mu1_coords)),
                     degree_formula(pkg, row.m1, mu1).degree, a * (-hw))
         # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
         heart = finite_heart_degree(ctx, m, mu)
-        rows_b.append(LedgerRow("B", (m, coords), heart, eis_side))
+        key = (m, _ledger_coords(pp.group, coords))
+        rows_b.append(LedgerRow("B", key, heart, eis_side))
         # (D) per improper slot, cross-checked against lambda_mmu
         lam = lambda_mmu_count(ctx, m, mu)
         if improper != lam:
             raise InvariantError(f"pullback table disagrees with lambda_mmu at "
                                  f"({m}, {coords}): {improper} != {lam}")
-        rows_d.append(LedgerRow("D", (m, coords, "improper slot"),
+        rows_d.append(LedgerRow("D", (*key, "improper slot"),
                                 t_hat * (cval * lam), a00 * (-hw * cval * lam)))
         residual = residual + heart * cval + t_hat * (cval * lam)
 

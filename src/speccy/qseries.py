@@ -54,13 +54,15 @@ class VVFormQ:
     def __post_init__(self):
         if self.variant not in VARIANT_SUPPORT_SIGN:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # the coefficient vector of every exponent absent from the table
+        self._zero = (0,) * self.group.order
 
     def coefficient(self, m):
         m = Fraction(m)
         if m in self.coeffs:
             return self.coeffs[m]
         if m <= self.cutoff:
-            return tuple(0 for _ in range(self.group.order))
+            return self._zero
         raise KeyError(f"coefficient at exponent {m} beyond table cutoff {self.cutoff}")
 
     def check_support(self):
@@ -179,7 +181,7 @@ class PrincipalPart:
             m = Fraction(m)
             if m <= 0:
                 raise ValueError("principal part exponents -m require m > 0")
-            mu = Coset(self.group, tuple(coords))
+            mu = self.group.from_coords(coords)
             if (m - self.group.q_map(mu)) % 1 != 0:
                 raise ValueError(f"support law violated at ({m}, {mu})")
             c = Fraction(c)

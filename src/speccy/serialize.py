@@ -66,7 +66,7 @@ def loglinear_json(value: LogLinear, field=None, dps=30):
 
 
 def coset_label(coset) -> str:
-    return ",".join(str(c) for c in coset.visible_coords())
+    return ",".join(str(c) for c in coset.coords)
 
 
 def qexp_json(form):
@@ -77,7 +77,7 @@ def qexp_json(form):
         "weight": frac_str(form.weight),
         "variant": form.variant,
         "elementary_divisors": list(group.elementary_divisors),
-        "coset_order": [list(c.visible_coords()) for c in group.elements()],
+        "coset_order": [list(c.coords) for c in group.elements()],
         "cutoff": frac_str(form.cutoff),
         "coefficients": [
             {"exponent": frac_str(m), "vector": [str(v) for v in vec]}

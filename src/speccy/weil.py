@@ -117,12 +117,12 @@ class WeilRep:
         self._cosets = list(disc.elements())
         self._neg = [disc.index_of(-c) for c in self._cosets]
         self._q = [disc.q_map(c) for c in self._cosets]
-        # [g_s, g_t] = P[s][t] / E mod 1 for the visible generators g_s,
-        # with E the exponent of the group (the group's generator table);
-        # row i of _paired is the visible coordinates of mu_i times P
+        # [g_s, g_t] = P[s][t] / E mod 1 for the generators g_s, with E
+        # the exponent of the group (the group's generator table); row i
+        # of _paired is the coordinates of mu_i times P
         E = disc.exponent
         P = disc.pairing
-        self._coords = [c.visible_coords() for c in self._cosets]
+        self._coords = [c.coords for c in self._cosets]
         self._paired = [[sum(a * P[s][t] for s, a in enumerate(v)) % E
                          for t in range(len(P))] for v in self._coords]
         self._gen_cache = {}

@@ -221,6 +221,22 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: {flag}")
 
+    def test_fault_target_beyond_every_row(self, tmp_path, capsys):
+        # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row
+        # reads a+ at m = 2, so the table stops before it and has no target
+        from test_qseries import E8
+        gram = [[0] * 10 for _ in range(10)]
+        gram[0][:2], gram[1][:2] = [-2, -1], [-1, -4]
+        for i in range(8):
+            gram[2 + i][2:] = E8.gram[i]
+        lat, sub = tmp_path / "L.json", tmp_path / "sub.json"
+        lat.write_text(json.dumps({"gram": gram}))
+        sub.write_text(json.dumps({"basis": [[1, 0], [0, 1]] + [[0, 0]] * 8}))
+        code, err = error_of(["verify", "--lattice", str(lat), "--sub", str(sub),
+                              "--pp", '{"1,0":1}', "--fault-inject", "2,0"], capsys)
+        assert code == 1
+        assert "fault target has no nonzero coefficient" in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--help"])

@@ -44,6 +44,23 @@ def skewed_a4(k):
     return G
 
 
+def random_even_gram(rng, n):
+    """A random symmetric even n x n Gram, definite or not, perhaps singular."""
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 2 * rng.randint(-3, 3)
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = rng.randint(-2, 2)
+    return G
+
+
+def gram_inverse_level(lat):
+    """The level from G^-1: the lcm of the denominators of its entries off
+    the diagonal and of half its diagonal entries."""
+    return lcm(*((x / 2 if i == j else x).denominator
+                 for i, row in enumerate(lat.gram_inverse()) for j, x in enumerate(row)))
+
+
 def assert_table_matches_representatives(g):
     """Oracle for the generator table: q_map and b_map against the
     quadratic and bilinear form of the coset representatives, mod 1."""
@@ -177,12 +194,7 @@ class TestDiscriminantGroup:
         rng = random.Random(23)
         checked = indefinite = several = 0
         while checked < 40:
-            n = rng.randint(1, 5)
-            G = [[0] * n for _ in range(n)]
-            for i in range(n):
-                G[i][i] = 2 * rng.randint(-3, 3)
-                for j in range(i + 1, n):
-                    G[i][j] = G[j][i] = rng.randint(-2, 2)
+            G = random_even_gram(rng, rng.randint(1, 5))
             lat = QuadLattice(G)
             if lat.det == 0 or lat.disc > 60:
                 continue
@@ -208,6 +220,9 @@ class TestDiscriminantGroup:
         other = discriminant_group(QuadLattice([[2]]))
         with pytest.raises(ValueError, match="not in group"):
             g.index_of(other.zero())
+        # a coordinate tuple padded with a 0 for a unit divisor is refused
+        with pytest.raises(ValueError, match="not in group"):
+            g.index_of(Coset(g, (0,) + g.zero().coords))
 
     def test_dual_index_and_from_vector_random(self):
         # random even lattices of rank <= 5, indefinite ones included: every
@@ -217,11 +232,7 @@ class TestDiscriminantGroup:
         checked = raised = 0
         while checked < 40:
             n = rng.randint(1, 5)
-            G = [[0] * n for _ in range(n)]
-            for i in range(n):
-                G[i][i] = 2 * rng.randint(-3, 3)
-                for j in range(i + 1, n):
-                    G[i][j] = G[j][i] = rng.randint(-2, 2)
+            G = random_even_gram(rng, n)
             lat = QuadLattice(G)
             if lat.det == 0 or lat.disc > 400:
                 continue
@@ -244,6 +255,30 @@ class TestDiscriminantGroup:
         assert raised > 20
         with pytest.raises(ValueError, match="coordinates"):
             g.from_vector([0] * (n + 1))
+
+    def test_level_and_coordinates_random(self):
+        # random even Grams of rank 0 to 5, indefinite and scaled ones
+        # included: the level read off the generator table against the
+        # G^-1 formula, and one coordinate per elementary divisor
+        rng = random.Random(29)
+        checked = indefinite = several = 0
+        while checked < 80:
+            scale = rng.choice((1, 1, 2, 3))
+            G = [[scale * x for x in row] for row in random_even_gram(rng, rng.randint(0, 5))]
+            lat = QuadLattice(G)
+            if lat.det == 0 or lat.disc > 400:
+                continue
+            g = discriminant_group(lat)
+            assert lat.level() == gram_inverse_level(lat)
+            for i, mu in enumerate(g.elements()):
+                assert len(mu.coords) == len(g.elementary_divisors)
+                assert g.from_coords(mu.coords) == mu
+                assert g.index_of(g.coset_by_index(i)) == i
+            indefinite += min(lat.signature) > 0
+            several += len(g.elementary_divisors) >= 2
+            checked += 1
+        assert indefinite >= 10 and several >= 10
+        assert QuadLattice([]).level() == 1
 
     def test_from_coords_needs_one_coordinate_per_visible_generator(self):
         g = discriminant_group(QuadLattice([[2, 0], [0, 4]]))

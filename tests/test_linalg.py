@@ -22,7 +22,6 @@ from speccy.linalg import (
     row_hnf,
     snf_with_transforms,
     solve_integer,
-    sqrt_fraction_exact,
 )
 
 
@@ -224,10 +223,6 @@ class TestQuadratic:
         assert signs(congruence_diagonal([[2, 2], [2, 2]])) == (1, 0, 1)
         assert congruence_diagonal([[2, 1], [1, 2]]) == [2, Fraction(3, 2)]
         assert congruence_diagonal([]) == []
-
-    def test_sqrt_helpers(self):
-        assert sqrt_fraction_exact(Fraction(9, 16)) == Fraction(3, 4)
-        assert sqrt_fraction_exact(Fraction(2)) is None
 
 
 class TestFractionCore:

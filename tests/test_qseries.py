@@ -286,6 +286,12 @@ class TestPrincipalPart:
         with pytest.raises(ValueError):
             hejhal_principal_part(Fraction(1, 3), g.zero())
 
+    def test_one_coordinate_per_divisor(self):
+        # L0(-7) has divisors (1, 7): a key padded for the unit one is refused
+        g = discriminant_group(QuadLattice([[-2, -1], [-1, -4]]))
+        with pytest.raises(ValueError, match="2 coordinates given, but the group has 1"):
+            PrincipalPart(g, {(Fraction(1), (0, 0)): Fraction(1)})
+
     def test_symmetry_enforced(self):
         g = discriminant_group(QuadLattice([[-2, -1], [-1, -4]]))
         mu = g.from_coords((1,))
