@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .eisenstein import EisensteinPackage, s_mu
@@ -51,13 +51,11 @@ from .linalg import (
 _CLOSURE_ROUNDS = 16
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
     """(a, b / Q): i^2 = a, j^2 = b, ij = -ji = k.  a and b are ints or
     Fractions; with ints, products and norm forms run on ints."""
 
-    a: int | Fraction
-    b: int | Fraction
+    __slots__ = ()
 
     def mul(self, x, y):
         a, b = self.a, self.b
@@ -259,18 +257,14 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
     return order
 
 
-@dataclass
 class CMDegree:
-    m: Fraction
-    mu_coords: tuple
-    prime: int | None
-    weighted_count: Fraction
-    degree: LogLinear
-
-    def __post_init__(self):
-        if (self.weighted_count == 0) != self.degree.is_zero():
-            raise InvariantError(f"weighted count {self.weighted_count} "
-                                 f"disagrees with degree {self.degree}")
+    def __init__(self, m: Fraction, mu_coords: tuple, prime: int | None,
+                 weighted_count: Fraction, degree: LogLinear):
+        if (weighted_count == 0) != degree.is_zero():
+            raise InvariantError(f"weighted count {weighted_count} "
+                                 f"disagrees with degree {degree}")
+        self.m, self.mu_coords, self.prime = m, mu_coords, prime
+        self.weighted_count, self.degree = weighted_count, degree
 
 
 def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:

@@ -13,7 +13,6 @@ everything else vanishes.  Values are exact LogLinear elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .imq import ImQField, LogLinear, _prime_factors, diff_set, ord_p, rho
@@ -27,14 +26,12 @@ from .lattice import (
 )
 
 
-@dataclass
 class EisensteinPackage:
     """The lattice L0, its field k = C^+(L0), and the discriminant group."""
 
-    L0: QuadLattice
-    K: ImQField
-    disc0: DiscriminantGroup
-    _diff: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, L0: QuadLattice, K: ImQField, disc0: DiscriminantGroup):
+        self.L0, self.K, self.disc0 = L0, K, disc0
+        self._diff = {}
 
     @classmethod
     def from_lattice(cls, L0: QuadLattice):
@@ -93,13 +90,12 @@ def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:
     return LogLinear.make(0, {p: coeff})
 
 
-@dataclass
 class EisensteinTable:
-    """Dense table of a^+ over the support lattice (1/|d|) Z up to a cutoff."""
+    """Dense table of a^+ over the support lattice (1/|d|) Z up to a cutoff;
+    values is {(Fraction m, coset coords): LogLinear}."""
 
-    pkg: EisensteinPackage
-    cutoff: Fraction
-    values: dict  # {(Fraction m, coset coords): LogLinear}
+    def __init__(self, pkg: EisensteinPackage, cutoff: Fraction, values: dict):
+        self.pkg, self.cutoff, self.values = pkg, cutoff, values
 
     @property
     def group(self):

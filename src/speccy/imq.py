@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import marshal
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -30,13 +30,12 @@ from .linalg import congruence_diagonal
 SPECIAL_SYMBOLS = ("gamma", "log_pi", "log_abs_d", "Lprime_over_L")
 
 
-@dataclass(frozen=True)
-class LogLinear:
-    """rational + sum r_p log p + sum c_s * (special symbol)."""
+class LogLinear(namedtuple("LogLinear", "rational logs specials",
+                           defaults=(Fraction(0), (), ()))):
+    """rational + sum r_p log p + sum c_s * (special symbol); logs and
+    specials are sorted tuples of (prime, Fraction) and (symbol, Fraction)."""
 
-    rational: Fraction = Fraction(0)
-    logs: tuple = ()       # sorted tuple of (prime, Fraction)
-    specials: tuple = ()   # sorted tuple of (symbol, Fraction)
+    __slots__ = ()
 
     @classmethod
     def make(cls, rational=0, logs=None, specials=None):
@@ -201,13 +200,10 @@ def reduced_forms(d):
     return sorted(forms)
 
 
-@dataclass(frozen=True)
-class ImQField:
+class ImQField(namedtuple("ImQField", "d h w")):
     """Invariants of k = Q(sqrt(d)) for odd fundamental d < 0."""
 
-    d: int
-    h: int
-    w: int
+    __slots__ = ()
 
     @classmethod
     def from_discriminant(cls, d):
@@ -222,9 +218,6 @@ class ImQField:
 
     def chi(self, n):
         return kronecker_symbol(self.d, int(n))
-
-    def __repr__(self):
-        return f"ImQField(d={self.d}, h={self.h}, w={self.w})"
 
 
 def rho(K: ImQField, m) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -142,13 +142,11 @@ class QuadLattice:
         return self._disc_group
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(namedtuple("Coset", "group coords")):
     """Element of L^vee / L: coords[s] is the coefficient of the s-th
     generator, one per elementary divisor d_s > 1, reduced mod d_s."""
 
-    group: "DiscriminantGroup"
-    coords: tuple
+    __slots__ = ()
 
     def rep(self):
         """Canonical rational representative in the lattice basis,
@@ -322,25 +320,20 @@ def is_maximal(lattice: QuadLattice) -> bool:
     return True
 
 
-@dataclass
 class SublatticeEmbedding:
-    """A direct summand L0 of L together with its orthogonal complement."""
+    """A direct summand L0 of L together with its orthogonal complement.
+    The bases are columns of integer coordinates in the ambient basis;
+    index is [L : L0 + Lambda]."""
 
-    ambient: QuadLattice
-    sub_basis: tuple          # columns, integer coordinates in ambient basis
-    sub: QuadLattice
-    complement_basis: tuple   # columns, integer coordinates in ambient basis
-    complement: QuadLattice
-    index: int                # [L : L0 + Lambda]
-    # glue_cosets memo: (reps of L / (L0 + Lambda), J^-1) and pairs per mu
-    _glue_frame: tuple = field(default=None, init=False, repr=False, compare=False)
-    _glue: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        d_sub = self.sub.disc
-        d_comp = self.complement.disc
-        if d_sub * d_comp != self.ambient.disc * self.index ** 2:
+    def __init__(self, ambient: QuadLattice, sub_basis: tuple, sub: QuadLattice,
+                 complement_basis: tuple, complement: QuadLattice, index: int):
+        if sub.disc * complement.disc != ambient.disc * index ** 2:
             raise InvariantError("disc(L0) disc(Lambda) != disc(L) [L : L0 + Lambda]^2")
+        self.ambient, self.sub_basis, self.sub = ambient, sub_basis, sub
+        self.complement_basis, self.complement, self.index = complement_basis, complement, index
+        # glue_cosets memo: (reps of L / (L0 + Lambda), J^-1) and pairs per mu
+        self._glue_frame = None
+        self._glue = {}
 
 
 def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbedding:
@@ -514,14 +507,24 @@ def _short_vectors(gram, shift, bound, exact):
     out = []
     y = [0] * n
 
-    def descend(k, T):
-        # y[k+1:] fixed, T = delta_{k+1} * (their share of the norm); y_k
-        # is admitted when u = delta_{k+1} y_k + s has u^2 <= delta_k
-        # (delta_{k+1} N - T).  The T passed down is an integer: delta_k
-        # times a Schur-complement value of A.
-        Bk, dk, dk1 = B[k], delta[k], delta[k + 1]
-        s = sum(Bk[j] * y[j] for j in range(k + 1, n))
-        r = isqrt(dk * (dk1 * N - T))
+    def descend(k, T, s):
+        # y[k+1:] fixed, T = delta_{k+1} * (their share of the norm) and
+        # s = sum_{j>k} B[k][j] y_j; y_k is admitted when u = delta_{k+1}
+        # y_k + s has u^2 <= delta_k (delta_{k+1} N - T).  The T passed
+        # down is an integer: delta_k times a Schur-complement value of A.
+        dk, dk1 = delta[k], delta[k + 1]
+        R = dk * (dk1 * N - T)
+        r = isqrt(R)
+        if k == 0 and exact:
+            # delta_0 = 1, so the norm (T + u^2) / delta_1 is N exactly when
+            # u = -r or r with r^2 = R; emitted in increasing y_0
+            if r * r == R:
+                for u in (-r, r) if r else (0,):
+                    y0, rem = divmod(u - s, dk1)
+                    if not rem and (y0 - c[0]) % e == 0:
+                        out.append((((y0 - c[0]) // e,)
+                                    + tuple((y[j] - c[j]) // e for j in range(1, n)), N))
+            return
         lo = -((r + s) // dk1)
         lo += (c[k] - lo) % e
         stop = (r - s) // dk1 + 1
@@ -530,24 +533,22 @@ def _short_vectors(gram, shift, bound, exact):
             rest = tuple((y[j] - c[j]) // e for j in range(1, n))
             for y0 in range(lo, stop, e):
                 u = dk1 * y0 + s
-                norm = (T + u * u) // dk1
-                if norm == N or not exact:
-                    out.append((((y0 - c[0]) // e,) + rest, norm))
+                out.append((((y0 - c[0]) // e,) + rest, (T + u * u) // dk1))
             return
+        # the child's s is base + B[k-1][k] y_k, base summed once here
+        Bc = B[k - 1]
+        base = sum(Bc[j] * y[j] for j in range(k + 1, n))
+        bk = Bc[k]
         for yk in range(lo, stop, e):
             y[k] = yk
             u = dk1 * yk + s
-            descend(k - 1, (dk * T + u * u) // dk1)
+            descend(k - 1, (dk * T + u * u) // dk1, base + bk * yk)
 
-    descend(n - 1, 0)
+    descend(n - 1, 0, 0)
     return out
 
 
-@dataclass(frozen=True)
-class CliffordDiscriminant:
-    value: int
-    is_fundamental: bool
-    is_odd: bool
+CliffordDiscriminant = namedtuple("CliffordDiscriminant", "value is_fundamental is_odd")
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -17,7 +17,7 @@ computed ingredients and checked to vanish coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cm import degree_formula
@@ -46,17 +46,14 @@ class ContextError(ValueError):
     pass
 
 
-@dataclass
 class EmbeddingContext:
     """A maximal lattice L with a distinguished negative definite binary
     summand L0 (odd fundamental Clifford discriminant), the complement
     Lambda, the Eisenstein package, and coefficient tables."""
 
-    emb: object
-    pkg: EisensteinPackage
-    theta: VVFormQ
-    eis: EisensteinTable
-    cutoff: Fraction
+    def __init__(self, emb, pkg: EisensteinPackage, theta: VVFormQ,
+                 eis: EisensteinTable, cutoff: Fraction):
+        self.emb, self.pkg, self.theta, self.eis, self.cutoff = emb, pkg, theta, eis, cutoff
 
     @classmethod
     def build(cls, L: QuadLattice, sub_basis, cutoff) -> "EmbeddingContext":
@@ -101,13 +98,7 @@ def lambda_mmu_count(ctx: EmbeddingContext, m, mu: Coset) -> int:
                for mu2 in _improper_cosets(ctx, m, mu))
 
 
-@dataclass(frozen=True)
-class PullbackRow:
-    m1: Fraction
-    mu1_coords: tuple
-    m2: Fraction
-    mu2_coords: tuple
-    count: int
+PullbackRow = namedtuple("PullbackRow", "m1 mu1_coords m2 mu2_coords count")
 
 
 def pullback_table(ctx: EmbeddingContext, m, mu: Coset) -> list:
@@ -158,26 +149,21 @@ def _ledger_coords(group, coords):
     return (0,) * (group.lattice.rank - len(coords)) + coords
 
 
-@dataclass
 class LedgerRow:
-    identity: str
-    key: tuple
-    lhs: LogLinear
-    rhs: LogLinear
+    def __init__(self, identity: str, key: tuple, lhs: LogLinear, rhs: LogLinear):
+        self.identity, self.key, self.lhs, self.rhs = identity, key, lhs, rhs
 
     @property
     def match(self):
         return (self.lhs - self.rhs).is_zero()
 
 
-@dataclass
 class LedgerReport:
-    rows: list
-    t_hat_degree: LogLinear
-    constant_term: LogLinear
-    residual: LogLinear
-    lprime_coefficient: Fraction
-    pp_integral: bool
+    def __init__(self, rows: list, t_hat_degree: LogLinear, constant_term: LogLinear,
+                 residual: LogLinear, lprime_coefficient: Fraction, pp_integral: bool):
+        self.rows, self.t_hat_degree, self.constant_term = rows, t_hat_degree, constant_term
+        self.residual, self.lprime_coefficient = residual, lprime_coefficient
+        self.pp_integral = pp_integral
 
     @property
     def all_match(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,7 +35,6 @@ def rep_number(lattice: QuadLattice, m, mu) -> int:
     return count_coset_vectors(lattice, mu, m)
 
 
-@dataclass
 class VVFormQ:
     """Finitely supported vector-valued q-expansion.
 
@@ -45,17 +43,14 @@ class VVFormQ:
     records the largest exponent the table is complete up to.
     """
 
-    weight: Fraction
-    variant: str
-    group: DiscriminantGroup
-    coeffs: dict
-    cutoff: Fraction
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_SUPPORT_SIGN:
-            raise ValueError(f"unknown variant {self.variant!r}")
+    def __init__(self, weight: Fraction, variant: str, group: DiscriminantGroup,
+                 coeffs: dict, cutoff: Fraction):
+        if variant not in VARIANT_SUPPORT_SIGN:
+            raise ValueError(f"unknown variant {variant!r}")
+        self.weight, self.variant, self.group = weight, variant, group
+        self.coeffs, self.cutoff = coeffs, cutoff
         # the coefficient vector of every exponent absent from the table
-        self._zero = (0,) * self.group.order
+        self._zero = (0,) * group.order
 
     def coefficient(self, m):
         m = Fraction(m)
@@ -162,7 +157,6 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
     return VVFormQ(Fraction(lattice.rank, 2), "contragredient", group, coeffs, cutoff)
 
 
-@dataclass
 class PrincipalPart:
     """Holomorphic principal data of a harmonic form: the finite map
     (m, mu) -> c^+(-m, mu) for m > 0, plus the constant c^+(0, 0).
@@ -171,28 +165,25 @@ class PrincipalPart:
     principal part is integral in the sense required by the main theorem.
     """
 
-    group: DiscriminantGroup
-    entries: dict          # {(Fraction m, coset coords tuple): Fraction}
-    constant: Fraction = Fraction(0)
-
-    def __post_init__(self):
+    def __init__(self, group: DiscriminantGroup, entries: dict, constant=Fraction(0)):
         norm = {}
-        for (m, coords), c in self.entries.items():
+        for (m, coords), c in entries.items():
             m = Fraction(m)
             if m <= 0:
                 raise ValueError("principal part exponents -m require m > 0")
-            mu = self.group.from_coords(coords)
-            if (m - self.group.q_map(mu)) % 1 != 0:
+            mu = group.from_coords(coords)
+            if (m - group.q_map(mu)) % 1 != 0:
                 raise ValueError(f"support law violated at ({m}, {mu})")
             c = Fraction(c)
             if c:
                 norm[(m, mu.coords)] = c
         for (m, coords), c in norm.items():
-            neg = Coset(self.group, coords)
+            neg = Coset(group, coords)
             if norm.get((m, (-neg).coords), Fraction(0)) != c:
                 raise ValueError("principal part must be symmetric under mu -> -mu")
-        self.entries = norm
-        self.constant = Fraction(self.constant)
+        self.group = group
+        self.entries = norm    # {(Fraction m, coset coords tuple): Fraction}
+        self.constant = Fraction(constant)
 
     @property
     def is_integral(self):

@@ -305,12 +305,18 @@ class TestBadInput:
 
 
 def test_import_leaves_mpmath_unloaded():
-    # only the L-function analytics need mpmath; it is imported on first use
+    # only the L-function analytics need mpmath; it is imported on first use.
+    # The records are plain classes, so dataclasses and the inspect module it
+    # pulls in stay unloaded too, while every layer is still imported
     import speccy
     src = os.path.dirname(os.path.dirname(speccy.__file__))
-    code = "import sys, speccy.cli; print('mpmath' in sys.modules)"
+    layers = ("linalg", "lattice", "cyclotomic", "weil", "qseries", "imq",
+              "eisenstein", "cm", "pullback", "serialize", "cli")
+    code = ("import sys, speccy.cli; "
+            "print(sorted(m for m in ('mpmath', 'dataclasses', 'inspect') if m in sys.modules)); "
+            f"print([m for m in {layers!r} if 'speccy.' + m not in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n[]\n"

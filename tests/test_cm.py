@@ -326,6 +326,22 @@ class TestOracle:
                 checked += 1
         assert checked > 30
 
+    def test_order_data_cache_hits(self):
+        first = _cm_order_data(7, -7, 0)
+        hits = _cm_order_data.cache_info().hits
+        assert _cm_order_data(7, -7, 0) is first
+        # L0(-7) in a basis no other test uses (U = [[1, 2], [0, 1]]): its
+        # frame is new, but (p, d, model) and so the order data are not
+        pkg = EisensteinPackage.from_lattice(QuadLattice([[-2, -5], [-5, -16]]))
+        res = degree_bruteforce(pkg, 1, pkg.disc0.zero())
+        assert _cm_order_data.cache_info().hits == hits + 2
+        assert res.degree == degree_formula(pkg, 1, pkg.disc0.zero()).degree
+        alg = first[0]
+        twin = QuaternionAlgebra(alg.a, alg.b)
+        assert alg == twin and hash(alg) == hash(twin)
+        with pytest.raises(AttributeError):
+            alg.a = 1
+
     def test_frame_keyed_on_gram(self):
         # L0(-7) in two bases, the second the first under U = [[1, 1], [0, 1]]:
         # both share (p, d, model), so a frame cached for one basis must not

@@ -376,6 +376,22 @@ class TestLogLinear:
             LogLinear.make(0, {}, {"nope": 1})
 
 
+def test_frozen_records_compare_hash_and_refuse_assignment():
+    # LogLinear and ImQField are immutable value records: equal fields mean
+    # equal objects and equal hashes, so they can key dicts and caches
+    x = LogLinear.make(Fraction(1, 2), {7: 2, 3: 0}, {"gamma": 1})
+    y = LogLinear.make(Fraction(2, 4), {7: Fraction(4, 2)}, {"gamma": 1, "log_pi": 0})
+    K, K2 = ImQField.from_discriminant(-23), ImQField.from_discriminant(-23)
+    for a, b in ((x, y), (K, K2), (LogLinear(), LogLinear.make(0))):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert x != LogLinear.make(Fraction(1, 2), {7: 2})
+    assert K != ImQField.from_discriminant(-7)
+    assert repr(K) == "ImQField(d=-23, h=3, w=2)"
+    for record, name in ((x, "rational"), (K, "h"), (K, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
 class TestOrdP:
     def test_values(self):
         assert ord_p(Fraction(7, 2), 7) == 1

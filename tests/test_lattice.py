@@ -14,6 +14,7 @@ from speccy.lattice import (
     InvariantError,
     QuadLattice,
     SublatticeEmbedding,
+    _short_vectors,
     ball_sweep,
     count_coset_vectors,
     discriminant_group,
@@ -288,6 +289,16 @@ class TestDiscriminantGroup:
         with pytest.raises(ValueError, match="4 coordinates given, but the group has 2"):
             g.from_coords([1, 1, 1, 1])
 
+    def test_coset_is_a_frozen_value(self):
+        g = discriminant_group(QuadLattice([[2, 0], [0, 4]]))
+        mu, nu = g.from_coords([1, 3]), g.from_coords([3, 7])
+        assert mu == nu and hash(mu) == hash(nu) and {mu: 1}[nu] == 1
+        assert mu != g.from_coords([1, 1])
+        assert mu + mu == g.from_coords([0, 2]) and -mu == g.from_coords([1, 1])
+        for name in ("coords", "group", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(mu, name, (0, 0))
+
     def test_singular_rejected(self):
         lat = QuadLattice([[2, 2], [2, 2]])
         with pytest.raises(Exception):
@@ -494,6 +505,29 @@ class TestEnumerationProperties:
                      for t, norm in ball_sweep(G, shift, bound))
         assert got == skew_back(U, box_vectors(G0, Ushift, bound))
         assert all(q == quad(G, x) for x, q in got)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_exact_shell_is_the_filtered_sweep(self, data):
+        # the exact search tries only u = -r, r at its last level; it must
+        # return the sweep's vectors of norm N in the sweep's order, for
+        # every N up to the sweep's bound (zero shifts give u = 0)
+        n = data.draw(st.integers(1, 5))
+        B = [[data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        diag = [Fraction(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+                for _ in range(n)]
+        G = [[sum(B[k][i] * B[k][j] for k in range(n)) + (diag[i] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        den = data.draw(st.integers(1, 6))
+        shift = [Fraction(data.draw(st.integers(0, den - 1)), den) for _ in range(n)]
+        scale = 2 * lcm(*(g.denominator for row in G for g in row)) \
+            * lcm(*(s.denominator for s in shift)) ** 2
+        bound = data.draw(st.integers(0, 8))
+        sweep = _short_vectors(G, shift, Fraction(bound), exact=False)
+        target = scale * bound
+        for N in sorted({0, min(1, target), target} | {norm for _, norm in sweep}):
+            assert _short_vectors(G, shift, Fraction(N, scale), exact=True) == \
+                [(t, norm) for t, norm in sweep if norm == N]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(skewed_problem(integral=True))
