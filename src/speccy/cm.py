@@ -32,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .eisenstein import EisensteinPackage, s_mu
-from .imq import LogLinear, _hilbert_candidates, _prime_factors, hilbert_symbol, ord_p, rho
-from .lattice import Coset, InvariantError, QuadLattice, count_coset_vectors
+from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p, rho
+from .lattice import Coset, InvariantError, QuadLattice, count_coset_vectors, factorization
 from .linalg import (
     _scale_to_int,
     integer_kernel,
@@ -230,7 +230,7 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
         defect = disc // target
         trace, gram = order.integral_forms()
         found = False
-        for l in _prime_factors(defect):
+        for l, _ in factorization(defect):
             for coeffs in _integral_coefficients(trace, gram, l):
                 if not any(coeffs):
                     continue
@@ -293,7 +293,7 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
 
 
 @functools.lru_cache(maxsize=None)
-def _cm_order_data(p, d, skip_models=0):
+def _cm_order_data(p, d, skip_models):
     """Maximal order of B_{p, infinity} built around an optimal embedding of
     the maximal order of Q(sqrt d): the algebra model is (d, b), so theta =
     (d + i)/2 is the CM element by construction.  Returns the algebra, the

@@ -31,7 +31,7 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import InvariantError
+from .lattice import InvariantError, factorization
 
 _PHI_CACHE = {1: [-1, 1]}  # N -> integer coefficients of Phi_N, ascending
 
@@ -268,14 +268,10 @@ def sqrt_cyclotomic(n):
     integer n."""
     if n <= 0:
         raise ValueError("positive integer required")
-    f = 1
-    m = n
-    k = 2
-    while k * k <= m:
-        while m % (k * k) == 0:
-            m //= k * k
-            f *= k
-        k += 1
+    f = m = 1
+    for p, e in factorization(n):
+        f *= p ** (e // 2)
+        m *= p ** (e % 2)
     out = CycNum.from_rational(f)
     if m % 2 == 0:
         out = out * (CycNum.e(Fraction(1, 8)) + CycNum.e(Fraction(-1, 8)))  # sqrt(2)

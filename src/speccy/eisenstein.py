@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .imq import ImQField, LogLinear, _prime_factors, diff_set, ord_p, rho
+from .imq import ImQField, LogLinear, diff_set, ord_p, rho
 from .lattice import (
     Coset,
     DiscriminantGroup,
@@ -23,6 +23,7 @@ from .lattice import (
     QuadLattice,
     discriminant_group,
     even_clifford_binary,
+    factorization,
 )
 
 
@@ -56,7 +57,7 @@ def s_mu(pkg: EisensteinPackage, mu: Coset) -> int:
     """Number of primes l dividing disc(L0) whose l-primary component of mu
     vanishes, i.e. l does not divide the order of mu."""
     order = mu.order()
-    return sum(1 for l in _prime_factors(pkg.L0.disc) if order % l != 0)
+    return sum(1 for l, _ in factorization(pkg.L0.disc) if order % l != 0)
 
 
 def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:

@@ -2,9 +2,10 @@
 
 The field k = Q(sqrt(d)) for a negative odd fundamental discriminant d:
 class number by counting reduced binary forms, Kronecker character, the
-ideal-count function rho, Diff sets via ternary Hilbert-symbol isotropy,
-and L(chi, s) with its derivative at s = 0 through the log-Gamma route
-(which is the Chowla-Selberg evaluation in disguise).
+ideal-count function rho, Diff sets through one Hilbert symbol per prime
+(L0 (x) Q is Q(e1) times the norm form of Q(sqrt d)), and L(chi, s) with
+its derivative at s = 0 through the log-Gamma route (which is the
+Chowla-Selberg evaluation in disguise).
 
 LogLinear is the currency of arithmetic degrees: an exact element of the
 Q-span of 1, log p (p prime), the Euler-Mascheroni constant, log pi,
@@ -24,8 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .lattice import InvariantError, QuadLattice, is_fundamental_discriminant
-from .linalg import congruence_diagonal
+from .lattice import InvariantError, QuadLattice, factorization, is_fundamental_discriminant
 
 SPECIAL_SYMBOLS = ("gamma", "log_pi", "log_abs_d", "Lprime_over_L")
 
@@ -152,28 +152,13 @@ def kronecker_symbol(a, n):
     return result if n == 1 else 0
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, ascending, by trial division."""
-    n = abs(n)
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _hilbert_candidates(values):
     """2 and every prime of a numerator or denominator of the rational
     values: outside these primes every Hilbert symbol of them is 1."""
     cands = {2}
     for x in values:
-        cands.update(_prime_factors(x.numerator), _prime_factors(x.denominator))
+        for n in (x.numerator, x.denominator):
+            cands.update(p for p, _ in factorization(n))
     return sorted(cands)
 
 
@@ -225,16 +210,14 @@ def rho(K: ImQField, m) -> int:
     m = Fraction(m)
     if m <= 0 or m.denominator != 1:
         return 0
-    m = m.numerator
-    total = 0
-    e = 1
-    while e * e <= m:
-        if m % e == 0:
-            total += K.chi(e)
-            f = m // e
-            if f != e:
-                total += K.chi(f)
-        e += 1
+    # multiplicative: over p^e || m the ideal count is sum_{i<=e} chi(p)^i
+    total = 1
+    for p, e in factorization(m.numerator):
+        c = K.chi(p)
+        if c == 1:
+            total *= e + 1
+        elif c == -1:
+            total *= (e + 1) % 2
     return total
 
 
@@ -279,6 +262,8 @@ def rho_bruteforce(K: ImQField, m: int) -> int:
 
 
 def _val(n, p):
+    if p < 2:
+        raise ValueError(f"valuation needs a prime p >= 2, got {p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -302,7 +287,7 @@ def hilbert_symbol(a, b, p) -> int:
     b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
-    if p == "inf" or p == 0:
+    if p == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = int(p)
     # reduce to integers
@@ -336,25 +321,22 @@ def hilbert_symbol(a, b, p) -> int:
 def diff_set(L0: QuadLattice, m) -> frozenset:
     """Finite primes p where L0 (x) Q_p fails to represent m > 0.
 
-    Decided through the ternary criterion: <a1, a2, -m> is isotropic over
-    Q_p iff the Hasse invariant equals (-1, -det)_p.
+    With a = Q(e1) and disc = [e1, e2]^2 - [e1, e1][e2, e2], completing the
+    square gives Q = a (x + b y / 2a)^2 - (disc / 4a) y^2 (b = [e1, e2]), so
+    L0 (x) Q = <a, -disc/4a> = a <1, -disc>.  That form represents m over
+    Q_p exactly when m/a is a norm from Q_p(sqrt disc), i.e. when the
+    Hilbert symbol (a m, disc)_p is 1.
     """
     m = Fraction(m)
     if m <= 0:
         raise ValueError("diff_set requires m > 0")
     if L0.rank != 2 or not L0.is_negative_definite():
         raise ValueError("diff_set requires a negative definite binary lattice")
-    a1, a2 = (x / 2 for x in congruence_diagonal(L0.gram))
-    coeffs = [a1, a2, -m]
-    det = coeffs[0] * coeffs[1] * coeffs[2]
-    out = set()
-    for p in _hilbert_candidates(coeffs):
-        hasse = (hilbert_symbol(coeffs[0], coeffs[1], p)
-                 * hilbert_symbol(coeffs[0], coeffs[2], p)
-                 * hilbert_symbol(coeffs[1], coeffs[2], p))
-        if hasse != hilbert_symbol(-1, -det, p):
-            out.add(p)
-    return frozenset(out)
+    gram = L0.gram
+    am = gram[0][0] // 2 * m
+    disc = gram[0][1] ** 2 - gram[0][0] * gram[1][1]
+    return frozenset(p for p in _hilbert_candidates((am, disc))
+                     if hilbert_symbol(am, disc, p) == -1)
 
 
 # ---------------------------------------------------------------------------

@@ -551,27 +551,44 @@ def _short_vectors(gram, shift, bound, exact):
 CliffordDiscriminant = namedtuple("CliffordDiscriminant", "value is_fundamental is_odd")
 
 
+FACTOR_TRIAL_BOUND = 10 ** 6
+
+
+def factorization(n):
+    """The ascending (p, e) with p^e exactly dividing |n|, by trial division
+    up to FACTOR_TRIAL_BOUND: a cofactor still at least its square (it may be
+    composite) is refused with a ValueError naming n, never searched on."""
+    if n == 0:
+        raise ValueError("factorization of 0")
+    rest = abs(n)
+    out = []
+    k = 2
+    while k * k <= rest:
+        if k > FACTOR_TRIAL_BOUND:
+            raise ValueError(f"cannot factor {n}: trial division to {FACTOR_TRIAL_BOUND} "
+                             f"leaves a cofactor of {rest}")
+        if rest % k == 0:
+            e = 0
+            while rest % k == 0:
+                rest //= k
+                e += 1
+            out.append((k, e))
+        k += 1 if k == 2 else 2
+    if rest > 1:
+        out.append((rest, 1))
+    return out
+
+
 def is_fundamental_discriminant(d: int) -> bool:
     if d == 1:
         return True
     if d % 4 == 1:
-        return _squarefree(d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and _squarefree(q)
-    return False
-
-
-def _squarefree(n):
-    n = abs(n)
-    if n == 0:
+        core = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
+        core = d // 4
+    else:
         return False
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return all(e == 1 for _, e in factorization(core))
 
 
 def even_clifford_binary(lattice: QuadLattice) -> CliffordDiscriminant:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,20 @@ class TestBadInput:
         code, err = error_of(argv, capsys)
         assert code == 1
         assert err.startswith(f"error: {flag}")
+
+    @pytest.mark.parametrize("argv,number", [
+        (["degrees", "--lattice", "{l0}", "--m", "1000000000000000000000000000057"],
+         "1000000000000000000000000000057"),
+        (["chowla", "--disc", "-1000000000000000000000000000059"],
+         "-1000000000000000000000000000059"),
+    ])
+    def test_number_past_the_factorisation_bound(self, files, capsys, argv, number):
+        argv = [a.format(**files) for a in argv]
+        start = time.perf_counter()
+        code, err = error_of(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert err.startswith("error: cannot factor") and number in err
 
     def test_fault_target_beyond_every_row(self, tmp_path, capsys):
         # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row

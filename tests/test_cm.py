@@ -119,7 +119,7 @@ def starting_order(alg, theta):
 class TestMaximalOrders:
     def test_hurwitz_p2(self):
         # the maximal order of B_{2, inf} is the Hurwitz order: 24 units
-        alg, order, _, _ = _cm_order_data(2, -3)
+        alg, order, _, _ = _cm_order_data(2, -3, 0)
         gram = [[int(nrd_bilinear(alg, u, v)) for v in order.basis]
                 for u in order.basis]
         assert len(enumerate_coset_vectors(QuadLattice(gram), [0] * 4, 1)) == 24
@@ -127,7 +127,7 @@ class TestMaximalOrders:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23, 43])
     def test_saturation_reaches_p(self, p):
         d = nonsplit_disc(p)
-        alg, order, theta, _ = _cm_order_data(p, d)
+        alg, order, theta, _ = _cm_order_data(p, d, 0)
         assert order.reduced_discriminant() == p
         # the HNF-pivot determinant against the Fraction one
         assert abs(det_fraction(order.integral_forms()[1])) == p * p
@@ -142,7 +142,7 @@ class TestMaximalOrders:
         assert alg.mul(theta, theta) == lin
 
     def test_p7_contains_standard_order(self):
-        alg, order, theta, _ = _cm_order_data(7, -11)
+        alg, order, theta, _ = _cm_order_data(7, -11, 0)
         start = starting_order(alg, theta)
         for v in start.basis:
             assert order.contains(v)
@@ -154,7 +154,7 @@ class TestMaximalOrders:
     def test_integer_filter_matches_fractions(self, p, d):
         # the int criterion accepts exactly the c in (Z/l)^4 whose
         # sum c_r b_r / l has integral Fraction trd and nrd
-        alg, order, theta, _ = _cm_order_data(p, d)
+        alg, order, theta, _ = _cm_order_data(p, d, 0)
         for o in (starting_order(alg, theta), order):
             trace, gram = o.integral_forms()
             for l in (2, 3, 5, 7):
@@ -168,7 +168,7 @@ class TestMaximalOrders:
                 assert list(_integral_coefficients(trace, gram, l)) == expected
 
     def test_integral_forms(self):
-        alg, order, theta, _ = _cm_order_data(7, -11)
+        alg, order, theta, _ = _cm_order_data(7, -11, 0)
         for o in (starting_order(alg, theta), order):
             trace, gram = o.integral_forms()
             assert trace == [alg.trd(b) for b in o.basis]
@@ -185,7 +185,7 @@ class TestMaximalOrders:
     def test_pinned_basis_d163(self, p, rows):
         # saturation picks the first enlarging candidate in product order,
         # so the basis it reaches is fixed
-        _, order, _, _ = _cm_order_data(p, -163)
+        _, order, _, _ = _cm_order_data(p, -163, 0)
         assert order.basis == [[Fraction(x) for x in row] for row in rows]
         assert order.reduced_discriminant() == p
 
@@ -222,7 +222,7 @@ class TestMaximalOrders:
     def test_contains_matches_lattice_member(self, p, d):
         # HNF membership against the SNF solve, on x = sum c_r b_r / l with
         # c in [0, l]^4, so x is in O exactly when l divides every c_r
-        _, order, _, _ = _cm_order_data(p, d)
+        _, order, _, _ = _cm_order_data(p, d, 0)
         cols = [list(b) for b in order.basis]
         for l in (2, 3):
             for c in itertools.product(range(l + 1), repeat=4):
@@ -234,7 +234,7 @@ class TestMaximalOrders:
 
 class TestEmbedCM:
     def test_d7_p7(self):
-        alg, order, theta, _ = _cm_order_data(7, -7)
+        alg, order, theta, _ = _cm_order_data(7, -7, 0)
         assert alg.trd(theta) == -7
         assert alg.nrd(theta) == 14
 
@@ -243,7 +243,7 @@ class TestEmbedCM:
             K = ImQField.from_discriminant(d)
             if K.chi(p) == 1:
                 continue
-            alg, order, theta, _ = _cm_order_data(p, d)
+            alg, order, theta, _ = _cm_order_data(p, d, 0)
             assert order.contains(theta)
             sq = alg.mul(theta, theta)
             lin = tuple(Fraction(d) * theta[i]
@@ -253,7 +253,7 @@ class TestEmbedCM:
 
     def test_conjugate_linear_rank2_orthogonal(self):
         # {x : x alpha = conj(alpha) x} is rank 2 and orthogonal to O_k
-        alg, order, theta, ominus = _cm_order_data(7, -7)
+        alg, order, theta, ominus = _cm_order_data(7, -7, 0)
         assert len(ominus) == 2
         for x in ominus:
             for y in ([1, 0, 0, 0], theta):
@@ -327,9 +327,14 @@ class TestOracle:
         assert checked > 30
 
     def test_order_data_cache_hits(self):
+        # one cache key per order: the model index is never defaulted
+        _cm_order_data.cache_clear()
         first = _cm_order_data(7, -7, 0)
         hits = _cm_order_data.cache_info().hits
         assert _cm_order_data(7, -7, 0) is first
+        assert _cm_order_data.cache_info().currsize == 1
+        with pytest.raises(TypeError):
+            _cm_order_data(7, -7)
         # L0(-7) in a basis no other test uses (U = [[1, 2], [0, 1]]): its
         # frame is new, but (p, d, model) and so the order data are not
         pkg = EisensteinPackage.from_lattice(QuadLattice([[-2, -5], [-5, -16]]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import speccy
@@ -16,7 +16,6 @@ from speccy import imq
 from speccy.imq import (
     ImQField,
     _hilbert_candidates,
-    _prime_factors,
     L_chi,
     L_chi_exact_at_0,
     L_derivative_data,
@@ -30,7 +29,8 @@ from speccy.imq import (
     rho,
     rho_bruteforce,
 )
-from speccy.lattice import InvariantError, QuadLattice
+from speccy.lattice import FACTOR_TRIAL_BOUND, InvariantError, QuadLattice, factorization
+from speccy.linalg import congruence_diagonal
 
 
 def principal_lattice(d):
@@ -82,8 +82,25 @@ class TestPrimeHelpers:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(-10 ** 7, 10 ** 7))
     def test_prime_factors_match_factorint(self, n):
-        want = sorted(sympy.factorint(abs(n))) if n else []
-        assert _prime_factors(n) == want
+        if n == 0:
+            with pytest.raises(ValueError):
+                factorization(n)
+        else:
+            assert factorization(n) == sorted(sympy.factorint(abs(n)).items())
+
+    def test_smooth_numbers_factor_past_the_bound(self):
+        assert factorization(2 ** 200) == [(2, 200)]
+        assert factorization(-(3 ** 50) * 5 ** 40 * 999983) == [(3, 50), (5, 40), (999983, 1)]
+        big = sympy.nextprime(10 ** 12)
+        assert factorization(7 * big) == [(7, 1), (big, 1)]
+
+    def test_refuses_a_cofactor_past_the_bound(self):
+        # two primes above the bound: trial division cannot split them
+        p = sympy.nextprime(FACTOR_TRIAL_BOUND)
+        q = sympy.nextprime(p)
+        for n in (p * q, -2 * p * q, 10 ** 27 + 57):
+            with pytest.raises(ValueError, match=str(n)):
+                factorization(n)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.fractions(-1000, 1000, max_denominator=500).filter(lambda x: x != 0),
@@ -110,6 +127,13 @@ class TestPrimeHelpers:
 
 
 class TestRho:
+    @pytest.mark.parametrize("d", [-3, -15, -23, -163, -1003])
+    def test_divisor_sum(self, d):
+        # the definition rho(m) = sum_{e | m} chi(e) against the product formula
+        K = ImQField.from_discriminant(d)
+        for m in range(1, 3001):
+            assert rho(K, m) == sum(K.chi(e) for e in sympy.divisors(m)), (d, m)
+
     def test_basic(self):
         K = FIELDS[-7]
         assert rho(K, 1) == 1
@@ -155,6 +179,12 @@ class TestRho:
 
 
 class TestHilbert:
+    @pytest.mark.parametrize("p", [1, 0])
+    def test_refuses_p_below_2(self, p):
+        # "inf" is the only spelling of the real place
+        with pytest.raises(ValueError, match="p >= 2"):
+            hilbert_symbol(2, 3, p)
+
     def test_one_always_trivial(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -233,6 +263,31 @@ class TestDiff:
     def test_m_positive_required(self):
         with pytest.raises(ValueError):
             diff_set(principal_lattice(-7), 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40),
+           st.fractions(0, 500, max_denominator=60).filter(lambda x: x > 0))
+    def test_matches_the_ternary_hasse_criterion(self, a, b, c, m):
+        # any negative definite binary Gram, fundamental or not
+        assume(b * b < 4 * a * c)
+        L0 = QuadLattice([[-2 * a, -b], [-b, -2 * c]])
+        assert diff_set(L0, m) == ternary_diff_set(L0, m)
+
+
+def ternary_diff_set(L0, m):
+    """Diff(m) by the ternary criterion: <a1, a2, -m> is isotropic over Q_p
+    iff its Hasse invariant equals (-1, -det)_p."""
+    a1, a2 = (x / 2 for x in congruence_diagonal(L0.gram))
+    coeffs = [a1, a2, -m]
+    det = coeffs[0] * coeffs[1] * coeffs[2]
+    out = set()
+    for p in _hilbert_candidates(coeffs):
+        hasse = (hilbert_symbol(coeffs[0], coeffs[1], p)
+                 * hilbert_symbol(coeffs[0], coeffs[2], p)
+                 * hilbert_symbol(coeffs[1], coeffs[2], p))
+        if hasse != hilbert_symbol(-1, -det, p):
+            out.add(p)
+    return frozenset(out)
 
 
 class TestLFunctions:
@@ -397,6 +452,11 @@ class TestOrdP:
         assert ord_p(Fraction(7, 2), 7) == 1
         assert ord_p(Fraction(1, 49), 7) == -2
         assert ord_p(12, 2) == 2
+
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_refuses_p_below_2(self, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            ord_p(5, p)
 
 
 class TestInvariants:
