@@ -250,7 +250,7 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x)} to CycNum")
 
 
-def _sqrt_squarefree_odd(u):
+def _gauss_sqrt(u):
     """sqrt(u) for odd squarefree positive u, via the quadratic Gauss sum
     g(u) = sum e(k^2/u), which equals sqrt(u) or i*sqrt(u)."""
     if u == 1:
@@ -276,4 +276,4 @@ def sqrt_cyclotomic(n):
     if m % 2 == 0:
         out = out * (CycNum.e(Fraction(1, 8)) + CycNum.e(Fraction(-1, 8)))  # sqrt(2)
         m //= 2
-    return out * _sqrt_squarefree_odd(m)
+    return out * _gauss_sqrt(m)
