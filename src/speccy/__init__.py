@@ -39,8 +39,6 @@ from .pullback import (
     EmbeddingContext,
     LedgerReport,
     cotaut_degree,
-    finite_heart_degree,
-    lambda_mmu,
     pullback_table,
     verify_ledger,
 )
@@ -49,7 +47,6 @@ from .qseries import (
     VVFormQ,
     constant_term_pairing,
     hejhal_principal_part,
-    rep_number,
     theta_series,
 )
 from .weil import WeilRep

@@ -325,7 +325,8 @@ def diff_set(L0: QuadLattice, m) -> frozenset:
     square gives Q = a (x + b y / 2a)^2 - (disc / 4a) y^2 (b = [e1, e2]), so
     L0 (x) Q = <a, -disc/4a> = a <1, -disc>.  That form represents m over
     Q_p exactly when m/a is a norm from Q_p(sqrt disc), i.e. when the
-    Hilbert symbol (a m, disc)_p is 1.
+    Hilbert symbol (a m, disc)_p is 1.  The candidate primes are read off
+    a and m apart, so a refused factorisation names m, not a m.
     """
     m = Fraction(m)
     if m <= 0:
@@ -333,10 +334,10 @@ def diff_set(L0: QuadLattice, m) -> frozenset:
     if L0.rank != 2 or not L0.is_negative_definite():
         raise ValueError("diff_set requires a negative definite binary lattice")
     gram = L0.gram
-    am = gram[0][0] // 2 * m
+    a = gram[0][0] // 2
     disc = gram[0][1] ** 2 - gram[0][0] * gram[1][1]
-    return frozenset(p for p in _hilbert_candidates((am, disc))
-                     if hilbert_symbol(am, disc, p) == -1)
+    return frozenset(p for p in _hilbert_candidates((a, m, disc))
+                     if hilbert_symbol(a * m, disc, p) == -1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .linalg import (
     inverse_fraction,
     mat_mul,
     mat_vec,
+    row_hnf,
     snf_with_transforms,
     transpose,
 )
@@ -376,19 +377,18 @@ def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
         return list(pairs)
     n, r, nc = emb.ambient.rank, emb.sub.rank, emb.complement.rank
     if emb._glue_frame is None:
-        # representatives of Z^n / J Z^n, pulled back through U
+        # representatives of Z^n / J Z^n: the box of the pivots of the
+        # triangular Hermite basis of J Z^n
         J = [[emb.sub_basis[i][j] for j in range(r)] +
              [emb.complement_basis[i][j] for j in range(nc)] for i in range(n)]
-        U, V, D = snf_with_transforms(J)
-        Uinv = inverse_fraction(U)
-        ranges = [range(abs(D[t][t])) for t in range(n)]
-        reps = [mat_vec(Uinv, list(coords)) for coords in itertools.product(*ranges)]
+        H = row_hnf(transpose(J))
+        reps = list(itertools.product(*(range(H[t][t]) for t in range(n))))
         emb._glue_frame = (reps, inverse_fraction(J))
     reps, Jinv = emb._glue_frame
     disc0 = emb.sub.disc_group()
     discc = emb.complement.disc_group()
     mu_rep = mu.rep()
-    # keyed by coset coordinates: dedupes (a no-op safeguard, SNF reps are
+    # keyed by coset coordinates: dedupes (a no-op safeguard, box reps are
     # exact coset representatives) and orders deterministically
     seen = {}
     for rep in reps:

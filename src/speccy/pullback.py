@@ -28,7 +28,6 @@ from .lattice import (
     InvariantError,
     QuadLattice,
     count_coset_vectors,
-    enumerate_coset_vectors,
     glue_cosets,
     is_maximal,
     orthogonal_complement,
@@ -78,27 +77,16 @@ class EmbeddingContext:
         return Fraction(self.pkg.K.h, self.pkg.K.w)
 
 
-def _improper_cosets(ctx: EmbeddingContext, m, mu: Coset) -> list:
-    """The mu2 of the glue pairs (mu1, mu2) of mu with mu1 = 0."""
+def lambda_mmu_count(ctx: EmbeddingContext, m, mu: Coset) -> int:
+    """#{lambda in Lambda^vee : Q(lambda) = m, lambda in mu + L}: exact
+    shells on the complement over the glue pairs of mu with mu1 = 0."""
     if Fraction(m) <= 0:
         raise ValueError("m must be positive")
-    return [mu2 for mu1, mu2 in glue_cosets(ctx.emb, mu) if mu1.is_zero()]
-
-
-def lambda_mmu(ctx: EmbeddingContext, m, mu: Coset) -> list:
-    """{lambda in Lambda^vee : Q(lambda) = m, lambda in mu + L}: the glue
-    pairs of mu with trivial first component, enumerated on the complement."""
-    return sorted(x for mu2 in _improper_cosets(ctx, m, mu)
-                  for x in enumerate_coset_vectors(ctx.emb.complement, mu2, m))
-
-
-def lambda_mmu_count(ctx: EmbeddingContext, m, mu: Coset) -> int:
-    """len(lambda_mmu(ctx, m, mu)), counted without building the vectors."""
     return sum(count_coset_vectors(ctx.emb.complement, mu2, m)
-               for mu2 in _improper_cosets(ctx, m, mu))
+               for mu1, mu2 in glue_cosets(ctx.emb, mu) if mu1.is_zero())
 
 
-PullbackRow = namedtuple("PullbackRow", "m1 mu1_coords m2 mu2_coords count")
+PullbackRow = namedtuple("PullbackRow", "m1 mu1 m2 mu2 count")
 
 
 def pullback_table(ctx: EmbeddingContext, m, mu: Coset) -> list:
@@ -117,9 +105,9 @@ def pullback_table(ctx: EmbeddingContext, m, mu: Coset) -> list:
             if m1 > 0 or mu1.is_zero():
                 count = rep_coefficient(ctx.theta, m2, mu2)
                 if count:
-                    rows.append(PullbackRow(m1, mu1.coords, m2, mu2.coords, count))
+                    rows.append(PullbackRow(m1, mu1, m2, mu2, count))
             m2 += 1
-    rows.sort(key=lambda r: (r.m1, r.mu1_coords, r.mu2_coords))
+    rows.sort(key=lambda r: (r.m1, r.mu1.coords, r.mu2.coords))
     return rows
 
 
@@ -129,17 +117,6 @@ def cotaut_degree(ctx: EmbeddingContext) -> LogLinear:
     return LogLinear.make(0, {2: -2 * hw},
                           {"Lprime_over_L": 2 * hw, "log_abs_d": hw,
                            "log_pi": -hw, "gamma": -hw})
-
-
-def finite_heart_degree(ctx: EmbeddingContext, m, mu: Coset) -> LogLinear:
-    """Finite part of the pullback of the corrected divisor: the sum of
-    R(m2, mu2) times the CM degree at (m1, mu1) over rows with m1 > 0."""
-    total = LogLinear.make(0)
-    for row in pullback_table(ctx, m, mu):
-        if row.m1 > 0:
-            mu1 = Coset(ctx.pkg.disc0, row.mu1_coords)
-            total = total + degree_formula(ctx.pkg, row.m1, mu1).degree * row.count
-    return total
 
 
 def _ledger_coords(group, coords):
@@ -226,26 +203,27 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     residual = t_hat * pp.constant
     for (m, coords), cval in pp.items():
         mu = Coset(pp.group, coords)
-        eis_side = LogLinear.make(0)
+        eis_side = heart = LogLinear.make(0)
         improper = 0
         for row in pullback_table(ctx, m, mu):
-            mu1 = Coset(pkg.disc0, row.mu1_coords)
-            a = eis.coefficient(row.m1, mu1)
+            a = eis.coefficient(row.m1, row.mu1)
             ct_expanded = ct_expanded + a * (cval * row.count)
             if row.m1 == 0:  # the improper part, with multiplicity R
                 improper += row.count
                 continue
             eis_side = eis_side + a * (-hw * row.count)
             # (A): per reachable (m1, mu1): degree = -(h/w) a+
-            if (row.m1, row.mu1_coords) not in rows_a:
-                rows_a[row.m1, row.mu1_coords] = LedgerRow(
-                    "A", (row.m1, _ledger_coords(pkg.disc0, row.mu1_coords)),
-                    degree_formula(pkg, row.m1, mu1).degree, a * (-hw))
+            row_a = rows_a.get((row.m1, row.mu1))
+            if row_a is None:
+                row_a = rows_a[row.m1, row.mu1] = LedgerRow(
+                    "A", (row.m1, _ledger_coords(pkg.disc0, row.mu1.coords)),
+                    degree_formula(pkg, row.m1, row.mu1).degree, a * (-hw))
+            # (B)'s finite heart: the CM degree at (m1, mu1) times R(m2, mu2)
+            heart = heart + row_a.lhs * row.count
         # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
-        heart = finite_heart_degree(ctx, m, mu)
         key = (m, _ledger_coords(pp.group, coords))
         rows_b.append(LedgerRow("B", key, heart, eis_side))
-        # (D) per improper slot, cross-checked against lambda_mmu
+        # (D) per improper slot, cross-checked against exact shells on Lambda
         lam = lambda_mmu_count(ctx, m, mu)
         if improper != lam:
             raise InvariantError(f"pullback table disagrees with lambda_mmu at "

@@ -13,41 +13,32 @@ import math
 from fractions import Fraction
 from math import lcm
 
+from .imq import LogLinear
 from .lattice import (
     Coset,
     DiscriminantGroup,
     QuadLattice,
     SublatticeEmbedding,
     ball_sweep,
-    count_coset_vectors,
     discriminant_group,
     glue_cosets,
 )
 
-VARIANT_SUPPORT_SIGN = {"omega": -1, "conjugate": 1, "contragredient": 1}
-
-
-def rep_number(lattice: QuadLattice, m, mu) -> int:
-    """R(m, mu) = #{x in mu + L : Q(x) = m} for positive definite L."""
-    m = Fraction(m)
-    if m < 0:
-        return 0
-    return count_coset_vectors(lattice, mu, m)
-
 
 class VVFormQ:
-    """Finitely supported vector-valued q-expansion.
+    """Finitely supported vector-valued q-expansion for the contragredient
+    Weil representation, as theta series of definite lattices are.
 
     coeffs maps an exponent to the coefficient vector in the coset order of
     the discriminant group (zero coset first, then lexicographic).  cutoff
     records the largest exponent the table is complete up to.
     """
 
-    def __init__(self, weight: Fraction, variant: str, group: DiscriminantGroup,
+    variant = "contragredient"
+
+    def __init__(self, weight: Fraction, group: DiscriminantGroup,
                  coeffs: dict, cutoff: Fraction):
-        if variant not in VARIANT_SUPPORT_SIGN:
-            raise ValueError(f"unknown variant {variant!r}")
-        self.weight, self.variant, self.group = weight, variant, group
+        self.weight, self.group = weight, group
         self.coeffs, self.cutoff = coeffs, cutoff
         # the coefficient vector of every exponent absent from the table
         self._zero = (0,) * group.order
@@ -61,8 +52,8 @@ class VVFormQ:
         raise KeyError(f"coefficient at exponent {m} beyond table cutoff {self.cutoff}")
 
     def check_support(self):
-        """Support law and mu -> -mu symmetry of every stored coefficient."""
-        sign = VARIANT_SUPPORT_SIGN[self.variant]
+        """Support law m = Q(mu) mod Z and mu -> -mu symmetry of every
+        stored coefficient."""
         cosets = list(self.group.elements())
         neg_index = {i: self.group.index_of(-c) for i, c in enumerate(cosets)}
         for m, vec in self.coeffs.items():
@@ -71,7 +62,7 @@ class VVFormQ:
                     raise ValueError(f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry")
                 if vec[i] != 0:
                     q = self.group.q_map(c)
-                    if (m - sign * q) % 1 != 0:
+                    if (m - q) % 1 != 0:
                         raise ValueError(f"support law violated at ({m}, {c})")
         return True
 
@@ -154,7 +145,7 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
         vec[dual_index(k)] += 1
     # ball_sweep's norm is D k^T Ginv k = 2 D Q(x)
     coeffs = {Fraction(norm, 2 * den): tuple(vec) for norm, vec in counts.items()}
-    return VVFormQ(Fraction(lattice.rank, 2), "contragredient", group, coeffs, cutoff)
+    return VVFormQ(Fraction(lattice.rank, 2), group, coeffs, cutoff)
 
 
 class PrincipalPart:
@@ -221,8 +212,6 @@ def constant_term_pairing(pp: PrincipalPart, eis_table, theta: VVFormQ,
     orthogonal complement; the pairing runs through the glue description of
     S_L inside S_{L0} (x) S_Lambda.
     """
-    from .imq import LogLinear
-
     total = LogLinear.make(0)
     # m1 = 0 term: only the (0, 0, 0) cell survives since a^+(0, mu != 0) = 0
     # and R(0, mu != 0) = 0

@@ -1,6 +1,7 @@
 """The Weil representation attached to an even lattice, acting on the
-functions on the discriminant group, together with its conjugate and
-contragredient variants.
+functions on the discriminant group, together with its contragredient
+variant (entrywise conjugate generator matrices; theta series of positive
+definite lattices transform under it).
 
 Conventions.  With sig8 = (p - q) mod 8,
 
@@ -23,7 +24,7 @@ from math import lcm
 from .cyclotomic import CycNum, _matmul, sqrt_cyclotomic
 from .lattice import DiscriminantGroup
 
-VARIANTS = ("omega", "conjugate", "contragredient")
+VARIANTS = ("omega", "contragredient")
 
 S = "S"
 T = "T"
@@ -177,10 +178,9 @@ class WeilRep:
                 M = self.omega_T().conjugate()  # diagonal unitary: inverse = conjugate
             else:
                 raise ValueError(f"unknown generator {token!r}")
-            if variant in ("conjugate", "contragredient"):
-                # contragredient = inverse transpose = entrywise conjugate for
-                # unitary generator matrices; the conjugate variant has the
-                # same matrices, acting on the dual space
+            if variant == "contragredient":
+                # inverse transpose = entrywise conjugate for unitary
+                # generator matrices
                 M = M.conjugate()
             self._gen_cache[key] = M
         return self._gen_cache[key]

@@ -23,7 +23,10 @@ def files(tmp_path):
     sub.write_text('{"basis": [[1,0],[0,1],[0,0]]}')
     a1 = tmp_path / "a1.json"
     a1.write_text('{"gram": [[2]]}')
-    return {"l0": str(l0), "L": str(big), "sub": str(sub), "a1": str(a1)}
+    # also d = -7, with Q(e1) = -2 where l0 has Q(e1) = -1
+    l0_a2 = tmp_path / "l0_d7_a2.json"
+    l0_a2.write_text('{"gram": [[-4, -1], [-1, -2]]}')
+    return {"l0": str(l0), "L": str(big), "sub": str(sub), "a1": str(a1), "l0_a2": str(l0_a2)}
 
 
 def capture(argv):
@@ -227,14 +230,17 @@ class TestBadInput:
          "1000000000000000000000000000057"),
         (["chowla", "--disc", "-1000000000000000000000000000059"],
          "-1000000000000000000000000000059"),
+        (["degrees", "--lattice", "{l0_a2}", "--m", "1000000000000000000000000000057"],
+         "1000000000000000000000000000057"),
     ])
     def test_number_past_the_factorisation_bound(self, files, capsys, argv, number):
+        # the refusal names the number as typed, not Q(e1) times it
         argv = [a.format(**files) for a in argv]
         start = time.perf_counter()
         code, err = error_of(argv, capsys)
         assert time.perf_counter() - start < 5
         assert code == 1
-        assert err.startswith("error: cannot factor") and number in err
+        assert err.startswith(f"error: cannot factor {number}:")
 
     def test_fault_target_beyond_every_row(self, tmp_path, capsys):
         # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row

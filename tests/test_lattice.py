@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor, isqrt, lcm
 
 import pytest
@@ -641,6 +641,27 @@ class TestGlue:
         firsts = {p[0].coords for p in pairs}
         assert len(firsts) == 7
         assert any(p[0].is_zero() and p[1].is_zero() for p in pairs)
+
+    def test_e8_root_sublattices(self):
+        # every sublattice of E8 spanned by at most four simple roots (162
+        # embeddings, glue indices 2 to 16): index-many distinct pairs, each
+        # (mu1, mu2) the image of a vector of mu + L
+        from test_qseries import E8
+        zero = discriminant_group(E8).zero()
+        indices = set()
+        for k in range(1, 5):
+            for roots in combinations(range(8), k):
+                sub_basis = [[int(i == j) for j in roots] for i in range(8)]
+                emb = orthogonal_complement(E8, sub_basis)
+                pairs = glue_cosets(emb, zero)
+                assert len(pairs) == emb.index == len(set(pairs))
+                for mu1, mu2 in pairs:
+                    x = [sum(b * y for b, y in zip(row, mu1.rep())) +
+                         sum(c * y for c, y in zip(crow, mu2.rep()))
+                         for row, crow in zip(emb.sub_basis, emb.complement_basis)]
+                    assert all((a - b).denominator == 1 for a, b in zip(x, zero.rep()))
+                indices.add(emb.index)
+        assert indices == {2, 3, 4, 5, 6, 8, 9, 12, 16}
 
 
 class TestInvariants:
