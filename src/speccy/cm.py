@@ -10,17 +10,21 @@ infinity.  The prime-above-p bookkeeping cancels in the degree: the
 length of each point is ord_p(pm) log p / log N(P), and the degree sums
 length * log N(P) over points weighted by 1/#Aut.
 
-Quaternion lattices are compared through their Hermite normal form
-(linalg.lattice_basis), which is canonical: rank, membership and
-multiplicative closure of an order are each one HNF equality.  Quaternion
-products and norm forms run on ints: the algebra models (d, -q) have int
-parameters, and rational rows are scaled to one denominator first.
+Every quaternion lattice the oracle builds (orders, closure rounds,
+saturation candidates, iota(a) O, iota(d^-1 a) O^-, their intersection L)
+is held in one canonical integer form (H, den) (linalg.lattice_hnf): H the
+integer row HNF and den the least denominator.  Two lattices are equal
+exactly when their forms are, membership is one triangular reduction
+against H, and quaternion products, trd and nrd run on the integer rows:
+the algebra models (d, -q) have int parameters.
 
 The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0): the maximal order and O^-,
 the modules iota(a) O and iota(d^-1 a) O^-, their intersection L with its
-rank-2 QuadLattice, and the coordinate map into L.  Each (m, mu) then
-costs one shift solve and one coset enumeration.
+rank-2 QuadLattice, the coordinate map into L, and the Smith form of the
+shift system, whose matrix is the same for every (m, mu).  Each (m, mu)
+then costs U b, a divisibility test and V y for its shift, and one coset
+enumeration.
 """
 
 from __future__ import annotations
@@ -35,27 +39,35 @@ from .eisenstein import EisensteinPackage, s_mu
 from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p, rho
 from .lattice import Coset, InvariantError, QuadLattice, count_coset_vectors, factorization
 from .linalg import (
+    SmithSolver,
     _scale_to_int,
+    hnf_contains,
+    hnf_intersection,
     integer_kernel,
     inverse_fraction,
-    lattice_basis,
-    lattice_intersection,
+    lattice_hnf,
     mat_mul,
     mat_vec,
     row_hnf,
-    solve_integer,
     transpose,
 )
 
 # rounds of _closure before a growing closure is given up on
 _CLOSURE_ROUNDS = 16
+# candidates q (or q / p) tried for an algebra model (d, -q) of B_{p, inf}
+_MODEL_SEARCH = 2000
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
     """(a, b / Q): i^2 = a, j^2 = b, ij = -ji = k.  a and b are ints or
-    Fractions; with ints, products and norm forms run on ints."""
+    Fractions (an integral Fraction is stored as its int); with ints,
+    products and norm forms run on ints."""
 
     __slots__ = ()
+
+    def __new__(cls, a, b):
+        return super().__new__(cls, *(x.numerator if x.denominator == 1 else x
+                                      for x in (a, b)))
 
     def mul(self, x, y):
         a, b = self.a, self.b
@@ -87,14 +99,19 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
         return (x[0] * x[0] - self.a * x[1] * x[1] - self.b * x[2] * x[2]
                 + self.a * self.b * x[3] * x[3])
 
-    def norm_gram(self, xs):
+    def int_norm_gram(self, rows):
         """The Gram matrix trd(x conj(y)) = 2 (x0 y0 - a x1 y1 - b x2 y2
-        + ab x3 y3) of the reduced norm on xs; no quaternion products."""
+        + ab x3 y3) of the reduced norm on integer rows; no quaternion
+        products."""
         w = (2, -2 * self.a, -2 * self.b, 2 * self.a * self.b)
+        return [[sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)) for y in rows]
+                for x in rows]
+
+    def norm_gram(self, xs):
+        """int_norm_gram on rational rows, scaled to one denominator."""
         xs, den = _scale_to_int(xs)
         den *= den
-        return [[Fraction(sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)), den)
-                 for y in xs] for x in xs]
+        return [[Fraction(v, den) for v in row] for row in self.int_norm_gram(xs)]
 
     def ramified_primes(self):
         """Finite ramification set, computed from Hilbert symbols; the set
@@ -114,30 +131,47 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
 
 
 class QuaternionOrder:
-    """An order given by a basis (rows, coordinates in 1, i, j, k).
+    """An order given by a basis (rows, coordinates in 1, i, j, k), divided
+    by den.
 
-    The rows are kept as given; the lattice they span is held as its HNF.
-    Rank 4 is the length of that HNF, and 1 in O and O * O = O each leave
-    it unchanged when the element or the products are adjoined."""
+    The rows are kept as given, scaled to integer rows over one
+    denominator (self.rows, self.den); the lattice they span is held in
+    the canonical integer form (H, den) of linalg.lattice_hnf.  Rank 4 is
+    the length of H, 1 in O is one reduction against H, and O * O = O
+    leaves the form unchanged when the products are adjoined.  Products,
+    trd and nrd run on ints, so the algebra's a and b must be integers; a
+    model with a non-integral one is refused by name."""
 
-    def __init__(self, algebra: QuaternionAlgebra, basis):
+    def __init__(self, algebra: QuaternionAlgebra, basis, den=1):
+        if not all(isinstance(x, int) for x in algebra):
+            raise ValueError(f"orders need an algebra with integral a and b, "
+                             f"not ({algebra.a}, {algebra.b})")
         self.algebra = algebra
-        self.basis = [[Fraction(x) for x in row] for row in basis]
-        self._hnf = lattice_basis(self.basis)
-        if len(self.basis) != 4 or len(self._hnf) != 4:
+        self.rows, scale = _scale_to_int(basis)
+        self.den = den * scale
+        self.hnf = lattice_hnf(self.rows, self.den)
+        if len(self.rows) != 4 or len(self.hnf[0]) != 4:
             raise ValueError("order basis must have rank 4")
         if not self.contains((1, 0, 0, 0)):
             raise ValueError("order must contain 1")
-        if any(Fraction(algebra.trd(row)).denominator != 1
-               or Fraction(algebra.nrd(row)).denominator != 1 for row in self.basis):
+        den, den2 = self.den, self.den * self.den
+        if any(algebra.trd(row) % den or algebra.nrd(row) % den2 for row in self.rows):
             raise ValueError("order basis must be integral")
-        if lattice_basis(self._hnf + algebra.products(self.basis, self.basis)) != self._hnf:
+        if _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
+        self._basis = None
         self._forms = None
         self._disc = None
 
+    @property
+    def basis(self):
+        """The rows as given, as lists of Fractions."""
+        if self._basis is None:
+            self._basis = [[Fraction(x, self.den) for x in row] for row in self.rows]
+        return self._basis
+
     def contains(self, x):
-        return lattice_basis(self._hnf + [list(x)]) == self._hnf
+        return hnf_contains(self.hnf, x)
 
     def trace_gram(self):
         alg = self.algebra
@@ -148,12 +182,13 @@ class QuaternionOrder:
         N_rs = trd(b_r conj(b_s)) of the basis, as integers (both are
         integral because the order is).  Computed once per order."""
         if self._forms is None:
-            trace = [self.algebra.trd(x) for x in self.basis]
-            gram = self.algebra.norm_gram(self.basis)
-            if any(Fraction(v).denominator != 1 for v in trace + sum(gram, [])):
+            den, den2 = self.den, self.den * self.den
+            trace = [self.algebra.trd(row) for row in self.rows]
+            gram = self.algebra.int_norm_gram(self.rows)
+            if any(v % den for v in trace) or any(v % den2 for row in gram for v in row):
                 raise InvariantError("an order has a non-integral trace or norm form")
-            self._forms = ([int(v) for v in trace],
-                           [[int(v) for v in row] for row in gram])
+            self._forms = ([v // den for v in trace],
+                           [[v // den2 for v in row] for row in gram])
         return self._forms
 
     def reduced_discriminant(self) -> int:
@@ -194,19 +229,27 @@ def _integral_coefficients(trace, gram, l):
             yield c
 
 
-def _closure(alg: QuaternionAlgebra, generators):
-    """Smallest multiplicatively closed lattice containing the generators:
-    the HNF fixed point of L -> L + L * L.
+def _closure_step(alg: QuaternionAlgebra, form):
+    """The canonical form of L + L * L for L of canonical form (H, den):
+    the products of the rows of H lie over den^2."""
+    H, den = form
+    return lattice_hnf([[x * den for x in row] for row in H]
+                       + [alg.mul(x, y) for x in H for y in H], den * den)
+
+
+def _closure(alg: QuaternionAlgebra, rows, den):
+    """Smallest multiplicatively closed lattice containing the integer rows
+    over den, as its canonical form: the fixed point of L -> L + L * L.
 
     Bounded: adjoining an integral element need not generate a finitely
     generated module in a noncommutative algebra, so a candidate whose
     closure keeps growing is rejected rather than looped on."""
-    basis = lattice_basis([list(g) for g in generators])
+    form = lattice_hnf(rows, den)
     for _ in range(_CLOSURE_ROUNDS):
-        new_basis = lattice_basis(basis + alg.products(basis, basis))
-        if new_basis == basis:
-            return basis
-        basis = new_basis
+        grown = _closure_step(alg, form)
+        if grown == form:
+            return form
+        form = grown
     raise ValueError("multiplicative closure does not stabilize")
 
 
@@ -218,8 +261,8 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
     current basis b.  With the integer trace vector t_r = trd(b_r) and
     reduced-norm Gram N_rs = trd(b_r conj(b_s)) of the order, x is integral
     exactly when c.t = 0 (mod l) and c^T N c / 2 = 0 (mod l^2); that test
-    runs on ints, and only a candidate passing it is built in fractions,
-    where its trd and nrd are checked again.  The first candidate (in
+    runs on ints, and a candidate passing it has its trd and nrd checked
+    again on its integer numerators over den * l.  The first candidate (in
     itertools.product order) whose closure is an order of smaller
     discriminant replaces the order."""
     target = alg.discriminant()
@@ -229,29 +272,30 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
             break
         defect = disc // target
         trace, gram = order.integral_forms()
-        found = False
+        rows = order.rows
+        bigger = None
         for l, _ in factorization(defect):
+            dl = order.den * l
+            scaled = [[x * l for x in row] for row in rows]
             for coeffs in _integral_coefficients(trace, gram, l):
                 if not any(coeffs):
                     continue
-                x = [sum(Fraction(coeffs[r]) * order.basis[r][i] for r in range(4))
-                     / l for i in range(4)]
-                if (Fraction(alg.trd(x)).denominator != 1
-                        or Fraction(alg.nrd(x)).denominator != 1):
+                x = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
+                if alg.trd(x) % dl or alg.nrd(x) % (dl * dl):
                     raise InvariantError(f"the integer forms accepted {coeffs}/{l}, "
                                          f"whose trd or nrd is not integral")
                 try:
-                    bigger = QuaternionOrder(alg, _closure(alg, order.basis + [x]))
+                    candidate = QuaternionOrder(alg, *_closure(alg, scaled + [x], dl))
                 except ValueError:
                     continue
-                if bigger.reduced_discriminant() < disc:
-                    order = bigger
-                    found = True
+                if candidate.reduced_discriminant() < disc:
+                    bigger = candidate
                     break
-            if found:
+            if bigger is not None:
                 break
-        if not found:
-            raise RuntimeError("saturation failed to enlarge a non-maximal order")
+        if bigger is None:
+            raise InvariantError("saturation failed to enlarge a non-maximal order")
+        order = bigger
     if not order.is_maximal():
         raise InvariantError("saturation stopped at a non-maximal order")
     return order
@@ -292,6 +336,34 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
                     LogLinear.make(0, {p: wc}) if wc else LogLinear.make(0))
 
 
+def _algebra_model(p, d, skip_models):
+    """The (skip_models + 1)-th model (d, -q), q = 1, 2, ..., of the
+    quaternion algebra ramified exactly at p and infinity.
+
+    For p not dividing d, the symbol (d, -q)_p is 1 unless p divides q (d
+    is a discriminant, so 1 mod 4 when odd), so only multiples of p are
+    tried; for p dividing d, every q is.  Either way the first
+    _MODEL_SEARCH - 1 candidates are tried, and no model among them is a
+    ValueError."""
+    if d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a discriminant")
+    step = 1 if d % p == 0 else p
+    remaining = skip_models
+    for q in range(step, _MODEL_SEARCH * step, step):
+        # p must ramify; the full ramification set (and its parity check)
+        # is computed only for the models that pass this one symbol
+        if hilbert_symbol(d, -q, p) != -1:
+            continue
+        trial = QuaternionAlgebra(d, -q)
+        finite, infinite = trial.ramified_primes()
+        if finite == {p} and infinite:
+            if remaining == 0:
+                return trial
+            remaining -= 1
+    raise ValueError(f"no algebra model (d, -q) with q < {_MODEL_SEARCH * step} "
+                     f"found for p = {p}, d = {d}")
+
+
 @functools.lru_cache(maxsize=None)
 def _cm_order_data(p, d, skip_models):
     """Maximal order of B_{p, infinity} built around an optimal embedding of
@@ -304,42 +376,25 @@ def _cm_order_data(p, d, skip_models):
     them admit the embedding.  skip_models picks a later algebra model
     (d, -q); counts must not depend on the choice, which tests exploit.
     """
-    alg = None
-    remaining = skip_models
-    for q in range(1, 2000):
-        # p must ramify; the full ramification set (and its parity check)
-        # is computed only for the models that pass this one symbol
-        if hilbert_symbol(d, -q, p) != -1:
-            continue
-        trial = QuaternionAlgebra(d, -q)
-        finite, infinite = trial.ramified_primes()
-        if finite == {p} and infinite:
-            if remaining == 0:
-                alg = trial
-                break
-            remaining -= 1
-    if alg is None:
-        raise RuntimeError(f"no algebra model (d, -q) found for p = {p}")
-    theta = (Fraction(d, 2), Fraction(1, 2), Fraction(0), Fraction(0))
-    j = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-    jtheta = alg.mul(j, theta)
-    order = QuaternionOrder(alg, [[1, 0, 0, 0], list(theta), list(j), list(jtheta)])
+    alg = _algebra_model(p, d, skip_models)
+    # Z<1, theta, j, j theta> over 2, with 2 theta = (d, 1, 0, 0)
+    theta2 = (d, 1, 0, 0)
+    order = QuaternionOrder(alg, [[2, 0, 0, 0], list(theta2), [0, 0, 2, 0],
+                                  list(alg.mul((0, 0, 1, 0), theta2))], 2)
     order = saturate_to_maximal(alg, order)
+    theta = tuple(Fraction(x, 2) for x in theta2)
     if not order.contains(theta):
         raise InvariantError("the maximal order lost the CM element")
-    # O^-: kernel of x -> x theta + theta x - d x on the order
-    rows = [[x + y - d * z for x, y, z in zip(bt, tb, b)]
-            for bt, tb, b in zip(alg.products(order.basis, [theta]),
-                                 alg.products([theta], order.basis), order.basis)]
-    # express images in the order basis to keep the kernel integral
-    mat, _ = _scale_to_int(rows)
-    ker = integer_kernel(transpose(mat))
-    ominus = []
-    for jcol in range(len(ker[0]) if ker and ker[0] else 0):
-        coeffs = [ker[r][jcol] for r in range(4)]
-        vec = [sum(Fraction(coeffs[r]) * order.basis[r][i] for r in range(4))
+    # O^-: kernel of x -> x theta + theta x - d x on the order.  The images
+    # of the rows lie over 2 den; over their least denominator they are the
+    # columns of an integer matrix whose kernel is O^- in order coordinates
+    rows = [[x + y - 2 * d * z for x, y, z in zip(alg.mul(b, theta2), alg.mul(theta2, b), b)]
+            for b in order.rows]
+    g = math.gcd(2 * order.den, *(x for row in rows for x in row))
+    ker = integer_kernel(transpose([[x // g for x in row] for row in rows]))
+    ominus = [[Fraction(sum(ker[r][jcol] * order.rows[r][i] for r in range(4)), order.den)
                for i in range(4)]
-        ominus.append(vec)
+              for jcol in range(len(ker[0]) if ker and ker[0] else 0)]
     if len(ominus) != 2:
         raise InvariantError(f"conjugate-linear part has rank {len(ominus)}, not 2")
     return alg, order, theta, ominus
@@ -348,10 +403,13 @@ def _cm_order_data(p, d, skip_models):
 @functools.lru_cache(maxsize=None)
 def _coset_frame(p, d, skip_models, gram):
     """Everything degree_bruteforce needs that depends only on the prime,
-    the field, the algebra model and the Gram of L0, built once: theta,
-    A^-1 (L0-coordinates to k-coordinates), the columns of M_amb and
-    -M_full for the shift solve, the rank-2 coset lattice L = M_amb cap
-    M_full with its QuadLattice, and the coordinate map (L L^T)^-1 L."""
+    the field, the algebra model and the Gram of L0, built once; lattices
+    are canonical integer forms (H, den) of linalg.lattice_hnf.  Returns
+    theta; A^-1 (L0-coordinates to k-coordinates); the form of
+    M_amb = iota(d^-1 a) O^-; the denominator and the SmithSolver of the
+    shift system x0 - x = shift, x0 in M_amb and x in M_full = iota(a) O;
+    the form of the rank-2 coset lattice L = M_amb cap M_full with its
+    QuadLattice; and the coordinate map (L L^T)^-1 L as (C, cden)."""
     alg, order, theta, ominus = _cm_order_data(p, d, skip_models)
 
     # k acts on L0 through the even Clifford algebra: w_cl = e1 e2 with
@@ -380,27 +438,38 @@ def _coset_frame(p, d, skip_models, gram):
     Rdelta_inv = inverse_fraction(Rdelta)
     dinv_a_basis = [mat_vec(Rdelta_inv, col) for col in a_basis]
 
-    # full lattice: iota(a) * O; ambient for the coset: iota(d^-1 a) * O^-
-    M_full = lattice_basis(alg.products([_iota(theta, *col) for col in a_basis],
-                                        order.basis))
-    M_amb = lattice_basis(alg.products([_iota(theta, *col) for col in dinv_a_basis],
-                                       ominus))
-    if len(M_full) != 4 or len(M_amb) != 2:
-        raise InvariantError(f"module ranks {len(M_full)}, {len(M_amb)}, not 4, 2")
-    cols = [list(c) for c in M_amb] + [[-x for x in c] for c in M_full]
+    def iota_times(ideal_basis, rows, den):
+        ks, dk = _scale_to_int([_iota(theta, *col) for col in ideal_basis])
+        return lattice_hnf([alg.mul(k, x) for k in ks for x in rows], dk * den)
 
-    # V_mu = x0 + (M_amb cap M_full); Q(x) = -Q(e1) nrd(x) with -Q(e1) > 0,
-    # so the Gram is -Q(e1) N
-    L = lattice_intersection(M_amb, M_full)
+    # full lattice M_full = iota(a) * O; ambient for the coset
+    # M_amb = iota(d^-1 a) * O^-
+    full = iota_times(a_basis, order.rows, order.den)
+    amb = iota_times(dinv_a_basis, *_scale_to_int(ominus))
+    if len(full[0]) != 4 or len(amb[0]) != 2:
+        raise InvariantError(f"module ranks {len(full[0])}, {len(amb[0])}, not 4, 2")
+    # x0 - shift in M_full for x0 = sum y_j amb_j: the columns amb_j and
+    # -full_j over their common denominator
+    den = math.lcm(amb[1], full[1])
+    cols = ([[x * (den // amb[1]) for x in row] for row in amb[0]]
+            + [[-x * (den // full[1]) for x in row] for row in full[0]])
+    solver = SmithSolver(transpose(cols))
+
+    # V_mu = x0 + L; Q(x) = -Q(e1) nrd(x) with -Q(e1) > 0, so the Gram is
+    # -Q(e1) N = -gram[0][0] N / 2
+    L, lden = hnf_intersection(amb, full)
     if len(L) != 2:
         raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
-    lgram = [[-q1 * x for x in row] for row in alg.norm_gram(L)]
-    if any(x.denominator != 1 for row in lgram for x in row):
-        raise InvariantError(f"non-integral Gram {lgram}")
-    lat = QuadLattice([[int(x) for x in row] for row in lgram])
-    # coordinates in L: one solve through the Euclidean Gram L L^T
-    coord_map = mat_mul(inverse_fraction(mat_mul(L, transpose(L))), L)
-    return theta, Ainv, M_amb, cols, L, lat, coord_map
+    lgram = [[-gram[0][0] * x for x in row] for row in alg.int_norm_gram(L)]
+    scale = 2 * lden * lden
+    if any(x % scale for row in lgram for x in row):
+        raise InvariantError(f"non-integral Gram {lgram} / {scale}")
+    lat = QuadLattice([[x // scale for x in row] for row in lgram])
+    # coordinates in L: one solve through the Euclidean Gram, L L^T =
+    # H H^T / lden^2, so (L L^T)^-1 L = lden (H H^T)^-1 H
+    inv = inverse_fraction(mat_mul(L, transpose(L)))
+    coord = _scale_to_int([[x * lden for x in row] for row in mat_mul(inv, L)])
+    return theta, Ainv, amb, den, solver, (L, lden), lat, coord
 
 
 def _iota(theta, u, v):
@@ -415,8 +484,9 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     Realizes the special quasi-endomorphisms as an explicit rank-2 lattice
     inside the quaternion algebra ramified at Diff(m) and infinity, counts
     the coset vectors of norm m exactly, and applies the canonical-lifting
-    length ord_p(pm) and the 1/w automorphism weight.  The lattice comes
-    from the cached _coset_frame; each call solves for one shift.
+    length ord_p(pm) and the 1/w automorphism weight.  The lattice and the
+    Smith form of the shift system come from the cached _coset_frame; each
+    call solves for one shift.
     """
     m = Fraction(m)
     K = pkg.K
@@ -430,22 +500,24 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     (p,) = diff
     if ord_p(m, p) < 0:
         raise ValueError("oracle requires ord_p(m) >= 0")
-    theta, Ainv, M_amb, cols, L, lat, coord_map = _coset_frame(
+    theta, Ainv, (amb, aden), den, solver, (L, lden), lat, (C, cden) = _coset_frame(
         p, K.d, skip_models, pkg.L0.gram)
 
-    # the shift iota(mu~) where mu = mu~ * e1
+    # the shift iota(mu~) where mu = mu~ * e1, over the system's
+    # denominator; the system has no solution if it is not integral there
     shift = _iota(theta, *mat_vec(Ainv, list(mu.rep())))
-
-    # one solution x0 in M_amb with x0 - shift in M_full
-    scaled, _ = _scale_to_int(cols + [shift])
-    sol = solve_integer(transpose(scaled[:-1]), scaled[-1])
+    b = [divmod(s.numerator * den, s.denominator) for s in shift]
+    sol = None if any(r for _, r in b) else solver.solve([q for q, _ in b])
     count = 0
     if sol is not None:
-        x0 = [sum(Fraction(sol[j]) * M_amb[j][i] for j in range(2)) for i in range(4)]
-        coords = mat_vec(coord_map, x0)
-        if mat_vec(transpose(L), coords) != x0:
-            raise InvariantError(f"{x0} is not in the span of the coset lattice")
-        count = count_coset_vectors(lat, coords, m)
+        # one x0 in M_amb with x0 - shift in M_full, over aden
+        x0 = [sol[0] * u + sol[1] * v for u, v in zip(*amb)]
+        num = mat_vec(C, x0)   # coordinates, over cden * aden
+        # span check on ints: L^T coords = x0
+        back = [sum(n * row[i] for n, row in zip(num, L)) for i in range(4)]
+        if back != [x * cden * lden for x in x0]:
+            raise InvariantError(f"{x0} / {aden} is not in the span of the coset lattice")
+        count = count_coset_vectors(lat, [Fraction(n, cden * aden) for n in num], m)
     length = ord_p(p * m, p)
     wc = Fraction(count, K.w) * length
     return CMDegree(m, mu.coords, p, wc,

@@ -221,22 +221,37 @@ def integer_kernel(A):
     return [[V[i][j] for j in range(rank, m)] for i in range(m)]
 
 
+class SmithSolver:
+    """Integer solutions of A x = b for one integer matrix A and any number
+    of right-hand sides b: the Smith form U A V = D is computed once, and
+    each solve is U b, a divisibility test against the diagonal of D, and
+    V y."""
+
+    __slots__ = ("U", "V", "diag")
+
+    def __init__(self, A):
+        n = len(A)
+        m = len(A[0]) if n else 0
+        self.U, self.V, D = snf_with_transforms(A)
+        # a row past the diagonal has a zero diagonal entry
+        self.diag = [D[t][t] if t < m else 0 for t in range(n)]
+
+    def solve(self, b):
+        """One integer solution x of A x = b, or None if none exists."""
+        y = [0] * len(self.V)
+        # D y = U b: a zero diagonal entry needs (U b)_t = 0, a nonzero
+        # one needs d | (U b)_t
+        for t, (c, d) in enumerate(zip(mat_vec(self.U, b), self.diag)):
+            if (c % d if d else c) != 0:
+                return None
+            if d:
+                y[t] = c // d
+        return mat_vec(self.V, y)
+
+
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None if none exists."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    U, V, D = snf_with_transforms(A)
-    c = mat_vec(U, b)
-    y = [0] * m
-    # D y = U b: a zero diagonal entry (or a row past the diagonal) needs
-    # (U b)_t = 0, a nonzero one needs d | (U b)_t
-    for t in range(n):
-        d = D[t][t] if t < m else 0
-        if (c[t] % d if d else c[t]) != 0:
-            return None
-        if d:
-            y[t] = c[t] // d
-    return mat_vec(V, y)
+    return SmithSolver(A).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +265,62 @@ def _scale_to_int(vectors):
     return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
 
+def lattice_hnf(rows, den=1):
+    """Canonical form (H, den) of the lattice spanned by the integer rows
+    divided by den: H is the row HNF of the rows and den the least
+    denominator of H / den (no prime divides both den and every entry of
+    H).
+    Two lattices are equal exactly when their forms are, because the HNF
+    of g M is g times the HNF of M."""
+    H = row_hnf(rows)
+    g = math.gcd(den, *(x for row in H for x in row))
+    if g == 1:
+        return H, den
+    return [[x // g for x in row] for row in H], den // g
+
+
 def lattice_basis(generators):
-    """Canonical basis (list of column vectors) from rational generators."""
-    gens = [g for g in generators if any(x != 0 for x in g)]
-    if not gens:
-        return []
-    cols, den = _scale_to_int(gens)
-    return [[Fraction(x, den) for x in row] for row in row_hnf(cols)]
+    """Canonical basis (list of column vectors) from rational generators:
+    the Fraction view of lattice_hnf."""
+    H, den = lattice_hnf(*_scale_to_int(generators))
+    return [[Fraction(x, den) for x in row] for row in H]
+
+
+def hnf_contains(form, v):
+    """Whether the rational vector v lies in the lattice of the canonical
+    form (H, den): den v must be integral and reduce to 0 against the rows
+    of H, one pivot at a time."""
+    H, den = form
+    w = []
+    for x in v:
+        q, r = divmod(x.numerator * den, x.denominator)
+        if r:
+            return False
+        w.append(q)
+    for row in H:
+        c = next(i for i, h in enumerate(row) if h)
+        q, r = divmod(w[c], row[c])
+        if r:
+            return False
+        if q:
+            w = [a - q * h for a, h in zip(w, row)]
+    return not any(w)
+
+
+def hnf_intersection(form1, form2):
+    """Canonical form of the intersection of two lattices given by their
+    canonical forms.  Over the common denominator, the rows (a, a) for a in
+    the first lattice and (b, 0) for b in the second span {(a + b, a)};
+    the rows of its HNF whose first half is zero span {(0, a) : a = -b},
+    so their second halves are a basis of the intersection."""
+    (H1, d1), (H2, d2) = form1, form2
+    if not H1 or not H2:
+        return [], 1
+    den = lcm(d1, d2)
+    n = len(H1[0])
+    block = ([[x * (den // d1) for x in row] * 2 for row in H1]
+             + [[x * (den // d2) for x in row] + [0] * n for row in H2])
+    return lattice_hnf([row[n:] for row in row_hnf(block) if not any(row[:n])], den)
 
 
 def lattice_member(basis_cols, v):
@@ -269,18 +333,9 @@ def lattice_member(basis_cols, v):
 
 def lattice_intersection(basis1, basis2):
     """Basis of the intersection of two rational lattices (column bases)."""
-    if not basis1 or not basis2:
-        return []
-    n = len(basis1[0])
-    r1 = len(basis1)
-    cols, _ = _scale_to_int(list(basis1) + list(basis2))
-    ker = integer_kernel(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]]))
-    gens = []
-    for j in range(len(ker[0]) if ker and ker[0] else 0):
-        coeffs = [ker[i][j] for i in range(r1)]
-        v = [sum(Fraction(basis1[t][i]) * coeffs[t] for t in range(r1)) for i in range(n)]
-        gens.append(v)
-    return lattice_basis(gens)
+    H, den = hnf_intersection(lattice_hnf(*_scale_to_int(basis1)),
+                              lattice_hnf(*_scale_to_int(basis2)))
+    return [[Fraction(x, den) for x in row] for row in H]
 
 
 # ---------------------------------------------------------------------------

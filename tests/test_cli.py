@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from speccy import cm
 from speccy.cli import run
 from speccy.lattice import QuadLattice
 
@@ -109,6 +110,24 @@ class TestDegrees:
         assert blob["formula"]["degree"]["logs"] == {"7": "1"}
         assert blob["oracle"]["degree"]["logs"] == {"7": "1"}
         assert blob["oracle"]["agrees"] is True
+
+    def test_oracle_at_a_large_diff_prime(self, files):
+        # Diff(99991) = {99991}: every algebra model (-7, -q) has 99991 | q
+        code, out = capture(["degrees", "--lattice", files["l0"],
+                             "--m", "99991", "--oracle"])
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["formula"]["degree"]["logs"] == {"99991": "2"}
+        assert blob["oracle"]["agrees"] is True
+
+    def test_oracle_without_a_model_is_input_error(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(cm, "_MODEL_SEARCH", 1)
+        cm._cm_order_data.cache_clear()
+        cm._coset_frame.cache_clear()
+        code, _ = capture(["degrees", "--lattice", files["l0"], "--m", "3", "--oracle"])
+        assert code == 1
+        assert "no algebra model (d, -q) with q < 3 found for p = 3, d = -7" in \
+            capsys.readouterr().err
 
     def test_bad_m_is_input_error(self, files):
         code, _ = capture(["degrees", "--lattice", files["l0"], "--m", "0"])

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speccy import cm
 from speccy.cm import (
     QuaternionAlgebra,
     QuaternionOrder,
+    _algebra_model,
     _cm_order_data,
     _integral_coefficients,
     degree_bruteforce,
     degree_formula,
 )
 from speccy.eisenstein import EisensteinPackage, a_plus
-from speccy.imq import ImQField, kronecker_symbol, ord_p, reduced_forms
+from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors
 from speccy.linalg import det_fraction, lattice_member
 
@@ -102,6 +104,67 @@ class TestAlgebra:
             alg = QuaternionAlgebra(Fraction(a), Fraction(b))
             finite, infinite = alg.ramified_primes()
             assert (len(finite) + (1 if infinite else 0)) % 2 == 0
+
+
+class TestRationalAlgebra:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.fractions(-12, -1, max_denominator=4), b=st.fractions(-12, -1, max_denominator=4),
+           x=st.lists(st.fractions(-5, 5, max_denominator=3), min_size=4, max_size=4),
+           y=st.lists(st.fractions(-5, 5, max_denominator=3), min_size=4, max_size=4))
+    @example(a=Fraction(-3), b=Fraction(-5, 2), x=[1, 0, 0, 0], y=[0, 0, 1, 0])
+    def test_served_exactly_or_refused_by_name(self, a, b, x, y):
+        # parameters are kept exactly (an integral Fraction as its int),
+        # products and norms are exact, and an order is built only over
+        # integral parameters: otherwise it is refused, never truncated
+        alg = QuaternionAlgebra(a, b)
+        assert (alg.a, alg.b) == (a, b)
+        assert all(type(v) is int for v in alg if v.denominator == 1)
+        x, y = tuple(x), tuple(y)
+        xy = alg.mul(x, y)
+        assert alg.nrd(xy) == alg.nrd(x) * alg.nrd(y)
+        assert alg.products([x], [y]) == [list(xy)]
+        assert alg.norm_gram([x])[0][0] == 2 * alg.nrd(x)
+        lipschitz = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        if a.denominator == 1 and b.denominator == 1:
+            order = QuaternionOrder(alg, lipschitz)
+            assert order.integral_forms()[1] == [[2, 0, 0, 0], [0, -2 * a, 0, 0],
+                                                 [0, 0, -2 * b, 0], [0, 0, 0, 2 * a * b]]
+        else:
+            with pytest.raises(ValueError, match="integral a and b"):
+                QuaternionOrder(alg, lipschitz)
+
+
+def linear_model_scan(p, d, limit=2000):
+    """Every model (d, -q), q < limit, ramified exactly at p and infinity:
+    the reference for the model search."""
+    return [QuaternionAlgebra(d, -q) for q in range(1, limit)
+            if hilbert_symbol(d, -q, p) == -1
+            and QuaternionAlgebra(d, -q).ramified_primes() == ({p}, True)]
+
+
+class TestAlgebraModel:
+    @pytest.mark.parametrize("d", [-3, -4, -7, -8, -67])
+    def test_search_keeps_every_model_of_the_scan(self, d):
+        # for p not dividing d only multiples of p are tried: every model
+        # the scan over q < 2000 finds is still found, in the same order
+        checked = 0
+        for p in (2, 3, 5, 7, 11, 13, 67, 101, 503):
+            models = linear_model_scan(p, d)
+            for skip, model in enumerate(models[:2]):
+                assert _algebra_model(p, d, skip) == model, (p, d, skip)
+                checked += 1
+        assert checked >= 8
+
+    def test_large_prime_past_the_scan(self):
+        # no q < 2000 serves p = 99991 (q must be a multiple of p)
+        assert linear_model_scan(99991, -7) == []
+        alg = _algebra_model(99991, -7, 0)
+        assert alg.b % 99991 == 0 and alg.ramified_primes() == ({99991}, True)
+
+    def test_exhausted_search_names_p_and_d(self, monkeypatch):
+        monkeypatch.setattr(cm, "_MODEL_SEARCH", 1)
+        with pytest.raises(ValueError, match=r"p = 503, d = -67"):
+            _algebra_model(503, -67, 0)
 
 
 def nonsplit_disc(p):
@@ -389,6 +452,21 @@ class TestOracle:
             checked += 1
         assert checked == 69
         assert len(primes) == 27
+
+    def test_d67_sweep_both_models(self):
+        # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 10 in
+        # Q(sqrt -67) under two algebra models: 59 primes up to 661, where
+        # the model (d, -q) needs q a multiple of p
+        pkg = EisensteinPackage.from_lattice(principal_lattice(-67))
+        checked = 0
+        for m, mu in admissible(pkg, 10):
+            fm = degree_formula(pkg, m, mu)
+            for skip in (0, 1):
+                bf = degree_bruteforce(pkg, m, mu, skip_models=skip)
+                assert bf.weighted_count == fm.weighted_count, (m, mu, skip)
+                assert bf.degree == fm.degree, (m, mu, skip)
+                checked += 1
+        assert checked == 1112
 
     def test_class_number_one_required(self):
         pkg = EisensteinPackage.from_lattice(principal_lattice(-15))

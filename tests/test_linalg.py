@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speccy.linalg import (
+    SmithSolver,
     _scale_to_int,
     congruence_diagonal,
     det_fraction,
+    hnf_contains,
+    hnf_intersection,
     identity_matrix,
     integer_kernel,
     inverse_fraction,
     lattice_basis,
+    lattice_hnf,
     lattice_intersection,
     lattice_member,
     mat_mul,
@@ -22,6 +26,7 @@ from speccy.linalg import (
     row_hnf,
     snf_with_transforms,
     solve_integer,
+    transpose,
 )
 
 
@@ -172,6 +177,97 @@ class TestLattices:
         B = lattice_basis([[2, 0], [0, 2]])
         assert lattice_member(B, [1, 0]) is None
         assert lattice_member(B, [2, -4]) is not None
+
+
+rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rational_generators(draw, n=3):
+    """1-4 rational vectors of length n (zero and dependent ones included)."""
+    return draw(st.lists(st.lists(rational, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+def fraction_hnf(generators):
+    """The lattice's HNF built in Fractions: the generators scaled to ints
+    over the lcm of their denominators, the integer HNF, divided back."""
+    cols, den = _scale_to_int(generators)
+    return [[Fraction(x, den) for x in row] for row in row_hnf(cols)]
+
+
+def kernel_intersection(basis1, basis2):
+    """The intersection through the integer kernel of [B1 | -B2]."""
+    r1 = len(basis1)
+    cols, _ = _scale_to_int(list(basis1) + list(basis2))
+    ker = integer_kernel(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]]))
+    return lattice_basis([[sum(ker[t][j] * Fraction(basis1[t][i]) for t in range(r1))
+                           for i in range(len(basis1[0]))]
+                          for j in range(len(ker[0]) if ker and ker[0] else 0)])
+
+
+class TestIntegerForms:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(gens=rational_generators(), unimodular=st.lists(st.integers(-2, 2), min_size=2,
+                                                           max_size=2))
+    def test_form_is_the_fraction_hnf(self, gens, unimodular):
+        H, den = lattice_hnf(*_scale_to_int(gens))
+        assert [[Fraction(x, den) for x in row] for row in H] == fraction_hnf(gens)
+        assert lattice_basis(gens) == fraction_hnf(gens)
+        # least denominator, and canonical: other generators of the same
+        # lattice (a row added to another, an integer scale) give the same
+        assert all(type(x) is int for row in H for x in row)
+        assert math.gcd(den, *(x for row in H for x in row)) == 1
+        if len(gens) > 1:
+            a, b = unimodular
+            other = [[x + a * y for x, y in zip(gens[0], gens[1])]] + gens[1:] + [
+                [b * x for x in gens[-1]]]
+            assert lattice_hnf(*_scale_to_int(other)) == (H, den)
+        scaled, sden = _scale_to_int(gens)
+        assert lattice_hnf([[3 * x for x in row] for row in scaled], 3 * sden) == (H, den)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(gens=rational_generators(), v=st.lists(rational, min_size=3, max_size=3),
+           coeffs=st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_membership_by_reduction(self, gens, v, coeffs):
+        form = lattice_hnf(*_scale_to_int(gens))
+        basis = lattice_basis(gens)
+        inside = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3)]
+        for x in (v, inside, [Fraction(0)] * 3):
+            assert hnf_contains(form, x) == (lattice_member(basis, x) is not None)
+        assert hnf_contains(form, inside)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gens1=rational_generators(), gens2=rational_generators())
+    def test_intersection_matches_kernel_route(self, gens1, gens2):
+        B1, B2 = lattice_basis(gens1), lattice_basis(gens2)
+        H, den = hnf_intersection(lattice_hnf(*_scale_to_int(gens1)),
+                                  lattice_hnf(*_scale_to_int(gens2)))
+        want = kernel_intersection(B1, B2) if B1 and B2 else []
+        assert [[Fraction(x, den) for x in row] for row in H] == want
+        assert lattice_intersection(B1, B2) == want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(A=st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
+               lambda m: st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                                  min_size=n, max_size=n))),
+           bs=st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1,
+                       max_size=5),
+           xs=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1,
+                       max_size=5))
+    def test_one_smith_form_many_solves(self, A, bs, xs):
+        # one solver reused on solvable and random right-hand sides gives
+        # what a fresh solve_integer gives, and None exactly when b is not
+        # in the column lattice
+        n, m = len(A), len(A[0])
+        solver = SmithSolver(A)
+        cols = [[A[i][j] for i in range(n)] for j in range(m)]
+        rhs = [b[:n] for b in bs] + [mat_vec(A, x[:m]) for x in xs]
+        for b in rhs:
+            sol = solver.solve(b)
+            assert sol == solve_integer(A, b)
+            assert (sol is None) == (lattice_basis(cols + [b]) != lattice_basis(cols))
+            if sol is not None:
+                assert mat_vec(A, sol) == b
 
 
 @st.composite
