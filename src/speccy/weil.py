@@ -10,10 +10,18 @@ Conventions.  With sig8 = (p - q) mod 8,
 
 Metaplectic elements are words in the generators S, T, T^-1; the cocycle
 is never needed because every computation composes generator matrices.
-Matrices carry their power of 1/sqrt(|D|) separately so products of
-generators stay exact; comparisons fold the square root in via Gauss sums
-when the powers disagree in parity.  A product accumulates each entry's
-sum of products in one exponent dict (cyclotomic._matmul).
+
+Square roots are folded once per word.  Matrices carry their power of
+1/sqrt(|D|) separately, so products of generators stay in integer
+cyclotomic entries, and WeilRep.apply scales its vector to integers, runs
+it through the letters and adds up their powers in the same way.  Only the
+end result folds the power in (_fold: one Gauss-sum root, cached per |D|,
+for an odd power, then one rational scale); a comparison multiplies by
+that root only when the two powers differ in parity.  A product
+accumulates each entry's sum of products in one exponent dict
+(cyclotomic._matmul).  Every matrix carries the discriminant form it acts
+on (elementary divisors and Q-values in coset order), and products and
+comparisons refuse matrices of two different forms.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycNum, _matmul, sqrt_cyclotomic
+from .cyclotomic import CycNum, _is_product, _matmul, sqrt_cyclotomic
 from .lattice import DiscriminantGroup
 
 VARIANTS = ("omega", "contragredient")
@@ -31,10 +39,13 @@ T = "T"
 T_INV = "T^-1"
 
 
-def _same_group(a, b):
-    if a.disc_order != b.disc_order:
-        raise ValueError(f"matrices over discriminant groups of orders "
-                         f"{a.disc_order} and {b.disc_order}")
+def _same_form(a, b):
+    if a.form != b.form:
+        (da, qa), (db, qb) = a.form, b.form
+        what = (f"orders {len(qa)} and {len(qb)}" if len(qa) != len(qb)
+                else f"elementary divisors {da} and {db}" if da != db
+                else "Q-values in coset order")
+        raise ValueError(f"matrices over different discriminant forms: {what} differ")
 
 
 def _fold(xs, D, s, den=1):
@@ -47,38 +58,48 @@ def _fold(xs, D, s, den=1):
     return list(xs) if scale == 1 else [x * scale for x in xs]
 
 
-class ScaledMatrix:
-    """entries * |D|^(-s/2) with exact cyclotomic entries."""
+def _integral_column(vec):
+    """vec as a one-column matrix of CycNums with integer coefficients, and
+    the denominator cleared from it."""
+    vec = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
+    den = lcm(*(c.denominator for x in vec for c in x.terms.values()))
+    return [[x * den] for x in vec], den
 
-    def __init__(self, entries, sqrt_power, disc_order):
+
+class ScaledMatrix:
+    """entries * |D|^(-s/2) with exact cyclotomic entries, acting on the
+    functions on a discriminant form; form = (elementary divisors,
+    Q-values in coset order) identifies it, and |D| is its length."""
+
+    def __init__(self, entries, sqrt_power, form):
         self.entries = entries
         self.sqrt_power = sqrt_power
-        self.disc_order = disc_order
+        self.form = form
+        self.disc_order = len(form[1])
 
     @property
     def dim(self):
         return len(self.entries)
 
     def matmul(self, other):
-        _same_group(self, other)
+        _same_form(self, other)
         return ScaledMatrix(_matmul(self.entries, other.entries),
-                            self.sqrt_power + other.sqrt_power, self.disc_order)
+                            self.sqrt_power + other.sqrt_power, self.form)
 
     def apply(self, vec):
-        vec = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
-        # integer coefficients through the product, one rational scale after
-        den = lcm(*(c.denominator for x in vec for c in x.terms.values()))
-        out = _matmul(self.entries, [[x * den] for x in vec])
+        # integer coefficients through the product, one fold after
+        col, den = _integral_column(vec)
+        out = _matmul(self.entries, col)
         return _fold([row[0] for row in out], self.disc_order, self.sqrt_power, den)
 
     def conjugate(self):
         return ScaledMatrix([[x.conjugate() for x in row] for row in self.entries],
-                            self.sqrt_power, self.disc_order)
+                            self.sqrt_power, self.form)
 
     def transpose(self):
         n = self.dim
         return ScaledMatrix([[self.entries[j][i] for j in range(n)] for i in range(n)],
-                            self.sqrt_power, self.disc_order)
+                            self.sqrt_power, self.form)
 
     def scaled_entries(self):
         """Entries with the square-root scale folded in exactly."""
@@ -87,9 +108,7 @@ class ScaledMatrix:
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):
             return NotImplemented
-        _same_group(self, other)
-        if self.dim != other.dim:
-            return False
+        _same_form(self, other)
         D = self.disc_order
         A, B = self.entries, other.entries
         diff = self.sqrt_power - other.sqrt_power
@@ -97,10 +116,9 @@ class ScaledMatrix:
             A, B, diff = B, A, -diff
         # value equality: A * D^(-sA/2) == B * D^(-sB/2), i.e. A == B * D^(diff/2)
         scale = D ** (diff // 2)
-        if diff % 2:
-            scale = sqrt_cyclotomic(D) * scale
-        return all(A[i][j] == B[i][j] * scale
-                   for i in range(self.dim) for j in range(self.dim))
+        scale = sqrt_cyclotomic(D) * scale if diff % 2 else CycNum.from_rational(scale)
+        return all(_is_product(a, b, scale)
+                   for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
 
     def to_complex(self):
         sc = float(self.disc_order) ** (-self.sqrt_power / 2)
@@ -126,6 +144,7 @@ class WeilRep:
         self._coords = [c.coords for c in self._cosets]
         self._paired = [[sum(a * P[s][t] for s, a in enumerate(v)) % E
                          for t in range(len(P))] for v in self._coords]
+        self.form = (tuple(disc.elementary_divisors), tuple(self._q))
         self._gen_cache = {}
 
     def cosets(self):
@@ -143,7 +162,7 @@ class WeilRep:
         ent = [[CycNum() for _ in range(n)] for _ in range(n)]
         for i in range(n):
             ent[i][i] = CycNum.e(-self._q[i])
-        return ScaledMatrix(ent, 0, self.dim)
+        return ScaledMatrix(ent, 0, self.form)
 
     def omega_S(self) -> ScaledMatrix:
         """(nu, mu) entry e(sig8/8) e([mu, nu]) / sqrt(|D|)."""
@@ -154,7 +173,7 @@ class WeilRep:
         step = cond // E
         ent = [[CycNum({root8 + step * self._bilinear(j, i): 1}, cond) for j in range(n)]
                for i in range(n)]
-        return ScaledMatrix(ent, 1, self.dim)
+        return ScaledMatrix(ent, 1, self.form)
 
     def omega_Z(self) -> ScaledMatrix:
         """The center: phi_mu -> e(sig8/4) phi_{-mu}."""
@@ -163,7 +182,7 @@ class WeilRep:
         ent = [[CycNum() for _ in range(n)] for _ in range(n)]
         for j in range(n):
             ent[self._neg[j]][j] = root4
-        return ScaledMatrix(ent, 0, self.dim)
+        return ScaledMatrix(ent, 0, self.form)
 
     def generator_matrix(self, token, variant="omega") -> ScaledMatrix:
         if variant not in VARIANTS:
@@ -187,29 +206,34 @@ class WeilRep:
 
     def rep_matrix(self, word, variant="omega") -> ScaledMatrix:
         """Matrix of the word g1 g2 ... gr: product of generator matrices."""
-        n = self.dim
-        ent = [[CycNum.from_rational(int(i == j)) for j in range(n)] for i in range(n)]
-        out = ScaledMatrix(ent, 0, self.dim)
-        for g in word:
-            out = out.matmul(self.generator_matrix(g, variant))
+        mats = [self.generator_matrix(g, variant) for g in word]
+        if not mats:
+            n = self.dim
+            return ScaledMatrix([[CycNum.from_rational(int(i == j)) for j in range(n)]
+                                 for i in range(n)], 0, self.form)
+        out = mats[0]
+        for M in mats[1:]:
+            out = out.matmul(M)
         return out
 
     def apply(self, variant, word, vec):
         """Apply the representation of a word to a vector of length dim.
 
         Entries may be ints, Fractions, or CycNums; the result is a list of
-        CycNums with all square-root scales folded in exactly.
+        CycNums with the word's square-root scale folded in exactly, once.
         """
         if variant not in VARIANTS:
             raise ValueError(f"unknown representation variant {variant!r}")
         if len(vec) != self.dim:
             raise ValueError("vector length does not match discriminant group order")
-        out = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
+        col, den = _integral_column(vec)
+        power = 0
         for g in reversed(word):
             # rightmost generator acts first
             M = self.generator_matrix(g, variant)
-            out = M.apply(out)
-        return out
+            col = _matmul(M.entries, col)
+            power += M.sqrt_power
+        return _fold([row[0] for row in col], self.dim, power, den)
 
     def level(self):
         return self.disc.lattice.level()

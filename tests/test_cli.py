@@ -261,6 +261,15 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: cannot factor {number}:")
 
+    def test_eisenstein_cutoff_past_the_budget(self, files, capsys):
+        # refused before the walk, like theta's refusal of the same cutoff
+        start = time.perf_counter()
+        code, err = error_of(["eisenstein", "--lattice", files["l0"],
+                              "--cutoff", "1000000000000000000000000000057"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert err.startswith("error: --cutoff: ") and "budget" in err
+
     def test_fault_target_beyond_every_row(self, tmp_path, capsys):
         # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row
         # reads a+ at m = 2, so the table stops before it and has no target

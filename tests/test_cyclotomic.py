@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,37 @@ class TestFixedCases:
             r = sqrt_cyclotomic(n)
             assert r * r == n, n
             assert abs(r.to_complex() - n ** 0.5) < 1e-9, n
+
+    @pytest.mark.parametrize("u", [u for u in range(1, 200, 2)
+                                   if all(e == 1 for e in sympy.factorint(u).values())])
+    def test_linear_gauss_sum_matches_repeated_sum(self, u):
+        # the sum of e(k^2/u) as u repeated additions, times e(-1/4) when
+        # it is i sqrt(u)
+        g = CycNum()
+        for k in range(u):
+            g = g + CycNum.e(Fraction(k * k, u))
+        if u % 4 == 3:
+            g = g * CycNum.e(Fraction(-1, 4))
+        root = cyclotomic._gauss_sqrt(u)
+        assert (root.n, root.terms) == (g.n, g.terms)
+        assert root == sqrt_cyclotomic(u)
+
+    def test_cached_root_is_shared_and_read_only(self):
+        sqrt_cyclotomic.cache_clear()
+        root = sqrt_cyclotomic(60)
+        before = (root.n, dict(root.terms))
+        x = CycNum.e(Fraction(1, 6)) + 2
+        for value in (root * x, x * root, root + x, x - root, -root, root * Fraction(1, 3),
+                      root.conjugate(), root * root):
+            assert not value.is_zero()
+        assert root == root.conjugate() and root * root == 60
+        with pytest.raises(TypeError):
+            root.terms[0] = 5
+        assert (root.n, dict(root.terms)) == before
+        for twin in (copy.deepcopy(root), pickle.loads(pickle.dumps(root))):
+            assert (twin.n, twin.terms) == before
+        assert sqrt_cyclotomic(60) is root
+        assert sqrt_cyclotomic.cache_info().misses == 1
 
     def test_product_of_roots(self):
         assert CycNum.e(Fraction(1, 4)) * CycNum.e(Fraction(1, 6)) == CycNum.e(Fraction(5, 12))

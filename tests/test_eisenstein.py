@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from speccy.eisenstein import EisensteinPackage, a_plus, eisenstein_qexp, s_mu
+from speccy.eisenstein import TABLE_BUDGET, EisensteinPackage, a_plus, eisenstein_qexp, s_mu
 from speccy.imq import LogLinear, diff_set, reduced_forms
 from speccy.lattice import QuadLattice
 
@@ -134,6 +134,12 @@ class TestTable:
     def test_off_lattice_exponent_zero(self):
         table = eisenstein_qexp(PKG7, 1)
         assert table.coefficient(Fraction(1, 3), PKG7.disc0.zero()).is_zero()
+
+    def test_walk_past_the_budget_refused(self):
+        # 7 cosets: cutoff 14285 asks for 7 * 14286 = 100002 > 10^5 evaluations
+        assert PKG7.disc0.order * 14286 > TABLE_BUDGET >= PKG7.disc0.order * 14285
+        with pytest.raises(ValueError, match="budget of 100000"):
+            eisenstein_qexp(PKG7, 14285)
 
     def test_beyond_cutoff_raises(self):
         table = eisenstein_qexp(PKG7, 1)

@@ -5,11 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speccy
-from speccy.cyclotomic import CycNum
+from speccy.cyclotomic import CycNum, sqrt_cyclotomic
 from speccy.lattice import QuadLattice, discriminant_group
-from speccy.weil import S, T, T_INV, WeilRep
+from speccy.weil import S, T, T_INV, VARIANTS, WeilRep
 
 LATTICES = [
     QuadLattice([[2]]),
@@ -117,6 +119,55 @@ class TestRelations:
             assert any(not (M1.entries[i][i] - 1).is_zero() for i in range(w.dim))
 
 
+# |D| <= 16, definite of both signs and indefinite; [[2, 0], [0, -4]] and
+# [[2, 0], [0, 6]] have the non-cyclic groups Z/2 x Z/4 and Z/2 x Z/6
+PROPERTY_GRAMS = [
+    [[2]],
+    [[2, 1], [1, 2]],
+    [[2, 0], [0, 2]],
+    [[-2, -1], [-1, -4]],
+    [[2, 0], [0, -4]],
+    [[2, 1], [1, 6]],
+    [[2, 0], [0, 6]],
+    [[4, 1], [1, 4]],
+    [[2, 0], [0, 8]],
+]
+_PROPERTY_REPS = {}
+
+
+def property_rep(i):
+    if i not in _PROPERTY_REPS:
+        _PROPERTY_REPS[i] = wrep(QuadLattice(PROPERTY_GRAMS[i]))
+    return _PROPERTY_REPS[i]
+
+
+def per_letter_oracle(w, variant, word, vec):
+    """The word applied letter by letter, each generator's scale folded
+    into its entries (scaled_entries) and the products summed as CycNums:
+    no _matmul and no carried power of sqrt(|D|)."""
+    out = [CycNum.from_rational(x) for x in vec]
+    for g in reversed(word):
+        M = w.generator_matrix(g, variant).scaled_entries()
+        nxt = []
+        for row in M:
+            acc = CycNum()
+            for m, x in zip(row, out):
+                acc = acc + m * x
+            nxt.append(acc)
+        out = nxt
+    return out
+
+
+@st.composite
+def weil_cases(draw):
+    w = property_rep(draw(st.integers(0, len(PROPERTY_GRAMS) - 1)))
+    variant = draw(st.sampled_from(VARIANTS))
+    word = tuple(draw(st.lists(st.sampled_from([S, T, T_INV]), max_size=6)))
+    vec = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                        min_size=w.dim, max_size=w.dim))
+    return w, variant, word, vec
+
+
 class TestApply:
     def test_empty_word(self):
         w = wrep(QuadLattice([[2]]))
@@ -168,25 +219,35 @@ class TestApply:
         with pytest.raises(ValueError, match="unknown generator 'U'"):
             w.rep_matrix(("U",))
 
-    def test_apply_matches_word_matrix(self):
-        # generator-by-generator application with Gauss-sum folding against
-        # the scale-tracked word matrix: independent square-root handling
-        rng = random.Random(18)
-        for lat in (QuadLattice([[2]]), QuadLattice([[2, 1], [1, 2]])):
-            w = wrep(lat)
-            for _ in range(3):
-                word = tuple(rng.choice([S, T, T_INV]) for _ in range(rng.randint(1, 4)))
-                v = [Fraction(rng.randint(-2, 2)) for _ in range(w.dim)]
-                via_apply = w.apply("omega", word, v)
-                mat = w.rep_matrix(word, "omega").scaled_entries()
-                via_matrix = []
-                for i in range(w.dim):
-                    acc = CycNum()
-                    for j in range(w.dim):
-                        acc = acc + mat[i][j] * v[j]
-                    via_matrix.append(acc)
-                for a, b in zip(via_apply, via_matrix):
-                    assert (a - b).is_zero()
+    def test_property_grams_cover_the_sizes(self):
+        dims = sorted(property_rep(i).dim for i in range(len(PROPERTY_GRAMS)))
+        assert dims[-1] <= 16 and 15 in dims
+        assert tuple(property_rep(4).disc.elementary_divisors) == (2, 4)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(weil_cases())
+    def test_apply_matches_word_matrix(self, case):
+        # three routes: apply folds the word's root once, the word matrix
+        # folds it once after its product, and the oracle folds per letter
+        w, variant, word, vec = case
+        via_apply = w.apply(variant, word, vec)
+        via_matrix = w.rep_matrix(word, variant).apply(vec)
+        via_letters = per_letter_oracle(w, variant, word, vec)
+        assert len(via_apply) == len(via_matrix) == len(via_letters) == w.dim
+        for a, b, c in zip(via_apply, via_matrix, via_letters):
+            assert a == c and b == c
+
+    def test_one_root_per_word(self):
+        # the word's square-root power is folded once: one Gauss sum built
+        # for a word with three S letters, and one for an (ST)^3 check
+        sqrt_cyclotomic.cache_clear()
+        w = wrep(QuadLattice([[2, 1], [1, 6]]))
+        w.apply("omega", (S, T, S, T_INV, S), [Fraction(k, 2) for k in range(w.dim)])
+        assert sqrt_cyclotomic.cache_info().misses == 1
+        sqrt_cyclotomic.cache_clear()
+        ST = w.omega_S().matmul(w.omega_T())
+        assert ST.matmul(ST).matmul(ST) == w.omega_Z()
+        assert sqrt_cyclotomic.cache_info().misses == 1
 
 
 class TestNegatedLattice:
@@ -231,6 +292,10 @@ class TestLargerGroup:
                 assert (Z2.entries[i][j] - want).is_zero()
 
 
+A2 = [[2, 1], [1, 2]]
+MINUS_A2 = [[-2, -1], [-1, -2]]
+
+
 class TestGroupMismatch:
     def test_matmul_and_eq_refuse_two_lattices(self):
         a = wrep(QuadLattice([[2]])).omega_S()
@@ -240,6 +305,25 @@ class TestGroupMismatch:
         with pytest.raises(ValueError, match="orders 2 and 3"):
             a == b  # noqa: B015
 
+    @pytest.mark.parametrize("gram_a,gram_b,tok_a,tok_b,what", [
+        # Z/2 x Z/2 against Z/4, and Q = 1/3 against Q = 2/3 on Z/3
+        ([[2, 0], [0, 2]], [[4]], S, T, r"elementary divisors \(2, 2\) and \(4,\)"),
+        (A2, MINUS_A2, T, T, "Q-values in coset order"),
+    ])
+    def test_equal_orders_refused(self, gram_a, gram_b, tok_a, tok_b, what):
+        a = wrep(QuadLattice(gram_a)).generator_matrix(tok_a)
+        b = wrep(QuadLattice(gram_b)).generator_matrix(tok_b)
+        assert a.disc_order == b.disc_order
+        with pytest.raises(ValueError, match=what):
+            a.matmul(b)
+        with pytest.raises(ValueError, match=what):
+            a == b  # noqa: B015
+
+    def test_same_lattice_still_compares(self):
+        a = wrep(QuadLattice(A2)).omega_T()
+        assert a == wrep(QuadLattice(A2)).omega_T()
+        assert a.matmul(a.conjugate()) == wrep(QuadLattice(A2)).rep_matrix(())
+
     def test_checks_survive_optimize(self):
         # python -O strips assert statements; these checks must still fire
         script = (
@@ -247,15 +331,19 @@ class TestGroupMismatch:
             "from speccy import cyclotomic\n"
             "from speccy.lattice import InvariantError, QuadLattice\n"
             "from speccy.weil import WeilRep\n"
-            "a = WeilRep(QuadLattice([[2]]).disc_group()).omega_T()\n"
-            "b = WeilRep(QuadLattice([[2, 1], [1, 2]]).disc_group()).omega_T()\n"
-            "for check in (lambda: a.matmul(b), lambda: a == b):\n"
-            "    try:\n"
-            "        check()\n"
-            "    except ValueError:\n"
-            "        pass\n"
-            "    else:\n"
-            "        raise SystemExit('mismatch not refused')\n"
+            "def rep(gram):\n"
+            "    return WeilRep(QuadLattice(gram).disc_group())\n"
+            "pairs = [(rep([[2]]).omega_T(), rep([[2, 1], [1, 2]]).omega_T()),\n"
+            "         (rep([[2, 0], [0, 2]]).omega_S(), rep([[4]]).omega_T()),\n"
+            "         (rep([[2, 1], [1, 2]]).omega_T(), rep([[-2, -1], [-1, -2]]).omega_T())]\n"
+            "for a, b in pairs:\n"
+            "    for check in (lambda: a.matmul(b), lambda: a == b):\n"
+            "        try:\n"
+            "            check()\n"
+            "        except ValueError:\n"
+            "            pass\n"
+            "        else:\n"
+            "            raise SystemExit('mismatch not refused')\n"
             "cyclotomic._PHI_CACHE.update({2: [1, 2]})\n"
             "try:\n"
             "    cyclotomic.cyclotomic_polynomial(4)\n"
