@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .cm import degree_bruteforce, degree_formula
-from .eisenstein import EisensteinPackage, eisenstein_qexp
+from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
 from .lattice import InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
@@ -199,7 +199,10 @@ def cmd_verify(args):
     except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"--pp: {exc}") from None
     max_m = max(pp.support_exponents() or [Fraction(1)])
-    ctx = EmbeddingContext.build(lat, sub, max_m)
+    try:
+        ctx = EmbeddingContext.build(lat, sub, max_m)
+    except TableBudgetError as exc:
+        raise InputError(f"--pp: {exc}") from None
     fault = None
     if args.fault_inject:
         fault = parse_coset_key(args.fault_inject, "--fault-inject")

@@ -22,9 +22,11 @@ The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0): the maximal order and O^-,
 the modules iota(a) O and iota(d^-1 a) O^-, their intersection L with its
 rank-2 QuadLattice, the coordinate map into L, and the Smith form of the
-shift system, whose matrix is the same for every (m, mu).  Each (m, mu)
-then costs U b, a divisibility test and V y for its shift, and one coset
-enumeration.
+shift system, whose matrix is the same for every (m, mu).  The frame also
+keeps a table filled once per coset mu, on integers: the shift iota(mu~),
+its Smith solve (U b, a divisibility test and V y), the span check, and
+the coset's L-coordinates as numerators over one denominator.  Each
+(m, mu) then costs one shell count by the integer enumeration core.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from .eisenstein import EisensteinPackage, s_mu
 from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p, rho
-from .lattice import Coset, InvariantError, QuadLattice, count_coset_vectors, factorization
+from .lattice import Coset, InvariantError, QuadLattice, _search, factorization
 from .linalg import (
     SmithSolver,
     _scale_to_int,
@@ -114,20 +116,25 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
         return [[Fraction(v, den) for v in row] for row in self.int_norm_gram(xs)]
 
     def ramified_primes(self):
-        """Finite ramification set, computed from Hilbert symbols; the set
-        including infinity always has even cardinality."""
-        finite = {p for p in _hilbert_candidates((self.a, self.b))
-                  if hilbert_symbol(self.a, self.b, p) == -1}
-        infinite = hilbert_symbol(self.a, self.b, "inf") == -1
-        if (len(finite) + infinite) % 2:
-            raise InvariantError(f"odd ramification set {sorted(finite)}, "
-                                 f"infinity {infinite}")
-        return frozenset(finite), infinite
+        """Finite ramification set, computed from Hilbert symbols once per
+        (a, b); the set including infinity always has even cardinality."""
+        return _ramification(self.a, self.b)
 
     def discriminant(self) -> int:
         """The product of the finite ramified primes: the reduced
         discriminant of a maximal order."""
         return math.prod(self.ramified_primes()[0])
+
+
+@functools.lru_cache(maxsize=1024)
+def _ramification(a, b):
+    """(finite ramified primes, whether infinity ramifies) of (a, b / Q)."""
+    finite = {p for p in _hilbert_candidates((a, b)) if hilbert_symbol(a, b, p) == -1}
+    infinite = hilbert_symbol(a, b, "inf") == -1
+    if (len(finite) + infinite) % 2:
+        raise InvariantError(f"odd ramification set {sorted(finite)}, "
+                             f"infinity {infinite}")
+    return frozenset(finite), infinite
 
 
 class QuaternionOrder:
@@ -400,16 +407,22 @@ def _cm_order_data(p, d, skip_models):
     return alg, order, theta, ominus
 
 
+# What degree_bruteforce needs for one (p, d, model, Gram of L0); shifts is
+# the table of _coset_shift, filled one coset at a time
+_Frame = namedtuple("_Frame", "theta2 ainv amb den solver L gram coord shifts")
+
+
 @functools.lru_cache(maxsize=None)
 def _coset_frame(p, d, skip_models, gram):
     """Everything degree_bruteforce needs that depends only on the prime,
     the field, the algebra model and the Gram of L0, built once; lattices
-    are canonical integer forms (H, den) of linalg.lattice_hnf.  Returns
-    theta; A^-1 (L0-coordinates to k-coordinates); the form of
-    M_amb = iota(d^-1 a) O^-; the denominator and the SmithSolver of the
-    shift system x0 - x = shift, x0 in M_amb and x in M_full = iota(a) O;
-    the form of the rank-2 coset lattice L = M_amb cap M_full with its
-    QuadLattice; and the coordinate map (L L^T)^-1 L as (C, cden)."""
+    are canonical integer forms (H, den) of linalg.lattice_hnf.  Returns a
+    _Frame: 2 theta; A^-1 (L0-coordinates to k-coordinates) as an integer
+    matrix over one denominator; the form of M_amb = iota(d^-1 a) O^-; the
+    denominator and the SmithSolver of the shift system x0 - x = shift,
+    x0 in M_amb and x in M_full = iota(a) O; the form of the rank-2 coset
+    lattice L = M_amb cap M_full and its integer Gram; the coordinate map
+    (L L^T)^-1 L as (C, cden); and an empty table of coset shifts."""
     alg, order, theta, ominus = _cm_order_data(p, d, skip_models)
 
     # k acts on L0 through the even Clifford algebra: w_cl = e1 e2 with
@@ -465,16 +478,65 @@ def _coset_frame(p, d, skip_models, gram):
     if any(x % scale for row in lgram for x in row):
         raise InvariantError(f"non-integral Gram {lgram} / {scale}")
     lat = QuadLattice([[x // scale for x in row] for row in lgram])
+    if not lat.is_positive_definite():
+        raise InvariantError(f"the coset lattice Gram {lat.gram} is not positive definite")
     # coordinates in L: one solve through the Euclidean Gram, L L^T =
     # H H^T / lden^2, so (L L^T)^-1 L = lden (H H^T)^-1 H
     inv = inverse_fraction(mat_mul(L, transpose(L)))
     coord = _scale_to_int([[x * lden for x in row] for row in mat_mul(inv, L)])
-    return theta, Ainv, amb, den, solver, (L, lden), lat, coord
+    theta2 = tuple(x.numerator * (2 // x.denominator) for x in theta)
+    return _Frame(theta2, _scale_to_int(Ainv), amb, den, solver, (L, lden), lat.gram,
+                  coord, {})
+
+
+def _coset_shift(frame: _Frame, mu: Coset):
+    """The coset x0 + L of the special quasi-endomorphisms attached to mu,
+    as the integer numerators c (in L-coordinates) over their least
+    denominator e, or None when there is none: computed once per frame
+    and mu, on integers, and kept in frame.shifts.
+
+    mu = mu~ e1 gives the shift iota(mu~); the Smith solve of the shift
+    system finds one x0 in M_amb with x0 - shift in M_full (none unless
+    the shift is integral over the system's denominator), and x0 must lie
+    in the span of L."""
+    entry = frame.shifts.get(mu.coords, False)
+    if entry is not False:
+        return entry
+    (ainv, aiden), (amb, aden), den = frame.ainv, frame.amb, frame.den
+    (r,), rden = _scale_to_int([mu.rep()])
+    u, v = mat_vec(ainv, r)
+    # 2 iota(u + v w) = 2 u + v (2 theta), over sden
+    shift = _iota(frame.theta2, 2 * u, v)
+    sden = 2 * aiden * rden
+    entry = None
+    if not any(x * den % sden for x in shift):
+        sol = frame.solver.solve([x * den // sden for x in shift])
+        if sol is not None:
+            # x0 over aden, its L-coordinates num over cden * aden
+            x0 = [sol[0] * a + sol[1] * b for a, b in zip(*amb)]
+            (L, lden), (C, cden) = frame.L, frame.coord
+            num = mat_vec(C, x0)
+            # span check: L^T coords = x0
+            back = [sum(n * row[i] for n, row in zip(num, L)) for i in range(4)]
+            if back != [x * cden * lden for x in x0]:
+                raise InvariantError(f"{x0} / {aden} is not in the span of the coset lattice")
+            g = math.gcd(cden * aden, *num)
+            entry = (tuple(n // g for n in num), cden * aden // g)
+    frame.shifts[mu.coords] = entry
+    return entry
 
 
 def _iota(theta, u, v):
     """The embedding k -> B: u + v w goes to u + v theta."""
     return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
+
+
+@functools.lru_cache(maxsize=1024)
+def _oracle_degree(p, weight, w):
+    """The weighted count weight / w and its degree (weight / w) log p;
+    the few values the oracle meets are built once and shared."""
+    wc = Fraction(weight, w)
+    return wc, LogLinear.make(0, {p: wc})
 
 
 def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
@@ -484,11 +546,13 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     Realizes the special quasi-endomorphisms as an explicit rank-2 lattice
     inside the quaternion algebra ramified at Diff(m) and infinity, counts
     the coset vectors of norm m exactly, and applies the canonical-lifting
-    length ord_p(pm) and the 1/w automorphism weight.  The lattice and the
-    Smith form of the shift system come from the cached _coset_frame; each
-    call solves for one shift.
+    length ord_p(pm) and the 1/w automorphism weight.  The lattice comes
+    from the cached _coset_frame and the coset's shift from its table
+    (_coset_shift), so a call whose frame and coset are known counts one
+    shell on integers (lattice._search) and builds no Fraction.
     """
-    m = Fraction(m)
+    if not isinstance(m, Fraction):
+        m = Fraction(m)
     K = pkg.K
     if K.h != 1:
         raise ValueError("brute-force oracle requires class number one")
@@ -498,27 +562,18 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     if len(diff) != 1:
         raise ValueError("oracle requires Diff = {p}; degree vanishes otherwise")
     (p,) = diff
-    if ord_p(m, p) < 0:
+    # the canonical-lifting length ord_p(p m)
+    length = ord_p(m, p) + 1
+    if length <= 0:
         raise ValueError("oracle requires ord_p(m) >= 0")
-    theta, Ainv, (amb, aden), den, solver, (L, lden), lat, (C, cden) = _coset_frame(
-        p, K.d, skip_models, pkg.L0.gram)
-
-    # the shift iota(mu~) where mu = mu~ * e1, over the system's
-    # denominator; the system has no solution if it is not integral there
-    shift = _iota(theta, *mat_vec(Ainv, list(mu.rep())))
-    b = [divmod(s.numerator * den, s.denominator) for s in shift]
-    sol = None if any(r for _, r in b) else solver.solve([q for q, _ in b])
+    frame = _coset_frame(p, K.d, skip_models, pkg.L0.gram)
+    entry = _coset_shift(frame, mu)
     count = 0
-    if sol is not None:
-        # one x0 in M_amb with x0 - shift in M_full, over aden
-        x0 = [sol[0] * u + sol[1] * v for u, v in zip(*amb)]
-        num = mat_vec(C, x0)   # coordinates, over cden * aden
-        # span check on ints: L^T coords = x0
-        back = [sum(n * row[i] for n, row in zip(num, L)) for i in range(4)]
-        if back != [x * cden * lden for x in x0]:
-            raise InvariantError(f"{x0} / {aden} is not in the span of the coset lattice")
-        count = count_coset_vectors(lat, [Fraction(n, cden * aden) for n in num], m)
-    length = ord_p(p * m, p)
-    wc = Fraction(count, K.w) * length
-    return CMDegree(m, mu.coords, p, wc,
-                    LogLinear.make(0, {p: wc}) if wc else LogLinear.make(0))
+    if entry is not None:
+        # x = (c + e t) / e has Q(x) = m exactly when y = c + e t has
+        # y^T G y = 2 e^2 m, an integer or no vector
+        c, e = entry
+        top = 2 * e * e * m.numerator
+        if top % m.denominator == 0:
+            count = len(_search(frame.gram, c, e, top // m.denominator, True))
+    return CMDegree(m, mu.coords, p, *_oracle_degree(p, count * length, K.w))

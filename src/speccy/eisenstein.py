@@ -46,7 +46,8 @@ class EisensteinPackage:
 
     def diff(self, m):
         """Diff(m), computed once per m."""
-        m = Fraction(m)
+        if not isinstance(m, Fraction):
+            m = Fraction(m)
         found = self._diff.get(m)
         if found is None:
             found = self._diff[m] = diff_set(self.L0, m)
@@ -114,6 +115,10 @@ class EisensteinTable:
         return self.values.get((m, mu.coords), LogLinear.make(0))
 
 
+class TableBudgetError(ValueError):
+    """A table walk refused before it starts: over TABLE_BUDGET."""
+
+
 # Most a^+ evaluations the table walk may make.  One takes 70-90 us on a
 # 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho), so a
 # walk at the budget takes 7-9 s there.
@@ -126,12 +131,12 @@ def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> EisensteinTable:
 
     The walk evaluates a^+ about |D0| (cutoff + 1) times, D0 the
     discriminant group; a cutoff that puts this over TABLE_BUDGET
-    (10^5) raises ValueError before the walk starts."""
+    (10^5) raises TableBudgetError before the walk starts."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if pkg.disc0.order * (cutoff + 1) > TABLE_BUDGET:
-        raise ValueError(f"{pkg.disc0.order} cosets up to {cutoff} need about "
+        raise TableBudgetError(f"{pkg.disc0.order} cosets up to {cutoff} need about "
                          f"{pkg.disc0.order * (cutoff + 1)} a+ evaluations, over the "
                          f"budget of {TABLE_BUDGET}")
     step = Fraction(1, abs(pkg.K.d))

@@ -51,35 +51,32 @@ class LogLinear(namedtuple("LogLinear", "rational logs specials",
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LogLinear.make(other)
-        logs = dict(self.logs)
-        for p, c in other.logs:
-            logs[p] = logs.get(p, Fraction(0)) + c
-        sp = dict(self.specials)
-        for s, c in other.specials:
-            sp[s] = sp.get(s, Fraction(0)) + c
-        return LogLinear.make(self.rational + other.rational, logs, sp)
+            return LogLinear(self.rational + other, self.logs, self.specials)
+        return LogLinear(self.rational + other.rational, _merge(self.logs, other.logs, 1),
+                         _merge(self.specials, other.specials, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LogLinear.make(-self.rational,
-                              {p: -c for p, c in self.logs},
-                              {s: -c for s, c in self.specials})
+        return LogLinear(-self.rational, tuple((p, -c) for p, c in self.logs),
+                         tuple((s, -c) for s, c in self.specials))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LogLinear.make(other)
-        return self + (-other)
+            return LogLinear(self.rational - other, self.logs, self.specials)
+        return LogLinear(self.rational - other.rational, _merge(self.logs, other.logs, -1),
+                         _merge(self.specials, other.specials, -1))
 
     def __rsub__(self, other):
         return LogLinear.make(other) + (-self)
 
     def __mul__(self, c):
-        c = Fraction(c)
-        return LogLinear.make(self.rational * c,
-                              {p: v * c for p, v in self.logs},
-                              {s: v * c for s, v in self.specials})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if c == 0:
+            return LogLinear()
+        return LogLinear(self.rational * c, tuple((p, v * c) for p, v in self.logs),
+                         tuple((s, v * c) for s, v in self.specials))
 
     __rmul__ = __mul__
 
@@ -124,6 +121,30 @@ class LogLinear(namedtuple("LogLinear", "rational logs specials",
         parts += [f"{c}*log({p})" for p, c in self.logs]
         parts += [f"{c}*{s}" for s, c in self.specials]
         return "LogLinear(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+def _merge(xs, ys, sign):
+    """The sorted, zero-free (key, coefficient) tuple of xs + sign * ys,
+    sign 1 or -1, for xs and ys already sorted and zero-free."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (k, a), (l, b) = xs[i], ys[j]
+        if k == l:
+            c = a + b if sign > 0 else a - b
+            if c:
+                out.append((k, c))
+            i += 1
+            j += 1
+        elif k < l:
+            out.append(xs[i])
+            i += 1
+        else:
+            out.append((l, b if sign > 0 else -b))
+            j += 1
+    out += xs[i:]
+    out += ys[j:] if sign > 0 else ((l, -b) for l, b in ys[j:])
+    return tuple(out)
 
 
 def kronecker_symbol(a, n):
@@ -273,7 +294,8 @@ def _val(n, p):
 
 def ord_p(x, p) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
     vn, _ = _val(abs(x.numerator), p)

@@ -23,7 +23,11 @@ the leading minors and the conditioning guard) is computed once per
 integer Gram and kept in a bounded cache; only the size test, which
 depends on the norm bound, runs per call.  count_coset_vectors counts a
 shell without building its Fraction vectors, for callers that only need
-R(m, mu).
+R(m, mu).  The public functions reach the core through one Fraction front
+end (_short_vectors); a caller that already holds the integer Gram, the
+shift's numerators over one denominator and an integer target calls the
+core, _search, directly, as the degree oracle does for its many tiny
+rank-2 shells.
 """
 
 from __future__ import annotations
@@ -445,7 +449,8 @@ _REFUSED = "enumeration input too ill-conditioned or too large to search"
 def _search_setup(A):
     """The Gram-only part of the search for an integer Gram A (a tuple of
     int tuples): the fraction-free (Bareiss) rows B, the leading minors
-    delta and max_j (A^-1)_jj, all immutable.  Raises ValueError, and
+    delta and the largest target N the size guard admits (N max_j
+    (A^-1)_jj <= 2^100), all immutable.  Raises ValueError, and
     caches nothing, for an A that is not positive definite or that the
     conditioning guard refuses.  The cache serves callers that search
     many shells of one lattice, such as R(m, mu) over every coset and m
@@ -474,22 +479,15 @@ def _search_setup(A):
     if (max(terms) > 2 ** 74
             or 4 * (n + 2) ** 2 * sum(math.sqrt(t) for t in terms) > 2.0 ** 37):
         raise ValueError(_REFUSED)
-    return tuple(B), tuple(delta), max(inv)
+    # N max_inv <= 2^100 exactly when N <= floor(2^100 / max_inv)
+    max_inv = max(inv)
+    return tuple(B), tuple(delta), (2 ** 100 * max_inv.denominator) // max_inv.numerator
 
 
 def _short_vectors(gram, shift, bound, exact):
-    """Integer Fincke-Pohst: (t, norm) for every x = shift + t with
-    norm = e^2 D x^T gram x <= 2 e^2 D bound, or == when exact.
-
-    The search runs over y = e x = c + e t with A = D gram integral, in
-    integers only.  A fraction-free (Bareiss) elimination of A gives its
-    leading minors delta_0 = 1, ..., delta_n and integer rows B[k] with
-    B[k][k] = delta_{k+1}, so that y^T A y = sum_k u_k^2 / (delta_k
-    delta_{k+1}) with u_k = sum_{j>=k} B[k][j] y_j; both come from
-    _search_setup, once per A.  Inputs too ill-conditioned or too large
-    to search raise ValueError.
-    """
-    n = len(gram)
+    """(t, norm) for every x = shift + t with norm = e^2 D x^T gram x <=
+    2 e^2 D bound, or == when exact: the Fraction front end of _search,
+    which runs over y = e x = c + e t with A = D gram integral."""
     D = lcm(*(x.denominator for row in gram for x in row))
     e = lcm(*(Fraction(x).denominator for x in shift))
     A = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in gram)
@@ -497,12 +495,28 @@ def _short_vectors(gram, shift, bound, exact):
     target = 2 * D * e * e * Fraction(bound)
     if target < 0 or (exact and target.denominator != 1):
         return []
-    N = target.numerator // target.denominator
+    return _search(A, c, e, target.numerator // target.denominator, exact)
+
+
+def _search(A, c, e, N, exact):
+    """Integer Fincke-Pohst: (t, norm) for every y = c + e t, t integral,
+    with norm = y^T A y <= N, or == N when exact; A is an integer Gram (a
+    tuple of int tuples), c the integer numerators of the shift over e,
+    and N >= 0 an int.
+
+    A fraction-free (Bareiss) elimination of A gives its leading minors
+    delta_0 = 1, ..., delta_n and integer rows B[k] with B[k][k] =
+    delta_{k+1}, so that y^T A y = sum_k u_k^2 / (delta_k delta_{k+1})
+    with u_k = sum_{j>=k} B[k][j] y_j; both come from _search_setup, once
+    per A.  Inputs too ill-conditioned or too large to search raise
+    ValueError.
+    """
+    n = len(A)
     if n == 0:
         return [((), 0)] if N == 0 or not exact else []
-    B, delta, max_inv = _search_setup(A)
+    B, delta, max_target = _search_setup(A)
     # size guard: the search tree also grows with N (A^-1)_jj
-    if N * max_inv > 2 ** 100:
+    if N > max_target:
         raise ValueError(_REFUSED)
     out = []
     y = [0] * n

@@ -65,8 +65,10 @@ class EmbeddingContext:
         pkg = EisensteinPackage.from_lattice(emb.sub)
         if not emb.complement.is_positive_definite():
             raise ContextError("complement must be positive definite")
-        theta = theta_series(emb.complement, cutoff)
+        # the a+ table first: its budget refuses a cutoff before the theta
+        # sweep, whose cost grows like cutoff^(rank/2), is started
         eis = eisenstein_qexp(pkg, cutoff)
+        theta = theta_series(emb.complement, cutoff)
         return cls(emb, pkg, theta, eis, cutoff)
 
     @property

@@ -220,6 +220,19 @@ class TestVerify:
         assert pp.entries == {(1, g.zero().coords): 1}
 
 
+def l0_d7_e8(tmp_path):
+    """Files of L0(-7) + E8 and of its L0 basis."""
+    from test_qseries import E8
+    gram = [[0] * 10 for _ in range(10)]
+    gram[0][:2], gram[1][:2] = [-2, -1], [-1, -4]
+    for i in range(8):
+        gram[2 + i][2:] = E8.gram[i]
+    lat, sub = tmp_path / "L_e8.json", tmp_path / "sub_e8.json"
+    lat.write_text(json.dumps({"gram": gram}))
+    sub.write_text(json.dumps({"basis": [[1, 0], [0, 1]] + [[0, 0]] * 8}))
+    return str(lat), str(sub)
+
+
 def error_of(argv, capsys):
     """Exit code and stderr of a run that must print nothing on stdout."""
     code, out = capture(argv)
@@ -270,18 +283,26 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: --cutoff: ") and "budget" in err
 
+    @pytest.mark.parametrize("complement", ["A1", "E8"])
+    def test_verify_pp_past_the_budget(self, files, tmp_path, capsys, complement):
+        # 7 cosets up to m = 20000 pass the a+ budget: refused by the flag's
+        # name before any sweep (on E8 the theta sweep alone would run for
+        # minutes)
+        lat, sub = ((files["L"], files["sub"]) if complement == "A1"
+                    else l0_d7_e8(tmp_path))
+        start = time.perf_counter()
+        code, err = error_of(["verify", "--lattice", lat, "--sub", sub,
+                              "--pp", '{"20000,0":1}'], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert err.startswith("error: --pp: 7 cosets up to 20000") and "budget" in err
+        assert "Traceback" not in err
+
     def test_fault_target_beyond_every_row(self, tmp_path, capsys):
         # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row
         # reads a+ at m = 2, so the table stops before it and has no target
-        from test_qseries import E8
-        gram = [[0] * 10 for _ in range(10)]
-        gram[0][:2], gram[1][:2] = [-2, -1], [-1, -4]
-        for i in range(8):
-            gram[2 + i][2:] = E8.gram[i]
-        lat, sub = tmp_path / "L.json", tmp_path / "sub.json"
-        lat.write_text(json.dumps({"gram": gram}))
-        sub.write_text(json.dumps({"basis": [[1, 0], [0, 1]] + [[0, 0]] * 8}))
-        code, err = error_of(["verify", "--lattice", str(lat), "--sub", str(sub),
+        lat, sub = l0_d7_e8(tmp_path)
+        code, err = error_of(["verify", "--lattice", lat, "--sub", sub,
                               "--pp", '{"1,0":1}', "--fault-inject", "2,0"], capsys)
         assert code == 1
         assert "fault target has no nonzero coefficient" in err

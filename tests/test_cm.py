@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from speccy.cm import (
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors
-from speccy.linalg import det_fraction, lattice_member
+from speccy.linalg import SmithSolver, det_fraction, lattice_member
 
 
 def nrd_bilinear(alg, u, v):
@@ -104,6 +106,23 @@ class TestAlgebra:
             alg = QuaternionAlgebra(Fraction(a), Fraction(b))
             finite, infinite = alg.ramified_primes()
             assert (len(finite) + (1 if infinite else 0)) % 2 == 0
+
+    def test_ramification_once_per_algebra(self, monkeypatch):
+        # the model search, the saturation target and is_maximal each ask
+        # for the ramification of the order's algebra; it is computed once
+        computed, asked = [], []
+        candidates = cm._hilbert_candidates
+        ramified = QuaternionAlgebra.ramified_primes
+        monkeypatch.setattr(cm, "_hilbert_candidates",
+                            lambda values: computed.append(values) or candidates(values))
+        monkeypatch.setattr(QuaternionAlgebra, "ramified_primes",
+                            lambda self: asked.append(tuple(self)) or ramified(self))
+        cm._ramification.cache_clear()
+        cm._cm_order_data.cache_clear()
+        alg = _cm_order_data(7, -7, 0)[0]
+        assert asked.count((alg.a, alg.b)) >= 3
+        assert computed.count((alg.a, alg.b)) == 1
+        assert len(computed) == len(set(computed))
 
 
 class TestRationalAlgebra:
@@ -388,6 +407,43 @@ class TestOracle:
                 assert bf.weighted_count == fm.weighted_count, (d, m, mu)
                 checked += 1
         assert checked > 30
+
+    def test_pinned_output(self):
+        # (count, weighted count) of every admissible (m, mu), m <= 10, on
+        # five h = 1 fields, recorded when each call still solved its shift
+        # in Fractions and counted a Fraction shell; count = wc * w / ord_p(pm)
+        with open(os.path.join(os.path.dirname(__file__), "oracle_pin.json")) as fh:
+            pin = json.load(fh)
+        assert sorted(map(int, pin)) == [-43, -19, -11, -7, -3]
+        for d, rows in pin.items():
+            pkg = EisensteinPackage.from_lattice(principal_lattice(int(d)))
+            got = []
+            for m, mu in admissible(pkg, 10):
+                bf = degree_bruteforce(pkg, m, mu)
+                count = bf.weighted_count * pkg.K.w / ord_p(bf.prime * m, bf.prime)
+                got.append([str(m), list(mu.coords), int(count), str(bf.weighted_count)])
+            assert got == rows, d
+
+    def test_one_solve_per_coset(self, monkeypatch):
+        # two m with the same Diff prime and coset share one frame entry:
+        # the second call neither solves nor checks the span again
+        pkg = PKGS[-7]
+        ms = {}
+        for m, mu in admissible(pkg, 10):
+            if degree_formula(pkg, m, mu).weighted_count:
+                ms.setdefault((min(pkg.diff(m)), mu.coords), []).append(m)
+        (p, coords), (m1, m2, *_) = next((k, v) for k, v in ms.items() if len(v) > 1)
+        mu = pkg.disc0.from_coords(coords)
+        solves = []
+        solve = SmithSolver.solve
+        monkeypatch.setattr(SmithSolver, "solve", lambda self, b: solves.append(b) or solve(self, b))
+        cm._coset_frame.cache_clear()
+        for m in (m1, m2, m1):
+            bf = degree_bruteforce(pkg, m, mu)
+            assert bf.weighted_count == degree_formula(pkg, m, mu).weighted_count > 0
+        assert len(solves) == 1
+        frame = cm._coset_frame(p, -7, 0, pkg.L0.gram)
+        assert list(frame.shifts) == [coords]
 
     def test_order_data_cache_hits(self):
         # one cache key per order: the model index is never defaulted

@@ -408,6 +408,32 @@ class TestDefectWorkers:
         assert proc.stdout == "once"
 
 
+small_coeffs = st.fractions(-2, 2, max_denominator=3)
+loglinear_parts = st.tuples(
+    small_coeffs,
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), small_coeffs, max_size=4),
+    st.dictionaries(st.sampled_from(imq.SPECIAL_SYMBOLS), small_coeffs, max_size=4))
+
+
+def dict_sum(x, y, sign):
+    """The parts of x + sign * y as plain dict sums."""
+    logs, specials = dict(x[1]), dict(x[2])
+    for out, extra in ((logs, y[1]), (specials, y[2])):
+        for k, v in extra.items():
+            out[k] = out.get(k, 0) + sign * v
+    return x[0] + sign * y[0], logs, specials
+
+
+def assert_normal_form(v):
+    """int primes, Fraction coefficients, sorted keys, no zero entries."""
+    assert type(v.rational) is Fraction
+    assert all(type(p) is int for p, _ in v.logs)
+    for entries in (v.logs, v.specials):
+        assert all(type(c) is Fraction and c != 0 for _, c in entries)
+        keys = [k for k, _ in entries]
+        assert keys == sorted(set(keys))
+
+
 class TestLogLinear:
     def test_canonical_zero_dropped(self):
         x = LogLinear.make(0, {2: 1}, {}) - LogLinear.make(0, {2: 1}, {})
@@ -429,6 +455,43 @@ class TestLogLinear:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             LogLinear.make(0, {}, {"nope": 1})
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(x=loglinear_parts, y=loglinear_parts, c=small_coeffs | st.integers(-3, 3))
+    def test_arithmetic_keeps_the_normal_form(self, x, y, c):
+        # the merged sums, negation and scaling against make of the same
+        # dict sums; a small coefficient range makes equal keys and total
+        # cancellation common
+        a, b = LogLinear.make(*x), LogLinear.make(*y)
+        cases = [
+            (a + b, dict_sum(x, y, 1)),
+            (a - b, dict_sum(x, y, -1)),
+            (-a, dict_sum(x, x, -2)),
+            (a * c, (x[0] * c, {p: v * c for p, v in x[1].items()},
+                     {s: v * c for s, v in x[2].items()})),
+            (c * a, (x[0] * c, {p: v * c for p, v in x[1].items()},
+                     {s: v * c for s, v in x[2].items()})),
+            (a + c, (x[0] + c, x[1], x[2])),
+            (a - c, (x[0] - c, x[1], x[2])),
+            (a - a, (0, {}, {})),
+            (a + (-a), (0, {}, {})),
+        ]
+        for got, parts in cases:
+            want = LogLinear.make(*parts)
+            assert got == want
+            assert got.to_json() == want.to_json()
+            assert_normal_form(got)
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+    def test_sum_and_int_operands(self):
+        a = LogLinear.make(Fraction(1, 2), {7: 2, 3: -1}, {"gamma": 1})
+        b = LogLinear.make(0, {3: 1, 5: Fraction(1, 3)}, {"gamma": -1, "log_pi": 2})
+        total = sum([a, b, -a])
+        assert total == b and total.to_json() == b.to_json()
+        assert_normal_form(total)
+        for got in (1 - a, a + True, a * 0, 0 * a):
+            assert_normal_form(got)
+        assert a * 0 == LogLinear() and (1 - a) + a == LogLinear.make(1)
 
 
 def test_frozen_records_compare_hash_and_refuse_assignment():
