@@ -18,6 +18,12 @@ exactly when their forms are, membership is one triangular reduction
 against H, and quaternion products, trd and nrd run on the integer rows:
 the algebra models (d, -q) have int parameters.
 
+saturate_to_maximal enlarges Z<1, theta, j, j theta> at each odd prime l
+dividing d but not q by the explicit x = (1 + s j) theta / l, s^2 = -1/q
+(mod l), of Gross and Zagier (On singular moduli, 1985); [0, l)^4 is
+searched only at l = 2 or l dividing q, which the default model (d, -q)
+of a prime discriminant d (q = p or 1) never meets.
+
 The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0): the maximal order and O^-,
 the modules iota(a) O and iota(d^-1 a) O^-, their intersection L with its
@@ -147,16 +153,21 @@ class QuaternionOrder:
     the length of H, 1 in O is one reduction against H, and O * O = O
     leaves the form unchanged when the products are adjoined.  Products,
     trd and nrd run on ints, so the algebra's a and b must be integers; a
-    model with a non-integral one is refused by name."""
+    model with a non-integral one is refused by name.  closed=True takes
+    (basis, den) as a canonical form that _closure returned, so neither
+    the form nor the closure is computed again."""
 
-    def __init__(self, algebra: QuaternionAlgebra, basis, den=1):
+    def __init__(self, algebra: QuaternionAlgebra, basis, den=1, closed=False):
         if not all(isinstance(x, int) for x in algebra):
             raise ValueError(f"orders need an algebra with integral a and b, "
                              f"not ({algebra.a}, {algebra.b})")
         self.algebra = algebra
-        self.rows, scale = _scale_to_int(basis)
-        self.den = den * scale
-        self.hnf = lattice_hnf(self.rows, self.den)
+        if closed:
+            self.rows, self.den = self.hnf = basis, den
+        else:
+            self.rows, scale = _scale_to_int(basis)
+            self.den = den * scale
+            self.hnf = lattice_hnf(self.rows, self.den)
         if len(self.rows) != 4 or len(self.hnf[0]) != 4:
             raise ValueError("order basis must have rank 4")
         if not self.contains((1, 0, 0, 0)):
@@ -164,7 +175,7 @@ class QuaternionOrder:
         den, den2 = self.den, self.den * self.den
         if any(algebra.trd(row) % den or algebra.nrd(row) % den2 for row in self.rows):
             raise ValueError("order basis must be integral")
-        if _closure_step(algebra, self.hnf) != self.hnf:
+        if not closed and _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
         self._basis = None
         self._forms = None
@@ -260,16 +271,43 @@ def _closure(alg: QuaternionAlgebra, rows, den):
     raise ValueError("multiplicative closure does not stabilize")
 
 
+def _starting_rows(alg: QuaternionAlgebra):
+    """Z<1, theta, j, j theta> of the model (d, -q) as integer rows over 2:
+    2 theta = (d, 1, 0, 0) and 2 j theta = (0, 0, d, -1)."""
+    d = alg.a
+    return [[2, 0, 0, 0], [d, 1, 0, 0], [0, 0, 2, 0], [0, 0, d, -1]]
+
+
+def _explicit_candidate(alg: QuaternionAlgebra, order: QuaternionOrder, l):
+    """c = (0, 1, 0, s), that is x = (1 + s j) theta / l, when the order is
+    the starting order Z<1, theta, j, j theta> of the model (d, -q) and l
+    is an odd prime dividing d but not q; None otherwise.  s is the least
+    root of s^2 = -1/q (mod l), which exists because B splits at l:
+    (d, -q)_l = (-q / l) = 1.
+
+    This is the first nonzero c of [0, l)^4 in itertools.product order
+    that _integral_coefficients accepts: trd(x) = (2 c0 + d c1) / l forces
+    c0 = 0; as nrd(a + j b) = N(a) + q N(b), l divides trd(theta) and l
+    exactly divides N(theta), l^2 | nrd(x) forces c2 = 0, and then c1 = 0
+    forces c3 = 0 while c1 = 1 leaves the c3 with 1 + q c3^2 = 0 (mod l)."""
+    d, q = alg.a, -alg.b
+    if l == 2 or d % l or q % l == 0 or order.den != 2 or order.rows != _starting_rows(alg):
+        return None
+    return 0, 1, 0, next(s for s in range(l) if (q * s * s + 1) % l == 0)
+
+
 def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
     """Enlarge an order to a maximal one by repeatedly adjoining integral
     elements with prime denominator dividing the discriminant defect.
 
-    The candidates are x = sum c_r b_r / l for c in [0, l)^4 over the
-    current basis b.  With the integer trace vector t_r = trd(b_r) and
-    reduced-norm Gram N_rs = trd(b_r conj(b_s)) of the order, x is integral
-    exactly when c.t = 0 (mod l) and c^T N c / 2 = 0 (mod l^2); that test
-    runs on ints, and a candidate passing it has its trd and nrd checked
-    again on its integer numerators over den * l.  The first candidate (in
+    The candidates are x = sum c_r b_r / l over the current basis b.  On
+    the starting order Z<1, theta, j, j theta> of _cm_order_data and an
+    odd l dividing d but not q, the one candidate is explicit
+    (_explicit_candidate); for a prime discriminant d this is every step
+    the default model takes.  Otherwise (l divides q, or l = 2) they are
+    the c in [0, l)^4 that pass the integer test of
+    _integral_coefficients.  A candidate has its trd and nrd checked again
+    on its integer numerators over den * l, and the first (in
     itertools.product order) whose closure is an order of smaller
     discriminant replaces the order."""
     target = alg.discriminant()
@@ -278,13 +316,14 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
         if disc == target:
             break
         defect = disc // target
-        trace, gram = order.integral_forms()
         rows = order.rows
         bigger = None
         for l, _ in factorization(defect):
             dl = order.den * l
             scaled = [[x * l for x in row] for row in rows]
-            for coeffs in _integral_coefficients(trace, gram, l):
+            explicit = _explicit_candidate(alg, order, l)
+            for coeffs in ((explicit,) if explicit
+                           else _integral_coefficients(*order.integral_forms(), l)):
                 if not any(coeffs):
                     continue
                 x = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
@@ -292,7 +331,8 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
                     raise InvariantError(f"the integer forms accepted {coeffs}/{l}, "
                                          f"whose trd or nrd is not integral")
                 try:
-                    candidate = QuaternionOrder(alg, *_closure(alg, scaled + [x], dl))
+                    candidate = QuaternionOrder(alg, *_closure(alg, scaled + [x], dl),
+                                                closed=True)
                 except ValueError:
                     continue
                 if candidate.reduced_discriminant() < disc:
@@ -384,11 +424,8 @@ def _cm_order_data(p, d, skip_models):
     (d, -q); counts must not depend on the choice, which tests exploit.
     """
     alg = _algebra_model(p, d, skip_models)
-    # Z<1, theta, j, j theta> over 2, with 2 theta = (d, 1, 0, 0)
+    order = saturate_to_maximal(alg, QuaternionOrder(alg, _starting_rows(alg), 2))
     theta2 = (d, 1, 0, 0)
-    order = QuaternionOrder(alg, [[2, 0, 0, 0], list(theta2), [0, 0, 2, 0],
-                                  list(alg.mul((0, 0, 1, 0), theta2))], 2)
-    order = saturate_to_maximal(alg, order)
     theta = tuple(Fraction(x, 2) for x in theta2)
     if not order.contains(theta):
         raise InvariantError("the maximal order lost the CM element")

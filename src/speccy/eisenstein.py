@@ -28,10 +28,12 @@ from .lattice import (
 
 
 class EisensteinPackage:
-    """The lattice L0, its field k = C^+(L0), and the discriminant group."""
+    """The lattice L0, its field k = C^+(L0), the discriminant group, and
+    the primes dividing disc(L0), factored once for s_mu."""
 
     def __init__(self, L0: QuadLattice, K: ImQField, disc0: DiscriminantGroup):
         self.L0, self.K, self.disc0 = L0, K, disc0
+        self.disc_primes = tuple(l for l, _ in factorization(L0.disc))
         self._diff = {}
 
     @classmethod
@@ -58,7 +60,7 @@ def s_mu(pkg: EisensteinPackage, mu: Coset) -> int:
     """Number of primes l dividing disc(L0) whose l-primary component of mu
     vanishes, i.e. l does not divide the order of mu."""
     order = mu.order()
-    return sum(1 for l, _ in factorization(pkg.L0.disc) if order % l != 0)
+    return sum(1 for l in pkg.disc_primes if order % l != 0)
 
 
 def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:

@@ -245,12 +245,19 @@ def rho(K: ImQField, m) -> int:
 @functools.lru_cache(maxsize=None)
 def _form_histogram(d, bound):
     """counts[m] = number of (x, y) with f(x,y) = m <= bound, summed over
-    all reduced forms of discriminant d."""
-    counts = [0] * (bound + 1)
+    all reduced forms of discriminant d, as a read-only memoryview of
+    16-bit counts (a quarter of a list's size; a count past 2^16 - 1 is a
+    ValueError, never wrapped).  f(-x, -y) = f(x, y), so only half the
+    plane is walked: the rows y > 0 count twice, and on y = 0 the points
+    x > 0 count twice and the origin once."""
+    counts = memoryview(bytearray(2 * (bound + 1))).cast("H")
     for a, b, c in reduced_forms(d):
+        counts[0] += 1
+        for x in range(1, isqrt(bound // a) + 1):
+            counts[a * x * x] += 2
         # a x^2 + b x y + c y^2 <= bound: |y| <= sqrt(4 a bound / |d|)
         ymax = isqrt(4 * a * bound // (-d)) + 1
-        for y in range(-ymax, ymax + 1):
+        for y in range(1, ymax + 1):
             # a x^2 + b x y + (c y^2 - bound) <= 0
             disc = b * b * y * y - 4 * a * (c * y * y - bound)
             if disc < 0:
@@ -260,19 +267,21 @@ def _form_histogram(d, bound):
             xhi = (-b * y + r) // (2 * a) + 1
             for x in range(xlo, xhi + 1):
                 val = a * x * x + b * x * y + c * y * y
-                if 0 <= val <= bound:
-                    counts[val] += 1
-    return counts
+                if val <= bound:
+                    counts[val] += 2
+    return counts.toreadonly()
 
 RHO_ORACLE_BOUND = 10 ** 4
 
 
-def rho_bruteforce(K: ImQField, m: int) -> int:
+def rho_bruteforce(K: ImQField, m) -> int:
     """Independent oracle for rho: (1/w) * number of representations of m
-    by the h reduced forms of discriminant d (form/ideal correspondence)."""
-    m = int(m)
-    if m <= 0:
+    by the h reduced forms of discriminant d (form/ideal correspondence);
+    zero off the positive integers, as for rho."""
+    m = Fraction(m)
+    if m <= 0 or m.denominator != 1:
         return 0
+    m = m.numerator
     if m > RHO_ORACLE_BOUND:
         raise ValueError(f"oracle bound {RHO_ORACLE_BOUND} exceeded")
     counts = _form_histogram(K.d, RHO_ORACLE_BOUND)

@@ -4,6 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from speccy.cm import (
     _integral_coefficients,
     degree_bruteforce,
     degree_formula,
+    saturate_to_maximal,
 )
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
@@ -248,6 +250,35 @@ class TestMaximalOrders:
                             and alg.nrd(x).denominator == 1):
                         expected.append(c)
                 assert list(_integral_coefficients(trace, gram, l)) == expected
+
+    @pytest.mark.parametrize("d", [-3, -7, -11, -19, -43, -67, -163])
+    def test_explicit_step_matches_the_search(self, d, monkeypatch):
+        # every nonsplit p < 200 under two models: the explicit element
+        # reaches the order the [0, l)^4 search reaches with it switched
+        # off, and the default model never draws a search candidate
+        draws = []
+        search = cm._integral_coefficients
+
+        def recorded(trace, gram, l):
+            for c in search(trace, gram, l):
+                draws.append(c)
+                yield c
+
+        monkeypatch.setattr(cm, "_integral_coefficients", recorded)
+        for p in sympy.primerange(2, 200):
+            if kronecker_symbol(d, p) == 1:
+                continue
+            for skip in (0, 1):
+                alg = _algebra_model(p, d, skip)
+                start = QuaternionOrder(alg, cm._starting_rows(alg), 2)
+                del draws[:]
+                explicit = saturate_to_maximal(alg, start)
+                if skip == 0:
+                    assert draws == [], (p, d)
+                with monkeypatch.context() as off:
+                    off.setattr(cm, "_explicit_candidate", lambda *args: None)
+                    searched = saturate_to_maximal(alg, start)
+                assert (explicit.rows, explicit.den) == (searched.rows, searched.den), (p, d, skip)
 
     def test_integral_forms(self):
         alg, order, theta, _ = _cm_order_data(7, -11, 0)
@@ -482,8 +513,8 @@ class TestOracle:
             assert checked == 28
 
     def test_d163_sweep(self):
-        # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 1 in
-        # Q(sqrt -163), one mu of each pair +-mu: 27 primes p, so 27
+        # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 10 in
+        # Q(sqrt -163), one mu of each pair +-mu: 135 primes p, so 135
         # saturated orders
         pkg = EisensteinPackage.from_lattice(principal_lattice(-163))
         seen = set()
@@ -495,19 +526,18 @@ class TestOracle:
             seen.add(mu.coords)
             q = pkg.disc0.q_map(mu)
             m = q if q > 0 else Fraction(1)
-            if m > 1:
-                continue
-            diff = pkg.diff(m)
-            if len(diff) != 1 or ord_p(m, min(diff)) < 0:
-                continue
-            bf = degree_bruteforce(pkg, m, mu)
-            fm = degree_formula(pkg, m, mu)
-            assert bf.degree == fm.degree, (m, mu)
-            assert bf.weighted_count == fm.weighted_count, (m, mu)
-            primes |= diff
-            checked += 1
-        assert checked == 69
-        assert len(primes) == 27
+            while m <= 10:
+                diff = pkg.diff(m)
+                if len(diff) == 1 and ord_p(m, min(diff)) >= 0:
+                    bf = degree_bruteforce(pkg, m, mu)
+                    fm = degree_formula(pkg, m, mu)
+                    assert bf.degree == fm.degree, (m, mu)
+                    assert bf.weighted_count == fm.weighted_count, (m, mu)
+                    primes |= diff
+                    checked += 1
+                m += 1
+        assert checked == 579
+        assert len(primes) == 135
 
     def test_d67_sweep_both_models(self):
         # every (m, mu) with Diff = {p}, ord_p(m) >= 0, m <= 10 in

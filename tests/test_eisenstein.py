@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from speccy import eisenstein
 from speccy.eisenstein import TABLE_BUDGET, EisensteinPackage, a_plus, eisenstein_qexp, s_mu
 from speccy.imq import LogLinear, diff_set, reduced_forms
 from speccy.lattice import QuadLattice
@@ -59,6 +60,13 @@ class TestSMu:
         mu = g.from_coords((5,))
         assert mu.order() == 3
         assert s_mu(PKG15, mu) == 1
+
+    def test_primes_factored_once_per_package(self, monkeypatch):
+        # s_mu reads the package's primes and factors nothing per call
+        assert PKG15.disc_primes == (3, 5)
+        monkeypatch.setattr(eisenstein, "factorization", None)
+        for mu in PKG15.disc0.elements():
+            assert s_mu(PKG15, mu) == sum(1 for l in (3, 5) if mu.order() % l)
 
 
 class TestAPlus:

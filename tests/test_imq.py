@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+from math import isqrt
 from fractions import Fraction
 
 import mpmath
@@ -176,6 +177,30 @@ class TestRho:
     def test_oracle_bound(self):
         with pytest.raises(ValueError):
             rho_bruteforce(FIELDS[-7], 10 ** 4 + 1)
+
+    @pytest.mark.parametrize("m", [Fraction(5, 2), 2.5, 2.9, Fraction(-2), 0, "7/3"])
+    def test_bruteforce_zero_off_the_positive_integers(self, m):
+        # a non-integral m is not truncated to its integer part
+        K = FIELDS[-7]
+        assert rho_bruteforce(K, m) == rho(K, m) == 0
+        assert rho_bruteforce(K, Fraction(4, 2)) == rho_bruteforce(K, 2.0) == 2
+
+    @pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -20, -23, -163])
+    def test_histogram_matches_the_whole_plane(self, d):
+        # the half-plane walk against a count over every (x, y) of the box
+        # that holds the ellipse f(x, y) <= bound, origin included
+        bound = 2000
+        want = [0] * (bound + 1)
+        for a, b, c in reduced_forms(d):
+            ymax = isqrt(4 * a * bound // -d) + 1
+            xmax = isqrt(4 * c * bound // -d) + 1
+            for y in range(-ymax, ymax + 1):
+                for x in range(-xmax, xmax + 1):
+                    val = a * x * x + b * x * y + c * y * y
+                    if val <= bound:
+                        want[val] += 1
+        assert list(imq._form_histogram(d, bound)) == want
+        assert want[0] == len(reduced_forms(d))
 
 
 class TestHilbert:
