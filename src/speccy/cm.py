@@ -11,12 +11,12 @@ length of each point is ord_p(pm) log p / log N(P), and the degree sums
 length * log N(P) over points weighted by 1/#Aut.
 
 Every quaternion lattice the oracle builds (orders, closure rounds,
-saturation candidates, iota(a) O, iota(d^-1 a) O^-, their intersection L)
-is held in one canonical integer form (H, den) (linalg.lattice_hnf): H the
-integer row HNF and den the least denominator.  Two lattices are equal
-exactly when their forms are, membership is one triangular reduction
-against H, and quaternion products, trd and nrd run on the integer rows:
-the algebra models (d, -q) have int parameters.
+saturation candidates, iota(a) O and iota(d^-1 a) O^-) is held in one
+canonical integer form (H, den) (linalg.lattice_hnf): H the integer row
+HNF and den the least denominator.  Two lattices are equal exactly when
+their forms are, membership is one triangular reduction against H, and
+quaternion products, trd and nrd run on the integer rows: the algebra
+models (d, -q) have int parameters.
 
 saturate_to_maximal enlarges Z<1, theta, j, j theta> at each odd prime l
 dividing d but not q by the explicit x = (1 + s j) theta / l, s^2 = -1/q
@@ -25,14 +25,16 @@ searched only at l = 2 or l dividing q, which the default model (d, -q)
 of a prime discriminant d (q = p or 1) never meets.
 
 The oracle's per-field work is done once per frame (_coset_frame, keyed
-on p, d, the algebra model and the Gram of L0): the maximal order and O^-,
-the modules iota(a) O and iota(d^-1 a) O^-, their intersection L with its
-rank-2 QuadLattice, the coordinate map into L, and the Smith form of the
-shift system, whose matrix is the same for every (m, mu).  The frame also
-keeps a table filled once per coset mu, on integers: the shift iota(mu~),
-its Smith solve (U b, a divisibility test and V y), the span check, and
-the coset's L-coordinates as numerators over one denominator.  Each
-(m, mu) then costs one shell count by the integer enumeration core.
+on p, d, the algebra model and the Gram of L0), on integers: the maximal
+order and O^-, the modules M_full = iota(a) O and M_amb = iota(d^-1 a)
+O^-, and one Smith form of the shift system, whose matrix is the same for
+every (m, mu).  The kernel of that form gives the coset lattice
+L = M_amb cap M_full in the basis K M_amb, K a triangular 2 x 2 integer
+matrix, and so its rank-2 QuadLattice.  The frame also keeps a table
+filled once per coset mu: the shift iota(mu~), its Smith solve (U b, a
+divisibility test and V y), and the coset's L-coordinates y adj(K) / det K
+as numerators over one denominator.  Each (m, mu) then costs one shell
+count by the integer enumeration core.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ from .linalg import (
     SmithSolver,
     _scale_to_int,
     hnf_contains,
-    hnf_intersection,
-    integer_kernel,
-    inverse_fraction,
     lattice_hnf,
-    mat_mul,
-    mat_vec,
     row_hnf,
     transpose,
 )
@@ -416,7 +413,8 @@ def _cm_order_data(p, d, skip_models):
     """Maximal order of B_{p, infinity} built around an optimal embedding of
     the maximal order of Q(sqrt d): the algebra model is (d, b), so theta =
     (d + i)/2 is the CM element by construction.  Returns the algebra, the
-    order, theta, and a basis of O^- = {x : x theta = conj(theta) x}.
+    order, theta, and a basis of O^- = {x : x theta = conj(theta) x} as
+    integer rows over order.den.
 
     Constructing the order around the embedding matters: for larger p the
     algebra has several conjugacy classes of maximal orders and not all of
@@ -429,16 +427,13 @@ def _cm_order_data(p, d, skip_models):
     theta = tuple(Fraction(x, 2) for x in theta2)
     if not order.contains(theta):
         raise InvariantError("the maximal order lost the CM element")
-    # O^-: kernel of x -> x theta + theta x - d x on the order.  The images
-    # of the rows lie over 2 den; over their least denominator they are the
-    # columns of an integer matrix whose kernel is O^- in order coordinates
+    # O^-: kernel of x -> x theta + theta x - d x on the order.  Twice the
+    # images of the rows are the columns of an integer matrix whose kernel
+    # is O^- in order coordinates
     rows = [[x + y - 2 * d * z for x, y, z in zip(alg.mul(b, theta2), alg.mul(theta2, b), b)]
             for b in order.rows]
-    g = math.gcd(2 * order.den, *(x for row in rows for x in row))
-    ker = integer_kernel(transpose([[x // g for x in row] for row in rows]))
-    ominus = [[Fraction(sum(ker[r][jcol] * order.rows[r][i] for r in range(4)), order.den)
-               for i in range(4)]
-              for jcol in range(len(ker[0]) if ker and ker[0] else 0)]
+    ominus = [[sum(c * row[i] for c, row in zip(v, order.rows)) for i in range(4)]
+              for v in SmithSolver(transpose(rows)).kernel()]
     if len(ominus) != 2:
         raise InvariantError(f"conjugate-linear part has rank {len(ominus)}, not 2")
     return alg, order, theta, ominus
@@ -446,126 +441,92 @@ def _cm_order_data(p, d, skip_models):
 
 # What degree_bruteforce needs for one (p, d, model, Gram of L0); shifts is
 # the table of _coset_shift, filled one coset at a time
-_Frame = namedtuple("_Frame", "theta2 ainv amb den solver L gram coord shifts")
+_Frame = namedtuple("_Frame", "a den solver K gram shifts")
 
 
 @functools.lru_cache(maxsize=None)
 def _coset_frame(p, d, skip_models, gram):
     """Everything degree_bruteforce needs that depends only on the prime,
-    the field, the algebra model and the Gram of L0, built once; lattices
-    are canonical integer forms (H, den) of linalg.lattice_hnf.  Returns a
-    _Frame: 2 theta; A^-1 (L0-coordinates to k-coordinates) as an integer
-    matrix over one denominator; the form of M_amb = iota(d^-1 a) O^-; the
+    the field, the algebra model and the Gram of L0, built once on
+    integers.  Returns a _Frame: iota of the basis of the ideal a that
+    L0 = a e1 takes to (e1, e2), as integer rows over one denominator; the
     denominator and the SmithSolver of the shift system x0 - x = shift,
-    x0 in M_amb and x in M_full = iota(a) O; the form of the rank-2 coset
-    lattice L = M_amb cap M_full and its integer Gram; the coordinate map
-    (L L^T)^-1 L as (C, cden); and an empty table of coset shifts."""
-    alg, order, theta, ominus = _cm_order_data(p, d, skip_models)
-
-    # k acts on L0 through the even Clifford algebra: w_cl = e1 e2 with
-    # w_cl e1 = [e1,e2] e1 - Q(e1) e2, w_cl e2 = Q(e2) e1; the standard
-    # generator is w = (d - t)/2 + w_cl with t = [e1, e2]
-    t = gram[0][1]
-    q1 = Fraction(gram[0][0], 2)
-    q2 = Fraction(gram[1][1], 2)
-    Wcl = [[Fraction(t), q2], [-q1, Fraction(0)]]
-    c = Fraction(d - t, 2)
-    Wstd = [[Wcl[0][0] + c, Wcl[0][1]], [Wcl[1][0], Wcl[1][1] + c]]
-    # sanity: Wstd satisfies x^2 - d x + (d^2 - d)/4 = 0
-    tr = Wstd[0][0] + Wstd[1][1]
-    det = Wstd[0][0] * Wstd[1][1] - Wstd[0][1] * Wstd[1][0]
-    if tr != d or det != Fraction(d * d - d, 4):
+    x0 = y M_amb in M_amb = iota(d^-1 a) O^- and x in M_full = iota(a) O
+    (M_amb and M_full canonical forms (H, den) of linalg.lattice_hnf); the
+    2 x 2 HNF K of the y-parts of that system's kernel, so that the rows
+    K M_amb are a basis of the coset lattice L = M_amb cap M_full; the
+    integer Gram of L in that basis; and an empty table of coset
+    shifts."""
+    alg, order, _, ominus = _cm_order_data(p, d, skip_models)
+    # k acts on L0 through the even Clifford algebra, with Q(e1) = g1 / 2,
+    # Q(e2) = g2 / 2 and t = [e1, e2]: w = (d - t)/2 + e1 e2 maps e1 to
+    # (d + t)/2 e1 - g1/2 e2, and it satisfies x^2 - d x + (d^2 - d)/4 = 0
+    # exactly when t^2 - g1 g2 = d
+    g1, t = gram[0][0], gram[0][1]
+    if t * t - g1 * gram[1][1] != d:
         raise InvariantError("the Clifford generator fails x^2 - d x + (d^2 - d)/4")
-
-    # the fractional ideal a with L0 = a * e1: (u, v) with u e1 + v (w e1)
-    # integral; A maps k-coordinates to L0-coordinates
-    A = [[Fraction(1), Wstd[0][0]], [Fraction(0), Wstd[1][0]]]
-    Ainv = inverse_fraction(A)
-    a_basis = [[Ainv[0][0], Ainv[1][0]], [Ainv[0][1], Ainv[1][1]]]  # columns
-    # different^{-1} * a: divide by sqrt(d) = 2w - d
-    Rdelta = [[Fraction(-d), Fraction(-(d * d - d), 2)],
-              [Fraction(2), Fraction(d)]]
-    Rdelta_inv = inverse_fraction(Rdelta)
-    dinv_a_basis = [mat_vec(Rdelta_inv, col) for col in a_basis]
-
-    def iota_times(ideal_basis, rows, den):
-        ks, dk = _scale_to_int([_iota(theta, *col) for col in ideal_basis])
-        return lattice_hnf([alg.mul(k, x) for k in ks for x in rows], dk * den)
-
-    # full lattice M_full = iota(a) * O; ambient for the coset
-    # M_amb = iota(d^-1 a) * O^-
-    full = iota_times(a_basis, order.rows, order.den)
-    amb = iota_times(dinv_a_basis, *_scale_to_int(ominus))
-    if len(full[0]) != 4 or len(amb[0]) != 2:
-        raise InvariantError(f"module ranks {len(full[0])}, {len(amb[0])}, not 4, 2")
-    # x0 - shift in M_full for x0 = sum y_j amb_j: the columns amb_j and
-    # -full_j over their common denominator
-    den = math.lcm(amb[1], full[1])
-    cols = ([[x * (den // amb[1]) for x in row] for row in amb[0]]
-            + [[-x * (den // full[1]) for x in row] for row in full[0]])
+    # so e2 = (t - sqrt d) / g1 e1 and L0 = a e1 for a = Z + Z (t - sqrt d) / g1.
+    # iota sends sqrt d to i, so iota(a) has the rows of a below over -g1,
+    # and iota(d^-1 a) = iota(a) i / d is spanned by the x i =
+    # (d x1, x0, 0, 0) over g1 d (a sign does not change a lattice)
+    a = [(-g1, 0, 0, 0), (-t, 1, 0, 0)]
+    F, fden = lattice_hnf([alg.mul(x, b) for x in a for b in order.rows], -g1 * order.den)
+    H, aden = lattice_hnf([alg.mul((d * x[1], x[0], 0, 0), b) for x in a for b in ominus],
+                          g1 * d * order.den)
+    if len(F) != 4 or len(H) != 2:
+        raise InvariantError(f"module ranks {len(F)}, {len(H)}, not 4, 2")
+    # x0 - shift in M_full for x0 = y H / aden: the columns of H and -F
+    # over their common denominator
+    den = math.lcm(aden, fden)
+    cols = ([[x * (den // aden) for x in row] for row in H]
+            + [[-x * (den // fden) for x in row] for row in F])
     solver = SmithSolver(transpose(cols))
-
+    # L = {y H : y H in M_full}: (y, z) is in the kernel exactly when
+    # y H = z F, and y fixes z, so the y-parts of the kernel basis are a
+    # basis of the y with y H in L; K is their HNF
+    K = row_hnf([v[:2] for v in solver.kernel()])
+    rows = [[k0 * x + k1 * y for x, y in zip(*H)] for k0, k1 in K]
     # V_mu = x0 + L; Q(x) = -Q(e1) nrd(x) with -Q(e1) > 0, so the Gram is
-    # -Q(e1) N = -gram[0][0] N / 2
-    L, lden = hnf_intersection(amb, full)
-    if len(L) != 2:
-        raise InvariantError(f"the coset lattice has rank {len(L)}, not 2")
-    lgram = [[-gram[0][0] * x for x in row] for row in alg.int_norm_gram(L)]
-    scale = 2 * lden * lden
+    # -Q(e1) N = -g1 N / 2
+    lgram = [[-g1 * x for x in row] for row in alg.int_norm_gram(rows)]
+    scale = 2 * aden * aden
     if any(x % scale for row in lgram for x in row):
         raise InvariantError(f"non-integral Gram {lgram} / {scale}")
     lat = QuadLattice([[x // scale for x in row] for row in lgram])
     if not lat.is_positive_definite():
         raise InvariantError(f"the coset lattice Gram {lat.gram} is not positive definite")
-    # coordinates in L: one solve through the Euclidean Gram, L L^T =
-    # H H^T / lden^2, so (L L^T)^-1 L = lden (H H^T)^-1 H
-    inv = inverse_fraction(mat_mul(L, transpose(L)))
-    coord = _scale_to_int([[x * lden for x in row] for row in mat_mul(inv, L)])
-    theta2 = tuple(x.numerator * (2 // x.denominator) for x in theta)
-    return _Frame(theta2, _scale_to_int(Ainv), amb, den, solver, (L, lden), lat.gram,
-                  coord, {})
+    return _Frame((a, -g1), den, solver, K, lat.gram, {})
 
 
 def _coset_shift(frame: _Frame, mu: Coset):
     """The coset x0 + L of the special quasi-endomorphisms attached to mu,
-    as the integer numerators c (in L-coordinates) over their least
-    denominator e, or None when there is none: computed once per frame
-    and mu, on integers, and kept in frame.shifts.
+    as the integer numerators c (in the basis K M_amb of L) over their
+    least denominator e, or None when there is none: computed once per
+    frame and mu, on integers, and kept in frame.shifts.
 
-    mu = mu~ e1 gives the shift iota(mu~); the Smith solve of the shift
-    system finds one x0 in M_amb with x0 - shift in M_full (none unless
-    the shift is integral over the system's denominator), and x0 must lie
-    in the span of L."""
+    mu = r1 e1 + r2 e2 = mu~ e1 gives the shift iota(mu~) = r1 iota(a1) +
+    r2 iota(a2); the Smith solve of the shift system finds one x0 = y M_amb
+    with x0 - shift in M_full (none unless the shift is integral over the
+    system's denominator), and c / e = y K^-1 = y adj(K) / det K."""
     entry = frame.shifts.get(mu.coords, False)
     if entry is not False:
         return entry
-    (ainv, aiden), (amb, aden), den = frame.ainv, frame.amb, frame.den
+    ((a1, a2), a_den), den = frame.a, frame.den
     (r,), rden = _scale_to_int([mu.rep()])
-    u, v = mat_vec(ainv, r)
-    # 2 iota(u + v w) = 2 u + v (2 theta), over sden
-    shift = _iota(frame.theta2, 2 * u, v)
-    sden = 2 * aiden * rden
+    shift = [r[0] * x + r[1] * y for x, y in zip(a1, a2)]
+    sden = a_den * rden
     entry = None
     if not any(x * den % sden for x in shift):
         sol = frame.solver.solve([x * den // sden for x in shift])
         if sol is not None:
-            # x0 over aden, its L-coordinates num over cden * aden
-            x0 = [sol[0] * a + sol[1] * b for a, b in zip(*amb)]
-            (L, lden), (C, cden) = frame.L, frame.coord
-            num = mat_vec(C, x0)
-            # span check: L^T coords = x0
-            back = [sum(n * row[i] for n, row in zip(num, L)) for i in range(4)]
-            if back != [x * cden * lden for x in x0]:
-                raise InvariantError(f"{x0} / {aden} is not in the span of the coset lattice")
-            g = math.gcd(cden * aden, *num)
-            entry = (tuple(n // g for n in num), cden * aden // g)
+            # K = [[k0, k1], [0, k2]] is triangular
+            y0, y1 = sol[:2]
+            (k0, k1), (_, k2) = frame.K
+            num = (y0 * k2, y1 * k0 - y0 * k1)
+            g = math.gcd(k0 * k2, *num)
+            entry = (tuple(n // g for n in num), k0 * k2 // g)
     frame.shifts[mu.coords] = entry
     return entry
-
-
-def _iota(theta, u, v):
-    """The embedding k -> B: u + v w goes to u + v theta."""
-    return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -40,10 +40,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import (
+    SmithSolver,
     congruence_diagonal,
     det_fraction,
     identity_matrix,
-    integer_kernel,
     inverse_fraction,
     mat_mul,
     mat_vec,
@@ -359,7 +359,7 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
     if r and sub.is_degenerate:
         raise ValueError("non-primitive sublattice")  # degenerate summand unsupported
     # complement: integer kernel of S^T G
-    C = integer_kernel(StG) if r else identity_matrix(n)
+    C = transpose(SmithSolver(StG).kernel()) if r else identity_matrix(n)
     ncomp = len(C[0]) if C and C[0] else 0
     comp_gram = mat_mul(mat_mul(transpose(C), lattice.gram), C) if ncomp else []
     comp = QuadLattice([[int(x) for x in row] for row in comp_gram])

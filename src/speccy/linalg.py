@@ -208,24 +208,12 @@ def snf_with_transforms(A):
     return U, V, D
 
 
-def integer_kernel(A):
-    """Basis (columns) of {x in Z^m : A x = 0}, saturated."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if m == 0:
-        return []
-    if n == 0:
-        return identity_matrix(m)
-    U, V, D = snf_with_transforms(A)
-    rank = sum(1 for t in range(min(n, m)) if D[t][t] != 0)
-    return [[V[i][j] for j in range(rank, m)] for i in range(m)]
-
-
 class SmithSolver:
     """Integer solutions of A x = b for one integer matrix A and any number
     of right-hand sides b: the Smith form U A V = D is computed once, and
     each solve is U b, a divisibility test against the diagonal of D, and
-    V y."""
+    V y.  The same form gives the kernel {x in Z^m : A x = 0}: the columns
+    of V past the rank, a saturated basis."""
 
     __slots__ = ("U", "V", "diag")
 
@@ -247,6 +235,12 @@ class SmithSolver:
             if d:
                 y[t] = c // d
         return mat_vec(self.V, y)
+
+    def kernel(self):
+        """A saturated basis of {x in Z^m : A x = 0}, as a list of vectors:
+        the columns of V past the rank of D."""
+        rank = sum(1 for d in self.diag if d)
+        return [list(col) for col in zip(*self.V)][rank:]
 
 
 def solve_integer(A, b):

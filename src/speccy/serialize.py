@@ -35,9 +35,12 @@ def parse_frac(s, field=None) -> Fraction:
 
 def _load_matrix(path, key):
     """The JSON object in path and its matrix under key, a list of equally
-    long rows."""
+    long rows; a file that is not JSON is a ValueError naming the path."""
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(blob, dict) or key not in blob:
         raise ValueError(f"{path}: missing '{key}'")
     rows = blob[key]

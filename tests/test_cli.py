@@ -331,6 +331,25 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--lattice", '{"gram": [[2,1],[1,2]]'),
+        ("--sub", '{"basis": [[1, 0], [0, 1]'),
+    ])
+    def test_malformed_json_names_the_file(self, tmp_path, capsys, flag, text):
+        # verify reads two files; the message says which one is broken
+        lat, sub = l0_d7_e8(tmp_path)
+        bad = tmp_path / "broken.json"
+        bad.write_text(text)
+        files = {"--lattice": lat, "--sub": sub, flag: str(bad)}
+        code, err = error_of(["verify", "--lattice", files["--lattice"], "--sub",
+                              files["--sub"], "--pp", '{"1,0":1}'], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not valid JSON: ")
+        assert "Traceback" not in err
+        if flag == "--lattice":
+            code, err = error_of(["disc", "--lattice", str(bad)], capsys)
+            assert code == 1 and err.startswith(f"error: {bad}: not valid JSON: ")
+
     def test_non_integral_gram_entry(self, tmp_path, capsys):
         bad = tmp_path / "g.json"
         bad.write_text('{"gram": [[2, 1.5], [1.5, 2]]}')

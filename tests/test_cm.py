@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -22,7 +24,18 @@ from speccy.cm import (
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors
-from speccy.linalg import SmithSolver, det_fraction, lattice_member
+from speccy.linalg import (
+    SmithSolver,
+    _scale_to_int,
+    det_fraction,
+    hnf_contains,
+    hnf_intersection,
+    inverse_fraction,
+    lattice_hnf,
+    lattice_member,
+    mat_vec,
+    transpose,
+)
 
 
 def nrd_bilinear(alg, u, v):
@@ -457,7 +470,7 @@ class TestOracle:
 
     def test_one_solve_per_coset(self, monkeypatch):
         # two m with the same Diff prime and coset share one frame entry:
-        # the second call neither solves nor checks the span again
+        # the second call does not solve the shift system again
         pkg = PKGS[-7]
         ms = {}
         for m, mu in admissible(pkg, 10):
@@ -574,3 +587,85 @@ class TestOracle:
             alt = degree_bruteforce(pkg, m, mu, skip_models=1)
             assert base.weighted_count == alt.weighted_count, (pkg.K.d, m)
             assert (base.degree - alt.degree).is_zero()
+
+
+H1_FIELDS = (-3, -7, -11, -19, -43, -67, -163)
+
+
+def reference_modules(p, d, skip_models, gram):
+    """M_amb = iota(d^-1 a) O^- and M_full = iota(a) O as canonical forms,
+    and the shift mu -> iota(mu~), all through Fractions: A^-1 and
+    sqrt(d)^-1 by inverse_fraction, the Clifford generator from
+    Q(e1) = gram[0][0] / 2."""
+    alg, order, theta, ominus = _cm_order_data(p, d, skip_models)
+    t, q1 = gram[0][1], Fraction(gram[0][0], 2)
+    Ainv = inverse_fraction([[1, Fraction(d + t, 2)], [0, -q1]])
+    a_basis = transpose(Ainv)
+    Rinv = inverse_fraction([[-d, Fraction(d - d * d, 2)], [2, d]])
+
+    def iota(u, v):
+        return [u + v * theta[0], v * theta[1], v * theta[2], v * theta[3]]
+
+    def module(ideal, rows):
+        return lattice_hnf(*_scale_to_int(alg.products([iota(*col) for col in ideal], rows)))
+
+    full = module(a_basis, order.basis)
+    amb = module([mat_vec(Rinv, col) for col in a_basis],
+                 [[Fraction(x, order.den) for x in row] for row in ominus])
+    return alg, amb, full, lambda mu: iota(*mat_vec(Ainv, mu.rep()))
+
+
+def frame_rows(frame, amb):
+    """The frame's basis K M_amb of the coset lattice, over amb's den."""
+    H, _ = amb
+    return [[a * x + b * y for x, y in zip(*H)] for a, b in frame.K]
+
+
+class TestCosetFrame:
+    @pytest.mark.parametrize("d", H1_FIELDS)
+    def test_frame_matches_the_intersection_route(self, d):
+        # every non-split p < 50 under two models: the frame's rows K M_amb
+        # span M_amb cap M_full as linalg.hnf_intersection builds it, the
+        # frame Gram is -Q(e1) nrd on them, and each coset's (c, e) puts
+        # x0 = c K M_amb / e in M_amb with x0 - shift in M_full, or is None
+        # exactly when the shift is not in M_amb + M_full
+        pkg = EisensteinPackage.from_lattice(principal_lattice(d))
+        gram = pkg.L0.gram
+        for p in sympy.primerange(2, 50):
+            if pkg.K.chi(p) == 1:
+                continue
+            for skip in (0, 1):
+                alg, amb, full, shift_of = reference_modules(p, d, skip, gram)
+                frame = cm._coset_frame(p, d, skip, gram)
+                rows = frame_rows(frame, amb)
+                assert lattice_hnf(rows, amb[1]) == hnf_intersection(amb, full)
+                lrows = [[Fraction(x, amb[1]) for x in row] for row in rows]
+                assert [list(row) for row in frame.gram] == [
+                    [-gram[0][0] * x / 2 for x in row] for row in alg.norm_gram(lrows)]
+                gens = [[Fraction(x, den) for x in row] for H, den in (amb, full) for row in H]
+                for mu in pkg.disc0.elements():
+                    shift = shift_of(mu)
+                    entry = cm._coset_shift(frame, mu)
+                    assert (entry is None) == (lattice_member(gens, shift) is None), (p, mu)
+                    if entry is not None:
+                        c, e = entry
+                        assert e > 0 and math.gcd(e, *c) == 1
+                        x0 = [sum(ci * r[i] for ci, r in zip(c, lrows)) / e for i in range(4)]
+                        assert hnf_contains(amb, x0)
+                        assert hnf_contains(full, [x - y for x, y in zip(x0, shift)])
+
+    def test_default_frame_grams_pinned(self):
+        # the Gram of every default-model frame on the seven fields, p < 50
+        # non-split, as sha256 of its JSON: recorded while the coset lattice
+        # was still the HNF of M_amb cap M_full, so the search work of each
+        # (m, mu) on these frames is unchanged
+        grams = []
+        for d in H1_FIELDS:
+            pkg = EisensteinPackage.from_lattice(principal_lattice(d))
+            for p in sympy.primerange(2, 50):
+                if pkg.K.chi(p) != 1:
+                    frame = cm._coset_frame(p, d, 0, pkg.L0.gram)
+                    grams.append([d, p, [list(row) for row in frame.gram]])
+        assert len(grams) == 64
+        digest = hashlib.sha256(json.dumps(grams).encode()).hexdigest()
+        assert digest == "468a1bd046ed968e1f0b337995b7a156ab851121254371e82fd4bd995be0fd9c"

@@ -15,7 +15,6 @@ from speccy.linalg import (
     hnf_contains,
     hnf_intersection,
     identity_matrix,
-    integer_kernel,
     inverse_fraction,
     lattice_basis,
     lattice_hnf,
@@ -85,16 +84,26 @@ class TestHNF:
 
 class TestKernelSolve:
     def test_kernel_is_kernel(self):
+        # m - rank(A) vectors, each in the kernel, spanning a saturated
+        # lattice: every Smith divisor of the kernel matrix is 1, so a
+        # missing or a doubled vector fails
         rng = random.Random(17)
-        for _ in range(40):
+        cases = [[[0, 0, 0]], [[2, 0], [0, 3]], [[2, 4]]]
+        for _ in range(80):
             n = rng.randint(1, 4)
             m = rng.randint(1, 5)
-            A = rand_matrix(rng, n, m)
-            K = integer_kernel(A)
-            ncols = len(K[0]) if K and K[0] else 0
-            for j in range(ncols):
-                v = [K[i][j] for i in range(m)]
-                assert all(x == 0 for x in mat_vec(A, v))
+            r = rng.randint(0, min(n, m))
+            cases.append(mat_mul(rand_matrix(rng, n, r, -3, 3), rand_matrix(rng, r, m, -3, 3))
+                         if r and rng.random() < 0.5 else rand_matrix(rng, n, m))
+        for A in cases:
+            m = len(A[0])
+            K = SmithSolver(A).kernel()
+            assert len(K) == m - sympy.Matrix(A).rank()
+            for v in K:
+                assert len(v) == m and not any(mat_vec(A, v))
+            if K:
+                _, _, D = snf_with_transforms(K)
+                assert [D[t][t] for t in range(len(K))] == [1] * len(K)
 
     def test_solve_roundtrip(self):
         rng = random.Random(29)
@@ -199,10 +208,10 @@ def kernel_intersection(basis1, basis2):
     """The intersection through the integer kernel of [B1 | -B2]."""
     r1 = len(basis1)
     cols, _ = _scale_to_int(list(basis1) + list(basis2))
-    ker = integer_kernel(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]]))
-    return lattice_basis([[sum(ker[t][j] * Fraction(basis1[t][i]) for t in range(r1))
+    ker = SmithSolver(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]])).kernel()
+    return lattice_basis([[sum(v[t] * Fraction(basis1[t][i]) for t in range(r1))
                            for i in range(len(basis1[0]))]
-                          for j in range(len(ker[0]) if ker and ker[0] else 0)])
+                          for v in ker])
 
 
 class TestIntegerForms:
