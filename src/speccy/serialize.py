@@ -33,14 +33,19 @@ def parse_frac(s, field=None) -> Fraction:
         raise ValueError(f"{field}: {s!r} is not a rational number") from None
 
 
-def _load_matrix(path, key):
-    """The JSON object in path and its matrix under key, a list of equally
-    long rows; a file that is not JSON is a ValueError naming the path."""
+def load_json(path):
+    """The JSON value in path; a file that is not JSON is a ValueError naming it."""
     with open(path) as fh:
         try:
-            blob = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _load_matrix(path, key):
+    """The JSON object in path and its matrix under key, a list of equally
+    long rows."""
+    blob = load_json(path)
     if not isinstance(blob, dict) or key not in blob:
         raise ValueError(f"{path}: missing '{key}'")
     rows = blob[key]

@@ -350,6 +350,21 @@ class TestBadInput:
             code, err = error_of(["disc", "--lattice", str(bad)], capsys)
             assert code == 1 and err.startswith(f"error: {bad}: not valid JSON: ")
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "malformed"])
+    def test_pp_file_errors_name_the_flag_and_the_file(self, files, tmp_path, capsys, kind):
+        path = tmp_path / "pp.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "malformed":
+            path.write_text('{"1,0": 1')
+        code, err = error_of(["verify", "--lattice", files["L"], "--sub", files["sub"],
+                              "--pp", f"@{path}"], capsys)
+        assert code == 1 and "Traceback" not in err
+        want = {"missing": f"error: --pp: cannot read {str(path)!r}: No such file or directory",
+                "directory": f"error: --pp: cannot read {str(path)!r}: Is a directory",
+                "malformed": f"error: --pp: {path}: not valid JSON: "}[kind]
+        assert err.startswith(want), err
+
     def test_non_integral_gram_entry(self, tmp_path, capsys):
         bad = tmp_path / "g.json"
         bad.write_text('{"gram": [[2, 1.5], [1.5, 2]]}')

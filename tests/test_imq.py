@@ -33,6 +33,11 @@ from speccy.imq import (
 from speccy.lattice import FACTOR_TRIAL_BOUND, InvariantError, QuadLattice, factorization
 from speccy.linalg import congruence_diagonal
 
+import fraction_reference as reference
+
+
+PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
 
 def principal_lattice(d):
     """Negative definite binary lattice from the principal form of disc d."""
@@ -265,6 +270,18 @@ class TestHilbert:
             assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
             assert (hilbert_symbol(a * c, b, p)
                     == hilbert_symbol(a, b, p) * hilbert_symbol(c, b, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(-10 ** 6, 10 ** 6).filter(bool), b=st.integers(-10 ** 6, 10 ** 6).filter(bool),
+           r=st.integers(1, 60), s=st.integers(1, 60), t=st.integers(1, 60), u=st.integers(1, 60),
+           p=st.sampled_from(PRIMES_BELOW_50 + ("inf",)))
+    def test_ints_match_fractions_of_one_square_class(self, a, b, r, s, t, u, p):
+        # a r^2 / s = a s (r / s)^2: the int fast path and the Fraction
+        # route agree, and both agree with the Fraction transcription
+        x, y = Fraction(a * r * r, s), Fraction(b * t * t, u)
+        want = reference.hilbert_symbol(x, y, p)
+        assert hilbert_symbol(a * s, b * u, p) == want == hilbert_symbol(x, y, p)
+        assert hilbert_symbol(a * s, y, p) == want == reference.hilbert_symbol(a * s, b * u, p)
 
 
 class TestDiff:
