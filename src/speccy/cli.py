@@ -191,11 +191,9 @@ def cmd_verify(args):
     lat = load_lattice(args.lattice)
     sub = load_sublattice_basis(args.sub)
     group = discriminant_group(lat)
-    pp_file = args.pp[1:] if args.pp.startswith("@") else None
     try:
-        pp = parse_principal_part(args.pp if pp_file is None else load_json(pp_file), group)
-    except OSError as exc:
-        raise InputError(f"--pp: cannot read {pp_file!r}: {exc.strerror}") from None
+        pp_blob = load_json(args.pp[1:]) if args.pp.startswith("@") else args.pp
+        pp = parse_principal_part(pp_blob, group)
     except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"--pp: {exc}") from None
     max_m = max(pp.support_exponents() or [Fraction(1)])

@@ -30,13 +30,12 @@ from .lattice import (
 
 class EisensteinPackage:
     """The lattice L0, its field k = C^+(L0), the discriminant group, the
-    primes of disc(L0) for s_mu, Diff(m) per m and the last _local_record."""
+    primes of disc(L0) for s_mu, and Diff(m) per m."""
 
     def __init__(self, L0: QuadLattice, K: ImQField, disc0: DiscriminantGroup):
         self.L0, self.K, self.disc0 = L0, K, disc0
         self.disc_primes = tuple(l for l, _ in factorization(L0.disc))
         self._diff = {}
-        self._last = (None, None)
 
     @classmethod
     def from_lattice(cls, L0: QuadLattice):
@@ -68,26 +67,20 @@ def s_mu(pkg: EisensteinPackage, mu: Coset) -> int:
 def _local_record(pkg: EisensteinPackage, m: Fraction, mu: Coset):
     """The integers (p, rho(m |d| / p^eps), ord_p(p m), s(mu)) behind both
     a^+(m, mu) and the CM degree at m > 0, or None where the support law
-    or |Diff(m)| != 1 makes both vanish; a split p in Diff(m) raises.
-    Callers ask for a^+ and the degree of one (m, mu) back to back, so the
-    package keeps the last record and no other."""
-    key, (last_key, record) = (m, mu.coords), pkg._last
-    if last_key == key:
-        return record
-    K, q, record = pkg.K, pkg.disc0.q_map(mu), None
+    or |Diff(m)| != 1 makes both vanish; a split p in Diff(m) raises."""
+    K, q = pkg.K, pkg.disc0.q_map(mu)
     # m = Q(mu) mod Z: both in lowest terms, so one denominator
     diff = (pkg.diff(m) if q.denominator == m.denominator
             and (m.numerator - q.numerator) % m.denominator == 0 else ())
-    if len(diff) == 1:
-        (p,) = diff
-        chi_p = K.chi(p)
-        if chi_p == 1:
-            raise InvariantError(f"Diff({m}) contains the split prime {p}")
-        # m |d| / p^eps, eps = 1 for p inert and 0 for p ramified
-        quot, rem = divmod(m.numerator * abs(K.d), m.denominator * p ** (chi_p == -1))
-        record = (p, rho(K, quot) if rem == 0 else 0, 1 + ord_p(m, p), s_mu(pkg, mu))
-    pkg._last = (key, record)
-    return record
+    if len(diff) != 1:
+        return None
+    (p,) = diff
+    chi_p = K.chi(p)
+    if chi_p == 1:
+        raise InvariantError(f"Diff({m}) contains the split prime {p}")
+    # m |d| / p^eps, eps = 1 for p inert and 0 for p ramified
+    quot, rem = divmod(m.numerator * abs(K.d), m.denominator * p ** (chi_p == -1))
+    return p, rho(K, quot) if rem == 0 else 0, 1 + ord_p(m, p), s_mu(pkg, mu)
 
 
 def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:

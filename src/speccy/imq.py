@@ -227,13 +227,16 @@ class ImQField(namedtuple("ImQField", "d h w")):
 
 
 def rho(K: ImQField, m) -> int:
-    """Number of integral ideals of norm m; zero off the positive integers."""
-    m = Fraction(m)
-    if m <= 0 or m.denominator != 1:
+    """Number of integral ideals of norm m; zero off the positive integers.
+    An int m is read as it is, with no Fraction built."""
+    if not isinstance(m, int):
+        m = Fraction(m)
+        m = m.numerator if m.denominator == 1 else 0
+    if m <= 0:
         return 0
     # multiplicative: over p^e || m the ideal count is sum_{i<=e} chi(p)^i
     total = 1
-    for p, e in factorization(m.numerator):
+    for p, e in factorization(m):
         c = K.chi(p)
         if c == 1:
             total *= e + 1

@@ -34,12 +34,15 @@ def parse_frac(s, field=None) -> Fraction:
 
 
 def load_json(path):
-    """The JSON value in path; a file that is not JSON is a ValueError naming it."""
-    with open(path) as fh:
-        try:
+    """The JSON value in path; a file that cannot be read or is not JSON is
+    a ValueError naming it."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _load_matrix(path, key):

@@ -365,6 +365,20 @@ class TestBadInput:
                 "malformed": f"error: --pp: {path}: not valid JSON: "}[kind]
         assert err.startswith(want), err
 
+    @pytest.mark.parametrize("flag", ["--lattice", "--sub"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_matrix_file_names_the_file(self, files, tmp_path, capsys, flag, kind):
+        # the lattice and basis loaders read through serialize.load_json too
+        path = tmp_path / "m.json"
+        if kind == "directory":
+            path.mkdir()
+        given = {"--lattice": files["L"], "--sub": files["sub"], flag: str(path)}
+        code, err = error_of(["verify", "--lattice", given["--lattice"], "--sub",
+                              given["--sub"], "--pp", '{"1,0":1}'], capsys)
+        reason = {"missing": "No such file or directory", "directory": "Is a directory"}[kind]
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot read {str(path)!r}: {reason}"), err
+
     def test_non_integral_gram_entry(self, tmp_path, capsys):
         bad = tmp_path / "g.json"
         bad.write_text('{"gram": [[2, 1.5], [1.5, 2]]}')

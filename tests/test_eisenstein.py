@@ -179,8 +179,6 @@ def _loglinear_key(val):
 
 
 def _assert_matches_reference(pkg, m, mu):
-    # the degree first, as row (A) and the benchmark ask, so a_plus reads
-    # the record the degree left behind
     if m > 0:
         want = _outcome(reference.degree_formula, pkg, m, mu)
         assert _outcome(degree_formula, pkg, m, mu) == want, (m, mu)
@@ -247,8 +245,9 @@ class TestIntegerTranscription:
 class TestWorkCounters:
     def test_fractions_per_pair_once_diff_is_known(self, monkeypatch):
         # a degree_formula + a_plus pair on one (m, mu) builds Q(mu) in
-        # q_map, rho's view of its int argument, the weighted count and the
-        # a+ coefficient; 3.10 and 3.11 count Fraction arithmetic here too
+        # q_map once per call, the weighted count and the a+ coefficient
+        # (rho reads its int argument as it is); 3.10 and 3.11 count
+        # Fraction arithmetic here too
         # (3.12 builds its results without __new__), and the Fraction
         # transcription built up to 35 on 3.11
         cases = []

@@ -146,6 +146,9 @@ class TestRho:
         assert rho(K, 2) == 2  # 2 splits in Q(sqrt(-7))
         assert rho(K, Fraction(1, 2)) == 0
         assert rho(K, -3) == 0
+        # an int is read as it is, any other m through Fraction
+        assert rho(K, -1) == rho(K, -2) == rho(K, Fraction(-4, 2)) == 0
+        assert rho(K, Fraction(4, 2)) == rho(K, 2.0) == 2
 
     def test_prime_powers(self):
         for d, K in FIELDS.items():
