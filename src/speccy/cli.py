@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .cm import degree_bruteforce, degree_formula
+from .cm import OracleBoundError, degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
 from .lattice import InvariantError, discriminant_group
@@ -153,7 +153,10 @@ def cmd_degrees(args):
                   json.dumps(res.degree.to_json()["logs"])]
     header = ["m", "mu", "weighted_count", "degree_logs"]
     if args.oracle:
-        oracle = degree_bruteforce(pkg, m, mu)
+        try:
+            oracle = degree_bruteforce(pkg, m, mu)
+        except OracleBoundError as exc:
+            raise InputError(f"--m: {exc}") from None
         payload["oracle"] = {
             "weighted_count": frac_str(oracle.weighted_count),
             "degree": loglinear_json(oracle.degree, K, dps),

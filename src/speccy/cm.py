@@ -11,18 +11,17 @@ length of each point is ord_p(pm) log p / log N(P), and the degree sums
 length * log N(P) over points weighted by 1/#Aut.
 
 Every quaternion lattice the oracle builds (orders, closure rounds,
-saturation candidates, iota(a) O and iota(d^-1 a) O^-) is held in one
-canonical integer form (H, den) (linalg.lattice_hnf): H the integer row
-HNF and den the least denominator.  Two lattices are equal exactly when
-their forms are, membership is one triangular reduction against H, and
-quaternion products, trd and nrd run on the integer rows: the algebra
-models (d, -q) have int parameters.
+iota(a) O and iota(d^-1 a) O^-) is held in one canonical integer form
+(H, den) (linalg.lattice_hnf): H the integer row HNF and den the least
+denominator.  Two lattices are equal exactly when their forms are,
+membership is one triangular reduction against H, and quaternion
+products, trd and nrd run on the integer rows: the algebra models
+(d, -q) have int parameters.
 
-saturate_to_maximal enlarges Z<1, theta, j, j theta> at each odd prime l
-dividing d but not q by the explicit x = (1 + s j) theta / l, s^2 = -1/q
-(mod l), of Gross and Zagier (On singular moduli, 1985); [0, l)^4 is
-searched only at l = 2 or l dividing q, which the default model (d, -q)
-of a prime discriminant d (q = p or 1) never meets.
+saturate_to_maximal enlarges Z<1, theta, j, j theta> by one explicit
+element per prime l of the (squarefree) defect |d| q / p: (1 + s j) theta
+/ l, s^2 = -1/q (mod l), of Gross and Zagier (On singular moduli, 1985)
+at l | d, and j (u + theta) / l, l | N(u + theta), at l | q.
 
 The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0), on integers: the maximal
@@ -40,7 +39,6 @@ count by the integer enumeration core.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -61,6 +59,14 @@ from .linalg import (
 _CLOSURE_ROUNDS = 16
 # candidates q (or q / p) tried for an algebra model (d, -q) of B_{p, inf}
 _MODEL_SEARCH = 2000
+# Most values of the outer coordinate the oracle's rank-2 shell search may
+# visit; the search at the bound took 0.7-0.9 s on a 2-core x86 host
+# with Python 3.11.7 (L0(-7), mu = 0, m = 217999999996)
+ORACLE_SEARCH_BOUND = 10 ** 6
+
+
+class OracleBoundError(ValueError):
+    """A degree_bruteforce shell search refused over ORACLE_SEARCH_BOUND."""
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
@@ -175,7 +181,6 @@ class QuaternionOrder:
         if not closed and _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
         self._basis = None
-        self._forms = None
         self._disc = None
 
     @property
@@ -192,26 +197,17 @@ class QuaternionOrder:
         alg = self.algebra
         return [[alg.trd(xy) for xy in alg.products([x], self.basis)] for x in self.basis]
 
-    def integral_forms(self):
-        """The trace vector t_r = trd(b_r) and the reduced-norm Gram
-        N_rs = trd(b_r conj(b_s)) of the basis, as integers (both are
-        integral because the order is).  Computed once per order."""
-        if self._forms is None:
-            den, den2 = self.den, self.den * self.den
-            trace = [self.algebra.trd(row) for row in self.rows]
-            gram = self.algebra.int_norm_gram(self.rows)
-            if any(v % den for v in trace) or any(v % den2 for row in gram for v in row):
-                raise InvariantError("an order has a non-integral trace or norm form")
-            self._forms = ([v // den for v in trace],
-                           [[v // den2 for v in row] for row in gram])
-        return self._forms
-
     def reduced_discriminant(self) -> int:
-        """sqrt |det N|, which is sqrt |det trace_gram| because conjugation
-        maps the order onto itself (a unimodular change of basis).  |det N|
-        is the product of the pivots of the integer HNF of N."""
+        """sqrt |det N| for N_rs = trd(b_r conj(b_s)), the integer Gram of
+        the reduced norm, which is sqrt |det trace_gram| because
+        conjugation maps the order onto itself (a unimodular change of
+        basis).  |det N| is the product of the pivots of the HNF of N."""
         if self._disc is None:
-            hnf = row_hnf(self.integral_forms()[1])
+            den2 = self.den * self.den
+            gram = self.algebra.int_norm_gram(self.rows)
+            if any(v % den2 for row in gram for v in row):
+                raise InvariantError("an order has a non-integral norm form")
+            hnf = row_hnf([[v // den2 for v in row] for row in gram])
             d2 = math.prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == 4 else 0
             root = math.isqrt(d2)
             if root * root != d2:
@@ -221,27 +217,6 @@ class QuaternionOrder:
 
     def is_maximal(self):
         return self.reduced_discriminant() == self.algebra.discriminant()
-
-
-def _integral_coefficients(trace, gram, l):
-    """Every c in [0, l)^4, in itertools.product order, for which
-    x = sum c_r b_r / l is integral, given the integer trace vector t and
-    reduced-norm Gram N of the basis b: trd(x) = c.t / l and
-    nrd(x) = c^T N c / (2 l^2), so x is integral exactly when
-    c.t = 0 (mod l) and c^T N c / 2 = 0 (mod l^2)."""
-    l2 = l * l
-    t0, t1, t2, t3 = trace
-    (n00, n01, n02, n03), (_, n11, n12, n13), (_, _, n22, n23), (_, _, _, n33) = gram
-    n00, n11, n22, n33 = n00 // 2, n11 // 2, n22 // 2, n33 // 2
-    for c in itertools.product(range(l), repeat=4):
-        c0, c1, c2, c3 = c
-        if (c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3) % l:
-            continue
-        half_norm = (c0 * (n00 * c0 + n01 * c1 + n02 * c2 + n03 * c3)
-                     + c1 * (n11 * c1 + n12 * c2 + n13 * c3)
-                     + c2 * (n22 * c2 + n23 * c3) + n33 * c3 * c3)
-        if half_norm % l2 == 0:
-            yield c
 
 
 def _closure_step(alg: QuaternionAlgebra, form):
@@ -255,17 +230,14 @@ def _closure_step(alg: QuaternionAlgebra, form):
 def _closure(alg: QuaternionAlgebra, rows, den):
     """Smallest multiplicatively closed lattice containing the integer rows
     over den, as its canonical form: the fixed point of L -> L + L * L.
-
-    Bounded: adjoining an integral element need not generate a finitely
-    generated module in a noncommutative algebra, so a candidate whose
-    closure keeps growing is rejected rather than looped on."""
+    One still growing after _CLOSURE_ROUNDS rounds is an InvariantError."""
     form = lattice_hnf(rows, den)
     for _ in range(_CLOSURE_ROUNDS):
         grown = _closure_step(alg, form)
         if grown == form:
             return form
         form = grown
-    raise ValueError("multiplicative closure does not stabilize")
+    raise InvariantError("multiplicative closure does not stabilize")
 
 
 def _starting_rows(alg: QuaternionAlgebra):
@@ -275,73 +247,47 @@ def _starting_rows(alg: QuaternionAlgebra):
     return [[2, 0, 0, 0], [d, 1, 0, 0], [0, 0, 2, 0], [0, 0, d, -1]]
 
 
-def _explicit_candidate(alg: QuaternionAlgebra, order: QuaternionOrder, l):
-    """c = (0, 1, 0, s), that is x = (1 + s j) theta / l, when the order is
-    the starting order Z<1, theta, j, j theta> of the model (d, -q) and l
-    is an odd prime dividing d but not q; None otherwise.  s is the least
-    root of s^2 = -1/q (mod l), which exists because B splits at l:
-    (d, -q)_l = (-q / l) = 1.
-
-    This is the first nonzero c of [0, l)^4 in itertools.product order
-    that _integral_coefficients accepts: trd(x) = (2 c0 + d c1) / l forces
-    c0 = 0; as nrd(a + j b) = N(a) + q N(b), l divides trd(theta) and l
-    exactly divides N(theta), l^2 | nrd(x) forces c2 = 0, and then c1 = 0
-    forces c3 = 0 while c1 = 1 leaves the c3 with 1 + q c3^2 = 0 (mod l)."""
+def _defect_element(alg: QuaternionAlgebra, l):
+    """(integer numerators, denominator) of the x that saturate_to_maximal
+    adjoins at a prime l of the defect of the model (d, -q).  At l | d, x =
+    (1 + s j) theta / l, s the least root of q s^2 = -1 (mod l); at l
+    exactly dividing q, x = j (u + theta) / l, u the least root of N(u +
+    theta) = u^2 + d u + (d^2 - d)/4 = 0 (mod l).  The roots exist because
+    B splits at l, (-q / l) = 1 and (d / l) = 1 in turn; trd(x) = 0 and
+    l^2 | nrd(x), as nrd(a + j b) = N(a) + q N(b).  theta (1 + s j) would
+    span a different order (at p = 2, d = -3)."""
     d, q = alg.a, -alg.b
-    if l == 2 or d % l or q % l == 0 or order.den != 2 or order.rows != _starting_rows(alg):
-        return None
-    return 0, 1, 0, next(s for s in range(l) if (q * s * s + 1) % l == 0)
+    if d % l == 0:
+        s = next((s for s in range(l) if (q * s * s + 1) % l == 0), None)
+        if s is not None:
+            return alg.mul((2, 0, 2 * s, 0), (d, 1, 0, 0)), 4 * l
+    elif q % (l * l) and q % l == 0:
+        u = next((u for u in range(l) if (u * u + d * u + (d * d - d) // 4) % l == 0), None)
+        if u is not None:
+            return alg.mul((0, 0, 1, 0), (2 * u + d, 1, 0, 0)), 2 * l
+    raise InvariantError(f"no explicit element at l = {l} in the model ({d}, {-q})")
 
 
 def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
-    """Enlarge an order to a maximal one by repeatedly adjoining integral
-    elements with prime denominator dividing the discriminant defect.
-
-    The candidates are x = sum c_r b_r / l over the current basis b.  On
-    the starting order Z<1, theta, j, j theta> of _cm_order_data and an
-    odd l dividing d but not q, the one candidate is explicit
-    (_explicit_candidate); for a prime discriminant d this is every step
-    the default model takes.  Otherwise (l divides q, or l = 2) they are
-    the c in [0, l)^4 that pass the integer test of
-    _integral_coefficients.  A candidate has its trd and nrd checked again
-    on its integer numerators over den * l, and the first (in
-    itertools.product order) whose closure is an order of smaller
-    discriminant replaces the order."""
-    target = alg.discriminant()
-    for _ in range(64):
-        disc = order.reduced_discriminant()
-        if disc == target:
-            break
-        defect = disc // target
-        rows = order.rows
-        bigger = None
-        for l, _ in factorization(defect):
-            dl = order.den * l
-            scaled = [[x * l for x in row] for row in rows]
-            explicit = _explicit_candidate(alg, order, l)
-            for coeffs in ((explicit,) if explicit
-                           else _integral_coefficients(*order.integral_forms(), l)):
-                if not any(coeffs):
-                    continue
-                x = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
-                if alg.trd(x) % dl or alg.nrd(x) % (dl * dl):
-                    raise InvariantError(f"the integer forms accepted {coeffs}/{l}, "
-                                         f"whose trd or nrd is not integral")
-                try:
-                    candidate = QuaternionOrder(alg, *_closure(alg, scaled + [x], dl),
-                                                closed=True)
-                except ValueError:
-                    continue
-                if candidate.reduced_discriminant() < disc:
-                    bigger = candidate
-                    break
-            if bigger is not None:
-                break
-        if bigger is None:
-            raise InvariantError("saturation failed to enlarge a non-maximal order")
-        order = bigger
-    if not order.is_maximal():
-        raise InvariantError("saturation stopped at a non-maximal order")
+    """Enlarge the starting order Z<1, theta, j, j theta> of the model
+    (d, -q) to a maximal one: at each prime l of the discriminant defect,
+    in increasing order, adjoin _defect_element and close.  Each step must
+    lower the discriminant by exactly l (else InvariantError); a defect
+    that is not squarefree (d even or not fundamental) is a ValueError."""
+    disc, target = order.reduced_discriminant(), alg.discriminant()
+    if disc % target:
+        raise InvariantError(f"discriminant {disc} is not a multiple of {target}")
+    for l, e in factorization(disc // target):
+        if e != 1:
+            raise ValueError(f"the discriminant defect {disc // target} is not squarefree")
+        x, xden = _defect_element(alg, l)
+        den = math.lcm(order.den, xden)
+        rows = [[v * (den // order.den) for v in row] for row in order.rows]
+        rows.append([v * (den // xden) for v in x])
+        order = QuaternionOrder(alg, *_closure(alg, rows, den), closed=True)
+        if order.reduced_discriminant() * l != disc:
+            raise InvariantError(f"the step at l = {l} did not take {disc} to {disc // l}")
+        disc //= l
     return order
 
 
@@ -371,14 +317,15 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
 
 
 def _algebra_model(p, d, skip_models):
-    """The (skip_models + 1)-th model (d, -q), q = 1, 2, ..., of the
-    quaternion algebra ramified exactly at p and infinity.
+    """The (skip_models + 1)-th model (d, -q), q = step r, r = 1, 2, ...,
+    of the quaternion algebra ramified exactly at p and infinity, with r
+    odd, squarefree and prime to d: for odd fundamental d this makes the
+    defect |d| q / p of saturate_to_maximal odd and squarefree.
 
     For p not dividing d, the symbol (d, -q)_p is 1 unless p divides q (d
-    is a discriminant, so 1 mod 4 when odd), so only multiples of p are
-    tried; for p dividing d, every q is.  Either way the first
-    _MODEL_SEARCH - 1 candidates are tried, and no model among them is a
-    ValueError."""
+    is a discriminant, so 1 mod 4 when odd), so step = p; for p dividing
+    d, step = 1.  Either way the first _MODEL_SEARCH - 1 candidates are
+    tried, and a search that finds no model raises ValueError."""
     if d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a discriminant")
     step = 1 if d % p == 0 else p
@@ -386,7 +333,9 @@ def _algebra_model(p, d, skip_models):
     for q in range(step, _MODEL_SEARCH * step, step):
         # p must ramify; the full ramification set (and its parity check)
         # is computed only for the models that pass this one symbol
-        if hilbert_symbol(d, -q, p) != -1:
+        r = q // step
+        if (r % 2 == 0 or math.gcd(r, d) != 1 or hilbert_symbol(d, -q, p) != -1
+                or any(e > 1 for _, e in factorization(r))):
             continue
         trial = QuaternionAlgebra(d, -q)
         finite, infinite = trial.ramified_primes()
@@ -537,7 +486,8 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     length ord_p(pm) and the 1/w automorphism weight.  The lattice comes
     from the cached _coset_frame and the coset's shift from its table
     (_coset_shift), so a call whose frame and coset are known counts one
-    shell on integers (lattice._search) and builds no Fraction.
+    shell on integers (lattice._search) and builds no Fraction, unless its
+    search would pass ORACLE_SEARCH_BOUND: then OracleBoundError.
     """
     if not isinstance(m, Fraction):
         m = Fraction(m)
@@ -563,5 +513,14 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
         c, e = entry
         top = 2 * e * e * m.numerator
         if top % m.denominator == 0:
-            count = len(_search(frame.gram, c, e, top // m.denominator, True))
+            target = top // m.denominator
+            # y_1 = c_1 (mod e) with y_1^2 <= g00 N / det; y_0 is solved for
+            (g00, g01), (_, g11) = frame.gram
+            det = g00 * g11 - g01 * g01
+            outer = 2 * math.isqrt(g00 * det * target) // (det * e) + 1
+            if outer > ORACLE_SEARCH_BOUND:
+                raise OracleBoundError(f"the oracle's shell search at m = {m} would visit "
+                                       f"about {outer} values, over the bound of "
+                                       f"{ORACLE_SEARCH_BOUND}")
+            count = len(_search(frame.gram, c, e, target, True))
     return CMDegree(m, mu.coords, p, *_oracle_degree(p, count * length, K.w))

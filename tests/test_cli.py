@@ -274,6 +274,17 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: cannot factor {number}:")
 
+    def test_oracle_search_past_the_bound(self, files, capsys):
+        # the size guard admits this m, and the search would visit about
+        # 2 * 10^13 values of its outer coordinate: refused before it starts
+        start = time.perf_counter()
+        code, err = error_of(["degrees", "--lattice", files["l0"],
+                              "--m", "9999999999999999999999999999", "--oracle"], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert err.startswith("error: --m: ") and "bound" in err
+        assert "Traceback" not in err
+
     def test_eisenstein_cutoff_past_the_budget(self, files, capsys):
         # refused before the walk, like theta's refusal of the same cutoff
         start = time.perf_counter()
