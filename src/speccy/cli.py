@@ -98,7 +98,10 @@ def cmd_disc(args):
 
 def cmd_theta(args):
     lat = load_lattice(args.lattice)
-    th = theta_series(lat, parse_frac(args.cutoff, "--cutoff"))
+    cutoff = parse_frac(args.cutoff, "--cutoff")
+    if cutoff < 0:
+        raise InputError(f"--cutoff: cutoff must be nonnegative, got {args.cutoff}")
+    th = theta_series(lat, cutoff)
     payload = {"lattice": args.lattice, "theta": qexp_json(th)}
     rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in sorted(th.coeffs.items())]
     header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
@@ -135,7 +138,12 @@ def cmd_degrees(args):
     lat = load_lattice(args.lattice)
     pkg = EisensteinPackage.from_lattice(lat)
     m = parse_frac(args.m, "--m")
-    mu = pkg.disc0.coset_by_index(args.mu)
+    if m <= 0:
+        raise InputError(f"--m: degree_formula requires m > 0, got {args.m}")
+    try:
+        mu = pkg.disc0.coset_by_index(args.mu)
+    except ValueError as exc:  # the index is out of range
+        raise InputError(f"--mu: {exc}") from None
     res = degree_formula(pkg, m, mu)
     K = pkg.K
     dps = args.precision

@@ -251,28 +251,34 @@ def _form_histogram(d, bound):
     all reduced forms of discriminant d, as a read-only memoryview of
     16-bit counts (a quarter of a list's size; a count past 2^16 - 1 is a
     ValueError, never wrapped).  f(-x, -y) = f(x, y), so only half the
-    plane is walked: the rows y > 0 count twice, and on y = 0 the points
-    x > 0 count twice and the origin once."""
+    plane is walked: on y = 0 the points x > 0 count twice and the origin
+    once.  A row y > 0 walks u = 2ax + by instead of x, since
+    4a f(x, y) = u^2 + |d| y^2: u runs over the class of b y mod 2a with
+    u^2 <= 4a bound - |d| y^2, and each u counts twice.  When that class
+    is closed under u -> -u (always for a = 1), only u >= 0 is walked and
+    u > 0 counts four times."""
     counts = memoryview(bytearray(2 * (bound + 1))).cast("H")
-    for a, b, c in reduced_forms(d):
+    n = -d
+    for a, b, _ in reduced_forms(d):
         counts[0] += 1
         for x in range(1, isqrt(bound // a) + 1):
             counts[a * x * x] += 2
-        # a x^2 + b x y + c y^2 <= bound: |y| <= sqrt(4 a bound / |d|)
-        ymax = isqrt(4 * a * bound // (-d)) + 1
-        for y in range(1, ymax + 1):
-            # a x^2 + b x y + (c y^2 - bound) <= 0
-            disc = b * b * y * y - 4 * a * (c * y * y - bound)
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            xlo = (-b * y - r) // (2 * a) - 1
-            xhi = (-b * y + r) // (2 * a) + 1
-            for x in range(xlo, xhi + 1):
-                val = a * x * x + b * x * y + c * y * y
-                if val <= bound:
-                    counts[val] += 2
+        a2, a4 = 2 * a, 4 * a
+        for y in range(1, isqrt(a4 * bound // n) + 1):
+            ny2 = n * y * y
+            umax = isqrt(a4 * bound - ny2)
+            res = b * y % a2
+            if 2 * res % a2:  # -u lies in another class: walk both signs
+                for u in range(res - (umax + res) // a2 * a2, umax + 1, a2):
+                    counts[(u * u + ny2) // a4] += 2
+            else:
+                if res == 0:
+                    counts[ny2 // a4] += 2
+                    res = a2
+                for u in range(res, umax + 1, a2):
+                    counts[(u * u + ny2) // a4] += 4
     return counts.toreadonly()
+
 
 RHO_ORACLE_BOUND = 10 ** 4
 
@@ -280,13 +286,15 @@ RHO_ORACLE_BOUND = 10 ** 4
 def rho_bruteforce(K: ImQField, m) -> int:
     """Independent oracle for rho: (1/w) * number of representations of m
     by the h reduced forms of discriminant d (form/ideal correspondence);
-    zero off the positive integers, as for rho."""
-    m = Fraction(m)
-    if m <= 0 or m.denominator != 1:
+    zero off the positive integers, as for rho.  An int m is read as it
+    is, with no Fraction built."""
+    if not isinstance(m, int):
+        m = Fraction(m)
+        m = m.numerator if m.denominator == 1 else 0
+    if m <= 0:
         return 0
-    m = m.numerator
     if m > RHO_ORACLE_BOUND:
-        raise ValueError(f"oracle bound {RHO_ORACLE_BOUND} exceeded")
+        raise ValueError(f"rho_bruteforce: m = {m} is past the oracle bound {RHO_ORACLE_BOUND}")
     counts = _form_histogram(K.d, RHO_ORACLE_BOUND)
     reps = counts[m]
     if reps % K.w:

@@ -250,6 +250,11 @@ class TestBadInput:
         (["chowla", "--disc", "-7", "--precision", "abc"], "--precision"),
         (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "x"], "--mu"),
         (["chowla", "--disc", "abc"], "--disc"),
+        (["degrees", "--lattice", "{l0}", "--m", "0"], "--m"),
+        (["degrees", "--lattice", "{l0}", "--m", "-3"], "--m"),
+        (["theta", "--lattice", "{a1}", "--cutoff", "-1"], "--cutoff"),
+        (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "99"], "--mu"),
+        (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "-1"], "--mu"),
     ])
     def test_bad_numeric_flag(self, files, capsys, argv, flag):
         argv = [a.format(**files) for a in argv]
