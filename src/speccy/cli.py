@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cm import OracleBoundError, degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
-from .lattice import InvariantError, discriminant_group
+from .lattice import InvariantError, discriminant_group, is_fundamental_discriminant
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -180,7 +180,10 @@ def cmd_chowla(args):
     if args.lattice is not None:
         K = EisensteinPackage.from_lattice(load_lattice(args.lattice)).K
     else:
-        K = ImQField.from_discriminant(args.disc)
+        d = args.disc
+        if d >= 0 or d % 2 == 0 or not is_fundamental_discriminant(d):
+            raise InputError(f"--disc: {d} is not a negative odd fundamental discriminant")
+        K = ImQField.from_discriminant(d)
     dps = args.precision
     data = L_derivative_data(K, dps=dps)
     payload = {
@@ -214,7 +217,14 @@ def cmd_verify(args):
         raise InputError(f"--pp: {exc}") from None
     fault = None
     if args.fault_inject:
-        fault = parse_coset_key(args.fault_inject, "--fault-inject")
+        fault = m_f, index = parse_coset_key(args.fault_inject, "--fault-inject")
+        try:
+            coords = ctx.pkg.disc0.coset_by_index(index).coords
+        except ValueError as exc:  # the index is out of range
+            raise InputError(f"--fault-inject: {exc}") from None
+        if (m_f, coords) not in ctx.eis.values:
+            raise InputError(f"--fault-inject: fault target has no nonzero coefficient "
+                             f"at m = {frac_str(m_f)}, coset index {index}")
     report = verify_ledger(ctx, pp, fault_negate=fault)
     payload = report.to_json()
     payload["field"] = {"d": ctx.pkg.K.d, "h": ctx.pkg.K.h, "w": ctx.pkg.K.w}

@@ -125,25 +125,20 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
         return [[Fraction(v, den) for v in row] for row in self.int_norm_gram(xs)]
 
     def ramified_primes(self):
-        """Finite ramification set, computed from Hilbert symbols once per
-        (a, b); the set including infinity always has even cardinality."""
-        return _ramification(self.a, self.b)
+        """(finite ramified primes, whether infinity ramifies), from Hilbert
+        symbols; the set including infinity always has even cardinality."""
+        a, b = self.a, self.b
+        finite = {p for p in _hilbert_candidates((a, b)) if hilbert_symbol(a, b, p) == -1}
+        infinite = hilbert_symbol(a, b, "inf") == -1
+        if (len(finite) + infinite) % 2:
+            raise InvariantError(f"odd ramification set {sorted(finite)}, "
+                                 f"infinity {infinite}")
+        return frozenset(finite), infinite
 
     def discriminant(self) -> int:
         """The product of the finite ramified primes: the reduced
         discriminant of a maximal order."""
         return math.prod(self.ramified_primes()[0])
-
-
-@functools.lru_cache(maxsize=1024)
-def _ramification(a, b):
-    """(finite ramified primes, whether infinity ramifies) of (a, b / Q)."""
-    finite = {p for p in _hilbert_candidates((a, b)) if hilbert_symbol(a, b, p) == -1}
-    infinite = hilbert_symbol(a, b, "inf") == -1
-    if (len(finite) + infinite) % 2:
-        raise InvariantError(f"odd ramification set {sorted(finite)}, "
-                             f"infinity {infinite}")
-    return frozenset(finite), infinite
 
 
 class QuaternionOrder:
@@ -180,15 +175,11 @@ class QuaternionOrder:
             raise ValueError("order basis must be integral")
         if not closed and _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
-        self._basis = None
-        self._disc = None
 
     @property
     def basis(self):
         """The rows as given, as lists of Fractions."""
-        if self._basis is None:
-            self._basis = [[Fraction(x, self.den) for x in row] for row in self.rows]
-        return self._basis
+        return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
     def contains(self, x):
         return hnf_contains(self.hnf, x)
@@ -202,18 +193,16 @@ class QuaternionOrder:
         the reduced norm, which is sqrt |det trace_gram| because
         conjugation maps the order onto itself (a unimodular change of
         basis).  |det N| is the product of the pivots of the HNF of N."""
-        if self._disc is None:
-            den2 = self.den * self.den
-            gram = self.algebra.int_norm_gram(self.rows)
-            if any(v % den2 for row in gram for v in row):
-                raise InvariantError("an order has a non-integral norm form")
-            hnf = row_hnf([[v // den2 for v in row] for row in gram])
-            d2 = math.prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == 4 else 0
-            root = math.isqrt(d2)
-            if root * root != d2:
-                raise InvariantError(f"|det N| = {d2} is not a square")
-            self._disc = root
-        return self._disc
+        den2 = self.den * self.den
+        gram = self.algebra.int_norm_gram(self.rows)
+        if any(v % den2 for row in gram for v in row):
+            raise InvariantError("an order has a non-integral norm form")
+        hnf = row_hnf([[v // den2 for v in row] for row in gram])
+        d2 = math.prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == 4 else 0
+        root = math.isqrt(d2)
+        if root * root != d2:
+            raise InvariantError(f"|det N| = {d2} is not a square")
+        return root
 
     def is_maximal(self):
         return self.reduced_discriminant() == self.algebra.discriminant()
@@ -468,14 +457,6 @@ def _coset_shift(frame: _Frame, mu: Coset):
     return entry
 
 
-@functools.lru_cache(maxsize=1024)
-def _oracle_degree(p, weight, w):
-    """The weighted count weight / w and its degree (weight / w) log p;
-    the few values the oracle meets are built once and shared."""
-    wc = Fraction(weight, w)
-    return wc, LogLinear.make(0, {p: wc})
-
-
 def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
                       skip_models=0) -> CMDegree:
     """Oracle for degree_formula, restricted to class number one.
@@ -486,8 +467,9 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     length ord_p(pm) and the 1/w automorphism weight.  The lattice comes
     from the cached _coset_frame and the coset's shift from its table
     (_coset_shift), so a call whose frame and coset are known counts one
-    shell on integers (lattice._search) and builds no Fraction, unless its
-    search would pass ORACLE_SEARCH_BOUND: then OracleBoundError.
+    shell on integers (lattice._search) and builds one Fraction, the
+    weighted count, unless its search would pass ORACLE_SEARCH_BOUND:
+    then OracleBoundError.
     """
     if not isinstance(m, Fraction):
         m = Fraction(m)
@@ -523,4 +505,5 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
                                        f"about {outer} values, over the bound of "
                                        f"{ORACLE_SEARCH_BOUND}")
             count = len(_search(frame.gram, c, e, target, True))
-    return CMDegree(m, mu.coords, p, *_oracle_degree(p, count * length, K.w))
+    wc = Fraction(count * length, K.w)
+    return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())

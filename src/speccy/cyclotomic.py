@@ -26,18 +26,15 @@ and works modulo Phi_m (Phi_N(x) = Phi_m(-x)), which halves its length.
 Square roots of positive integers are cyclotomic by the classical Gauss
 sum evaluation, provided by sqrt_cyclotomic; this is what lets scale
 factors |D|^(1/2) be folded into exact matrix entries.  The Weil layer
-folds one root per word, and sqrt_cyclotomic builds each root once, in
-O(n), and caches it with read-only terms, so no caller can change the
-shared value.
+folds one root per word, and sqrt_cyclotomic builds it in O(n) from one
+count of the squares mod the squarefree part of n.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 from fractions import Fraction
 from math import gcd, lcm
-from types import MappingProxyType
 
 from .lattice import InvariantError, factorization
 
@@ -215,10 +212,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __reduce__(self):
-        # copies and pickles get a plain dict, also from a read-only root
-        return _cyc, (self.n, dict(self.terms))
-
     def conjugate(self):
         n = self.n
         return _cyc(n, {-k % n: c for k, c in self.terms.items()})
@@ -296,10 +289,9 @@ def _gauss_sqrt(u):
     return _cyc(n, terms)
 
 
-@functools.lru_cache(maxsize=None)
 def sqrt_cyclotomic(n):
     """Exact CycNum equal to the positive square root of the positive
-    integer n, built once per n and shared: its terms are read-only."""
+    integer n."""
     if n <= 0:
         raise ValueError("positive integer required")
     f = m = 1
@@ -309,5 +301,4 @@ def sqrt_cyclotomic(n):
     out = _gauss_sqrt(m // gcd(m, 2)) * f
     if m % 2 == 0:
         out = out * (CycNum.e(Fraction(1, 8)) + CycNum.e(Fraction(-1, 8)))  # sqrt(2)
-    out.terms = MappingProxyType(out.terms)
     return out

@@ -15,8 +15,8 @@ Square roots are folded once per word.  Matrices carry their power of
 1/sqrt(|D|) separately, so products of generators stay in integer
 cyclotomic entries, and WeilRep.apply scales its vector to integers, runs
 it through the letters and adds up their powers in the same way.  Only the
-end result folds the power in (_fold: one Gauss-sum root, cached per |D|,
-for an odd power, then one rational scale); a comparison multiplies by
+end result folds the power in (_fold: one Gauss-sum root of |D| for an
+odd power, then one rational scale); a comparison multiplies by
 that root only when the two powers differ in parity.  A product
 accumulates each entry's sum of products in one exponent dict
 (cyclotomic._matmul).  Every matrix carries the discriminant form it acts

@@ -255,8 +255,21 @@ class TestBadInput:
         (["theta", "--lattice", "{a1}", "--cutoff", "-1"], "--cutoff"),
         (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "99"], "--mu"),
         (["degrees", "--lattice", "{l0}", "--m", "1", "--mu", "-1"], "--mu"),
+        (["chowla", "--disc", "-4"], "--disc"),
+        (["chowla", "--disc", "5"], "--disc"),
+        (["chowla", "--disc", "0"], "--disc"),
+        (["chowla", "--disc", "-5"], "--disc"),
+        (["chowla", "--disc", "-27"], "--disc"),
+        (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp", '{{"1,0":1}}',
+          "--fault-inject", "1,99"], "--fault-inject"),
+        (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp", '{{"1,0":1}}',
+          "--fault-inject", "1,-1"], "--fault-inject"),
+        (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp", '{{"1,0":1}}',
+          "--fault-inject", "2,0"], "--fault-inject"),
     ])
-    def test_bad_numeric_flag(self, files, capsys, argv, flag):
+    def test_bad_numeric_flag(self, files, tmp_path, capsys, argv, flag):
+        if "{l_e8}" in argv:
+            files = dict(zip(("l_e8", "sub_e8"), l0_d7_e8(tmp_path)), **files)
         argv = [a.format(**files) for a in argv]
         code, err = error_of(argv, capsys)
         assert code == 1

@@ -121,23 +121,6 @@ class TestAlgebra:
             finite, infinite = alg.ramified_primes()
             assert (len(finite) + (1 if infinite else 0)) % 2 == 0
 
-    def test_ramification_once_per_algebra(self, monkeypatch):
-        # the model search and the saturation target each ask for the
-        # ramification of the order's algebra; it is computed once
-        computed, asked = [], []
-        candidates = cm._hilbert_candidates
-        ramified = QuaternionAlgebra.ramified_primes
-        monkeypatch.setattr(cm, "_hilbert_candidates",
-                            lambda values: computed.append(values) or candidates(values))
-        monkeypatch.setattr(QuaternionAlgebra, "ramified_primes",
-                            lambda self: asked.append(tuple(self)) or ramified(self))
-        cm._ramification.cache_clear()
-        cm._cm_order_data.cache_clear()
-        alg = _cm_order_data(7, -7, 0)[0]
-        assert asked.count((alg.a, alg.b)) >= 2
-        assert computed.count((alg.a, alg.b)) == 1
-        assert len(computed) == len(set(computed))
-
 
 class TestRationalAlgebra:
     @settings(max_examples=60, deadline=None, derandomize=True)
