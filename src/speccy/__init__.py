@@ -9,7 +9,7 @@ from .cm import (
     degree_bruteforce,
     degree_formula,
 )
-from .eisenstein import EisensteinPackage, EisensteinTable, a_plus, eisenstein_qexp, s_mu
+from .eisenstein import EisensteinPackage, a_plus, eisenstein_qexp, s_mu
 from .imq import (
     ImQField,
     L_chi,

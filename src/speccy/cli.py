@@ -19,7 +19,12 @@ from fractions import Fraction
 from .cm import OracleBoundError, degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
-from .lattice import InvariantError, discriminant_group, is_fundamental_discriminant
+from .lattice import (
+    InvariantError,
+    SearchBoundError,
+    discriminant_group,
+    is_fundamental_discriminant,
+)
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -101,7 +106,12 @@ def cmd_theta(args):
     cutoff = parse_frac(args.cutoff, "--cutoff")
     if cutoff < 0:
         raise InputError(f"--cutoff: cutoff must be nonnegative, got {args.cutoff}")
-    th = theta_series(lat, cutoff)
+    try:
+        th = theta_series(lat, cutoff)
+    except SearchBoundError as exc:
+        raise InputError(f"--cutoff: {exc}") from None
+    except ValueError as exc:  # the conditioning guard and every other refusal
+        raise InputError(f"--lattice: {exc}") from None
     payload = {"lattice": args.lattice, "theta": qexp_json(th)}
     rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in sorted(th.coeffs.items())]
     header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
@@ -119,13 +129,11 @@ def cmd_eisenstein(args):
         raise InputError(f"--cutoff: {exc}") from None
     K = pkg.K
     dps = args.precision
-    entries = []
-    for (m, coords), val in sorted(table.values.items()):
-        entries.append({
-            "exponent": frac_str(m),
-            "coset": list(coords),
-            "value": loglinear_json(val, K, dps),
-        })
+    cosets = list(table.group.elements())
+    entries = [{"exponent": frac_str(m), "coset": list(mu.coords),
+                "value": loglinear_json(val, K, dps)}
+               for m, vec in sorted(table.coeffs.items())
+               for mu, val in zip(cosets, vec) if not val.is_zero()]
     payload = {"lattice": args.lattice, "field": {"d": K.d, "h": K.h, "w": K.w},
                "cutoff": frac_str(table.cutoff), "coefficients": entries}
     rows = [[e["exponent"], ",".join(map(str, e["coset"])),
@@ -219,10 +227,11 @@ def cmd_verify(args):
     if args.fault_inject:
         fault = m_f, index = parse_coset_key(args.fault_inject, "--fault-inject")
         try:
-            coords = ctx.pkg.disc0.coset_by_index(index).coords
+            ctx.pkg.disc0.coset_by_index(index)
         except ValueError as exc:  # the index is out of range
             raise InputError(f"--fault-inject: {exc}") from None
-        if (m_f, coords) not in ctx.eis.values:
+        vec = ctx.eis.coeffs.get(m_f)
+        if vec is None or vec[index].is_zero():
             raise InputError(f"--fault-inject: fault target has no nonzero coefficient "
                              f"at m = {frac_str(m_f)}, coset index {index}")
     report = verify_ledger(ctx, pp, fault_negate=fault)

@@ -257,13 +257,14 @@ def _defect_element(alg: QuaternionAlgebra, l):
     raise InvariantError(f"no explicit element at l = {l} in the model ({d}, {-q})")
 
 
-def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder):
+def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: int):
     """Enlarge the starting order Z<1, theta, j, j theta> of the model
-    (d, -q) to a maximal one: at each prime l of the discriminant defect,
-    in increasing order, adjoin _defect_element and close.  Each step must
+    (d, -q) to a maximal one, of the reduced discriminant target that the
+    model search certified: at each prime l of the discriminant defect, in
+    increasing order, adjoin _defect_element and close.  Each step must
     lower the discriminant by exactly l (else InvariantError); a defect
     that is not squarefree (d even or not fundamental) is a ValueError."""
-    disc, target = order.reduced_discriminant(), alg.discriminant()
+    disc = order.reduced_discriminant()
     if disc % target:
         raise InvariantError(f"discriminant {disc} is not a multiple of {target}")
     for l, e in factorization(disc // target):
@@ -350,7 +351,7 @@ def _cm_order_data(p, d, skip_models):
     (d, -q); counts must not depend on the choice, which tests exploit.
     """
     alg = _algebra_model(p, d, skip_models)
-    order = saturate_to_maximal(alg, QuaternionOrder(alg, _starting_rows(alg), 2))
+    order = saturate_to_maximal(alg, QuaternionOrder(alg, _starting_rows(alg), 2), p)
     theta2 = (d, 1, 0, 0)
     theta = tuple(Fraction(x, 2) for x in theta2)
     if not order.contains(theta):

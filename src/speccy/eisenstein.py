@@ -26,6 +26,7 @@ from .lattice import (
     even_clifford_binary,
     factorization,
 )
+from .qseries import VVFormQ
 
 
 class EisensteinPackage:
@@ -101,29 +102,6 @@ def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:
     return LogLinear(logs=((p, coeff),)) if coeff else LogLinear()
 
 
-class EisensteinTable:
-    """Dense table of a^+ over the support lattice (1/|d|) Z up to a cutoff;
-    values is {(Fraction m, coset coords): LogLinear}."""
-
-    def __init__(self, pkg: EisensteinPackage, cutoff: Fraction, values: dict):
-        self.pkg, self.cutoff, self.values = pkg, cutoff, values
-
-    @property
-    def group(self):
-        return self.pkg.disc0
-
-    def coefficient(self, m, mu: Coset) -> LogLinear:
-        m = Fraction(m)
-        if m < 0:
-            return LogLinear.make(0)
-        if m > self.cutoff:
-            raise KeyError(f"exponent {m} beyond Eisenstein table cutoff {self.cutoff}")
-        step = Fraction(1, abs(self.pkg.K.d))
-        if (m / step).denominator != 1:
-            return LogLinear.make(0)
-        return self.values.get((m, mu.coords), LogLinear.make(0))
-
-
 class TableBudgetError(ValueError):
     """A table walk refused before it starts: over TABLE_BUDGET."""
 
@@ -134,9 +112,11 @@ class TableBudgetError(ValueError):
 TABLE_BUDGET = 10 ** 5
 
 
-def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> EisensteinTable:
-    """All a^+(m, mu) for 0 <= m <= cutoff in the support lattice, obeying
-    the support law m = Q(mu) mod Z.
+def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> VVFormQ:
+    """The a^+ table: all a^+(m, mu) for 0 <= m <= cutoff, as a weight-one
+    VVFormQ of LogLinear vectors over the discriminant group of L0.  The
+    walk visits only the support m = Q(mu) mod Z, and stores an exponent
+    only where some coefficient is nonzero.
 
     The walk evaluates a^+ about |D0| (cutoff + 1) times, D0 the
     discriminant group; a cutoff that puts this over TABLE_BUDGET
@@ -144,24 +124,17 @@ def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> EisensteinTable:
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if pkg.disc0.order * (cutoff + 1) > TABLE_BUDGET:
-        raise TableBudgetError(f"{pkg.disc0.order} cosets up to {cutoff} need about "
-                         f"{pkg.disc0.order * (cutoff + 1)} a+ evaluations, over the "
+    group = pkg.disc0
+    if group.order * (cutoff + 1) > TABLE_BUDGET:
+        raise TableBudgetError(f"{group.order} cosets up to {cutoff} need about "
+                         f"{group.order * (cutoff + 1)} a+ evaluations, over the "
                          f"budget of {TABLE_BUDGET}")
-    step = Fraction(1, abs(pkg.K.d))
-    values = {}
-    for mu in pkg.disc0.elements():
-        q = pkg.disc0.q_map(mu)
-        m = q
+    coeffs = {}
+    for i, mu in enumerate(group.elements()):
+        m = group.q_map(mu)
         while m <= cutoff:
             val = a_plus(pkg, m, mu)
             if not val.is_zero():
-                values[(m, mu.coords)] = val
+                coeffs.setdefault(m, [LogLinear()] * group.order)[i] = val
             m += 1
-        if mu.is_zero():
-            values[(Fraction(0), mu.coords)] = a_plus(pkg, Fraction(0), mu)
-    # sanity: the support step divides every stored exponent
-    for (m, _c) in values:
-        if (m / step).denominator != 1:
-            raise InvariantError(f"exponent {m} off the support lattice {step} Z")
-    return EisensteinTable(pkg, cutoff, values)
+    return VVFormQ(Fraction(1), group, {m: tuple(vec) for m, vec in coeffs.items()}, cutoff)

@@ -445,6 +445,10 @@ def ball_sweep(gram, shift, bound):
 _REFUSED = "enumeration input too ill-conditioned or too large to search"
 
 
+class SearchBoundError(ValueError):
+    """The size guard's refusal: a norm bound too large to search."""
+
+
 @functools.lru_cache(maxsize=256)
 def _search_setup(A):
     """The Gram-only part of the search for an integer Gram A (a tuple of
@@ -517,7 +521,7 @@ def _search(A, c, e, N, exact):
     B, delta, max_target = _search_setup(A)
     # size guard: the search tree also grows with N (A^-1)_jj
     if N > max_target:
-        raise ValueError(_REFUSED)
+        raise SearchBoundError(_REFUSED)
     out = []
     y = [0] * n
 

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cm import degree_formula
-from .eisenstein import EisensteinPackage, EisensteinTable, eisenstein_qexp
+from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import LogLinear
 from .lattice import (
     Coset,
@@ -48,10 +48,11 @@ class ContextError(ValueError):
 class EmbeddingContext:
     """A maximal lattice L with a distinguished negative definite binary
     summand L0 (odd fundamental Clifford discriminant), the complement
-    Lambda, the Eisenstein package, and coefficient tables."""
+    Lambda, the Eisenstein package, and the coefficient tables: theta on
+    Lambda and a^+ on L0."""
 
     def __init__(self, emb, pkg: EisensteinPackage, theta: VVFormQ,
-                 eis: EisensteinTable, cutoff: Fraction):
+                 eis: VVFormQ, cutoff: Fraction):
         self.emb, self.pkg, self.theta, self.eis, self.cutoff = emb, pkg, theta, eis, cutoff
 
     @classmethod
@@ -192,10 +193,14 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     eis = ctx.eis
     if fault_negate is not None:
         m_f, index_f = fault_negate
-        key = Fraction(m_f), pkg.disc0.coset_by_index(index_f).coords
-        if key not in eis.values:
+        m_f = Fraction(m_f)
+        pkg.disc0.coset_by_index(index_f)  # raises on an index out of range
+        vec = eis.coeffs.get(m_f)
+        if vec is None or vec[index_f].is_zero():
             raise ValueError("fault target has no nonzero coefficient")
-        eis = EisensteinTable(pkg, eis.cutoff, {**eis.values, key: -eis.values[key]})
+        # a copy with one entry negated: ctx.eis stays as built
+        vec = vec[:index_f] + (-vec[index_f],) + vec[index_f + 1:]
+        eis = VVFormQ(eis.weight, eis.group, {**eis.coeffs, m_f: vec}, eis.cutoff)
 
     t_hat = cotaut_degree(ctx)
     a00 = eis.coefficient(0, pkg.disc0.zero())

@@ -27,7 +27,9 @@ from .lattice import (
 
 class VVFormQ:
     """Finitely supported vector-valued q-expansion for the contragredient
-    Weil representation, as theta series of definite lattices are.
+    Weil representation: a theta table of a definite lattice (integer
+    entries), or the a^+ table of E'_{L0} (LogLinear entries), which pairs
+    with theta tables in omega-bar_L.
 
     coeffs maps an exponent to the coefficient vector in the coset order of
     the discriminant group (zero coset first, then lexicographic).  cutoff
@@ -40,13 +42,16 @@ class VVFormQ:
                  coeffs: dict, cutoff: Fraction):
         self.weight, self.group = weight, group
         self.coeffs, self.cutoff = coeffs, cutoff
-        # the coefficient vector of every exponent absent from the table
-        self._zero = (0,) * group.order
+        # the entry at every exponent absent from the table
+        self._zero = type(next(iter(coeffs.values()))[0])() if coeffs else 0
 
-    def coefficient(self, m):
+    def coefficient(self, m, mu: Coset):
+        """The entry at (m, mu): the entries' zero at any exponent up to the
+        cutoff that the table does not hold, KeyError past the cutoff."""
         m = Fraction(m)
-        if m in self.coeffs:
-            return self.coeffs[m]
+        vec = self.coeffs.get(m)
+        if vec is not None:
+            return vec[self.group.index_of(mu)]
         if m <= self.cutoff:
             return self._zero
         raise KeyError(f"coefficient at exponent {m} beyond table cutoff {self.cutoff}")
@@ -60,17 +65,17 @@ class VVFormQ:
             for i, c in enumerate(cosets):
                 if vec[i] != vec[neg_index[i]]:
                     raise ValueError(f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry")
-                if vec[i] != 0:
+                if vec[i] != self._zero:
                     q = self.group.q_map(c)
                     if (m - q) % 1 != 0:
                         raise ValueError(f"support law violated at ({m}, {c})")
         return True
 
     def evaluate(self, tau):
-        """(value vector, certified tail bound) at tau in the upper half
-        plane, from the finite table up to the cutoff.  The bound is
-        math.inf when Im tau is too small for theta_tail_bound to reach
-        the geometric closure of its series."""
+        """(value vector, certified tail bound) of a theta table at tau in
+        the upper half plane, from the finite table up to the cutoff.  The
+        bound is math.inf when Im tau is too small for theta_tail_bound to
+        reach the geometric closure of its series."""
         v = tau.imag if isinstance(tau, complex) else 0.0
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
@@ -81,10 +86,7 @@ class VVFormQ:
             for i in range(n):
                 if vec[i]:
                     out[i] += complex(vec[i]) * qm
-        return out, self.tail_bound(v)
-
-    def tail_bound(self, v):
-        return theta_tail_bound(self.group.lattice, self.cutoff, v)
+        return out, theta_tail_bound(self.group.lattice, self.cutoff, v)
 
 
 def theta_tail_bound(lattice: QuadLattice, cutoff, v) -> float:
@@ -203,12 +205,12 @@ def hejhal_principal_part(m, mu: Coset) -> PrincipalPart:
     return PrincipalPart(group, entries)
 
 
-def constant_term_pairing(pp: PrincipalPart, eis_table, theta: VVFormQ,
+def constant_term_pairing(pp: PrincipalPart, eis_table: VVFormQ, theta: VVFormQ,
                           emb: SublatticeEmbedding):
     """CT {f^+, E (x) Theta} = sum over m1 + m2 + m3 = 0 of
     {c^+(m1), a^+(m2) (x) R(m3)}, as a LogLinear value.
 
-    eis_table is an EisensteinTable over the sublattice; theta lives on the
+    eis_table is the a^+ table over the sublattice; theta lives on the
     orthogonal complement; the pairing runs through the glue description of
     S_L inside S_{L0} (x) S_Lambda.
     """
@@ -235,8 +237,4 @@ def constant_term_pairing(pp: PrincipalPart, eis_table, theta: VVFormQ,
 
 def rep_coefficient(theta: VVFormQ, m, mu: Coset) -> int:
     """Coefficient R(m, mu) out of a theta table, 0 off the support."""
-    m = Fraction(m)
-    if m < 0:
-        return 0
-    vec = theta.coefficient(m)
-    return vec[theta.group.index_of(mu)]
+    return theta.coefficient(m, mu)

@@ -102,8 +102,11 @@ class ScaledMatrix:
                             self.sqrt_power, self.form)
 
     def scaled_entries(self):
-        """Entries with the square-root scale folded in exactly."""
-        return [_fold(row, self.disc_order, self.sqrt_power) for row in self.entries]
+        """Entries with the square-root scale folded in exactly, one fold
+        (one Gauss-sum root) for the whole matrix."""
+        n, flat = self.dim, [x for row in self.entries for x in row]
+        flat = _fold(flat, self.disc_order, self.sqrt_power)
+        return [flat[i:i + n] for i in range(0, n * n, n)]
 
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -99,6 +100,36 @@ class TestEisenstein:
         by_key = {(c["exponent"], tuple(c["coset"])): c["value"]
                   for c in blob["coefficients"]}
         assert by_key[("1", (0,))]["logs"] == {"7": "-2"}
+
+    # sha256 of the stdout, recorded before the a+ table became a VVFormQ
+    PINS = {
+        ("-7", "0", "json"): "8511d6fcd749a90d2be3c8ed096ecdad8501b2cae98936df4f482dfc8ae7de87",
+        ("-7", "0", "csv"): "7498c08546865e3a396f2dcb5f3f54c6e250f977618632a021baed641fa195c2",
+        ("-7", "1", "json"): "1684e2c0bce553c70adedbe024d9fc0d31c6e7e8b0ec17fb7e9f98d3702b5139",
+        ("-7", "1", "csv"): "3675dbeb4e90b2ec5a273055d59fec99f9434ad9554e08a1806f6c3c4f18394c",
+        ("-7", "5/2", "json"): "2e047d0436683d3be61b32e42fa79a1130a3db541e386bc4de04d63cd443560b",
+        ("-7", "5/2", "csv"): "abaf85148af4b70e1c87b5f0df553b10ff814aca6561ea7700279c50564ff2dc",
+        ("-23", "0", "json"): "75069d7714d9b1a1e20302fe18b7f5ad965aa21d81e2d2af61af00e42dd6cedb",
+        ("-23", "0", "csv"): "bbdfd942f28e04cec31de2869bb10a8657e1f3b42bccb949e28583e8286400e9",
+        ("-23", "1", "json"): "3aeee9ee08bfeb26ad2b05f85dcff53f6af8588b0c69b4c0662208b37c8a2e6d",
+        ("-23", "1", "csv"): "81c92302c1ea558883257e7f5177130f6a0eacd9775f4e184c5a3da781ea62fd",
+        ("-23", "5/2", "json"): "934fa80560356fb4698a0003f2cd5c60fc6ce98cc23e85f4986698234455d452",
+        ("-23", "5/2", "csv"): "7c0242efbb67d5ebe1fec3cc7b82752b0c1d1efb11a627698fd5c403803b4e58",
+    }
+
+    @pytest.mark.parametrize("d,cutoff,fmt", sorted(PINS))
+    def test_stdout_pinned(self, d, cutoff, fmt, tmp_path, monkeypatch):
+        # the payload names the lattice file, so it is read by a fixed
+        # relative name from inside tmp_path
+        gram = {"-7": [[-2, -1], [-1, -4]], "-23": [[-2, -1], [-1, -12]]}[d]
+        name = f"l0_d{d[1:]}.json"
+        (tmp_path / name).write_text(json.dumps({"gram": gram}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPECCY_PRECISION", raising=False)
+        code, out = capture(["--format", fmt, "eisenstein", "--lattice", name,
+                             "--cutoff", cutoff])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[d, cutoff, fmt]
 
 
 class TestDegrees:
@@ -359,6 +390,18 @@ class TestBadInput:
         code, err = error_of(["theta", "--lattice", str(bad), "--cutoff", "2"], capsys)
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("gram,cutoff,flag", [
+        ([[2, 1], [1, 2]], "1e400", "--cutoff"),  # the size guard
+        ([[2, 2 ** 601], [2 ** 601, 2 ** 1201 + 2]], "2", "--lattice"),  # conditioning
+    ])
+    def test_theta_refusal_names_its_flag(self, tmp_path, capsys, gram, cutoff, flag):
+        lat = tmp_path / "g.json"
+        lat.write_text(json.dumps({"gram": gram}))
+        code, err = error_of(["theta", "--lattice", str(lat), "--cutoff", cutoff], capsys)
+        assert code == 1
+        assert err == (f"error: {flag}: enumeration input too ill-conditioned "
+                       "or too large to search\n")
 
     @pytest.mark.parametrize("flag,text", [
         ("--lattice", '{"gram": [[2,1],[1,2]]'),

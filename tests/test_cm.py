@@ -233,6 +233,22 @@ class TestMaximalOrders:
                     for i in range(4))
         assert alg.mul(theta, theta) == lin
 
+    @pytest.mark.parametrize("p,d", [(5, -3), (3, -7), (2, -11)])
+    def test_one_ramification_per_cold_frame(self, p, d, monkeypatch):
+        # the model search certifies the ramification once; saturation
+        # takes its p instead of computing it again
+        calls = []
+        ramified = QuaternionAlgebra.ramified_primes
+
+        def counted(alg):
+            calls.append(alg)
+            return ramified(alg)
+
+        monkeypatch.setattr(QuaternionAlgebra, "ramified_primes", counted)
+        _, order, _, _ = _cm_order_data.__wrapped__(p, d, 0)
+        assert len(calls) == 1
+        assert order.reduced_discriminant() == p
+
     def test_p7_contains_standard_order(self):
         alg, order, theta, _ = _cm_order_data(7, -11, 0)
         start = starting_order(alg, theta)
@@ -265,7 +281,7 @@ class TestMaximalOrders:
                 alg = _algebra_model(p, d, skip)
                 start = QuaternionOrder(alg, cm._starting_rows(alg), 2)
                 del closures[:]
-                order = saturate_to_maximal(alg, start)
+                order = saturate_to_maximal(alg, start, p)
                 discs = [start.reduced_discriminant()] + [
                     QuaternionOrder(alg, *form, closed=True).reduced_discriminant()
                     for form in closures]

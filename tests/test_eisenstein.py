@@ -7,6 +7,7 @@ from speccy.cm import degree_formula
 from speccy.eisenstein import TABLE_BUDGET, EisensteinPackage, a_plus, eisenstein_qexp, s_mu
 from speccy.imq import LogLinear, diff_set, reduced_forms
 from speccy.lattice import InvariantError, QuadLattice
+from speccy.qseries import theta_series
 
 import fraction_reference as reference
 
@@ -142,9 +143,24 @@ class TestTable:
             else:
                 assert val.is_zero()
 
+    @staticmethod
+    def lookup_tables():
+        """An a+ table and a theta table, each with the zero of its entries:
+        the lookup rule is VVFormQ's, shared by both."""
+        return [(eisenstein_qexp(PKG7, 1), LogLinear()),
+                (theta_series(QuadLattice([[2, 1], [1, 4]]), 1), 0)]
+
     def test_off_lattice_exponent_zero(self):
-        table = eisenstein_qexp(PKG7, 1)
-        assert table.coefficient(Fraction(1, 3), PKG7.disc0.zero()).is_zero()
+        for table, zero in self.lookup_tables():
+            val = table.coefficient(Fraction(1, 3), table.group.zero())
+            assert val == zero and type(val) is type(zero)
+
+    @pytest.mark.parametrize("m", [-1, Fraction(-6, 7), Fraction(-1, 3)])
+    def test_negative_exponent_zero(self, m):
+        for table, zero in self.lookup_tables():
+            for mu in table.group.elements():
+                val = table.coefficient(m, mu)
+                assert val == zero and type(val) is type(zero)
 
     def test_walk_past_the_budget_refused(self):
         # 7 cosets: cutoff 14285 asks for 7 * 14286 = 100002 > 10^5 evaluations
@@ -153,9 +169,9 @@ class TestTable:
             eisenstein_qexp(PKG7, 14285)
 
     def test_beyond_cutoff_raises(self):
-        table = eisenstein_qexp(PKG7, 1)
-        with pytest.raises(KeyError):
-            table.coefficient(Fraction(3), PKG7.disc0.zero())
+        for table, _ in self.lookup_tables():
+            with pytest.raises(KeyError):
+                table.coefficient(Fraction(3), table.group.zero())
 
 
 TRANSCRIPTION_FIELDS = (-3, -7, -11, -15, -19, -23, -31, -35, -43, -163)

@@ -254,6 +254,8 @@ class TestLedger:
         bad = rep.mismatches()
         assert all(r.identity in ("A", "B") for r in bad)
         assert any(r.key[0] == Fraction(1) for r in bad)
+        # the fault went into a copy of the a+ table: the context is intact
+        assert verify_ledger(block_ctx, pp).all_match
 
     def test_constant_term_frozen_d7(self, block_ctx):
         # hand expansion for pp = {(1, 0) -> 1}: the splits (m2, m3) of 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from speccy.eisenstein import EisensteinPackage, eisenstein_qexp
 from speccy.lattice import QuadLattice, count_coset_vectors, discriminant_group
 from speccy.qseries import (
     PrincipalPart,
@@ -71,6 +72,9 @@ class TestTheta:
 
     def test_support_law_validates(self):
         assert theta_series(A2, 4).check_support()
+        # an a+ table: its zero entries are LogLinear zeros, never == 0
+        pkg = EisensteinPackage.from_lattice(QuadLattice([[-2, -1], [-1, -4]]))
+        assert eisenstein_qexp(pkg, 2).check_support()
 
     def test_table_matches_per_coset_enumeration(self):
         # the bulk dual-lattice sweep against coset-by-coset counting
@@ -92,7 +96,7 @@ class TestTheta:
                 q = grp.q_map(mu)
                 m = q
                 while m <= 6:
-                    assert th.coefficient(m)[i] == count_coset_vectors(lat, mu, m), (G, m, i)
+                    assert th.coefficient(m, mu) == count_coset_vectors(lat, mu, m), (G, m, i)
                     m += 1
 
     def test_indefinite_rejected(self):

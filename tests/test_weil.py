@@ -252,6 +252,18 @@ class TestApply:
         assert ST.matmul(ST).matmul(ST) == w.omega_Z()
         assert calls == [w.dim]
 
+    def test_one_root_per_matrix(self, monkeypatch):
+        # scaled_entries folds the whole matrix at once: one Gauss sum for
+        # omega(S) at |D| = 11, not one per row, with the per-row values
+        w = wrep(QuadLattice([[2, 1], [1, 6]]))
+        M = w.omega_S()
+        per_row = [weil._fold(row, M.disc_order, M.sqrt_power) for row in M.entries]
+        calls = []
+        monkeypatch.setattr(weil, "sqrt_cyclotomic",
+                            lambda n: calls.append(n) or sqrt_cyclotomic(n))
+        assert M.scaled_entries() == per_row
+        assert calls == [11] and w.dim == 11
+
 
 class TestNegatedLattice:
     def test_omega_of_negated_is_conjugate(self):
