@@ -14,6 +14,11 @@ exponent of the group), so q_map and b_map read a coset's values off its
 coordinates without building a representative, and the level of the
 lattice is read off the same table.
 
+Glue.  glue_cosets reads each pair in L0^vee/L0 x Lambda^vee/Lambda off
+the integer dual coordinates G x of a vector of mu + L, which restrict to
+those of its L0 and Lambda parts; the box of such x and the glue index
+come from one Hermite form of [S | C].
+
 Enumeration.  ball_sweep, enumerate_coset_vectors and count_coset_vectors
 share one Fincke-Pohst core that runs in integers only: each level's range
 comes from a fraction-free LDL^T by an integer square root, so the nodes
@@ -42,11 +47,9 @@ from math import gcd, isqrt, lcm
 from .linalg import (
     SmithSolver,
     congruence_diagonal,
-    det_fraction,
     identity_matrix,
     inverse_fraction,
     mat_mul,
-    mat_vec,
     row_hnf,
     snf_with_transforms,
     transpose,
@@ -223,6 +226,9 @@ class DiscriminantGroup:
         if any(r for row in table for _, r in row):
             raise InvariantError(f"E [g_s, g_t] not integral for exponent {E}")
         self.pairing = P = tuple(tuple(w % E for w, _ in row) for row in table)
+        # the generators' dual coordinates G g_s = G V_s / d_s, integral
+        # because U G V = D makes them columns of U^-1 (see glue_cosets)
+        self._dual_gens = tuple(tuple(row[s] // d[s] for row in GV) for s in range(len(d)))
         self._q2 = tuple(row[s][0] % (2 * E) for s, row in enumerate(table))
         # the level: N Q(sum a_s g_s) is integral for all a exactly when
         # every N Q(g_s) and every N [g_s, g_t], s < t, is
@@ -336,9 +342,14 @@ class SublatticeEmbedding:
             raise InvariantError("disc(L0) disc(Lambda) != disc(L) [L : L0 + Lambda]^2")
         self.ambient, self.sub_basis, self.sub = ambient, sub_basis, sub
         self.complement_basis, self.complement, self.index = complement_basis, complement, index
-        # glue_cosets memo: (reps of L / (L0 + Lambda), J^-1) and pairs per mu
-        self._glue_frame = None
-        self._glue = {}
+
+
+def _glue_pivots(S, C):
+    """Pivots of the Hermite form of J Z^n, J = [S | C] the n x n matrix of
+    the two bases' columns: their product is [L : L0 + Lambda], and the box
+    of their ranges represents L / (L0 + Lambda)."""
+    H = row_hnf(transpose(S) + transpose(C))
+    return [H[t][t] for t in range(len(H))]
 
 
 def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbedding:
@@ -363,48 +374,34 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
     ncomp = len(C[0]) if C and C[0] else 0
     comp_gram = mat_mul(mat_mul(transpose(C), lattice.gram), C) if ncomp else []
     comp = QuadLattice([[int(x) for x in row] for row in comp_gram])
-    # glue index [L : L0 + Lambda]
     if r + ncomp != n:
         raise ValueError("non-primitive sublattice")
-    J = [[S[i][j] for j in range(r)] + [C[i][j] for j in range(ncomp)] for i in range(n)]
-    index = abs(int(det_fraction(J))) if n else 1
-    return SublatticeEmbedding(lattice, tuple(map(tuple, S)) if r else (),
-                               sub, tuple(map(tuple, C)) if ncomp else (), comp, index)
+    S, C = tuple(map(tuple, S)) if r else (), tuple(map(tuple, C)) if ncomp else ()
+    index = math.prod(_glue_pivots(S, C))
+    return SublatticeEmbedding(lattice, S, sub, C, comp, index)
 
 
 def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     """Representatives of (mu + L) / (L0 + Lambda) as coset pairs
-    (mu1, mu2) in (L0^vee/L0) x (Lambda^vee/Lambda).  Length = glue index.
-    Computed once per embedding and coset; each call returns a new list."""
-    pairs = emb._glue.get(mu.coords)
-    if pairs is not None:
-        return list(pairs)
-    n, r, nc = emb.ambient.rank, emb.sub.rank, emb.complement.rank
-    if emb._glue_frame is None:
-        # representatives of Z^n / J Z^n: the box of the pivots of the
-        # triangular Hermite basis of J Z^n
-        J = [[emb.sub_basis[i][j] for j in range(r)] +
-             [emb.complement_basis[i][j] for j in range(nc)] for i in range(n)]
-        H = row_hnf(transpose(J))
-        reps = list(itertools.product(*(range(H[t][t]) for t in range(n))))
-        emb._glue_frame = (reps, inverse_fraction(J))
-    reps, Jinv = emb._glue_frame
-    disc0 = emb.sub.disc_group()
-    discc = emb.complement.disc_group()
-    mu_rep = mu.rep()
-    # keyed by coset coordinates: dedupes (a no-op safeguard, box reps are
-    # exact coset representatives) and orders deterministically
-    seen = {}
-    for rep in reps:
-        coeffs = mat_vec(Jinv, [a + b for a, b in zip(mu_rep, rep)])
-        mu1 = disc0.from_vector(coeffs[:r]) if r else disc0.zero()
-        mu2 = discc.from_vector(coeffs[r:]) if nc else discc.zero()
-        seen[(mu1.coords, mu2.coords)] = (mu1, mu2)
-    pairs = [seen[k] for k in sorted(seen)]
-    if len(pairs) != emb.index:
-        raise InvariantError(f"{len(pairs)} glue pairs for glue index {emb.index}")
-    emb._glue[mu.coords] = pairs
-    return list(pairs)
+    (mu1, mu2) in (L0^vee/L0) x (Lambda^vee/Lambda), sorted; length = glue
+    index.  Each x = sum a_s g_s + t, t in the box of _glue_pivots, has k =
+    G x integral, and S^T k, C^T k are the dual coordinates of its L0 and
+    Lambda parts (S^T G C = 0)."""
+    L = emb.ambient
+    if mu.group.lattice.gram != L.gram:
+        raise ValueError("coset of another lattice than the embedding's ambient one")
+    n, S, C = L.rank, emb.sub_basis, emb.complement_basis
+    disc0, discc = emb.sub.disc_group(), emb.complement.disc_group()
+    k0 = [sum(a * g[i] for a, g in zip(mu.coords, mu.group._dual_gens)) for i in range(n)]
+    seen = set()
+    for t in itertools.product(*map(range, _glue_pivots(S, C))):
+        k = [x + sum(g * y for g, y in zip(row, t)) for x, row in zip(k0, L.gram)]
+        seen.add((disc0.dual_index([sum(s * x for s, x in zip(col, k)) for col in zip(*S)]),
+                  discc.dual_index([sum(c * x for c, x in zip(col, k)) for col in zip(*C)])))
+    if len(seen) != emb.index:
+        raise InvariantError(f"{len(seen)} glue pairs for glue index {emb.index}")
+    # the mixed-radix index orders cosets as their coordinates do
+    return [(disc0.coset_by_index(i), discc.coset_by_index(j)) for i, j in sorted(seen)]
 
 
 def _coset_shell(lattice: QuadLattice, mu, m):

@@ -76,6 +76,8 @@ class VVFormQ:
         the upper half plane, from the finite table up to the cutoff.  The
         bound is math.inf when Im tau is too small for theta_tail_bound to
         reach the geometric closure of its series."""
+        if type(self._zero) is not int:
+            raise ValueError("evaluate needs a theta table (integer entries)")
         v = tau.imag if isinstance(tau, complex) else 0.0
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")

@@ -32,6 +32,10 @@ A1 = QuadLattice([[2]])
 A2 = QuadLattice([[2, 1], [1, 2]])
 U_HYP = QuadLattice([[0, 1], [1, 0]])
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+      [0, 0, -1, 0, 2]]
 
 
 def skewed_a4(k):
@@ -663,6 +667,33 @@ class TestGlue:
                 indices.add(emb.index)
         assert indices == {2, 3, 4, 5, 6, 8, 9, 12, 16}
 
+    @pytest.mark.parametrize("G", [D4, A2A2, A3, D5], ids=["D4", "A2+A2", "A3", "D5"])
+    def test_root_sublattices_every_coset(self, G):
+        # every sublattice spanned by a proper nonempty set of simple roots,
+        # at every coset mu of L: index-many distinct pairs, each (mu1, mu2)
+        # the image of a vector of mu + L
+        L = QuadLattice(G)
+        n = L.rank
+        for k in range(1, n):
+            for roots in combinations(range(n), k):
+                emb = orthogonal_complement(L, [[int(i == j) for j in roots] for i in range(n)])
+                for mu in discriminant_group(L).elements():
+                    pairs = glue_cosets(emb, mu)
+                    assert len(pairs) == emb.index == len(set(pairs))
+                    for mu1, mu2 in pairs:
+                        x = [sum(b * y for b, y in zip(row, mu1.rep())) +
+                             sum(c * y for c, y in zip(crow, mu2.rep()))
+                             for row, crow in zip(emb.sub_basis, emb.complement_basis)]
+                        assert all((a - b).denominator == 1 for a, b in zip(x, mu.rep()))
+
+    def test_coset_of_another_lattice_refused(self):
+        emb = orthogonal_complement(QuadLattice(D4), [[1], [0], [0], [0]])
+        with pytest.raises(ValueError, match="another lattice"):
+            glue_cosets(emb, discriminant_group(QuadLattice(A2A2)).zero())
+        # an equal lattice built apart is the same ambient lattice
+        assert glue_cosets(emb, discriminant_group(QuadLattice(D4)).zero()) == \
+            glue_cosets(emb, discriminant_group(emb.ambient).zero())
+
 
 class TestInvariants:
     def test_glue_index_identity_is_checked(self):
@@ -672,14 +703,13 @@ class TestInvariants:
             SublatticeEmbedding(emb.ambient, emb.sub_basis, emb.sub,
                                 emb.complement_basis, emb.complement, 2)
 
-    def test_glue_pairs_are_memoised(self):
+    def test_glue_pairs_are_fresh_lists(self):
         L, sub_basis = build_glued_index7()
         emb = orthogonal_complement(L, sub_basis)
         zero = discriminant_group(L).zero()
         first = glue_cosets(emb, zero)
         first.clear()
         assert glue_cosets(emb, zero) == glue_cosets(emb, zero) != []
-        assert list(emb._glue) == [zero.coords]
 
 
 class TestCliffordDiscriminant:

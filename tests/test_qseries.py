@@ -150,6 +150,11 @@ class TestEvaluate:
         assert theta_tail_bound(E8, 3, 1e-4) == 3.4141056306460535e29
         assert theta_tail_bound(B21, 3, 1e-4) == 121773009.52959132
 
+    def test_refuses_a_plus_table(self):
+        L0 = QuadLattice([[-2, -1], [-1, -4]])
+        with pytest.raises(ValueError, match="needs a theta table"):
+            eisenstein_qexp(EisensteinPackage.from_lattice(L0), 1).evaluate(1j)
+
     def test_requires_upper_half_plane(self):
         th = theta_series(A1, 3)
         with pytest.raises(ValueError):
