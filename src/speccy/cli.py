@@ -25,7 +25,7 @@ from .lattice import (
     discriminant_group,
     is_fundamental_discriminant,
 )
-from .pullback import EmbeddingContext, verify_ledger
+from .pullback import ContextError, EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
     coset_label,
@@ -78,9 +78,17 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(out.getvalue())
 
 
+def _flagged(flag, fn, *args):
+    """fn(*args), with a ValueError refusal named by the flag it blames."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from None
+
+
 def cmd_disc(args):
     lat = load_lattice(args.lattice)
-    group = discriminant_group(lat)
+    group = _flagged("--lattice", discriminant_group, lat)
     cosets = list(group.elements())
     payload = {
         "lattice": args.lattice,
@@ -120,13 +128,8 @@ def cmd_theta(args):
 
 
 def cmd_eisenstein(args):
-    lat = load_lattice(args.lattice)
-    pkg = EisensteinPackage.from_lattice(lat)
-    cutoff = parse_frac(args.cutoff, "--cutoff")
-    try:
-        table = eisenstein_qexp(pkg, cutoff)
-    except ValueError as exc:
-        raise InputError(f"--cutoff: {exc}") from None
+    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice))
+    table = _flagged("--cutoff", eisenstein_qexp, pkg, parse_frac(args.cutoff, "--cutoff"))
     K = pkg.K
     dps = args.precision
     cosets = list(table.group.elements())
@@ -143,15 +146,11 @@ def cmd_eisenstein(args):
 
 
 def cmd_degrees(args):
-    lat = load_lattice(args.lattice)
-    pkg = EisensteinPackage.from_lattice(lat)
+    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice))
     m = parse_frac(args.m, "--m")
     if m <= 0:
         raise InputError(f"--m: degree_formula requires m > 0, got {args.m}")
-    try:
-        mu = pkg.disc0.coset_by_index(args.mu)
-    except ValueError as exc:  # the index is out of range
-        raise InputError(f"--mu: {exc}") from None
+    mu = _flagged("--mu", pkg.disc0.coset_by_index, args.mu)
     res = degree_formula(pkg, m, mu)
     K = pkg.K
     dps = args.precision
@@ -186,7 +185,7 @@ def cmd_degrees(args):
 
 def cmd_chowla(args):
     if args.lattice is not None:
-        K = EisensteinPackage.from_lattice(load_lattice(args.lattice)).K
+        K = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice)).K
     else:
         d = args.disc
         if d >= 0 or d % 2 == 0 or not is_fundamental_discriminant(d):
@@ -212,7 +211,7 @@ def cmd_chowla(args):
 def cmd_verify(args):
     lat = load_lattice(args.lattice)
     sub = load_sublattice_basis(args.sub)
-    group = discriminant_group(lat)
+    group = _flagged("--lattice", discriminant_group, lat)
     try:
         pp_blob = load_json(args.pp[1:]) if args.pp.startswith("@") else args.pp
         pp = parse_principal_part(pp_blob, group)
@@ -223,13 +222,12 @@ def cmd_verify(args):
         ctx = EmbeddingContext.build(lat, sub, max_m)
     except TableBudgetError as exc:
         raise InputError(f"--pp: {exc}") from None
+    except ContextError as exc:
+        raise InputError(f"{'--lattice' if exc.arg == 'L' else '--sub'}: {exc}") from None
     fault = None
     if args.fault_inject:
         fault = m_f, index = parse_coset_key(args.fault_inject, "--fault-inject")
-        try:
-            ctx.pkg.disc0.coset_by_index(index)
-        except ValueError as exc:  # the index is out of range
-            raise InputError(f"--fault-inject: {exc}") from None
+        _flagged("--fault-inject", ctx.pkg.disc0.coset_by_index, index)
         vec = ctx.eis.coeffs.get(m_f)
         if vec is None or vec[index].is_zero():
             raise InputError(f"--fault-inject: fault target has no nonzero coefficient "

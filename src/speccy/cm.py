@@ -26,14 +26,14 @@ at l | d, and j (u + theta) / l, l | N(u + theta), at l | q.
 The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0), on integers: the maximal
 order and O^-, the modules M_full = iota(a) O and M_amb = iota(d^-1 a)
-O^-, and one Smith form of the shift system, whose matrix is the same for
-every (m, mu).  The kernel of that form gives the coset lattice
-L = M_amb cap M_full in the basis K M_amb, K a triangular 2 x 2 integer
-matrix, and so its rank-2 QuadLattice.  The frame also keeps a table
-filled once per coset mu: the shift iota(mu~), its Smith solve (U b, a
-divisibility test and V y), and the coset's L-coordinates y adj(K) / det K
-as numerators over one denominator.  Each (m, mu) then costs one shell
-count by the integer enumeration core.
+O^-, and one Hermite form of the shift system (linalg.HermiteSolver),
+whose matrix is the same for every (m, mu).  Its kernel gives the coset
+lattice L = M_amb cap M_full in the basis K M_amb, K a triangular 2 x 2
+integer matrix, and so its rank-2 QuadLattice.  The frame also keeps a
+table filled once per coset mu: the shift iota(mu~), its solve (one
+triangular reduction), and the coset's L-coordinates y adj(K) / det K as
+numerators over one denominator.  Each (m, mu) then costs one shell count
+by the integer enumeration core.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .eisenstein import EisensteinPackage, _local_record
 from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p
 from .lattice import Coset, InvariantError, QuadLattice, _search, factorization
 from .linalg import (
-    SmithSolver,
+    HermiteSolver,
     _scale_to_int,
     hnf_contains,
     lattice_hnf,
@@ -362,7 +362,7 @@ def _cm_order_data(p, d, skip_models):
     rows = [[x + y - 2 * d * z for x, y, z in zip(alg.mul(b, theta2), alg.mul(theta2, b), b)]
             for b in order.rows]
     ominus = [[sum(c * row[i] for c, row in zip(v, order.rows)) for i in range(4)]
-              for v in SmithSolver(transpose(rows)).kernel()]
+              for v in HermiteSolver(transpose(rows)).kernel()]
     if len(ominus) != 2:
         raise InvariantError(f"conjugate-linear part has rank {len(ominus)}, not 2")
     return alg, order, theta, ominus
@@ -379,13 +379,13 @@ def _coset_frame(p, d, skip_models, gram):
     the field, the algebra model and the Gram of L0, built once on
     integers.  Returns a _Frame: iota of the basis of the ideal a that
     L0 = a e1 takes to (e1, e2), as integer rows over one denominator; the
-    denominator and the SmithSolver of the shift system x0 - x = shift,
+    denominator and the HermiteSolver of the shift system x0 - x = shift,
     x0 = y M_amb in M_amb = iota(d^-1 a) O^- and x in M_full = iota(a) O
     (M_amb and M_full canonical forms (H, den) of linalg.lattice_hnf); the
-    2 x 2 HNF K of the y-parts of that system's kernel, so that the rows
-    K M_amb are a basis of the coset lattice L = M_amb cap M_full; the
-    integer Gram of L in that basis; and an empty table of coset
-    shifts."""
+    y-parts K of that system's kernel basis, a triangular 2 x 2 HNF, so
+    that the rows K M_amb are a basis of the coset lattice
+    L = M_amb cap M_full; the integer Gram of L in that basis; and an empty
+    table of coset shifts."""
     alg, order, _, ominus = _cm_order_data(p, d, skip_models)
     # k acts on L0 through the even Clifford algebra, with Q(e1) = g1 / 2,
     # Q(e2) = g2 / 2 and t = [e1, e2]: w = (d - t)/2 + e1 e2 maps e1 to
@@ -409,11 +409,11 @@ def _coset_frame(p, d, skip_models, gram):
     den = math.lcm(aden, fden)
     cols = ([[x * (den // aden) for x in row] for row in H]
             + [[-x * (den // fden) for x in row] for row in F])
-    solver = SmithSolver(transpose(cols))
+    solver = HermiteSolver(transpose(cols))
     # L = {y H : y H in M_full}: (y, z) is in the kernel exactly when
-    # y H = z F, and y fixes z, so the y-parts of the kernel basis are a
-    # basis of the y with y H in L; K is their HNF
-    K = row_hnf([v[:2] for v in solver.kernel()])
+    # y H = z F, and y fixes z (F has rank 4), so the kernel's HNF has its
+    # pivots on y0 and y1 and its y-parts are the HNF K of the y with y H in L
+    K = [v[:2] for v in solver.kernel()]
     rows = [[k0 * x + k1 * y for x, y in zip(*H)] for k0, k1 in K]
     # V_mu = x0 + L; Q(x) = -Q(e1) nrd(x) with -Q(e1) > 0, so the Gram is
     # -Q(e1) N = -g1 N / 2
@@ -434,7 +434,7 @@ def _coset_shift(frame: _Frame, mu: Coset):
     frame and mu, on integers, and kept in frame.shifts.
 
     mu = r1 e1 + r2 e2 = mu~ e1 gives the shift iota(mu~) = r1 iota(a1) +
-    r2 iota(a2); the Smith solve of the shift system finds one x0 = y M_amb
+    r2 iota(a2); the solve of the shift system finds one x0 = y M_amb
     with x0 - shift in M_full (none unless the shift is integral over the
     system's denominator), and c / e = y K^-1 = y adj(K) / det K."""
     entry = frame.shifts.get(mu.coords, False)

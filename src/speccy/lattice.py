@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import (
-    SmithSolver,
+    HermiteSolver,
     congruence_diagonal,
     identity_matrix,
     inverse_fraction,
@@ -361,21 +361,18 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
     S = [[_integer_entry(x, "basis", i, j) for j, x in enumerate(row)]
          for i, row in enumerate(sub_basis)]  # n x r
     r = len(S[0]) if S and S[0] else 0
-    if r:
-        _, _, D = snf_with_transforms(S)
-        if n < r or any(abs(D[t][t]) != 1 for t in range(r)):
-            raise ValueError("non-primitive sublattice")
+    # primitive: the rows of S span Z^r (the gcd of the r x r minors is 1)
+    if r and row_hnf(S) != identity_matrix(r):
+        raise ValueError("non-primitive sublattice")
     StG = mat_mul(transpose(S), lattice.gram) if r else []
     sub = QuadLattice([[int(x) for x in row] for row in mat_mul(StG, S)] if r else [])
     if r and sub.is_degenerate:
         raise ValueError("non-primitive sublattice")  # degenerate summand unsupported
-    # complement: integer kernel of S^T G
-    C = transpose(SmithSolver(StG).kernel()) if r else identity_matrix(n)
+    # complement: the HNF basis of the integer kernel of S^T G
+    C = transpose(HermiteSolver(StG).kernel()) if r else identity_matrix(n)
     ncomp = len(C[0]) if C and C[0] else 0
     comp_gram = mat_mul(mat_mul(transpose(C), lattice.gram), C) if ncomp else []
     comp = QuadLattice([[int(x) for x in row] for row in comp_gram])
-    if r + ncomp != n:
-        raise ValueError("non-primitive sublattice")
     S, C = tuple(map(tuple, S)) if r else (), tuple(map(tuple, C)) if ncomp else ()
     index = math.prod(_glue_pivots(S, C))
     return SublatticeEmbedding(lattice, S, sub, C, comp, index)

@@ -135,7 +135,8 @@ def row_hnf(rows):
 def snf_with_transforms(A):
     """Smith normal form with transforms: returns (U, V, D) with U A V = D.
 
-    U, V unimodular; D diagonal with d1 | d2 | ... (nonnegative).
+    U, V unimodular; D diagonal with d1 | d2 | ... (nonnegative).  Euclid
+    steps with no size control; only DiscriminantGroup calls it.
     """
     n = len(A)
     m = len(A[0]) if n else 0
@@ -208,44 +209,42 @@ def snf_with_transforms(A):
     return U, V, D
 
 
-class SmithSolver:
+class HermiteSolver:
     """Integer solutions of A x = b for one integer matrix A and any number
-    of right-hand sides b: the Smith form U A V = D is computed once, and
-    each solve is U b, a divisibility test against the diagonal of D, and
-    V y.  The same form gives the kernel {x in Z^m : A x = 0}: the columns
-    of V past the rank, a saturated basis."""
+    of b, from one row HNF of the rows (column j of A, e_j) (Cohen, GTM 138,
+    2.4): its rows (0, x) are the HNF of the kernel {x : A x = 0}, saturated
+    and canonical, and the others, (A x, x), an echelon basis of the column
+    lattice of A with preimages, so a solve reduces b as hnf_contains does."""
 
-    __slots__ = ("U", "V", "diag")
+    __slots__ = ("_echelon", "_kernel")
 
     def __init__(self, A):
         n = len(A)
-        m = len(A[0]) if n else 0
-        self.U, self.V, D = snf_with_transforms(A)
-        # a row past the diagonal has a zero diagonal entry
-        self.diag = [D[t][t] if t < m else 0 for t in range(n)]
+        H = row_hnf([list(c) + e for c, e in zip(zip(*A), identity_matrix(len(A[0]) if n else 0))])
+        # (pivot column, column-lattice row, its preimage), in echelon order
+        self._echelon = [(next(c for c, x in enumerate(row) if x), row[:n], row[n:])
+                         for row in H if any(row[:n])]
+        self._kernel = [row[n:] for row in H if not any(row[:n])]
 
     def solve(self, b):
         """One integer solution x of A x = b, or None if none exists."""
-        y = [0] * len(self.V)
-        # D y = U b: a zero diagonal entry needs (U b)_t = 0, a nonzero
-        # one needs d | (U b)_t
-        for t, (c, d) in enumerate(zip(mat_vec(self.U, b), self.diag)):
-            if (c % d if d else c) != 0:
+        w, x = list(b), [0] * (len(self._echelon) + len(self._kernel))
+        for c, a, pre in self._echelon:
+            q, r = divmod(w[c], a[c])
+            if r:
                 return None
-            if d:
-                y[t] = c // d
-        return mat_vec(self.V, y)
+            w = [u - q * v for u, v in zip(w, a)]
+            x = [u + q * v for u, v in zip(x, pre)]
+        return None if any(w) else x
 
     def kernel(self):
-        """A saturated basis of {x in Z^m : A x = 0}, as a list of vectors:
-        the columns of V past the rank of D."""
-        rank = sum(1 for d in self.diag if d)
-        return [list(col) for col in zip(*self.V)][rank:]
+        """The HNF basis of {x in Z^m : A x = 0}, as a list of vectors."""
+        return [list(v) for v in self._kernel]
 
 
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None if none exists."""
-    return SmithSolver(A).solve(b)
+    return HermiteSolver(A).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +318,6 @@ def hnf_intersection(form1, form2):
 
 def lattice_member(basis_cols, v):
     """Integer coefficient vector c with basis * c = v, or None."""
-    if not basis_cols:
-        return [] if all(Fraction(x) == 0 for x in v) else None
     cols, _ = _scale_to_int(list(basis_cols) + [v])
     return solve_integer(transpose(cols[:-1]), cols[-1])
 

@@ -42,7 +42,11 @@ from .qseries import (
 
 
 class ContextError(ValueError):
-    pass
+    """A refusal of EmbeddingContext.build; arg names the input, "L" or "sub_basis"."""
+
+    def __init__(self, message, arg):
+        super().__init__(message)
+        self.arg = arg
 
 
 class EmbeddingContext:
@@ -59,13 +63,16 @@ class EmbeddingContext:
     def build(cls, L: QuadLattice, sub_basis, cutoff) -> "EmbeddingContext":
         cutoff = Fraction(cutoff)
         if not is_maximal(L):
-            raise ContextError("ambient lattice must be maximal")
-        emb = orthogonal_complement(L, sub_basis)
-        if emb.sub.rank != 2 or not emb.sub.is_negative_definite():
-            raise ContextError("distinguished sublattice must be negative definite binary")
-        pkg = EisensteinPackage.from_lattice(emb.sub)
+            raise ContextError("ambient lattice must be maximal", "L")
+        try:
+            emb = orthogonal_complement(L, sub_basis)
+            if emb.sub.rank != 2 or not emb.sub.is_negative_definite():
+                raise ValueError("distinguished sublattice must be negative definite binary")
+            pkg = EisensteinPackage.from_lattice(emb.sub)
+        except ValueError as exc:
+            raise ContextError(str(exc), "sub_basis") from None
         if not emb.complement.is_positive_definite():
-            raise ContextError("complement must be positive definite")
+            raise ContextError("complement must be positive definite", "L")
         # the a+ table first: its budget refuses a cutoff before the theta
         # sweep, whose cost grows like cutoff^(rank/2), is started
         eis = eisenstein_qexp(pkg, cutoff)

@@ -306,6 +306,44 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: {flag}")
 
+    INPUTS = {
+        "a2": {"gram": [[2, 1], [1, 2]]},
+        "degenerate": {"gram": [[2, 2], [2, 2]]},
+        "not_maximal": {"gram": [[-2, -1, 0], [-1, -4, 0], [0, 0, 8]]},
+        "rows10": {"basis": [[1, 0], [0, 1]] + [[0, 0]] * 8},
+        "rank1": {"basis": [[1], [0], [0]]},
+        "non_primitive": {"basis": [[2, 0], [0, 1], [0, 0]]},
+    }
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eisenstein", "--lattice", "{a2}"],
+         "--lattice: even Clifford discriminant requires a negative definite binary lattice"),
+        (["degrees", "--lattice", "{a2}", "--m", "1"],
+         "--lattice: even Clifford discriminant requires a negative definite binary lattice"),
+        (["chowla", "--lattice", "{a2}"],
+         "--lattice: even Clifford discriminant requires a negative definite binary lattice"),
+        (["disc", "--lattice", "{degenerate}"], "--lattice: degenerate lattice"),
+        (["verify", "--lattice", "{degenerate}", "--sub", "{sub}"],
+         "--lattice: degenerate lattice"),
+        (["verify", "--lattice", "{l0}", "--sub", "{rows10}"],
+         "--sub: sublattice basis has 10 rows, the ambient lattice rank 2"),
+        (["verify", "--lattice", "{L}", "--sub", "{rank1}"],
+         "--sub: distinguished sublattice must be negative definite binary"),
+        (["verify", "--lattice", "{L}", "--sub", "{non_primitive}"],
+         "--sub: non-primitive sublattice"),
+        (["verify", "--lattice", "{not_maximal}", "--sub", "{sub}"],
+         "--lattice: ambient lattice must be maximal"),
+    ])
+    def test_refused_input_names_its_flag(self, files, tmp_path, capsys, argv, message):
+        for name, blob in self.INPUTS.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+        if argv[0] == "verify":
+            argv = argv + ["--pp", '{{"1,0":1}}']
+        code, err = error_of([a.format(**files) for a in argv], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv,number", [
         (["degrees", "--lattice", "{l0}", "--m", "1000000000000000000000000000057"],
          "1000000000000000000000000000057"),

@@ -24,7 +24,7 @@ from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
 from speccy.lattice import QuadLattice, enumerate_coset_vectors, factorization
 from speccy.linalg import (
-    SmithSolver,
+    HermiteSolver,
     _scale_to_int,
     det_fraction,
     hnf_contains,
@@ -478,8 +478,9 @@ class TestOracle:
         (p, coords), (m1, m2, *_) = next((k, v) for k, v in ms.items() if len(v) > 1)
         mu = pkg.disc0.from_coords(coords)
         solves = []
-        solve = SmithSolver.solve
-        monkeypatch.setattr(SmithSolver, "solve", lambda self, b: solves.append(b) or solve(self, b))
+        solve = HermiteSolver.solve
+        monkeypatch.setattr(HermiteSolver, "solve",
+                            lambda self, b: solves.append(b) or solve(self, b))
         cm._coset_frame.cache_clear()
         for m in (m1, m2, m1):
             bf = degree_bruteforce(pkg, m, mu)

@@ -686,6 +686,21 @@ class TestGlue:
                              for row, crow in zip(emb.sub_basis, emb.complement_basis)]
                         assert all((a - b).denominator == 1 for a, b in zip(x, mu.rep()))
 
+    @pytest.mark.parametrize("a2,index", [([[2, -1], [-1, 2]], 79), ([[2, 1], [1, 2]], 103)])
+    def test_d4_a2_a1_complement_in_budget(self, a2, index):
+        # a primitive rank-2 sublattice of D4 + A2 + A1 whose complement,
+        # in a Smith-form basis (Gram entries up to 172 with the second A2),
+        # sent the discriminant group of glue_cosets into unbounded growth;
+        # the HNF complement builds in milliseconds
+        from test_linalg import time_limit
+        G = [row + [0] * 3 for row in D4] + [[0] * 4 + row + [0] for row in a2] + [[0] * 6 + [2]]
+        S = [list(row) for row in zip((1, 0, 0, -1, -1, 0, 1), (0, 1, 0, -1, 1, 1, -1))]
+        with time_limit(1):
+            L = QuadLattice(G)
+            emb = orthogonal_complement(L, S)
+            pairs = glue_cosets(emb, discriminant_group(L).zero())
+        assert emb.index == index == len(pairs) == len(set(pairs))
+
     def test_coset_of_another_lattice_refused(self):
         emb = orthogonal_complement(QuadLattice(D4), [[1], [0], [0], [0]])
         with pytest.raises(ValueError, match="another lattice"):

@@ -1,5 +1,8 @@
+import contextlib
 import math
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speccy.linalg import (
-    SmithSolver,
+    HermiteSolver,
     _scale_to_int,
     congruence_diagonal,
     det_fraction,
@@ -31,6 +34,43 @@ from speccy.linalg import (
 
 def rand_matrix(rng, n, m, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once seconds have passed, so that a
+    hang fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def smith_kernel(A):
+    """A basis of {x : A x = 0} read off the Smith form U A V = D: the
+    columns of V past the rank, a route independent of the Hermite core."""
+    U, V, D = snf_with_transforms(A)
+    rank = sum(1 for t in range(min(len(A), len(A[0]))) if D[t][t])
+    return [list(col) for col in zip(*V)][rank:]
+
+
+def random_cases(rng, count):
+    """count small integer matrices; about half are products of two random
+    factors through a rank r <= min(n, m), so many are rank-deficient."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 5)
+        r = rng.randint(0, min(n, m))
+        cases.append(mat_mul(rand_matrix(rng, n, r, -3, 3), rand_matrix(rng, r, m, -3, 3))
+                     if r and rng.random() < 0.5 else rand_matrix(rng, n, m))
+    return cases
 
 
 class TestSNF:
@@ -87,23 +127,43 @@ class TestKernelSolve:
         # m - rank(A) vectors, each in the kernel, spanning a saturated
         # lattice: every Smith divisor of the kernel matrix is 1, so a
         # missing or a doubled vector fails
-        rng = random.Random(17)
-        cases = [[[0, 0, 0]], [[2, 0], [0, 3]], [[2, 4]]]
-        for _ in range(80):
-            n = rng.randint(1, 4)
-            m = rng.randint(1, 5)
-            r = rng.randint(0, min(n, m))
-            cases.append(mat_mul(rand_matrix(rng, n, r, -3, 3), rand_matrix(rng, r, m, -3, 3))
-                         if r and rng.random() < 0.5 else rand_matrix(rng, n, m))
+        cases = [[[0, 0, 0]], [[2, 0], [0, 3]], [[2, 4]]] + random_cases(random.Random(17), 80)
         for A in cases:
             m = len(A[0])
-            K = SmithSolver(A).kernel()
+            K = HermiteSolver(A).kernel()
             assert len(K) == m - sympy.Matrix(A).rank()
             for v in K:
                 assert len(v) == m and not any(mat_vec(A, v))
             if K:
                 _, _, D = snf_with_transforms(K)
                 assert [D[t][t] for t in range(len(K))] == [1] * len(K)
+
+    def test_kernel_is_canonical(self):
+        # the kernel is the HNF of the Smith route's kernel: one basis per
+        # kernel lattice, whatever route or input order produced it
+        for A in [[[0, 0, 0]], [[2, 4]]] + random_cases(random.Random(19), 120):
+            K, want = HermiteSolver(A).kernel(), smith_kernel(A)
+            assert K == (lattice_hnf(want)[0] if want else [])
+            assert K == row_hnf(K)
+
+    def test_shift_system_in_budget(self):
+        # the 4 x 6 shift system of a class order at d = -39, on which the
+        # Euclid Smith form grows without bound; the timer turns a hang into
+        # a failure
+        A = [[0, 0, -390, 0, 0, 0], [0, 0, -130, -260, 0, 0], [39, 0, 0, 0, -39, 0],
+             [21, 40, -1040, -520, -741, -1560]]
+        b = [0, 0, 39, 21]
+        best = math.inf
+        with time_limit(2):
+            for _ in range(3):
+                start = time.perf_counter()
+                solver = HermiteSolver(A)
+                x, K = solver.solve(b), solver.kernel()
+                best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+        assert mat_vec(A, x) == b
+        assert K == [[1, 18, 0, 0, 1, 0], [0, 39, 0, 0, 0, 1]]
+        assert all(not any(mat_vec(A, v)) for v in K)
 
     def test_solve_roundtrip(self):
         rng = random.Random(29)
@@ -121,7 +181,8 @@ class TestKernelSolve:
         assert solve_integer([[2]], [1]) is None
 
     def test_inconsistent_singular(self):
-        # a zero diagonal entry of D inside min(n, m) must meet (U b)_t = 0
+        # b must reduce to 0 against the column lattice's echelon rows,
+        # including in the coordinates past its rank
         assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
         assert lattice_member([[1, 0], [1, 0]], [0, 1]) is None
         assert solve_integer([[1, 1], [1, 1]], [2, 2]) is not None
@@ -205,10 +266,10 @@ def fraction_hnf(generators):
 
 
 def kernel_intersection(basis1, basis2):
-    """The intersection through the integer kernel of [B1 | -B2]."""
+    """The intersection through the Smith kernel of [B1 | -B2]."""
     r1 = len(basis1)
     cols, _ = _scale_to_int(list(basis1) + list(basis2))
-    ker = SmithSolver(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]])).kernel()
+    ker = smith_kernel(transpose(cols[:r1] + [[-x for x in c] for c in cols[r1:]]))
     return lattice_basis([[sum(v[t] * Fraction(basis1[t][i]) for t in range(r1))
                            for i in range(len(basis1[0]))]
                           for v in ker])
@@ -268,7 +329,7 @@ class TestIntegerForms:
         # what a fresh solve_integer gives, and None exactly when b is not
         # in the column lattice
         n, m = len(A), len(A[0])
-        solver = SmithSolver(A)
+        solver = HermiteSolver(A)
         cols = [[A[i][j] for i in range(n)] for j in range(m)]
         rhs = [b[:n] for b in bs] + [mat_vec(A, x[:m]) for x in xs]
         for b in rhs:
