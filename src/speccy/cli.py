@@ -16,15 +16,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .cm import OracleBoundError, degree_bruteforce, degree_formula
+from .cm import OracleInputError, degree_bruteforce, degree_formula
 from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
-from .lattice import (
-    InvariantError,
-    SearchBoundError,
-    discriminant_group,
-    is_fundamental_discriminant,
-)
+from .lattice import InvariantError, SearchBoundError, discriminant_group
 from .pullback import ContextError, EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
@@ -170,8 +165,8 @@ def cmd_degrees(args):
     if args.oracle:
         try:
             oracle = degree_bruteforce(pkg, m, mu)
-        except OracleBoundError as exc:
-            raise InputError(f"--m: {exc}") from None
+        except OracleInputError as exc:
+            raise InputError(f"{'--lattice' if exc.arg == 'pkg' else '--m'}: {exc}") from None
         payload["oracle"] = {
             "weighted_count": frac_str(oracle.weighted_count),
             "degree": loglinear_json(oracle.degree, K, dps),
@@ -187,10 +182,7 @@ def cmd_chowla(args):
     if args.lattice is not None:
         K = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice)).K
     else:
-        d = args.disc
-        if d >= 0 or d % 2 == 0 or not is_fundamental_discriminant(d):
-            raise InputError(f"--disc: {d} is not a negative odd fundamental discriminant")
-        K = ImQField.from_discriminant(d)
+        K = _flagged("--disc", ImQField.from_discriminant, args.disc)
     dps = args.precision
     data = L_derivative_data(K, dps=dps)
     payload = {
@@ -218,21 +210,15 @@ def cmd_verify(args):
     except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"--pp: {exc}") from None
     max_m = max(pp.support_exponents() or [Fraction(1)])
+    fault = parse_coset_key(args.fault_inject, "--fault-inject") if args.fault_inject else None
     try:
         ctx = EmbeddingContext.build(lat, sub, max_m)
+        report = verify_ledger(ctx, pp, fault_negate=fault)
     except TableBudgetError as exc:
         raise InputError(f"--pp: {exc}") from None
     except ContextError as exc:
-        raise InputError(f"{'--lattice' if exc.arg == 'L' else '--sub'}: {exc}") from None
-    fault = None
-    if args.fault_inject:
-        fault = m_f, index = parse_coset_key(args.fault_inject, "--fault-inject")
-        _flagged("--fault-inject", ctx.pkg.disc0.coset_by_index, index)
-        vec = ctx.eis.coeffs.get(m_f)
-        if vec is None or vec[index].is_zero():
-            raise InputError(f"--fault-inject: fault target has no nonzero coefficient "
-                             f"at m = {frac_str(m_f)}, coset index {index}")
-    report = verify_ledger(ctx, pp, fault_negate=fault)
+        flag = {"L": "--lattice", "sub_basis": "--sub", "fault_negate": "--fault-inject"}[exc.arg]
+        raise InputError(f"{flag}: {exc}") from None
     payload = report.to_json()
     payload["field"] = {"d": ctx.pkg.K.d, "h": ctx.pkg.K.h, "w": ctx.pkg.K.w}
     rows = [[r["identity"], "|".join(r["key"]), r["match"]] for r in payload["rows"]]

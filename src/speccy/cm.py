@@ -51,7 +51,7 @@ from .linalg import (
     _scale_to_int,
     hnf_contains,
     lattice_hnf,
-    row_hnf,
+    symmetric_minors,
     transpose,
 )
 
@@ -65,7 +65,16 @@ _MODEL_SEARCH = 2000
 ORACLE_SEARCH_BOUND = 10 ** 6
 
 
-class OracleBoundError(ValueError):
+class OracleInputError(ValueError):
+    """A refusal of degree_bruteforce; arg names the input it concerns,
+    "pkg" (the lattice's field) or "m"."""
+
+    def __init__(self, message, arg):
+        super().__init__(message)
+        self.arg = arg
+
+
+class OracleBoundError(OracleInputError):
     """A degree_bruteforce shell search refused over ORACLE_SEARCH_BOUND."""
 
 
@@ -192,13 +201,13 @@ class QuaternionOrder:
         """sqrt |det N| for N_rs = trd(b_r conj(b_s)), the integer Gram of
         the reduced norm, which is sqrt |det trace_gram| because
         conjugation maps the order onto itself (a unimodular change of
-        basis).  |det N| is the product of the pivots of the HNF of N."""
+        basis).  |det N| = |delta_4|, the last leading minor of its
+        fraction-free elimination (linalg.symmetric_minors)."""
         den2 = self.den * self.den
         gram = self.algebra.int_norm_gram(self.rows)
         if any(v % den2 for row in gram for v in row):
             raise InvariantError("an order has a non-integral norm form")
-        hnf = row_hnf([[v // den2 for v in row] for row in gram])
-        d2 = math.prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == 4 else 0
+        d2 = abs(symmetric_minors([[v // den2 for v in row] for row in gram])[1][-1])
         root = math.isqrt(d2)
         if root * root != d2:
             raise InvariantError(f"|det N| = {d2} is not a square")
@@ -470,23 +479,24 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     (_coset_shift), so a call whose frame and coset are known counts one
     shell on integers (lattice._search) and builds one Fraction, the
     weighted count, unless its search would pass ORACLE_SEARCH_BOUND:
-    then OracleBoundError.
+    then OracleBoundError.  Every refusal of the input is an
+    OracleInputError whose arg names the input it concerns.
     """
     if not isinstance(m, Fraction):
         m = Fraction(m)
     K = pkg.K
     if K.h != 1:
-        raise ValueError("brute-force oracle requires class number one")
+        raise OracleInputError("brute-force oracle requires class number one", "pkg")
     if m <= 0:
-        raise ValueError("m must be positive")
+        raise OracleInputError("m must be positive", "m")
     diff = pkg.diff(m)
     if len(diff) != 1:
-        raise ValueError("oracle requires Diff = {p}; degree vanishes otherwise")
+        raise OracleInputError("oracle requires Diff = {p}; degree vanishes otherwise", "m")
     (p,) = diff
     # the canonical-lifting length ord_p(p m)
     length = ord_p(m, p) + 1
     if length <= 0:
-        raise ValueError("oracle requires ord_p(m) >= 0")
+        raise OracleInputError("oracle requires ord_p(m) >= 0", "m")
     frame = _coset_frame(p, K.d, skip_models, pkg.L0.gram)
     entry = _coset_shift(frame, mu)
     count = 0
@@ -504,7 +514,7 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
             if outer > ORACLE_SEARCH_BOUND:
                 raise OracleBoundError(f"the oracle's shell search at m = {m} would visit "
                                        f"about {outer} values, over the bound of "
-                                       f"{ORACLE_SEARCH_BOUND}")
+                                       f"{ORACLE_SEARCH_BOUND}", "m")
             count = len(_search(frame.gram, c, e, target, True))
     wc = Fraction(count * length, K.w)
     return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())

@@ -21,12 +21,13 @@ come from one Hermite form of [S | C].
 
 Enumeration.  ball_sweep, enumerate_coset_vectors and count_coset_vectors
 share one Fincke-Pohst core that runs in integers only: each level's range
-comes from a fraction-free LDL^T by an integer square root, so the nodes
-it visits, every vector it returns and its norm are exact.  The part of
-the search that depends only on the Gram matrix (the elimination rows,
-the leading minors and the conditioning guard) is computed once per
-integer Gram and kept in a bounded cache; only the size test, which
-depends on the norm bound, runs per call.  count_coset_vectors counts a
+comes from a fraction-free LDL^T (linalg.symmetric_minors, the elimination
+that also gives a QuadLattice its det and signature) by an integer square
+root, so the nodes it visits, every vector it returns and its norm are
+exact.  The part of the search that depends only on the Gram matrix (the
+elimination rows, the leading minors and the conditioning guard) is
+computed once per integer Gram and kept in a bounded cache; only the size
+test, which depends on the norm bound, runs per call.  count_coset_vectors counts a
 shell without building its Fraction vectors, for callers that only need
 R(m, mu).  The public functions reach the core through one Fraction front
 end (_short_vectors); a caller that already holds the integer Gram, the
@@ -46,12 +47,12 @@ from math import gcd, isqrt, lcm
 
 from .linalg import (
     HermiteSolver,
-    congruence_diagonal,
     identity_matrix,
     inverse_fraction,
     mat_mul,
     row_hnf,
     snf_with_transforms,
+    symmetric_minors,
     transpose,
 )
 
@@ -97,10 +98,11 @@ class QuadLattice:
         self.rank = n
         self.name = name
         self._disc_group = None
-        diag = congruence_diagonal(gram)
-        self.det = int(math.prod(diag))
-        self.signature = (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0))
-        self._degenerate = sum(self.signature) < n
+        delta = symmetric_minors(gram)[1]
+        self.det = delta[-1]
+        steps = [a * b for a, b in zip(delta, delta[1:])]
+        self.signature = (sum(1 for x in steps if x > 0), sum(1 for x in steps if x < 0))
+        self._degenerate = self.det == 0
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, det={self.det}, signature={self.signature})"
@@ -446,28 +448,20 @@ class SearchBoundError(ValueError):
 @functools.lru_cache(maxsize=256)
 def _search_setup(A):
     """The Gram-only part of the search for an integer Gram A (a tuple of
-    int tuples): the fraction-free (Bareiss) rows B, the leading minors
-    delta and the largest target N the size guard admits (N max_j
-    (A^-1)_jj <= 2^100), all immutable.  Raises ValueError, and
-    caches nothing, for an A that is not positive definite or that the
-    conditioning guard refuses.  The cache serves callers that search
-    many shells of one lattice, such as R(m, mu) over every coset and m
-    or the degree oracle's quaternion orders (78 distinct Grams over the
-    whole cm-oracle benchmark sweep); a verify run searches each of its
-    Grams once."""
+    int tuples): the rows B and leading minors delta of its fraction-free
+    elimination (linalg.symmetric_minors, which never pivots a positive
+    definite A) and the largest target N the size guard admits (N max_j
+    (A^-1)_jj <= 2^100), all immutable.  Raises ValueError, and caches
+    nothing, for an A with a minor that is not positive (Sylvester's
+    criterion) or that the conditioning guard refuses.  The cache serves
+    callers that search many shells of one lattice, such as R(m, mu) over
+    every coset and m or the degree oracle's quaternion orders (78
+    distinct Grams over the whole cm-oracle benchmark sweep); a verify run
+    searches each of its Grams once."""
     n = len(A)
-    M = [list(row) for row in A]
-    B, delta = [], [1]
-    for k in range(n):
-        p = M[k][k]
-        if p <= 0:
-            raise ValueError("enumeration requires a positive definite gram")
-        B.append(tuple(M[k]))
-        for i in range(k + 1, n):
-            Mi = M[i]
-            for j in range(k + 1, n):
-                Mi[j] = (p * Mi[j] - Mi[k] * M[k][j]) // delta[k]
-        delta.append(p)
+    B, delta = symmetric_minors(A)
+    if min(delta) <= 0:
+        raise ValueError("enumeration requires a positive definite gram")
     # Conditioning guard: refuse before the search when kappa = sum_j
     # sqrt(A_jj (A^-1)_jj) is out of range, since the search tree grows
     # with it.  A single term past 2^74 already puts kappa over its

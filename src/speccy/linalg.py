@@ -333,41 +333,37 @@ def lattice_intersection(basis1, basis2):
 # Quadratic form utilities
 
 
-def congruence_diagonal(G):
-    """Diagonal of P^T G P for a rational symmetric G, by exact congruence
-    elimination with det P = 1: one entry per dimension, a 0 for each
-    dimension of the radical.  Its signs give the signature and its
-    product is det G."""
-    n = len(G)
-    M = [[Fraction(x) for x in row] for row in G]
-    diag = []
-    idx = list(range(n))
+def symmetric_minors(A):
+    """Fraction-free (Bareiss) elimination of a symmetric integer A (Bareiss,
+    Math. Comp. 22 (1968); Cohen, GTM 138, 2.2): (rows, delta), rows[k] the
+    k-th pivot row as it stood at its step and delta = [1, delta_1, ...,
+    delta_n] the leading minors of the congruent matrix with the pivots
+    first, 0 past the rank; det A = delta_n, and delta_k delta_{k-1} has
+    the sign of the k-th entry of a diagonal form.  The pivot is the first
+    remaining nonzero diagonal entry; when there is none, x_i -> x_i + x_j
+    makes A_ii = 2 A_ij nonzero first.  The remaining block is delta_k
+    times a Schur complement, so every division is exact, and a positive
+    definite A is never pivoted."""
+    M = [list(row) for row in A]
+    rows, delta = [], [1]
+    idx = list(range(len(M)))
     while idx:
-        # find a nonzero diagonal entry
-        d = next((i for i in idx if M[i][i] != 0), None)
+        d = next((i for i in idx if M[i][i]), None)
         if d is None:
-            # all diagonal zero: look for off-diagonal to fold in
-            pair = next(((i, j) for i in idx for j in idx if i != j and M[i][j] != 0),
-                        None)
+            pair = next(((i, j) for i in idx for j in idx if M[i][j]), None)
             if pair is None:
-                diag += [Fraction(0)] * len(idx)
                 break
-            i, j = pair
-            # congruence x_i -> x_i + x_j makes M[i][i] = 2 M[i][j] != 0
-            for t in range(n):
-                M[i][t] += M[j][t]
-            for t in range(n):
-                M[t][i] += M[t][j]
-            d = i
-        pivot = M[d][d]
-        diag.append(pivot)
+            d, j = pair
+            for row in M:
+                row[d] += row[j]
+            M[d] = [x + y for x, y in zip(M[d], M[j])]
+        Md, p = M[d], M[d][d]
+        rows.append(tuple(Md))
         idx.remove(d)
         for i in idx:
-            if M[i][d] != 0:
-                f = M[i][d] / pivot
-                for t in range(n):
-                    M[i][t] -= f * M[d][t]
-                for t in range(n):
-                    M[t][i] -= f * M[t][d]
-    return diag
-
+            Mi = M[i]
+            f = Mi[d]
+            for j in idx:
+                Mi[j] = (p * Mi[j] - f * Md[j]) // delta[-1]
+        delta.append(p)
+    return rows, delta + [0] * (len(M) + 1 - len(delta))

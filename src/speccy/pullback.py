@@ -42,7 +42,8 @@ from .qseries import (
 
 
 class ContextError(ValueError):
-    """A refusal of EmbeddingContext.build; arg names the input, "L" or "sub_basis"."""
+    """A refusal of EmbeddingContext.build or of verify_ledger's fault
+    target; arg names the input, "L", "sub_basis" or "fault_negate"."""
 
     def __init__(self, message, arg):
         super().__init__(message)
@@ -189,7 +190,8 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     residual of the conclusion row; fault_negate, if given as (m, coset
     index) with the index in the coset order of the L0 discriminant group,
     flips the sign of that Eisenstein coefficient so tests can confirm
-    that faults are caught and localized."""
+    that faults are caught and localized; a target out of range or with a
+    zero coefficient raises ContextError."""
     if pp.group.lattice.gram != ctx.ambient.gram:
         raise ValueError("principal part lives on a different lattice")
     max_m = max([m for m, _ in pp.entries] or [Fraction(0)])
@@ -201,10 +203,14 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     if fault_negate is not None:
         m_f, index_f = fault_negate
         m_f = Fraction(m_f)
-        pkg.disc0.coset_by_index(index_f)  # raises on an index out of range
+        try:
+            pkg.disc0.coset_by_index(index_f)
+        except ValueError as exc:  # an index out of range
+            raise ContextError(str(exc), "fault_negate") from None
         vec = eis.coeffs.get(m_f)
         if vec is None or vec[index_f].is_zero():
-            raise ValueError("fault target has no nonzero coefficient")
+            raise ContextError(f"fault target has no nonzero coefficient at m = {m_f}, "
+                               f"coset index {index_f}", "fault_negate")
         # a copy with one entry negated: ctx.eis stays as built
         vec = vec[:index_f] + (-vec[index_f],) + vec[index_f + 1:]
         eis = VVFormQ(eis.weight, eis.group, {**eis.coeffs, m_f: vec}, eis.cutoff)

@@ -313,6 +313,7 @@ class TestBadInput:
         "rows10": {"basis": [[1, 0], [0, 1]] + [[0, 0]] * 8},
         "rank1": {"basis": [[1], [0], [0]]},
         "non_primitive": {"basis": [[2, 0], [0, 1], [0, 0]]},
+        "l0_d23": {"gram": [[-2, -1], [-1, -12]]},  # class number 3
     }
 
     @pytest.mark.parametrize("argv,message", [
@@ -333,6 +334,12 @@ class TestBadInput:
          "--sub: non-primitive sublattice"),
         (["verify", "--lattice", "{not_maximal}", "--sub", "{sub}"],
          "--lattice: ambient lattice must be maximal"),
+        (["degrees", "--lattice", "{l0_d23}", "--m", "1", "--oracle"],
+         "--lattice: brute-force oracle requires class number one"),
+        (["degrees", "--lattice", "{l0}", "--m", "15", "--oracle"],
+         "--m: oracle requires Diff = {p}; degree vanishes otherwise"),
+        (["degrees", "--lattice", "{l0}", "--m", "1/7", "--mu", "1", "--oracle"],
+         "--m: oracle requires ord_p(m) >= 0"),
     ])
     def test_refused_input_names_its_flag(self, files, tmp_path, capsys, argv, message):
         for name, blob in self.INPUTS.items():
@@ -353,13 +360,15 @@ class TestBadInput:
          "1000000000000000000000000000057"),
     ])
     def test_number_past_the_factorisation_bound(self, files, capsys, argv, number):
-        # the refusal names the number as typed, not Q(e1) times it
+        # the refusal names the number as typed, not Q(e1) times it; chowla
+        # refuses through ImQField.from_discriminant, by the flag's name
         argv = [a.format(**files) for a in argv]
+        flag = "--disc: " if argv[0] == "chowla" else ""
         start = time.perf_counter()
         code, err = error_of(argv, capsys)
         assert time.perf_counter() - start < 5
         assert code == 1
-        assert err.startswith(f"error: cannot factor {number}:")
+        assert err.startswith(f"error: {flag}cannot factor {number}:")
 
     def test_oracle_search_past_the_bound(self, files, capsys):
         # the size guard admits this m, and the search would visit about
@@ -403,7 +412,8 @@ class TestBadInput:
         code, err = error_of(["verify", "--lattice", lat, "--sub", sub,
                               "--pp", '{"1,0":1}', "--fault-inject", "2,0"], capsys)
         assert code == 1
-        assert "fault target has no nonzero coefficient" in err
+        assert err == ("error: --fault-inject: fault target has no nonzero coefficient "
+                       "at m = 2, coset index 0\n")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -31,7 +31,7 @@ from speccy.imq import (
     rho_bruteforce,
 )
 from speccy.lattice import FACTOR_TRIAL_BOUND, InvariantError, QuadLattice, factorization
-from speccy.linalg import congruence_diagonal
+from speccy.linalg import symmetric_minors
 
 import fraction_reference as reference
 
@@ -327,7 +327,9 @@ class TestDiff:
 def ternary_diff_set(L0, m):
     """Diff(m) by the ternary criterion: <a1, a2, -m> is isotropic over Q_p
     iff its Hasse invariant equals (-1, -det)_p."""
-    a1, a2 = (x / 2 for x in congruence_diagonal(L0.gram))
+    # the diagonal of L0 (x) Q is delta_1 / 2, delta_2 / (2 delta_1)
+    _, d1, d2 = symmetric_minors(L0.gram)[1]
+    a1, a2 = Fraction(d1, 2), Fraction(d2, 2 * d1)
     coeffs = [a1, a2, -m]
     det = coeffs[0] * coeffs[1] * coeffs[2]
     out = set()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from speccy.linalg import (
     HermiteSolver,
     _scale_to_int,
-    congruence_diagonal,
     det_fraction,
     hnf_contains,
     hnf_intersection,
@@ -28,8 +27,10 @@ from speccy.linalg import (
     row_hnf,
     snf_with_transforms,
     solve_integer,
+    symmetric_minors,
     transpose,
 )
+from speccy.lattice import QuadLattice
 
 
 def rand_matrix(rng, n, m, lo=-6, hi=6):
@@ -363,7 +364,36 @@ def signs(diag):
             sum(1 for x in diag if x == 0))
 
 
+def minor_signs(delta):
+    """signs() of a diagonal form: its k-th entry delta_k / delta_{k-1} has
+    the sign of delta_k delta_{k-1}, and is 0 past the rank."""
+    return signs([a * b for a, b in zip(delta, delta[1:])])
+
+
+def unpivoted_minors(A):
+    """The unpivoted Bareiss loop of a Fincke-Pohst set-up, the reference
+    for symmetric_minors on positive definite Grams: it stops (None) at
+    the first pivot that is not positive."""
+    n = len(A)
+    M = [list(row) for row in A]
+    B, delta = [], [1]
+    for k in range(n):
+        p = M[k][k]
+        if p <= 0:
+            return None
+        B.append(tuple(M[k]))
+        for i in range(k + 1, n):
+            Mi = M[i]
+            for j in range(k + 1, n):
+                Mi[j] = (p * Mi[j] - Mi[k] * M[k][j]) // delta[k]
+        delta.append(p)
+    return B, delta
+
+
 class TestQuadratic:
+    # the rational matrices are scaled to integers, s G; an even Gram 2 s G
+    # is a lattice, whose signature and det read the same minors
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(symmetric_matrices())
     def test_diagonal_signs_match_charpoly(self, G):
@@ -373,22 +403,47 @@ class TestQuadratic:
         coeffs = sympy.Matrix(G).charpoly().all_coeffs()  # leading first
         mirrored = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
         zeros = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
-        diag = congruence_diagonal(G)
-        assert len(diag) == n
-        assert signs(diag) == (sign_changes(coeffs), sign_changes(mirrored), zeros)
+        A, _ = _scale_to_int(G)
+        delta = symmetric_minors(A)[1]
+        assert len(delta) == n + 1 and delta[0] == 1
+        assert minor_signs(delta) == (sign_changes(coeffs), sign_changes(mirrored), zeros)
+        lat = QuadLattice([[2 * x for x in row] for row in A])
+        assert lat.signature == (sign_changes(coeffs), sign_changes(mirrored))
+        assert lat.is_degenerate == (zeros > 0)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(symmetric_matrices())
     def test_diagonal_product_is_det(self, G):
-        assert math.prod(congruence_diagonal(G)) == det_fraction(G)
+        n = len(G)
+        A, s = _scale_to_int(G)
+        assert symmetric_minors(A)[1][-1] == det_fraction(G) * s ** n
+        assert QuadLattice([[2 * x for x in row] for row in A]).det == det_fraction(G) * (2 * s) ** n
 
     def test_inertia_known(self):
-        assert signs(congruence_diagonal([[2, 0], [0, -2]])) == (1, 1, 0)
-        assert signs(congruence_diagonal([[0, 1], [1, 0]])) == (1, 1, 0)
-        assert signs(congruence_diagonal([[2, 1], [1, 2]])) == (2, 0, 0)
-        assert signs(congruence_diagonal([[2, 2], [2, 2]])) == (1, 0, 1)
-        assert congruence_diagonal([[2, 1], [1, 2]]) == [2, Fraction(3, 2)]
-        assert congruence_diagonal([]) == []
+        assert minor_signs(symmetric_minors([[2, 0], [0, -2]])[1]) == (1, 1, 0)
+        # a zero diagonal folds x_0 -> x_0 + x_1 first
+        assert symmetric_minors([[0, 1], [1, 0]]) == ([(2, 1), (1, -1)], [1, 2, -1])
+        assert symmetric_minors([[1, 0, 0], [0, 0, 1], [0, 1, 0]])[1] == [1, 1, 2, -1]
+        assert symmetric_minors([[2, 1], [1, 2]]) == ([(2, 1), (1, 3)], [1, 2, 3])
+        assert symmetric_minors([[2, 2], [2, 2]]) == ([(2, 2)], [1, 2, 0])
+        assert symmetric_minors([[0, 0], [0, 0]]) == ([], [1, 0, 0])
+        assert symmetric_minors([]) == ([], [1])
+        assert QuadLattice([]).signature == (0, 0) and QuadLattice([]).det == 1
+
+    def test_positive_definite_is_never_pivoted(self):
+        # seeded positive definite Grams P^T P + I of rank at most 7, E8 and
+        # the skewed A4 family: the rows and minors of the unpivoted loop
+        from test_lattice import skewed_a4
+        from test_qseries import E8
+        rng = random.Random(17)
+        grams = [[list(row) for row in E8.gram]] + [skewed_a4(2 ** k) for k in (0, 2, 4, 6, 8)]
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            P = rand_matrix(rng, n, n, -4, 4)
+            grams.append([[sum(P[k][i] * P[k][j] for k in range(n)) + (i == j)
+                           for j in range(n)] for i in range(n)])
+        for A in grams:
+            assert symmetric_minors(A) == unpivoted_minors(A)
 
 
 class TestFractionCore:

@@ -313,6 +313,22 @@ class TestLedger:
         with pytest.raises(ValueError, match="no nonzero coefficient"):
             verify_ledger(block_ctx, pp, fault_negate=(Fraction(1, 7), 0))
 
+    def test_fault_target_refusal_names_its_input(self, block_ctx):
+        # the CLI blames --fault-inject for exactly these refusals
+        g = discriminant_group(block_ctx.ambient)
+        pp = hejhal_principal_part(1, g.zero())
+        with pytest.raises(ContextError, match=r"at m = 1/7, coset index 0$") as exc:
+            verify_ledger(block_ctx, pp, fault_negate=(Fraction(1, 7), 0))
+        assert exc.value.arg == "fault_negate"
+        for index in (99, -1):
+            with pytest.raises(ContextError, match=f"coset index {index} out of range") as exc:
+                verify_ledger(block_ctx, pp, fault_negate=(1, index))
+            assert exc.value.arg == "fault_negate"
+        other = PrincipalPart(discriminant_group(QuadLattice([[2]])), {}, constant=Fraction(1))
+        with pytest.raises(ValueError, match="different lattice") as exc:
+            verify_ledger(block_ctx, other, fault_negate=(1, 0))
+        assert not isinstance(exc.value, ContextError)
+
 
 class TestInvariants:
     def test_cross_check_fires_under_optimize(self, tmp_path):
