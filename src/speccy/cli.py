@@ -116,7 +116,7 @@ def cmd_theta(args):
     except ValueError as exc:  # the conditioning guard and every other refusal
         raise InputError(f"--lattice: {exc}") from None
     payload = {"lattice": args.lattice, "theta": qexp_json(th)}
-    rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in sorted(th.coeffs.items())]
+    rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in th.rows()]
     header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
     _emit(args, payload, rows, header)
     return 0
@@ -127,11 +127,9 @@ def cmd_eisenstein(args):
     table = _flagged("--cutoff", eisenstein_qexp, pkg, parse_frac(args.cutoff, "--cutoff"))
     K = pkg.K
     dps = args.precision
-    cosets = list(table.group.elements())
-    entries = [{"exponent": frac_str(m), "coset": list(mu.coords),
+    entries = [{"exponent": frac_str(m), "coset": list(table.group.coset_by_index(i).coords),
                 "value": loglinear_json(val, K, dps)}
-               for m, vec in sorted(table.coeffs.items())
-               for mu, val in zip(cosets, vec) if not val.is_zero()]
+               for (m, i), val in sorted(table.entries.items())]
     payload = {"lattice": args.lattice, "field": {"d": K.d, "h": K.h, "w": K.w},
                "cutoff": frac_str(table.cutoff), "coefficients": entries}
     rows = [[e["exponent"], ",".join(map(str, e["coset"])),
@@ -146,7 +144,7 @@ def cmd_degrees(args):
     if m <= 0:
         raise InputError(f"--m: degree_formula requires m > 0, got {args.m}")
     mu = _flagged("--mu", pkg.disc0.coset_by_index, args.mu)
-    res = degree_formula(pkg, m, mu)
+    res = _flagged("--m", degree_formula, pkg, m, mu)
     K = pkg.K
     dps = args.precision
     payload = {

@@ -106,17 +106,18 @@ class TableBudgetError(ValueError):
     """A table walk refused before it starts: over TABLE_BUDGET."""
 
 
-# Most a^+ evaluations the table walk may make.  One takes 35-50 us on a
-# 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho, on
-# integers), so a walk at the budget takes 3.5-5 s there.
+# Most a^+ evaluations the table walk may make.  One takes about 70 us on
+# a 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho, on
+# integers), so a walk at the budget takes about 7 s there.  The table
+# stores at most one entry per evaluation, so this bounds its memory too.
 TABLE_BUDGET = 10 ** 5
 
 
 def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> VVFormQ:
     """The a^+ table: all a^+(m, mu) for 0 <= m <= cutoff, as a weight-one
-    VVFormQ of LogLinear vectors over the discriminant group of L0.  The
-    walk visits only the support m = Q(mu) mod Z, and stores an exponent
-    only where some coefficient is nonzero.
+    VVFormQ of LogLinear entries over the discriminant group of L0.  The
+    walk visits only the support m = Q(mu) mod Z, and stores only the
+    nonzero coefficients, about two per exponent (at mu and -mu).
 
     The walk evaluates a^+ about |D0| (cutoff + 1) times, D0 the
     discriminant group; a cutoff that puts this over TABLE_BUDGET
@@ -129,12 +130,12 @@ def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> VVFormQ:
         raise TableBudgetError(f"{group.order} cosets up to {cutoff} need about "
                          f"{group.order * (cutoff + 1)} a+ evaluations, over the "
                          f"budget of {TABLE_BUDGET}")
-    coeffs = {}
+    entries = {}
     for i, mu in enumerate(group.elements()):
         m = group.q_map(mu)
         while m <= cutoff:
             val = a_plus(pkg, m, mu)
             if not val.is_zero():
-                coeffs.setdefault(m, [LogLinear()] * group.order)[i] = val
+                entries[m, i] = val
             m += 1
-    return VVFormQ(Fraction(1), group, {m: tuple(vec) for m, vec in coeffs.items()}, cutoff)
+    return VVFormQ(Fraction(1), group, entries, cutoff)

@@ -207,13 +207,12 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
             pkg.disc0.coset_by_index(index_f)
         except ValueError as exc:  # an index out of range
             raise ContextError(str(exc), "fault_negate") from None
-        vec = eis.coeffs.get(m_f)
-        if vec is None or vec[index_f].is_zero():
+        val = eis.entries.get((m_f, index_f))
+        if val is None:
             raise ContextError(f"fault target has no nonzero coefficient at m = {m_f}, "
                                f"coset index {index_f}", "fault_negate")
         # a copy with one entry negated: ctx.eis stays as built
-        vec = vec[:index_f] + (-vec[index_f],) + vec[index_f + 1:]
-        eis = VVFormQ(eis.weight, eis.group, {**eis.coeffs, m_f: vec}, eis.cutoff)
+        eis = VVFormQ(eis.weight, eis.group, {**eis.entries, (m_f, index_f): -val}, eis.cutoff)
 
     t_hat = cotaut_degree(ctx)
     a00 = eis.coefficient(0, pkg.disc0.zero())

@@ -31,44 +31,48 @@ class VVFormQ:
     entries), or the a^+ table of E'_{L0} (LogLinear entries), which pairs
     with theta tables in omega-bar_L.
 
-    coeffs maps an exponent to the coefficient vector in the coset order of
-    the discriminant group (zero coset first, then lexicographic).  cutoff
-    records the largest exponent the table is complete up to.
+    entries maps (m, coset index) to a nonzero coefficient, the index
+    that of elements() (zero coset first, then lexicographic), so sorted
+    entries run by exponent, then coset.  Only rows() expands a coset
+    vector.  cutoff records the largest exponent the table is complete up
+    to.
     """
 
     variant = "contragredient"
 
     def __init__(self, weight: Fraction, group: DiscriminantGroup,
-                 coeffs: dict, cutoff: Fraction):
+                 entries: dict, cutoff: Fraction):
         self.weight, self.group = weight, group
-        self.coeffs, self.cutoff = coeffs, cutoff
-        # the entry at every exponent absent from the table
-        self._zero = type(next(iter(coeffs.values()))[0])() if coeffs else 0
+        self.entries, self.cutoff = entries, cutoff
+        # the entry at every (m, coset) absent from the table
+        self._zero = type(next(iter(entries.values())))() if entries else 0
 
     def coefficient(self, m, mu: Coset):
         """The entry at (m, mu): the entries' zero at any exponent up to the
         cutoff that the table does not hold, KeyError past the cutoff."""
         m = Fraction(m)
-        vec = self.coeffs.get(m)
-        if vec is not None:
-            return vec[self.group.index_of(mu)]
-        if m <= self.cutoff:
-            return self._zero
-        raise KeyError(f"coefficient at exponent {m} beyond table cutoff {self.cutoff}")
+        if m > self.cutoff:
+            raise KeyError(f"coefficient at exponent {m} beyond table cutoff {self.cutoff}")
+        return self.entries.get((m, self.group.index_of(mu)), self._zero)
+
+    def rows(self):
+        """(m, coefficient vector in coset order) for each exponent that
+        holds a nonzero entry, ascending: the dense view printers show."""
+        vecs = {}
+        for m, i in sorted(self.entries):
+            vecs.setdefault(m, [self._zero] * self.group.order)[i] = self.entries[m, i]
+        return [(m, tuple(vec)) for m, vec in vecs.items()]
 
     def check_support(self):
         """Support law m = Q(mu) mod Z and mu -> -mu symmetry of every
         stored coefficient."""
-        cosets = list(self.group.elements())
-        neg_index = {i: self.group.index_of(-c) for i, c in enumerate(cosets)}
-        for m, vec in self.coeffs.items():
-            for i, c in enumerate(cosets):
-                if vec[i] != vec[neg_index[i]]:
-                    raise ValueError(f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry")
-                if vec[i] != self._zero:
-                    q = self.group.q_map(c)
-                    if (m - q) % 1 != 0:
-                        raise ValueError(f"support law violated at ({m}, {c})")
+        group = self.group
+        for (m, i), val in self.entries.items():
+            c = group.coset_by_index(i)
+            if self.entries.get((m, group.index_of(-c)), self._zero) != val:
+                raise ValueError(f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry")
+            if (m - group.q_map(c)) % 1 != 0:
+                raise ValueError(f"support law violated at ({m}, {c})")
         return True
 
     def evaluate(self, tau):
@@ -81,13 +85,9 @@ class VVFormQ:
         v = tau.imag if isinstance(tau, complex) else 0.0
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        n = self.group.order
-        out = [0j] * n
-        for m, vec in self.coeffs.items():
-            qm = cmath.exp(2j * cmath.pi * complex(tau) * float(m))
-            for i in range(n):
-                if vec[i]:
-                    out[i] += complex(vec[i]) * qm
+        out = [0j] * self.group.order
+        for (m, i), val in self.entries.items():
+            out[i] += complex(val) * cmath.exp(2j * cmath.pi * complex(tau) * float(m))
         return out, theta_tail_bound(self.group.lattice, self.cutoff, v)
 
 
@@ -136,20 +136,17 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
     if lattice.rank and not lattice.is_positive_definite():
         raise ValueError("theta series requires a positive definite lattice")
     group = discriminant_group(lattice)
-    ncosets = group.order
     dual_index = group.dual_index
     # dual vectors are x = Ginv k, k integral, with Q(x) = (1/2) k^T Ginv k
     Ginv = lattice.gram_inverse()
     den = lcm(*(x.denominator for row in Ginv for x in row))
     counts = {}
     for k, norm in ball_sweep(Ginv, [0] * lattice.rank, cutoff):
-        vec = counts.get(norm)
-        if vec is None:
-            vec = counts[norm] = [0] * ncosets
-        vec[dual_index(k)] += 1
+        key = norm, dual_index(k)
+        counts[key] = counts.get(key, 0) + 1
     # ball_sweep's norm is D k^T Ginv k = 2 D Q(x)
-    coeffs = {Fraction(norm, 2 * den): tuple(vec) for norm, vec in counts.items()}
-    return VVFormQ(Fraction(lattice.rank, 2), group, coeffs, cutoff)
+    entries = {(Fraction(norm, 2 * den), i): c for (norm, i), c in counts.items()}
+    return VVFormQ(Fraction(lattice.rank, 2), group, entries, cutoff)
 
 
 class PrincipalPart:

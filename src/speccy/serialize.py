@@ -92,7 +92,7 @@ def qexp_json(form):
         "cutoff": frac_str(form.cutoff),
         "coefficients": [
             {"exponent": frac_str(m), "vector": [str(v) for v in vec]}
-            for m, vec in sorted(form.coeffs.items())
+            for m, vec in form.rows()
         ],
     }
 

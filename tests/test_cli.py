@@ -360,10 +360,10 @@ class TestBadInput:
          "1000000000000000000000000000057"),
     ])
     def test_number_past_the_factorisation_bound(self, files, capsys, argv, number):
-        # the refusal names the number as typed, not Q(e1) times it; chowla
-        # refuses through ImQField.from_discriminant, by the flag's name
+        # the refusal names the number as typed, not Q(e1) times it, and the
+        # flag that brought it in
         argv = [a.format(**files) for a in argv]
-        flag = "--disc: " if argv[0] == "chowla" else ""
+        flag = "--disc: " if argv[0] == "chowla" else "--m: "
         start = time.perf_counter()
         code, err = error_of(argv, capsys)
         assert time.perf_counter() - start < 5

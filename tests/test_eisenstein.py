@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,20 @@ class TestTable:
         for table, _ in self.lookup_tables():
             with pytest.raises(KeyError):
                 table.coefficient(Fraction(3), table.group.zero())
+
+    def test_memory_follows_the_support(self):
+        # 1003 cosets, about two nonzero entries per exponent: storing a
+        # dense coset vector per exponent peaks near 14 MiB, the nonzero
+        # entries alone near 1.6 MiB
+        pkg = EisensteinPackage.from_lattice(QuadLattice([[-2, -1], [-1, -502]]))
+        tracemalloc.start()
+        try:
+            table = eisenstein_qexp(pkg, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+        assert table.entries and not any(val.is_zero() for val in table.entries.values())
 
 
 TRANSCRIPTION_FIELDS = (-3, -7, -11, -15, -19, -23, -31, -35, -43, -163)

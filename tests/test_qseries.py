@@ -57,17 +57,16 @@ class TestTheta:
     def test_a1_table(self):
         th = theta_series(A1, 1)
         assert th.weight == Fraction(1, 2)
-        assert th.coeffs[Fraction(0)] == (1, 0)
-        assert th.coeffs[Fraction(1, 4)] == (0, 2)
-        assert th.coeffs[Fraction(1)] == (2, 0)
+        assert th.rows() == [(Fraction(0), (1, 0)), (Fraction(1, 4), (0, 2)),
+                             (Fraction(1), (2, 0))]
 
     def test_cutoff_zero(self):
         th = theta_series(A1, 0)
-        assert list(th.coeffs) == [Fraction(0)]
+        assert [m for m, _ in th.rows()] == [Fraction(0)]
 
     def test_constant_term_delta(self):
         th = theta_series(A2, 3)
-        vec = th.coeffs[Fraction(0)]
+        vec = dict(th.rows())[Fraction(0)]
         assert vec[0] == 1 and all(v == 0 for v in vec[1:])
 
     def test_support_law_validates(self):
@@ -108,8 +107,8 @@ class TestTheta:
         th = theta_series(E8, 3)
         assert th.weight == 4 and th.group.order == 1
         sigma3 = {n: sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in (1, 2, 3)}
-        assert th.coeffs == {Fraction(0): (1,), **{Fraction(n): (240 * s,)
-                                                   for n, s in sigma3.items()}}
+        assert th.rows() == [(Fraction(0), (1,)), *((Fraction(n), (240 * s,))
+                                                    for n, s in sigma3.items())]
 
 
 class TestEvaluate:
