@@ -16,11 +16,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .cm import OracleInputError, degree_bruteforce, degree_formula
-from .eisenstein import EisensteinPackage, TableBudgetError, eisenstein_qexp
+from .cm import degree_bruteforce, degree_formula
+from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import ImQField, L_derivative_data, functional_equation_defects
-from .lattice import InvariantError, SearchBoundError, discriminant_group
-from .pullback import ContextError, EmbeddingContext, verify_ledger
+from .lattice import InvariantError, discriminant_group
+from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
     coset_label,
@@ -73,18 +73,21 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(out.getvalue())
 
 
-def _flagged(flag, fn, *args):
-    """fn(*args), with a ValueError refusal named by the flag it blames."""
+def _flagged(flag, fn, *args, **flags):
+    """fn(*args), with a refusal raised as an InputError naming the flag it
+    blames: flags[exc.arg] for an InputRefusal whose arg ("lattice",
+    "bound", ...) is listed, else flag, for any ValueError.  An unreadable
+    file is a ValueError naming the file, so its line names both."""
     try:
         return fn(*args)
     except ValueError as exc:
-        raise InputError(f"{flag}: {exc}") from None
+        raise InputError(f"{flags.get(getattr(exc, 'arg', None), flag)}: {exc}") from None
 
 
 def cmd_disc(args):
-    lat = load_lattice(args.lattice)
+    lat = _flagged("--lattice", load_lattice, args.lattice)
     group = _flagged("--lattice", discriminant_group, lat)
-    cosets = list(group.elements())
+    cosets = list(_flagged("--lattice", group.elements))
     payload = {
         "lattice": args.lattice,
         "rank": lat.rank,
@@ -105,17 +108,10 @@ def cmd_disc(args):
 
 
 def cmd_theta(args):
-    lat = load_lattice(args.lattice)
+    lat = _flagged("--lattice", load_lattice, args.lattice)
     cutoff = parse_frac(args.cutoff, "--cutoff")
-    if cutoff < 0:
-        raise InputError(f"--cutoff: cutoff must be nonnegative, got {args.cutoff}")
-    try:
-        th = theta_series(lat, cutoff)
-    except SearchBoundError as exc:
-        raise InputError(f"--cutoff: {exc}") from None
-    except ValueError as exc:  # the conditioning guard and every other refusal
-        raise InputError(f"--lattice: {exc}") from None
-    payload = {"lattice": args.lattice, "theta": qexp_json(th)}
+    th = _flagged("--lattice", theta_series, lat, cutoff, bound="--cutoff")
+    payload = {"lattice": args.lattice, "theta": _flagged("--lattice", qexp_json, th)}
     rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in th.rows()]
     header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
     _emit(args, payload, rows, header)
@@ -123,7 +119,8 @@ def cmd_theta(args):
 
 
 def cmd_eisenstein(args):
-    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice))
+    lat = _flagged("--lattice", load_lattice, args.lattice)
+    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, lat)
     table = _flagged("--cutoff", eisenstein_qexp, pkg, parse_frac(args.cutoff, "--cutoff"))
     K = pkg.K
     dps = args.precision
@@ -139,10 +136,9 @@ def cmd_eisenstein(args):
 
 
 def cmd_degrees(args):
-    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice))
+    lat = _flagged("--lattice", load_lattice, args.lattice)
+    pkg = _flagged("--lattice", EisensteinPackage.from_lattice, lat)
     m = parse_frac(args.m, "--m")
-    if m <= 0:
-        raise InputError(f"--m: degree_formula requires m > 0, got {args.m}")
     mu = _flagged("--mu", pkg.disc0.coset_by_index, args.mu)
     res = _flagged("--m", degree_formula, pkg, m, mu)
     K = pkg.K
@@ -161,10 +157,7 @@ def cmd_degrees(args):
                   json.dumps(res.degree.to_json()["logs"])]
     header = ["m", "mu", "weighted_count", "degree_logs"]
     if args.oracle:
-        try:
-            oracle = degree_bruteforce(pkg, m, mu)
-        except OracleInputError as exc:
-            raise InputError(f"{'--lattice' if exc.arg == 'pkg' else '--m'}: {exc}") from None
+        oracle = _flagged("--m", degree_bruteforce, pkg, m, mu, lattice="--lattice")
         payload["oracle"] = {
             "weighted_count": frac_str(oracle.weighted_count),
             "degree": loglinear_json(oracle.degree, K, dps),
@@ -178,7 +171,8 @@ def cmd_degrees(args):
 
 def cmd_chowla(args):
     if args.lattice is not None:
-        K = _flagged("--lattice", EisensteinPackage.from_lattice, load_lattice(args.lattice)).K
+        lat = _flagged("--lattice", load_lattice, args.lattice)
+        K = _flagged("--lattice", EisensteinPackage.from_lattice, lat).K
     else:
         K = _flagged("--disc", ImQField.from_discriminant, args.disc)
     dps = args.precision
@@ -199,24 +193,18 @@ def cmd_chowla(args):
 
 
 def cmd_verify(args):
-    lat = load_lattice(args.lattice)
-    sub = load_sublattice_basis(args.sub)
+    lat = _flagged("--lattice", load_lattice, args.lattice)
+    sub = _flagged("--sub", load_sublattice_basis, args.sub)
     group = _flagged("--lattice", discriminant_group, lat)
-    try:
-        pp_blob = load_json(args.pp[1:]) if args.pp.startswith("@") else args.pp
-        pp = parse_principal_part(pp_blob, group)
-    except ValueError as exc:  # JSONDecodeError included
-        raise InputError(f"--pp: {exc}") from None
+    pp_blob = _flagged("--pp", load_json, args.pp[1:]) if args.pp.startswith("@") else args.pp
+    pp = _flagged("--pp", parse_principal_part, pp_blob, group)
     max_m = max(pp.support_exponents() or [Fraction(1)])
     fault = parse_coset_key(args.fault_inject, "--fault-inject") if args.fault_inject else None
-    try:
-        ctx = EmbeddingContext.build(lat, sub, max_m)
-        report = verify_ledger(ctx, pp, fault_negate=fault)
-    except TableBudgetError as exc:
-        raise InputError(f"--pp: {exc}") from None
-    except ContextError as exc:
-        flag = {"L": "--lattice", "sub_basis": "--sub", "fault_negate": "--fault-inject"}[exc.arg]
-        raise InputError(f"{flag}: {exc}") from None
+    # the table cutoff max_m comes from --pp, so a "bound" refusal blames it
+    ctx = _flagged("--lattice", EmbeddingContext.build, lat, sub, max_m,
+                   sub_basis="--sub", bound="--pp")
+    report = _flagged("--lattice", verify_ledger, ctx, pp, fault,
+                      bound="--pp", fault_negate="--fault-inject")
     payload = report.to_json()
     payload["field"] = {"d": ctx.pkg.K.d, "h": ctx.pkg.K.h, "w": ctx.pkg.K.w}
     rows = [[r["identity"], "|".join(r["key"]), r["match"]] for r in payload["rows"]]

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .eisenstein import EisensteinPackage, _local_record
 from .imq import LogLinear, _hilbert_candidates, hilbert_symbol, ord_p
-from .lattice import Coset, InvariantError, QuadLattice, _search, factorization
+from .lattice import Coset, InputRefusal, InvariantError, QuadLattice, _search, factorization
 from .linalg import (
     HermiteSolver,
     _scale_to_int,
@@ -63,19 +63,6 @@ _MODEL_SEARCH = 2000
 # visit; the search at the bound took 0.7-0.9 s on a 2-core x86 host
 # with Python 3.11.7 (L0(-7), mu = 0, m = 217999999996)
 ORACLE_SEARCH_BOUND = 10 ** 6
-
-
-class OracleInputError(ValueError):
-    """A refusal of degree_bruteforce; arg names the input it concerns,
-    "pkg" (the lattice's field) or "m"."""
-
-    def __init__(self, message, arg):
-        super().__init__(message)
-        self.arg = arg
-
-
-class OracleBoundError(OracleInputError):
-    """A degree_bruteforce shell search refused over ORACLE_SEARCH_BOUND."""
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
@@ -306,7 +293,7 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
     which a_plus reads too, and one Fraction for the count."""
     m = m if isinstance(m, Fraction) else Fraction(m)
     if m <= 0:
-        raise ValueError("degree_formula requires m > 0")
+        raise ValueError(f"degree_formula requires m > 0, got {m}")
     record = _local_record(pkg, m, mu)
     if record is None:
         return CMDegree(m, mu.coords, None, Fraction(0), LogLinear())
@@ -479,24 +466,24 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
     (_coset_shift), so a call whose frame and coset are known counts one
     shell on integers (lattice._search) and builds one Fraction, the
     weighted count, unless its search would pass ORACLE_SEARCH_BOUND:
-    then OracleBoundError.  Every refusal of the input is an
-    OracleInputError whose arg names the input it concerns.
+    then an InputRefusal of "m".  Every refusal of the input is an
+    InputRefusal whose arg names the input it concerns.
     """
     if not isinstance(m, Fraction):
         m = Fraction(m)
     K = pkg.K
     if K.h != 1:
-        raise OracleInputError("brute-force oracle requires class number one", "pkg")
+        raise InputRefusal("brute-force oracle requires class number one", "lattice")
     if m <= 0:
-        raise OracleInputError("m must be positive", "m")
+        raise InputRefusal("m must be positive", "m")
     diff = pkg.diff(m)
     if len(diff) != 1:
-        raise OracleInputError("oracle requires Diff = {p}; degree vanishes otherwise", "m")
+        raise InputRefusal("oracle requires Diff = {p}; degree vanishes otherwise", "m")
     (p,) = diff
     # the canonical-lifting length ord_p(p m)
     length = ord_p(m, p) + 1
     if length <= 0:
-        raise OracleInputError("oracle requires ord_p(m) >= 0", "m")
+        raise InputRefusal("oracle requires ord_p(m) >= 0", "m")
     frame = _coset_frame(p, K.d, skip_models, pkg.L0.gram)
     entry = _coset_shift(frame, mu)
     count = 0
@@ -512,9 +499,9 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
             det = g00 * g11 - g01 * g01
             outer = 2 * math.isqrt(g00 * det * target) // (det * e) + 1
             if outer > ORACLE_SEARCH_BOUND:
-                raise OracleBoundError(f"the oracle's shell search at m = {m} would visit "
-                                       f"about {outer} values, over the bound of "
-                                       f"{ORACLE_SEARCH_BOUND}", "m")
+                raise InputRefusal(f"the oracle's shell search at m = {m} would visit "
+                                   f"about {outer} values, over the bound of "
+                                   f"{ORACLE_SEARCH_BOUND}", "m")
             count = len(_search(frame.gram, c, e, target, True))
     wc = Fraction(count * length, K.w)
     return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())

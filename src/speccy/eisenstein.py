@@ -20,6 +20,7 @@ from .imq import ImQField, LogLinear, diff_set, ord_p, rho
 from .lattice import (
     Coset,
     DiscriminantGroup,
+    InputRefusal,
     InvariantError,
     QuadLattice,
     discriminant_group,
@@ -102,10 +103,6 @@ def a_plus(pkg: EisensteinPackage, m, mu: Coset) -> LogLinear:
     return LogLinear(logs=((p, coeff),)) if coeff else LogLinear()
 
 
-class TableBudgetError(ValueError):
-    """A table walk refused before it starts: over TABLE_BUDGET."""
-
-
 # Most a^+ evaluations the table walk may make.  One takes about 70 us on
 # a 2-core x86 host with Python 3.11 (factoring m for Diff(m) and rho, on
 # integers), so a walk at the budget takes about 7 s there.  The table
@@ -121,15 +118,15 @@ def eisenstein_qexp(pkg: EisensteinPackage, cutoff) -> VVFormQ:
 
     The walk evaluates a^+ about |D0| (cutoff + 1) times, D0 the
     discriminant group; a cutoff that puts this over TABLE_BUDGET
-    (10^5) raises TableBudgetError before the walk starts."""
+    (10^5) is refused, as a "bound" InputRefusal, before the walk starts."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+        raise InputRefusal(f"cutoff must be nonnegative, got {cutoff}", "bound")
     group = pkg.disc0
     if group.order * (cutoff + 1) > TABLE_BUDGET:
-        raise TableBudgetError(f"{group.order} cosets up to {cutoff} need about "
-                         f"{group.order * (cutoff + 1)} a+ evaluations, over the "
-                         f"budget of {TABLE_BUDGET}")
+        raise InputRefusal(f"{group.order} cosets up to {cutoff} need about "
+                           f"{group.order * (cutoff + 1)} a+ evaluations, over the "
+                           f"budget of {TABLE_BUDGET}", "bound")
     entries = {}
     for i, mu in enumerate(group.elements()):
         m = group.q_map(mu)

@@ -25,6 +25,7 @@ from .eisenstein import EisensteinPackage, eisenstein_qexp
 from .imq import LogLinear
 from .lattice import (
     Coset,
+    InputRefusal,
     InvariantError,
     QuadLattice,
     count_coset_vectors,
@@ -41,15 +42,6 @@ from .qseries import (
 )
 
 
-class ContextError(ValueError):
-    """A refusal of EmbeddingContext.build or of verify_ledger's fault
-    target; arg names the input, "L", "sub_basis" or "fault_negate"."""
-
-    def __init__(self, message, arg):
-        super().__init__(message)
-        self.arg = arg
-
-
 class EmbeddingContext:
     """A maximal lattice L with a distinguished negative definite binary
     summand L0 (odd fundamental Clifford discriminant), the complement
@@ -64,16 +56,16 @@ class EmbeddingContext:
     def build(cls, L: QuadLattice, sub_basis, cutoff) -> "EmbeddingContext":
         cutoff = Fraction(cutoff)
         if not is_maximal(L):
-            raise ContextError("ambient lattice must be maximal", "L")
+            raise InputRefusal("ambient lattice must be maximal", "lattice")
         try:
             emb = orthogonal_complement(L, sub_basis)
             if emb.sub.rank != 2 or not emb.sub.is_negative_definite():
                 raise ValueError("distinguished sublattice must be negative definite binary")
             pkg = EisensteinPackage.from_lattice(emb.sub)
         except ValueError as exc:
-            raise ContextError(str(exc), "sub_basis") from None
+            raise InputRefusal(str(exc), "sub_basis") from None
         if not emb.complement.is_positive_definite():
-            raise ContextError("complement must be positive definite", "L")
+            raise InputRefusal("complement must be positive definite", "lattice")
         # the a+ table first: its budget refuses a cutoff before the theta
         # sweep, whose cost grows like cutoff^(rank/2), is started
         eis = eisenstein_qexp(pkg, cutoff)
@@ -191,7 +183,7 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     index) with the index in the coset order of the L0 discriminant group,
     flips the sign of that Eisenstein coefficient so tests can confirm
     that faults are caught and localized; a target out of range or with a
-    zero coefficient raises ContextError."""
+    zero coefficient is an InputRefusal of "fault_negate"."""
     if pp.group.lattice.gram != ctx.ambient.gram:
         raise ValueError("principal part lives on a different lattice")
     max_m = max([m for m, _ in pp.entries] or [Fraction(0)])
@@ -206,10 +198,10 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
         try:
             pkg.disc0.coset_by_index(index_f)
         except ValueError as exc:  # an index out of range
-            raise ContextError(str(exc), "fault_negate") from None
+            raise InputRefusal(str(exc), "fault_negate") from None
         val = eis.entries.get((m_f, index_f))
         if val is None:
-            raise ContextError(f"fault target has no nonzero coefficient at m = {m_f}, "
+            raise InputRefusal(f"fault target has no nonzero coefficient at m = {m_f}, "
                                f"coset index {index_f}", "fault_negate")
         # a copy with one entry negated: ctx.eis stays as built
         eis = VVFormQ(eis.weight, eis.group, {**eis.entries, (m_f, index_f): -val}, eis.cutoff)

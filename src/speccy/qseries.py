@@ -17,6 +17,7 @@ from .imq import LogLinear
 from .lattice import (
     Coset,
     DiscriminantGroup,
+    InputRefusal,
     QuadLattice,
     SublatticeEmbedding,
     ball_sweep,
@@ -128,11 +129,13 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
     contragredient, coefficients R(m, mu) for all m <= cutoff.
 
     Computed by one exact sweep over the dual vectors of norm <= cutoff,
-    histogrammed by norm and coset.
+    histogrammed by norm and coset.  A negative cutoff, or one the
+    search's size guard refuses, is an InputRefusal of "bound"; a Gram
+    its conditioning guard refuses, one of "lattice".
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+        raise InputRefusal(f"cutoff must be nonnegative, got {cutoff}", "bound")
     if lattice.rank and not lattice.is_positive_definite():
         raise ValueError("theta series requires a positive definite lattice")
     group = discriminant_group(lattice)

@@ -264,6 +264,12 @@ def l0_d7_e8(tmp_path):
     return str(lat), str(sub)
 
 
+def block_sum(a, b):
+    """The Gram matrix of the orthogonal sum of Grams a and b."""
+    return ([row + [0] * len(b) for row in a]
+            + [[0] * len(a) + row for row in b])
+
+
 def error_of(argv, capsys):
     """Exit code and stderr of a run that must print nothing on stdout."""
     code, out = capture(argv)
@@ -314,6 +320,17 @@ class TestBadInput:
         "rank1": {"basis": [[1], [0], [0]]},
         "non_primitive": {"basis": [[2, 0], [0, 1], [0, 0]]},
         "l0_d23": {"gram": [[-2, -1], [-1, -12]]},  # class number 3
+        "odd_diagonal": {"gram": [[1, 0], [0, 2]]},
+        "asymmetric": {"gram": [[2, 1], [0, 2]]},
+        # 2^102 + 3 cosets, over the coset bound
+        "huge_group": {"gram": [[2, 1], [1, 2 * (2 ** 100 + 1)]]},
+        "l0_d7_huge": {"gram": block_sum([[-2, -1], [-1, -4]],
+                                         [[2, 1], [1, 2 * (2 ** 100 + 1)]])},
+        # L0(-7) + a skew A1 + A1, k = 2^40: the complement's conditioning
+        # guard refuses it
+        "l0_d7_skew": {"gram": block_sum([[-2, -1], [-1, -4]],
+                                         [[2, 2 ** 41], [2 ** 41, 2 ** 81 + 2]])},
+        "sub4": {"basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
     }
 
     @pytest.mark.parametrize("argv,message", [
@@ -340,6 +357,17 @@ class TestBadInput:
          "--m: oracle requires Diff = {p}; degree vanishes otherwise"),
         (["degrees", "--lattice", "{l0}", "--m", "1/7", "--mu", "1", "--oracle"],
          "--m: oracle requires ord_p(m) >= 0"),
+        (["verify", "--lattice", "{l0_d7_skew}", "--sub", "{sub4}"],
+         "--lattice: enumeration input too ill-conditioned or too large to search"),
+        (["disc", "--lattice", "{odd_diagonal}"],
+         "--lattice: gram diagonal must be even (Q must be Z-valued)"),
+        (["theta", "--lattice", "{asymmetric}"], "--lattice: gram matrix must be symmetric"),
+        (["disc", "--lattice", "{huge_group}"],
+         f"--lattice: the discriminant group has {2 ** 102 + 3} cosets, "
+         "over the listing bound of 1000000"),
+        (["verify", "--lattice", "{l0_d7_huge}", "--sub", "{sub4}"],
+         f"--lattice: the discriminant group has {7 * (2 ** 102 + 3)} cosets, "
+         "over the listing bound of 1000000"),
     ])
     def test_refused_input_names_its_flag(self, files, tmp_path, capsys, argv, message):
         for name, blob in self.INPUTS.items():
@@ -464,11 +492,11 @@ class TestBadInput:
         code, err = error_of(["verify", "--lattice", files["--lattice"], "--sub",
                               files["--sub"], "--pp", '{"1,0":1}'], capsys)
         assert code == 1
-        assert err.startswith(f"error: {bad}: not valid JSON: ")
+        assert err.startswith(f"error: {flag}: {bad}: not valid JSON: ")
         assert "Traceback" not in err
         if flag == "--lattice":
             code, err = error_of(["disc", "--lattice", str(bad)], capsys)
-            assert code == 1 and err.startswith(f"error: {bad}: not valid JSON: ")
+            assert code == 1 and err.startswith(f"error: --lattice: {bad}: not valid JSON: ")
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "malformed"])
     def test_pp_file_errors_name_the_flag_and_the_file(self, files, tmp_path, capsys, kind):
@@ -497,7 +525,7 @@ class TestBadInput:
                               given["--sub"], "--pp", '{"1,0":1}'], capsys)
         reason = {"missing": "No such file or directory", "directory": "Is a directory"}[kind]
         assert code == 1 and "Traceback" not in err
-        assert err.startswith(f"error: cannot read {str(path)!r}: {reason}"), err
+        assert err.startswith(f"error: {flag}: cannot read {str(path)!r}: {reason}"), err
 
     def test_non_integral_gram_entry(self, tmp_path, capsys):
         bad = tmp_path / "g.json"

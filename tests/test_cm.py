@@ -22,7 +22,7 @@ from speccy.cm import (
 )
 from speccy.eisenstein import EisensteinPackage, a_plus
 from speccy.imq import ImQField, hilbert_symbol, kronecker_symbol, ord_p, reduced_forms
-from speccy.lattice import QuadLattice, enumerate_coset_vectors, factorization
+from speccy.lattice import InputRefusal, QuadLattice, enumerate_coset_vectors, factorization
 from speccy.linalg import (
     HermiteSolver,
     _scale_to_int,
@@ -582,7 +582,7 @@ class TestOracle:
                         for top in (10 ** 5, 10 ** 6))
         assert (degree_bruteforce(pkg, small, mu).weighted_count
                 == degree_formula(pkg, small, mu).weighted_count)
-        with pytest.raises(cm.OracleBoundError, match="over the bound of 1000"):
+        with pytest.raises(InputRefusal, match="over the bound of 1000"):
             degree_bruteforce(pkg, large, mu)
 
     def test_class_number_one_required(self):

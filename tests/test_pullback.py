@@ -8,18 +8,24 @@ import pytest
 
 import speccy
 
-from speccy.eisenstein import a_plus
+from speccy.cm import degree_bruteforce
+from speccy.eisenstein import EisensteinPackage, a_plus, eisenstein_qexp
 from speccy.imq import LogLinear
-from speccy.lattice import Coset, QuadLattice, discriminant_group, enumerate_coset_vectors
+from speccy.lattice import (
+    Coset,
+    InputRefusal,
+    QuadLattice,
+    discriminant_group,
+    enumerate_coset_vectors,
+)
 from speccy.pullback import (
-    ContextError,
     EmbeddingContext,
     cotaut_degree,
     lambda_mmu_count,
     pullback_table,
     verify_ledger,
 )
-from speccy.qseries import PrincipalPart, hejhal_principal_part
+from speccy.qseries import PrincipalPart, hejhal_principal_part, theta_series
 from speccy.serialize import parse_principal_part
 
 BLOCK_GRAM = [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]
@@ -56,7 +62,7 @@ class TestContext:
     def test_maximality_required(self):
         # [[8]] block is not maximal
         G = [[-2, -1, 0], [-1, -4, 0], [0, 0, 8]]
-        with pytest.raises(ContextError):
+        with pytest.raises(InputRefusal):
             EmbeddingContext.build(QuadLattice(G), BLOCK_SUB, 2)
 
     def test_glued_builds(self, glued_ctx):
@@ -317,17 +323,51 @@ class TestLedger:
         # the CLI blames --fault-inject for exactly these refusals
         g = discriminant_group(block_ctx.ambient)
         pp = hejhal_principal_part(1, g.zero())
-        with pytest.raises(ContextError, match=r"at m = 1/7, coset index 0$") as exc:
+        with pytest.raises(InputRefusal, match=r"at m = 1/7, coset index 0$") as exc:
             verify_ledger(block_ctx, pp, fault_negate=(Fraction(1, 7), 0))
         assert exc.value.arg == "fault_negate"
         for index in (99, -1):
-            with pytest.raises(ContextError, match=f"coset index {index} out of range") as exc:
+            with pytest.raises(InputRefusal, match=f"coset index {index} out of range") as exc:
                 verify_ledger(block_ctx, pp, fault_negate=(1, index))
             assert exc.value.arg == "fault_negate"
         other = PrincipalPart(discriminant_group(QuadLattice([[2]])), {}, constant=Fraction(1))
         with pytest.raises(ValueError, match="different lattice") as exc:
             verify_ledger(block_ctx, other, fault_negate=(1, 0))
-        assert not isinstance(exc.value, ContextError)
+        assert not isinstance(exc.value, InputRefusal)
+
+
+def _l0_refusal(gram, m):
+    pkg = EisensteinPackage.from_lattice(QuadLattice(gram))
+    return degree_bruteforce(pkg, m, pkg.disc0.zero())
+
+
+@pytest.mark.parametrize("call,arg", [
+    (lambda ctx: theta_series(QuadLattice([[2, 1], [1, 2]]), Fraction(10) ** 400), "bound"),
+    (lambda ctx: theta_series(QuadLattice([[2, 2 ** 601], [2 ** 601, 2 ** 1201 + 2]]), 2),
+     "lattice"),
+    (lambda ctx: theta_series(QuadLattice([[2]]), -1), "bound"),
+    (lambda ctx: discriminant_group(QuadLattice([[2, 1], [1, 2 ** 101 + 2]])).elements(),
+     "lattice"),
+    (lambda ctx: eisenstein_qexp(ctx.pkg, 20000), "bound"),
+    (lambda ctx: _l0_refusal([[-2, -1], [-1, -12]], 1), "lattice"),  # class number 3
+    (lambda ctx: _l0_refusal([[-2, -1], [-1, -4]], 15), "m"),  # Diff(15) = {3, 5}
+    (lambda ctx: _l0_refusal([[-2, -1], [-1, -4]], 0), "m"),
+    (lambda ctx: EmbeddingContext.build(QuadLattice([[-2, -1, 0], [-1, -4, 0], [0, 0, 8]]),
+                                        BLOCK_SUB, 2), "lattice"),  # not maximal
+    (lambda ctx: EmbeddingContext.build(QuadLattice(BLOCK_GRAM), [[2, 0], [0, 1], [0, 0]], 2),
+     "sub_basis"),
+    (lambda ctx: EmbeddingContext.build(QuadLattice(BLOCK_GRAM), BLOCK_SUB, 20000), "bound"),
+    (lambda ctx: verify_ledger(ctx, hejhal_principal_part(1, discriminant_group(ctx.ambient)
+                                                          .zero()), (Fraction(1, 7), 0)),
+     "fault_negate"),
+], ids=["size_guard", "conditioning_guard", "negative_cutoff", "coset_bound", "a_plus_budget",
+        "oracle_class_number", "oracle_diff", "oracle_m", "not_maximal", "non_primitive_sub",
+        "context_a_plus_budget", "fault_target"])
+def test_refusal_names_its_input(block_ctx, call, arg):
+    # the CLI names the flag of the parameter arg blames
+    with pytest.raises(InputRefusal) as exc:
+        call(block_ctx)
+    assert exc.value.arg == arg
 
 
 class TestInvariants:
