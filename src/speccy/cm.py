@@ -87,18 +87,6 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
 
-    def products(self, xs, ys):
-        """Every product x * y (x in xs outer, y in ys inner), as lists of
-        Fractions: the rows are scaled to ints over one denominator each,
-        multiplied by mul, and divided once."""
-        xs, dx = _scale_to_int(xs)
-        ys, dy = _scale_to_int(ys)
-        den = dx * dy
-        return [[Fraction(v, den) for v in self.mul(x, y)] for x in xs for y in ys]
-
-    def conj(self, x):
-        return (x[0], -x[1], -x[2], -x[3])
-
     def trd(self, x):
         return 2 * x[0]
 
@@ -114,12 +102,6 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
         return [[sum(wi * xi * yi for wi, xi, yi in zip(w, x, y)) for y in rows]
                 for x in rows]
 
-    def norm_gram(self, xs):
-        """int_norm_gram on rational rows, scaled to one denominator."""
-        xs, den = _scale_to_int(xs)
-        den *= den
-        return [[Fraction(v, den) for v in row] for row in self.int_norm_gram(xs)]
-
     def ramified_primes(self):
         """(finite ramified primes, whether infinity ramifies), from Hilbert
         symbols; the set including infinity always has even cardinality."""
@@ -130,11 +112,6 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
             raise InvariantError(f"odd ramification set {sorted(finite)}, "
                                  f"infinity {infinite}")
         return frozenset(finite), infinite
-
-    def discriminant(self) -> int:
-        """The product of the finite ramified primes: the reduced
-        discriminant of a maximal order."""
-        return math.prod(self.ramified_primes()[0])
 
 
 class QuaternionOrder:
@@ -172,23 +149,14 @@ class QuaternionOrder:
         if not closed and _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
 
-    @property
-    def basis(self):
-        """The rows as given, as lists of Fractions."""
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
-
     def contains(self, x):
         return hnf_contains(self.hnf, x)
 
-    def trace_gram(self):
-        alg = self.algebra
-        return [[alg.trd(xy) for xy in alg.products([x], self.basis)] for x in self.basis]
-
     def reduced_discriminant(self) -> int:
         """sqrt |det N| for N_rs = trd(b_r conj(b_s)), the integer Gram of
-        the reduced norm, which is sqrt |det trace_gram| because
-        conjugation maps the order onto itself (a unimodular change of
-        basis).  |det N| = |delta_4|, the last leading minor of its
+        the reduced norm, which is sqrt |det T| for the trace form T_rs =
+        trd(b_r b_s) because conjugation maps the order onto itself (a
+        unimodular change of basis).  |det N| = |delta_4|, the last leading minor of its
         fraction-free elimination (linalg.symmetric_minors)."""
         den2 = self.den * self.den
         gram = self.algebra.int_norm_gram(self.rows)
@@ -199,9 +167,6 @@ class QuaternionOrder:
         if root * root != d2:
             raise InvariantError(f"|det N| = {d2} is not a square")
         return root
-
-    def is_maximal(self):
-        return self.reduced_discriminant() == self.algebra.discriminant()
 
 
 def _closure_step(alg: QuaternionAlgebra, form):

@@ -454,7 +454,8 @@ def functional_equation_defects(K: ImQField, points, dps=30):
     forked child per further CPU in the affinity mask; a child sends its
     values back as exact mpf tuples, so the result does not depend on the
     number of CPUs.  The subtraction runs at the ambient precision.  A
-    process with a second thread never forks: its child could deadlock."""
+    process with a second thread never forks: its child could deadlock.
+    A child polls its parent every 0.2 s and exits once the parent is gone."""
     import threading
 
     import mpmath
@@ -472,6 +473,13 @@ def functional_equation_defects(K: ImQField, points, dps=30):
             if pid == 0:
                 status = 1
                 try:
+                    # a parent killed before it reads the share leaves no
+                    # reader: poll its pid and exit once it is gone
+                    import signal
+
+                    parent = os.getppid()
+                    signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(1))
+                    signal.setitimer(signal.ITIMER_REAL, 0.2, 0.2)
                     os.close(r)
                     share = [completed_lambda(K, s, dps=dps)._mpf_ for s in args[k::workers]]
                     with os.fdopen(w, "wb") as fh:

@@ -90,7 +90,7 @@ def _integer_entry(x, label, i, j):
 class QuadLattice:
     """An integral lattice with even Gram matrix (rank 0 allowed)."""
 
-    def __init__(self, gram, name=None):
+    def __init__(self, gram):
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
@@ -104,7 +104,6 @@ class QuadLattice:
                     raise ValueError("gram matrix must be symmetric")
         self.gram = tuple(tuple(row) for row in gram)
         self.rank = n
-        self.name = name
         self._disc_group = None
         delta = symmetric_minors(gram)[1]
         self.det = delta[-1]

@@ -29,22 +29,21 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def _gauss_jordan(M, n):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of the first n
-    columns of the integer rows M, in place: every row step is
-    r_i <- (p r_i - M[i][k] r_k) / p_prev, an exact division.  Returns
-    (p, sign), p the last pivot and sign the parity of the row swaps, so
-    that det A = sign * p for the leading n x n block A; the columns past
-    n end as p A^-1 times what they held.  Returns None when A is
-    singular.  Columns left of the pivot are not kept up to date."""
-    prev, sign = 1, 1
+def inverse_fraction(A):
+    """Inverse, exact: rows scaled to integers (D A, D the row scales), one
+    fraction-free (Bareiss) Gauss-Jordan pass on [D A | I], and one
+    division by the final pivot p.  Every row step is r_i <- (p r_i -
+    M[i][k] r_k) / p_prev, an exact division; columns left of the pivot
+    are not kept up to date."""
+    n = len(A)
+    scaled = [_scale_to_int([row]) for row in A]
+    M = [ints + [int(i == j) for j in range(n)] for i, ((ints,), _) in enumerate(scaled)]
+    prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            return None
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
+            raise ValueError("singular matrix")
+        M[k], M[piv] = M[piv], M[k]
         Mk = M[k]
         p = Mk[k]
         for i in range(n):
@@ -54,42 +53,8 @@ def _gauss_jordan(M, n):
                 M[i] = Mi[:k] + [(p * x - f * y) // prev
                                  for x, y in zip(Mi[k:], Mk[k:])]
         prev = p
-    return prev, sign
-
-
-def _integer_rows(A):
-    """(rows of A, each scaled to integers, the row scale factors); entries
-    are ints or Fractions."""
-    scaled = [_scale_to_int([row]) for row in A]
-    return [ints for (ints,), _ in scaled], [den for _, den in scaled]
-
-
-def det_fraction(A):
-    """Determinant, exact, by one fraction-free elimination."""
-    n = len(A)
-    if n == 0:
-        return Fraction(1)
-    M, scales = _integer_rows(A)
-    done = _gauss_jordan(M, n)
-    if done is None:
-        return Fraction(0)
-    p, sign = done
-    return Fraction(sign * p, math.prod(scales))
-
-
-def inverse_fraction(A):
-    """Inverse, exact: rows scaled to integers, one fraction-free
-    Gauss-Jordan pass on [A | I], and one division by the final pivot."""
-    n = len(A)
-    M, scales = _integer_rows(A)
-    for i, row in enumerate(M):
-        row.extend(int(i == j) for j in range(n))
-    done = _gauss_jordan(M, n)
-    if done is None:
-        raise ValueError("singular matrix")
-    p = done[0]
-    # (D A)^-1 = right block / p, with D the row scales; A^-1 = (D A)^-1 D
-    return [[Fraction(x * s, p) for x, s in zip(row[n:], scales)] for row in M]
+    # the right block is p (D A)^-1, and A^-1 = (D A)^-1 D
+    return [[Fraction(x * den, prev) for x, (_, den) in zip(row[n:], scaled)] for row in M]
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +279,6 @@ def hnf_intersection(form1, form2):
     block = ([[x * (den // d1) for x in row] * 2 for row in H1]
              + [[x * (den // d2) for x in row] + [0] * n for row in H2])
     return lattice_hnf([row[n:] for row in row_hnf(block) if not any(row[:n])], den)
-
-
-def lattice_member(basis_cols, v):
-    """Integer coefficient vector c with basis * c = v, or None."""
-    cols, _ = _scale_to_int(list(basis_cols) + [v])
-    return solve_integer(transpose(cols[:-1]), cols[-1])
 
 
 def lattice_intersection(basis1, basis2):

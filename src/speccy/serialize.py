@@ -46,8 +46,8 @@ def load_json(path):
 
 
 def _load_matrix(path, key):
-    """The JSON object in path and its matrix under key, a list of equally
-    long rows."""
+    """The matrix under key of the JSON object in path, a list of equally
+    long rows; the object's other keys are ignored."""
     blob = load_json(path)
     if not isinstance(blob, dict) or key not in blob:
         raise ValueError(f"{path}: missing '{key}'")
@@ -55,24 +55,20 @@ def _load_matrix(path, key):
     if (not isinstance(rows, list) or not all(isinstance(r, list) for r in rows)
             or len({len(r) for r in rows}) > 1):
         raise ValueError(f"{path}: '{key}' must be a list of equally long rows")
-    return blob, rows
+    return rows
 
 
 def load_lattice(path) -> QuadLattice:
-    blob, gram = _load_matrix(path, "gram")
-    return QuadLattice(gram, name=blob.get("name"))
+    return QuadLattice(_load_matrix(path, "gram"))
 
 
 def load_sublattice_basis(path):
-    return _load_matrix(path, "basis")[1]
+    return _load_matrix(path, "basis")
 
 
-def loglinear_json(value: LogLinear, field=None, dps=30):
+def loglinear_json(value: LogLinear, field, dps=30):
     blob = value.to_json()
-    try:
-        blob["value"] = float(value.evaluate(field, dps=dps))
-    except ValueError:
-        blob["value"] = None
+    blob["value"] = float(value.evaluate(field, dps=dps))
     return blob
 
 

@@ -96,18 +96,6 @@ class ScaledMatrix:
         return ScaledMatrix([[x.conjugate() for x in row] for row in self.entries],
                             self.sqrt_power, self.form)
 
-    def transpose(self):
-        n = self.dim
-        return ScaledMatrix([[self.entries[j][i] for j in range(n)] for i in range(n)],
-                            self.sqrt_power, self.form)
-
-    def scaled_entries(self):
-        """Entries with the square-root scale folded in exactly, one fold
-        (one Gauss-sum root) for the whole matrix."""
-        n, flat = self.dim, [x for row in self.entries for x in row]
-        flat = _fold(flat, self.disc_order, self.sqrt_power)
-        return [flat[i:i + n] for i in range(0, n * n, n)]
-
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):
             return NotImplemented
@@ -149,9 +137,6 @@ class WeilRep:
                          for t in range(len(P))] for v in self._coords]
         self.form = (tuple(disc.elementary_divisors), tuple(self._q))
         self._gen_cache = {}
-
-    def cosets(self):
-        return list(self._cosets)
 
     def _bilinear(self, i, j):
         """[mu_i, mu_j] = k / E mod 1, E the exponent of the group; returns
@@ -237,6 +222,3 @@ class WeilRep:
             col = _matmul(M.entries, col)
             power += M.sqrt_power
         return _fold([row[0] for row in col], self.dim, power, den)
-
-    def level(self):
-        return self.disc.lattice.level()

@@ -6,14 +6,49 @@ value for value; nothing under src/ imports this module.
 a_plus and degree_formula read Diff(m) from the package, as they did, so
 a test can put a Diff set of its choosing there; diff() is Diff(m) by the
 reference symbol, to compare with the one diff_set now computes on ints.
+
+The Fraction views the tests compare the integer routines with are here
+too: an order's basis as Fraction rows, its trace form through quaternion
+products, a determinant by sympy, lattice membership by one integer solve,
+and quaternion conjugation.
 """
 
 from fractions import Fraction
+
+import sympy
 
 from speccy.cm import CMDegree
 from speccy.eisenstein import s_mu
 from speccy.imq import LogLinear, _hilbert_candidates, _val, kronecker_symbol, ord_p, rho
 from speccy.lattice import InvariantError
+from speccy.linalg import _scale_to_int, solve_integer, transpose
+
+
+def basis(order):
+    """The rows of a QuaternionOrder as given, as lists of Fractions."""
+    return [[Fraction(x, order.den) for x in row] for row in order.rows]
+
+
+def conj(x):
+    """The quaternion conjugate of x = x0 + x1 i + x2 j + x3 k."""
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def trace_gram(order):
+    """trd(b_r b_s) on the order's basis, through Fraction products."""
+    alg, rows = order.algebra, basis(order)
+    return [[alg.trd(alg.mul(x, y)) for y in rows] for x in rows]
+
+
+def det(A):
+    """The determinant of a square matrix of ints or Fractions, by sympy."""
+    return Fraction(str(sympy.Matrix(A).det()))
+
+
+def member(basis_cols, v):
+    """Integer coefficients c with sum c_r basis_cols[r] = v, or None."""
+    cols, _ = _scale_to_int(list(basis_cols) + [v])
+    return solve_integer(transpose(cols[:-1]), cols[-1])
 
 
 def hilbert_symbol(a, b, p) -> int:

@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from speccy.cli import run as cli_run
 from speccy.cm import degree_bruteforce, degree_formula
 from speccy.cyclotomic import CycNum

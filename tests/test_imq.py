@@ -1,8 +1,11 @@
+import contextlib
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from math import isqrt
 from fractions import Fraction
 
@@ -24,7 +27,6 @@ from speccy.imq import (
     diff_set,
     functional_equation_defects,
     hilbert_symbol,
-    kronecker_symbol,
     ord_p,
     reduced_forms,
     rho,
@@ -458,6 +460,49 @@ class TestDefectWorkers:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "once"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+    def test_worker_dies_with_its_parent(self):
+        # the child writes its pid and sleeps inside completed_lambda; once
+        # the parent is killed it must be gone, or a zombie nobody reaps
+        src = os.path.dirname(os.path.dirname(speccy.__file__))
+        code = ("import os, time; os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from speccy import imq\n"
+                "parent, real = os.getpid(), imq.completed_lambda\n"
+                "def slow(K, s, dps=30):\n"
+                "    if os.getpid() != parent:\n"
+                "        os.write(1, b'%d\\n' % os.getpid())\n"
+                "        time.sleep(60)\n"
+                "    return real(K, s, dps=dps)\n"
+                "imq.completed_lambda = slow\n"
+                "imq.functional_equation_defects(imq.ImQField.from_discriminant(-7), (0.25,), dps=15)\n"
+                "time.sleep(60)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE)
+        child = None
+        try:
+            child = int(proc.stdout.readline())
+            proc.kill()
+            proc.wait(timeout=60)
+
+            def state():
+                try:
+                    with open(f"/proc/{child}/stat") as fh:
+                        return fh.read().rsplit(")", 1)[1].split()[0]
+                except FileNotFoundError:
+                    return None
+
+            deadline = time.monotonic() + 5
+            while state() not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert state() in (None, "Z")
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
 
 
 small_coeffs = st.fractions(-2, 2, max_denominator=3)

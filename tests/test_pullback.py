@@ -12,7 +12,6 @@ from speccy.cm import degree_bruteforce
 from speccy.eisenstein import EisensteinPackage, a_plus, eisenstein_qexp
 from speccy.imq import LogLinear
 from speccy.lattice import (
-    Coset,
     InputRefusal,
     QuadLattice,
     discriminant_group,

@@ -12,7 +12,7 @@ import speccy
 from speccy import weil
 from speccy.cyclotomic import CycNum, sqrt_cyclotomic
 from speccy.lattice import QuadLattice, discriminant_group
-from speccy.weil import S, T, T_INV, VARIANTS, WeilRep
+from speccy.weil import S, T, T_INV, VARIANTS, ScaledMatrix, WeilRep
 
 LATTICES = [
     QuadLattice([[2]]),
@@ -51,7 +51,7 @@ class TestGenerators:
         # the pairing-matrix bilinear form against b_map on coset representatives
         w = wrep(lat)
         M = w.omega_S()
-        cosets = w.cosets()
+        cosets = list(w.disc.elements())
         for i, mu in enumerate(cosets):
             for j, nu in enumerate(cosets):
                 want = CycNum.e(Fraction(w.sig8, 8) + w.disc.b_map(nu, mu))
@@ -74,7 +74,8 @@ class TestGenerators:
             w = wrep(lat)
             M = w.omega_S()
             n = M.dim
-            conjT = M.conjugate().transpose()
+            C = M.conjugate()
+            conjT = ScaledMatrix([list(col) for col in zip(*C.entries)], C.sqrt_power, C.form)
             P = conjT.matmul(M)
             # P = identity * |D|^(-1) at sqrt_power 2
             for i in range(n):
@@ -109,7 +110,7 @@ class TestRelations:
     @pytest.mark.parametrize("lat", LATTICES)
     def test_T_order_is_level(self, lat):
         w = wrep(lat)
-        N = w.level()
+        N = lat.level()
         M = w.rep_matrix([T] * N)
         for i in range(w.dim):
             for j in range(w.dim):
@@ -144,11 +145,14 @@ def property_rep(i):
 
 def per_letter_oracle(w, variant, word, vec):
     """The word applied letter by letter, each generator's scale folded
-    into its entries (scaled_entries) and the products summed as CycNums:
-    no _matmul and no carried power of sqrt(|D|)."""
+    into its entries (one weil._fold of the whole matrix) and the products
+    summed as CycNums: no _matmul and no carried power of sqrt(|D|)."""
     out = [CycNum.from_rational(x) for x in vec]
     for g in reversed(word):
-        M = w.generator_matrix(g, variant).scaled_entries()
+        G = w.generator_matrix(g, variant)
+        n = G.dim
+        flat = weil._fold([x for row in G.entries for x in row], G.disc_order, G.sqrt_power)
+        M = [flat[i:i + n] for i in range(0, n * n, n)]
         nxt = []
         for row in M:
             acc = CycNum()
@@ -251,18 +255,6 @@ class TestApply:
         ST = w.omega_S().matmul(w.omega_T())
         assert ST.matmul(ST).matmul(ST) == w.omega_Z()
         assert calls == [w.dim]
-
-    def test_one_root_per_matrix(self, monkeypatch):
-        # scaled_entries folds the whole matrix at once: one Gauss sum for
-        # omega(S) at |D| = 11, not one per row, with the per-row values
-        w = wrep(QuadLattice([[2, 1], [1, 6]]))
-        M = w.omega_S()
-        per_row = [weil._fold(row, M.disc_order, M.sqrt_power) for row in M.entries]
-        calls = []
-        monkeypatch.setattr(weil, "sqrt_cyclotomic",
-                            lambda n: calls.append(n) or sqrt_cyclotomic(n))
-        assert M.scaled_entries() == per_row
-        assert calls == [11] and w.dim == 11
 
 
 class TestNegatedLattice:
