@@ -30,7 +30,6 @@ from .lattice import (
     SublatticeEmbedding,
     discriminant_group,
     enumerate_coset_vectors,
-    even_clifford_binary,
     glue_cosets,
     is_maximal,
     orthogonal_complement,

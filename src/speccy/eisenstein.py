@@ -24,7 +24,6 @@ from .lattice import (
     InvariantError,
     QuadLattice,
     discriminant_group,
-    even_clifford_binary,
     factorization,
 )
 from .qseries import VVFormQ
@@ -41,13 +40,14 @@ class EisensteinPackage:
 
     @classmethod
     def from_lattice(cls, L0: QuadLattice):
-        cd = even_clifford_binary(L0)
-        if not (cd.is_fundamental and cd.is_odd):
-            raise ValueError(
-                "even Clifford discriminant must be odd and fundamental "
-                f"(got {cd.value})")
-        K = ImQField.from_discriminant(cd.value)
-        return cls(L0, K, discriminant_group(L0))
+        """k = Q(sqrt d) for d = t^2 - g1 g2, L0 = [[g1, t], [t, g2]], the
+        discriminant of Z[e1 e2], (e1 e2)^2 = t e1 e2 - g1 g2 / 4; ImQField
+        refuses a d that is not odd and fundamental."""
+        if L0.rank != 2 or not L0.is_negative_definite():
+            raise ValueError("even Clifford discriminant requires a negative definite "
+                             "binary lattice")
+        (g1, t), (_, g2) = L0.gram
+        return cls(L0, ImQField.from_discriminant(t * t - g1 * g2), discriminant_group(L0))
 
     def diff(self, m):
         """Diff(m), computed once per m."""

@@ -52,8 +52,8 @@ class LogLinear(namedtuple("LogLinear", "rational logs specials",
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             return LogLinear(self.rational + other, self.logs, self.specials)
-        return LogLinear(self.rational + other.rational, _merge(self.logs, other.logs, 1),
-                         _merge(self.specials, other.specials, 1))
+        return LogLinear(self.rational + other.rational, _merge(self.logs, other.logs),
+                         _merge(self.specials, other.specials))
 
     __radd__ = __add__
 
@@ -62,13 +62,10 @@ class LogLinear(namedtuple("LogLinear", "rational logs specials",
                          tuple((s, -c) for s, c in self.specials))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LogLinear(self.rational - other, self.logs, self.specials)
-        return LogLinear(self.rational - other.rational, _merge(self.logs, other.logs, -1),
-                         _merge(self.specials, other.specials, -1))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return LogLinear.make(other) + (-self)
+        return -self + other
 
     def __mul__(self, c):
         if not isinstance(c, (int, Fraction)):
@@ -123,15 +120,15 @@ class LogLinear(namedtuple("LogLinear", "rational logs specials",
         return "LogLinear(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _merge(xs, ys, sign):
-    """The sorted, zero-free (key, coefficient) tuple of xs + sign * ys,
-    sign 1 or -1, for xs and ys already sorted and zero-free."""
+def _merge(xs, ys):
+    """The sorted, zero-free (key, coefficient) tuple of xs + ys, for xs
+    and ys already sorted and zero-free."""
     out = []
     i = j = 0
     while i < len(xs) and j < len(ys):
         (k, a), (l, b) = xs[i], ys[j]
         if k == l:
-            c = a + b if sign > 0 else a - b
+            c = a + b
             if c:
                 out.append((k, c))
             i += 1
@@ -140,11 +137,9 @@ def _merge(xs, ys, sign):
             out.append(xs[i])
             i += 1
         else:
-            out.append((l, b if sign > 0 else -b))
+            out.append(ys[j])
             j += 1
-    out += xs[i:]
-    out += ys[j:] if sign > 0 else ((l, -b) for l, b in ys[j:])
-    return tuple(out)
+    return (*out, *xs[i:], *ys[j:])
 
 
 def kronecker_symbol(a, n):
@@ -215,9 +210,9 @@ class ImQField(namedtuple("ImQField", "d h w")):
     def from_discriminant(cls, d):
         d = int(d)
         if d >= 0 or d % 2 == 0:
-            raise ValueError("discriminant must be negative and odd")
+            raise ValueError(f"discriminant must be negative and odd, got {d}")
         if not is_fundamental_discriminant(d):
-            raise ValueError("discriminant must be fundamental (odd case: squarefree, 1 mod 4)")
+            raise ValueError(f"discriminant must be fundamental (squarefree, 1 mod 4), got {d}")
         h = len(reduced_forms(d))
         w = 6 if d == -3 else 2
         return cls(d, h, w)
@@ -410,12 +405,11 @@ def L_chi(K: ImQField, s, dps=30):
 
 
 @functools.lru_cache(maxsize=None)
-def _lderiv_cached(d, dps):
+def _lderiv_cached(K: ImQField, L0: Fraction, dps):
+    """L'(chi, 0) and L'/L(chi, 0) of K, given the exact L(chi, 0) = L0."""
     import mpmath
 
-    K = ImQField.from_discriminant(d)
-    q = -d
-    L0 = L_chi_exact_at_0(K)
+    q = -K.d
     with mpmath.workdps(2 * dps + 10):
         # L'(chi,0) = sum chi(a) logGamma(a/q) - log(q) L(chi,0)
         acc = mpmath.mpf(0)
@@ -433,7 +427,7 @@ def L_derivative_data(K: ImQField, dps=30):
     L0 = L_chi_exact_at_0(K)
     if L0 != Fraction(2 * K.h, K.w):
         raise InvariantError(f"character sum L(chi, 0) = {L0} disagrees with 2h/w")
-    lp, ratio = _lderiv_cached(K.d, dps)
+    lp, ratio = _lderiv_cached(K, L0, dps)
     return {"L_at_0": L0, "Lprime_at_0": lp, "Lprime_over_L": ratio}
 
 

@@ -47,6 +47,7 @@ from math import gcd, isqrt, lcm
 
 from .linalg import (
     HermiteSolver,
+    _scale_to_int,
     identity_matrix,
     inverse_fraction,
     mat_mul,
@@ -151,12 +152,7 @@ class QuadLattice:
     def level(self):
         """Smallest N with N * Q(mu) integral for every dual vector mu,
         read off the discriminant group's generator table."""
-        return self.disc_group().level
-
-    def disc_group(self):
-        if self._disc_group is None:
-            self._disc_group = DiscriminantGroup(self)
-        return self._disc_group
+        return discriminant_group(self).level
 
 
 class Coset(namedtuple("Coset", "group coords")):
@@ -333,8 +329,11 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lattice: QuadLattice) -> DiscriminantGroup:
-    """L^vee / L with its torsion quadratic form."""
-    return lattice.disc_group()
+    """L^vee / L with its torsion quadratic form, built once per lattice and
+    kept in lattice._disc_group."""
+    if lattice._disc_group is None:
+        lattice._disc_group = DiscriminantGroup(lattice)
+    return lattice._disc_group
 
 
 def is_maximal(lattice: QuadLattice) -> bool:
@@ -343,7 +342,7 @@ def is_maximal(lattice: QuadLattice) -> bool:
     L + Zx is integral exactly when x lies in L^vee and Q(x) is integral,
     so maximality amounts to anisotropy of the discriminant form.
     """
-    group = lattice.disc_group()
+    group = discriminant_group(lattice)
     for mu in group.elements():
         if not mu.is_zero() and group.q_map(mu) == 0:
             return False
@@ -407,7 +406,7 @@ def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     if mu.group.lattice.gram != L.gram:
         raise ValueError("coset of another lattice than the embedding's ambient one")
     n, S, C = L.rank, emb.sub_basis, emb.complement_basis
-    disc0, discc = emb.sub.disc_group(), emb.complement.disc_group()
+    disc0, discc = discriminant_group(emb.sub), discriminant_group(emb.complement)
     k0 = [sum(a * g[i] for a, g in zip(mu.coords, mu.group._dual_gens)) for i in range(n)]
     seen = set()
     for t in itertools.product(*map(range, _glue_pivots(S, C))):
@@ -493,14 +492,12 @@ def _short_vectors(gram, shift, bound, exact):
     """(t, norm) for every x = shift + t with norm = e^2 D x^T gram x <=
     2 e^2 D bound, or == when exact: the Fraction front end of _search,
     which runs over y = e x = c + e t with A = D gram integral."""
-    D = lcm(*(x.denominator for row in gram for x in row))
-    e = lcm(*(Fraction(x).denominator for x in shift))
-    A = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in gram)
-    c = [int(Fraction(x) * e) for x in shift]
+    A, D = _scale_to_int(gram)
+    (c,), e = _scale_to_int([shift])
     target = 2 * D * e * e * Fraction(bound)
     if target < 0 or (exact and target.denominator != 1):
         return []
-    return _search(A, c, e, target.numerator // target.denominator, exact)
+    return _search(tuple(map(tuple, A)), c, e, target.numerator // target.denominator, exact)
 
 
 def _search(A, c, e, N, exact):
@@ -567,9 +564,6 @@ def _search(A, c, e, N, exact):
     return out
 
 
-CliffordDiscriminant = namedtuple("CliffordDiscriminant", "value is_fundamental is_odd")
-
-
 FACTOR_TRIAL_BOUND = 10 ** 6
 
 
@@ -609,14 +603,3 @@ def is_fundamental_discriminant(d: int) -> bool:
         return False
     return all(e == 1 for _, e in factorization(core))
 
-
-def even_clifford_binary(lattice: QuadLattice) -> CliffordDiscriminant:
-    """Discriminant of the even Clifford order Z[e1 e2] of a negative
-    definite binary lattice: (e1 e2)^2 = [e1,e2] e1e2 - Q(e1) Q(e2)."""
-    if lattice.rank != 2 or not lattice.is_negative_definite():
-        raise ValueError("even Clifford discriminant requires a negative definite binary lattice")
-    b = lattice.gram[0][1]
-    q1 = lattice.gram[0][0] // 2
-    q2 = lattice.gram[1][1] // 2
-    d = b * b - 4 * q1 * q2
-    return CliffordDiscriminant(d, is_fundamental_discriminant(d), d % 2 != 0)

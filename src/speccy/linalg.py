@@ -179,28 +179,22 @@ class HermiteSolver:
     of b, from one row HNF of the rows (column j of A, e_j) (Cohen, GTM 138,
     2.4): its rows (0, x) are the HNF of the kernel {x : A x = 0}, saturated
     and canonical, and the others, (A x, x), an echelon basis of the column
-    lattice of A with preimages, so a solve reduces b as hnf_contains does."""
+    lattice of A with preimages, so a solve reduces (b, 0) against the
+    latter (_reduce) and reads -x off what is left."""
 
-    __slots__ = ("_echelon", "_kernel")
+    __slots__ = ("_image", "_kernel")
 
     def __init__(self, A):
         n = len(A)
         H = row_hnf([list(c) + e for c, e in zip(zip(*A), identity_matrix(len(A[0]) if n else 0))])
-        # (pivot column, column-lattice row, its preimage), in echelon order
-        self._echelon = [(next(c for c, x in enumerate(row) if x), row[:n], row[n:])
-                         for row in H if any(row[:n])]
+        self._image = [row for row in H if any(row[:n])]
         self._kernel = [row[n:] for row in H if not any(row[:n])]
 
     def solve(self, b):
         """One integer solution x of A x = b, or None if none exists."""
-        w, x = list(b), [0] * (len(self._echelon) + len(self._kernel))
-        for c, a, pre in self._echelon:
-            q, r = divmod(w[c], a[c])
-            if r:
-                return None
-            w = [u - q * v for u, v in zip(w, a)]
-            x = [u + q * v for u, v in zip(x, pre)]
-        return None if any(w) else x
+        n = len(b)
+        w = _reduce(list(b) + [0] * (len(self._image) + len(self._kernel)), self._image)
+        return None if w is None or any(w[:n]) else [-u for u in w[n:]]
 
     def kernel(self):
         """The HNF basis of {x in Z^m : A x = 0}, as a list of vectors."""
@@ -255,14 +249,22 @@ def hnf_contains(form, v):
         if r:
             return False
         w.append(q)
-    for row in H:
+    w = _reduce(w, H)
+    return w is not None and not any(w)
+
+
+def _reduce(w, rows):
+    """The integer vector w minus the multiples of the rows of a row
+    echelon form that clear it at their pivots, one pivot at a time, or
+    None when a pivot does not divide the entry it is to clear."""
+    for row in rows:
         c = next(i for i, h in enumerate(row) if h)
         q, r = divmod(w[c], row[c])
         if r:
-            return False
+            return None
         if q:
             w = [a - q * h for a, h in zip(w, row)]
-    return not any(w)
+    return w
 
 
 def hnf_intersection(form1, form2):

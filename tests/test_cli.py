@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from speccy import cm
+from speccy import cm, imq
 from speccy.cli import run
 from speccy.lattice import QuadLattice
 
@@ -190,6 +190,18 @@ class TestChowla:
         assert code == 1
         assert err.startswith("error: --disc: not allowed with argument --lattice")
 
+    def test_builds_its_field_and_sums_L_at_0_once(self, monkeypatch):
+        # L_derivative_data checks the character sum against 2h/w and hands
+        # the checked value, with the field, to the L' cache
+        imq._lderiv_cached.cache_clear()
+        calls = []
+        field, char_sum = imq.ImQField.from_discriminant.__func__, imq.L_chi_exact_at_0
+        monkeypatch.setattr(imq.ImQField, "from_discriminant",
+                            classmethod(lambda cls, d: calls.append("field") or field(cls, d)))
+        monkeypatch.setattr(imq, "L_chi_exact_at_0", lambda K: calls.append("sum") or char_sum(K))
+        assert capture(["chowla", "--disc", "-23"])[0] == 0
+        assert sorted(calls) == ["field", "sum"]
+
     def test_one_cpu_prints_the_same_bytes(self, monkeypatch):
         # the Lambda values are shared over the CPUs of the affinity mask
         argv = ["--precision", "15", "chowla", "--disc", "-103"]
@@ -331,6 +343,7 @@ class TestBadInput:
         "l0_d7_skew": {"gram": block_sum([[-2, -1], [-1, -4]],
                                          [[2, 2 ** 41], [2 ** 41, 2 ** 81 + 2]])},
         "sub4": {"basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+        "l0_d27": {"gram": [[-2, -1], [-1, -14]]},  # d = -27, odd but not fundamental
     }
 
     @pytest.mark.parametrize("argv,message", [
@@ -368,6 +381,8 @@ class TestBadInput:
         (["verify", "--lattice", "{l0_d7_huge}", "--sub", "{sub4}"],
          f"--lattice: the discriminant group has {7 * (2 ** 102 + 3)} cosets, "
          "over the listing bound of 1000000"),
+        (["eisenstein", "--lattice", "{l0_d27}"],
+         "--lattice: discriminant must be fundamental (squarefree, 1 mod 4), got -27"),
     ])
     def test_refused_input_names_its_flag(self, files, tmp_path, capsys, argv, message):
         for name, blob in self.INPUTS.items():

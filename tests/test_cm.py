@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speccy import cm
+from speccy import cm, eisenstein
 from speccy.cm import (
     QuaternionAlgebra,
     QuaternionOrder,
@@ -448,6 +448,32 @@ class TestOracle:
                 assert bf.weighted_count == fm.weighted_count, (d, m, mu)
                 checked += 1
         assert checked > 30
+
+    def test_independent_of_the_local_record(self, monkeypatch):
+        # a_plus and degree_formula read one record; a fault in it (rho + 1
+        # wherever it is not None) must move the formula and not the
+        # quaternion count.  cm binds _local_record at import, so both
+        # names are patched.
+        real = eisenstein._local_record
+
+        def faulted(pkg, m, mu):
+            record = real(pkg, m, mu)
+            if record is None:
+                return None
+            p, r, length, s = record
+            return p, r + 1, length, s
+
+        def weighted_counts(pkg):
+            mu = pkg.disc0.zero()
+            return (degree_bruteforce(pkg, 1, mu).weighted_count,
+                    degree_formula(pkg, 1, mu).weighted_count)
+
+        for d in (-7, -11):
+            with monkeypatch.context() as patch:
+                patch.setattr(eisenstein, "_local_record", faulted)
+                patch.setattr(cm, "_local_record", faulted)
+                assert weighted_counts(PKGS[d]) == (1, 2), d
+            assert weighted_counts(PKGS[d]) == (1, 1), d
 
     def test_pinned_output(self):
         # (count, weighted count) of every admissible (m, mu), m <= 10, on

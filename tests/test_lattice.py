@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speccy.eisenstein import EisensteinPackage
 from speccy.lattice import (
     Coset,
     InvariantError,
@@ -19,7 +20,6 @@ from speccy.lattice import (
     count_coset_vectors,
     discriminant_group,
     enumerate_coset_vectors,
-    even_clifford_binary,
     glue_cosets,
     is_fundamental_discriminant,
     is_maximal,
@@ -727,7 +727,26 @@ class TestInvariants:
         assert glue_cosets(emb, zero) == glue_cosets(emb, zero) != []
 
 
+def binary_grams(bound):
+    """Every negative definite binary Gram [[-2a, -b], [-b, -2c]] of a reduced
+    form (a, b, c), |b| <= a <= c, with 0 < 4ac - b^2 <= bound, primitive or
+    not, each also in the skewed basis (e2 + k e1, e1), k = 1, 2 or 3."""
+    for a in range(1, isqrt(bound // 3) + 1):
+        for b in range(-a, a + 1):
+            c = a
+            while 4 * a * c - b * b <= bound:
+                g1, t, g2 = -2 * a, -b, -2 * c
+                k = 1 + (a + c) % 3
+                yield [[g1, t], [t, g2]]
+                yield [[g2 + 2 * k * t + k * k * g1, t + k * g1], [t + k * g1, g1]]
+                c += 1
+
+
 class TestCliffordDiscriminant:
+    """The field of L0 comes from its even Clifford order, through
+    EisensteinPackage.from_lattice, whose only admissibility test is
+    ImQField.from_discriminant."""
+
     def clifford_square(self, lat):
         """Oracle: multiply e1 e2 e1 e2 in the rank-4 Clifford algebra with
         basis (1, e1, e2, e1e2) and read off trace and norm of w = e1 e2."""
@@ -738,27 +757,48 @@ class TestCliffordDiscriminant:
         trace, norm = b, q1 * q2
         return trace * trace - 4 * norm
 
+    def refusal(self, lat):
+        with pytest.raises(ValueError) as info:
+            EisensteinPackage.from_lattice(lat)
+        return str(info.value)
+
     def test_d7(self):
-        res = even_clifford_binary(L0_D7)
-        assert res.value == -7
-        assert res.value == self.clifford_square(L0_D7)
-        assert res.is_fundamental and res.is_odd
+        assert EisensteinPackage.from_lattice(L0_D7).K.d == -7 == self.clifford_square(L0_D7)
+
+    def assert_refused(self, gram, d):
+        lat = QuadLattice(gram)
+        assert self.clifford_square(lat) == d
+        assert str(d) in self.refusal(lat).split()
 
     def test_d4(self):
-        lat = QuadLattice([[-2, 0], [0, -2]])
-        res = even_clifford_binary(lat)
-        assert res.value == -4 == self.clifford_square(lat)
-        assert res.is_fundamental and not res.is_odd
+        self.assert_refused([[-2, 0], [0, -2]], -4)
 
     def test_d12(self):
-        lat = QuadLattice([[-4, -2], [-2, -4]])
-        res = even_clifford_binary(lat)
-        assert res.value == -12 == self.clifford_square(lat)
-        assert not res.is_fundamental
+        self.assert_refused([[-4, -2], [-2, -4]], -12)
+
+    def test_d27(self):
+        self.assert_refused([[-2, -1], [-1, -14]], -27)
 
     def test_requires_negative_definite(self):
-        with pytest.raises(ValueError):
-            even_clifford_binary(A2)
+        for lat in (A2, A1, QuadLattice([[-2, 0, 0], [0, -2, 0], [0, 0, -2]]), U_HYP):
+            assert self.refusal(lat) == ("even Clifford discriminant requires a negative "
+                                         "definite binary lattice")
+
+    def test_sweep_of_binary_grams(self):
+        """Every negative definite binary Gram with |d| <= 200, reduced and
+        skewed: an odd fundamental d gives the field of discriminant d, and
+        every other d is refused by a message that names it."""
+        seen = set()
+        for gram in binary_grams(200):
+            lat = QuadLattice(gram)
+            d = self.clifford_square(lat)
+            assert lat.is_negative_definite() and -200 <= d < 0
+            seen.add(d)
+            if d % 4 == 1 and all(e == 1 for e in sympy.factorint(-d).values()):
+                assert EisensteinPackage.from_lattice(lat).K.d == d
+            else:
+                assert str(d) in self.refusal(lat).split()
+        assert seen == {d for d in range(-200, 0) if d % 4 in (0, 1)}
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(-10 ** 6, 10 ** 6))

@@ -95,7 +95,7 @@ class TestLambda:
         cb = glued_ctx.emb.complement_basis
         # Lambda^vee vectors lying in L and of norm 1: sweep dual cosets
         count = 0
-        for mu2 in comp.disc_group().elements():
+        for mu2 in discriminant_group(comp).elements():
             for x in enumerate_coset_vectors(comp, mu2, 1):
                 amb = [sum(Fraction(cb[i][j]) * x[j] for j in range(comp.rank))
                        for i in range(L.rank)]

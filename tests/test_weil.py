@@ -336,10 +336,10 @@ class TestGroupMismatch:
         script = (
             "assert False, 'python -O is not in effect'\n"
             "from speccy import cyclotomic\n"
-            "from speccy.lattice import InvariantError, QuadLattice\n"
+            "from speccy.lattice import InvariantError, QuadLattice, discriminant_group\n"
             "from speccy.weil import WeilRep\n"
             "def rep(gram):\n"
-            "    return WeilRep(QuadLattice(gram).disc_group())\n"
+            "    return WeilRep(discriminant_group(QuadLattice(gram)))\n"
             "pairs = [(rep([[2]]).omega_T(), rep([[2, 1], [1, 2]]).omega_T()),\n"
             "         (rep([[2, 0], [0, 2]]).omega_S(), rep([[4]]).omega_T()),\n"
             "         (rep([[2, 1], [1, 2]]).omega_T(), rep([[-2, -1], [-1, -2]]).omega_T())]\n"
