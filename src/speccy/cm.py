@@ -10,7 +10,7 @@ infinity.  The prime-above-p bookkeeping cancels in the degree: the
 length of each point is ord_p(pm) log p / log N(P), and the degree sums
 length * log N(P) over points weighted by 1/#Aut.
 
-Every quaternion lattice the oracle builds (orders, closure rounds,
+Every quaternion lattice the oracle builds (orders, their products O * O,
 iota(a) O and iota(d^-1 a) O^-) is held in one canonical integer form
 (H, den) (linalg.lattice_hnf): H the integer row HNF and den the least
 denominator.  Two lattices are equal exactly when their forms are,
@@ -21,7 +21,8 @@ products, trd and nrd run on the integer rows: the algebra models
 saturate_to_maximal enlarges Z<1, theta, j, j theta> by one explicit
 element per prime l of the (squarefree) defect |d| q / p: (1 + s j) theta
 / l, s^2 = -1/q (mod l), of Gross and Zagier (On singular moduli, 1985)
-at l | d, and j (u + theta) / l, l | N(u + theta), at l | q.
+at l | d, and j (u + theta) / l, l | N(u + theta), at l | q.  Since
+[O + Z x : O] = l, O + Z x is closed or the step fails its check (below).
 
 The oracle's per-field work is done once per frame (_coset_frame, keyed
 on p, d, the algebra model and the Gram of L0), on integers: the maximal
@@ -55,8 +56,6 @@ from .linalg import (
     transpose,
 )
 
-# rounds of _closure before a growing closure is given up on
-_CLOSURE_ROUNDS = 16
 # candidates q (or q / p) tried for an algebra model (d, -q) of B_{p, inf}
 _MODEL_SEARCH = 2000
 # Most values of the outer coordinate the oracle's rank-2 shell search may
@@ -124,21 +123,16 @@ class QuaternionOrder:
     the length of H, 1 in O is one reduction against H, and O * O = O
     leaves the form unchanged when the products are adjoined.  Products,
     trd and nrd run on ints, so the algebra's a and b must be integers; a
-    model with a non-integral one is refused by name.  closed=True takes
-    (basis, den) as a canonical form that _closure returned, so neither
-    the form nor the closure is computed again."""
+    model with a non-integral one is refused by name."""
 
-    def __init__(self, algebra: QuaternionAlgebra, basis, den=1, closed=False):
+    def __init__(self, algebra: QuaternionAlgebra, basis, den=1):
         if not all(isinstance(x, int) for x in algebra):
             raise ValueError(f"orders need an algebra with integral a and b, "
                              f"not ({algebra.a}, {algebra.b})")
         self.algebra = algebra
-        if closed:
-            self.rows, self.den = self.hnf = basis, den
-        else:
-            self.rows, scale = _scale_to_int(basis)
-            self.den = den * scale
-            self.hnf = lattice_hnf(self.rows, self.den)
+        self.rows, scale = _scale_to_int(basis)
+        self.den = den * scale
+        self.hnf = lattice_hnf(self.rows, self.den)
         if len(self.rows) != 4 or len(self.hnf[0]) != 4:
             raise ValueError("order basis must have rank 4")
         if not self.contains((1, 0, 0, 0)):
@@ -146,7 +140,7 @@ class QuaternionOrder:
         den, den2 = self.den, self.den * self.den
         if any(algebra.trd(row) % den or algebra.nrd(row) % den2 for row in self.rows):
             raise ValueError("order basis must be integral")
-        if not closed and _closure_step(algebra, self.hnf) != self.hnf:
+        if _closure_step(algebra, self.hnf) != self.hnf:
             raise ValueError("order basis is not multiplicatively closed")
 
     def contains(self, x):
@@ -175,19 +169,6 @@ def _closure_step(alg: QuaternionAlgebra, form):
     H, den = form
     return lattice_hnf([[x * den for x in row] for row in H]
                        + [alg.mul(x, y) for x in H for y in H], den * den)
-
-
-def _closure(alg: QuaternionAlgebra, rows, den):
-    """Smallest multiplicatively closed lattice containing the integer rows
-    over den, as its canonical form: the fixed point of L -> L + L * L.
-    One still growing after _CLOSURE_ROUNDS rounds is an InvariantError."""
-    form = lattice_hnf(rows, den)
-    for _ in range(_CLOSURE_ROUNDS):
-        grown = _closure_step(alg, form)
-        if grown == form:
-            return form
-        form = grown
-    raise InvariantError("multiplicative closure does not stabilize")
 
 
 def _starting_rows(alg: QuaternionAlgebra):
@@ -222,9 +203,13 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: 
     """Enlarge the starting order Z<1, theta, j, j theta> of the model
     (d, -q) to a maximal one, of the reduced discriminant target that the
     model search certified: at each prime l of the discriminant defect, in
-    increasing order, adjoin _defect_element and close.  Each step must
-    lower the discriminant by exactly l (else InvariantError); a defect
-    that is not squarefree (d even or not fundamental) is a ValueError."""
+    increasing order, adjoin x = _defect_element.  l x is in O and x is
+    not, so [O + Z x : O] = l, and a closure past O + Z x would lower the
+    discriminant by l k, k >= 2: O + Z x is the next order, and its
+    constructor the one closure check.  A step it refuses, or one that
+    does not lower the discriminant by exactly l, is an InvariantError
+    naming l; a defect that is not squarefree (d even or not fundamental)
+    is a ValueError."""
     disc = order.reduced_discriminant()
     if disc % target:
         raise InvariantError(f"discriminant {disc} is not a multiple of {target}")
@@ -235,7 +220,10 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: 
         den = math.lcm(order.den, xden)
         rows = [[v * (den // order.den) for v in row] for row in order.rows]
         rows.append([v * (den // xden) for v in x])
-        order = QuaternionOrder(alg, *_closure(alg, rows, den), closed=True)
+        try:
+            order = QuaternionOrder(alg, *lattice_hnf(rows, den))
+        except ValueError as exc:
+            raise InvariantError(f"the step at l = {l} gave no order: {exc}") from None
         if order.reduced_discriminant() * l != disc:
             raise InvariantError(f"the step at l = {l} did not take {disc} to {disc // l}")
         disc //= l

@@ -61,6 +61,26 @@ def inverse_fraction(A):
 # Integer normal forms
 
 
+def _clear_below(M, r, c, T=None):
+    """One Euclid step down column c from pivot row r: each row i > r with
+    M[i][c] != 0 loses q = M[i][c] // M[r][c] times row r, and when a
+    remainder is left, rows r and i swap; T, if given, takes the same row
+    steps.  True if a swap happened (the pivot shrank, so repeat)."""
+    moved = False
+    for i in range(r + 1, len(M)):
+        if M[i][c] != 0:
+            q = M[i][c] // M[r][c]
+            M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+            if T is not None:
+                T[i] = [a - q * b for a, b in zip(T[i], T[r])]
+            if M[i][c] != 0:
+                M[r], M[i] = M[i], M[r]
+                if T is not None:
+                    T[r], T[i] = T[i], T[r]
+                moved = True
+    return moved
+
+
 def row_hnf(rows):
     """Row Hermite normal form of the lattice spanned by the given rows.
 
@@ -70,23 +90,14 @@ def row_hnf(rows):
     M = [list(r) for r in rows]
     if not M:
         return []
-    ncols = len(M[0])
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(M)):
-            if M[i][c] != 0:
-                piv = i
-                break
+    for c in range(len(M[0])):
+        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        # clear below by gcd steps
-        for i in range(r + 1, len(M)):
-            while M[i][c] != 0:
-                q = M[r][c] // M[i][c]
-                M[r] = [a - q * b for a, b in zip(M[r], M[i])]
-                M[r], M[i] = M[i], M[r]
+        while _clear_below(M, r, c):
+            pass
         if M[r][c] < 0:
             M[r] = [-a for a in M[r]]
         for i in range(r):
@@ -94,58 +105,22 @@ def row_hnf(rows):
             if q:
                 M[i] = [a - q * b for a, b in zip(M[i], M[r])]
         r += 1
-    return [row for row in M[:r]]
+    return M[:r]
 
 
 def snf_with_transforms(A):
     """Smith normal form with transforms: returns (U, V, D) with U A V = D.
 
     U, V unimodular; D diagonal with d1 | d2 | ... (nonnegative).  Euclid
-    steps with no size control; only DiscriminantGroup calls it.
+    steps (_clear_below) with no size control; only DiscriminantGroup
+    calls it.  The row pass runs on (D, U); the column pass is the same
+    step on the transposes (D^T, V^T), and V is read back off V^T.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     D = [list(r) for r in A]
     U = identity_matrix(n)
-    V = identity_matrix(m)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D + V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in D + V:
-            row[dst] += q * row[src]
-
-    # Euclid down column t / along row t; True if a remainder became the pivot
-    def clear_column(t):
-        moved = False
-        for i in range(t + 1, n):
-            if D[i][t] != 0:
-                add_row(i, t, -(D[i][t] // D[t][t]))
-                if D[i][t] != 0:
-                    swap_rows(t, i)
-                    moved = True
-        return moved
-
-    def clear_row(t):
-        moved = False
-        for j in range(t + 1, m):
-            if D[t][j] != 0:
-                add_col(j, t, -(D[t][j] // D[t][t]))
-                if D[t][j] != 0:
-                    swap_cols(t, j)
-                    moved = True
-        return moved
-
+    Vt = identity_matrix(m)
     t = 0
     while t < min(n, m):
         # pivot: the first smallest nonzero |entry| of the remaining block
@@ -153,25 +128,39 @@ def snf_with_transforms(A):
                    if D[i][j] != 0), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[1])
-        swap_cols(t, piv[2])
-        # | not or: both passes run on every round
-        while clear_column(t) | clear_row(t):
-            pass
+        _, i, j = piv
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+        for row in D:
+            row[t], row[j] = row[j], row[t]
+        Vt[t], Vt[j] = Vt[j], Vt[t]
+        # rows then columns, until a round of both moves no pivot
+        moved = True
+        while moved:
+            moved = _clear_below(D, t, t, U)
+            D = transpose(D)
+            moved |= _clear_below(D, t, t, Vt)
+            D = transpose(D)
         # divisibility fix-up: d_t must divide every later entry; if one
-        # does not, add its row to row t, clear, and redo this pivot
+        # does not, add its row to row t, clear columns then rows, and redo
+        # this pivot
         bad = next((i for i in range(t + 1, n) for j in range(t + 1, m)
                     if D[i][j] % D[t][t] != 0), None)
         if bad is not None:
-            add_row(t, bad, 1)
-            while clear_row(t) | clear_column(t):
-                pass
+            D[t] = [a + b for a, b in zip(D[t], D[bad])]
+            U[t] = [a + b for a, b in zip(U[t], U[bad])]
+            moved = True
+            while moved:
+                D = transpose(D)
+                moved = _clear_below(D, t, t, Vt)
+                D = transpose(D)
+                moved |= _clear_below(D, t, t, U)
             continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return U, V, D
+    return U, transpose(Vt), D
 
 
 class HermiteSolver:

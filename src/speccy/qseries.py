@@ -130,8 +130,8 @@ def theta_series(lattice: QuadLattice, cutoff) -> VVFormQ:
 
     Computed by one exact sweep over the dual vectors of norm <= cutoff,
     histogrammed by norm and coset.  A negative cutoff, or one the
-    search's size guard refuses, is an InputRefusal of "bound"; a Gram
-    its conditioning guard refuses, one of "lattice".
+    search's size guard or sweep budget refuses, is an InputRefusal of
+    "bound"; a Gram its conditioning guard refuses, one of "lattice".
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:

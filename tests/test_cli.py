@@ -448,6 +448,26 @@ class TestBadInput:
         assert err.startswith("error: --pp: 7 cosets up to 20000") and "budget" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag", [
+        (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp", '{{"200,0":1}}'], "--pp"),
+        (["theta", "--lattice", "{e8}", "--cutoff", "200"], "--cutoff"),
+    ])
+    def test_sweep_past_the_budget(self, tmp_path, capsys, command, flag):
+        # the E8 ball to Q = 200 holds about 10^11 points by the volume
+        # estimate, over lattice.SWEEP_BUDGET: refused before the sweep
+        # starts, by the flag that set the bound (verify's 7 x 201 a+
+        # evaluations are within their own budget)
+        from test_qseries import E8
+        e8 = tmp_path / "e8.json"
+        e8.write_text(json.dumps({"gram": E8.gram}))
+        l_e8, sub_e8 = l0_d7_e8(tmp_path)
+        start = time.perf_counter()
+        code, err = error_of([a.format(l_e8=l_e8, sub_e8=sub_e8, e8=e8) for a in command], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert err == (f"error: {flag}: enumeration input too ill-conditioned "
+                       "or too large to search\n")
+
     def test_fault_target_beyond_every_row(self, tmp_path, capsys):
         # on L0(-7)+E8 with principal part q^-1 at the zero coset, no row
         # reads a+ at m = 2, so the table stops before it and has no target

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,14 +264,13 @@ class TestMaximalOrders:
         # defect |d| q / p after another in increasing order, and the
         # result is maximal by the certificate |det trace_gram| = p^2,
         # whose entries go through quaternion products over Fractions
-        closures = []
-        closure = cm._closure
+        steps = []
 
-        def recorded(alg, rows, den):
-            closures.append(closure(alg, rows, den))
-            return closures[-1]
+        def recorded(*args):
+            steps.append(QuaternionOrder(*args))
+            return steps[-1]
 
-        monkeypatch.setattr(cm, "_closure", recorded)
+        monkeypatch.setattr(cm, "QuaternionOrder", recorded)
         bound, models = (200, 3) if d in H1_FIELDS else (400, 4)
         for p in sympy.primerange(2, bound):
             if kronecker_symbol(d, p) == 1:
@@ -277,11 +278,9 @@ class TestMaximalOrders:
             for skip in range(models):
                 alg = _algebra_model(p, d, skip)
                 start = QuaternionOrder(alg, cm._starting_rows(alg), 2)
-                del closures[:]
+                del steps[:]
                 order = saturate_to_maximal(alg, start, p)
-                discs = [start.reduced_discriminant()] + [
-                    QuaternionOrder(alg, *form, closed=True).reduced_discriminant()
-                    for form in closures]
+                discs = [o.reduced_discriminant() for o in [start] + steps]
                 defect = [l for l, _ in factorization(discs[0] // p)]
                 assert [a // b for a, b in zip(discs, discs[1:])] == defect, (p, d, skip)
                 assert all(a == l * b for a, b, l in zip(discs, discs[1:], defect))
@@ -353,6 +352,37 @@ class TestMaximalOrders:
                 x = [sum(c[r] * cols[r][i] for r in range(4)) / l for i in range(4)]
                 assert order.contains(x) == (reference.member(cols, x) is not None)
                 assert order.contains(x) == all(cr % l == 0 for cr in c)
+
+
+class TestInvariants:
+    def test_non_order_step_is_named(self, monkeypatch):
+        # at p = 3, d = -7 the defect 7 q / 3 has l = 7 | d; j / 7 in place
+        # of its element has nrd q / 49, not integral, so O + Z j / 7 is no
+        # order
+        real = cm._defect_element
+        monkeypatch.setattr(cm, "_defect_element", lambda alg, l: (
+            ((0, 0, 1, 0), l) if alg.a % l == 0 else real(alg, l)))
+        alg = _algebra_model(3, -7, 0)
+        start = QuaternionOrder(alg, cm._starting_rows(alg), 2)
+        with pytest.raises(cm.InvariantError, match="the step at l = 7 gave no order"):
+            saturate_to_maximal(alg, start, 3)
+
+    def test_non_order_step_fires_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the step's order check must
+        # still raise, by name
+        script = (
+            "assert False, 'python -O is not in effect'\n"
+            "import speccy.cm as cm\n"
+            "real = cm._defect_element\n"
+            "cm._defect_element = lambda alg, l: ((0, 0, 1, 0), l) if alg.a % l == 0 else real(alg, l)\n"
+            "alg = cm._algebra_model(3, -7, 0)\n"
+            "cm.saturate_to_maximal(alg, cm.QuaternionOrder(alg, cm._starting_rows(alg), 2), 3)\n")
+        src = os.path.dirname(os.path.dirname(cm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "InvariantError: the step at l = 7 gave no order" in proc.stderr, proc.stderr
 
 
 class TestEmbedCM:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from speccy.eisenstein import EisensteinPackage
 from speccy.lattice import (
     Coset,
+    InputRefusal,
     InvariantError,
     QuadLattice,
     SublatticeEmbedding,
@@ -386,6 +387,20 @@ class TestEnumeration:
         for k in (2 ** 6, 2 ** 8):
             with pytest.raises(ValueError, match="too ill-conditioned or too large"):
                 ball_sweep(skewed_a4(k), [0] * 4, 3)
+
+    def test_sweep_budget(self, monkeypatch):
+        # the volume estimate puts about 5,300 points of E8 in Q <= 3 (9,121
+        # are returned) and 41,000 in Q <= 5: a budget of 10^4 admits the
+        # one sweep and refuses the other by its bound; an exact shell
+        # count is not budgeted
+        from test_qseries import E8
+        monkeypatch.setattr("speccy.lattice.SWEEP_BUDGET", 10 ** 4)
+        assert len(ball_sweep(E8.gram, [0] * 8, 3)) == 9121
+        with pytest.raises(InputRefusal, match="too ill-conditioned or too large") as info:
+            ball_sweep(E8.gram, [0] * 8, 5)
+        assert info.value.arg == "bound"
+        # r_E8(5) = 240 sigma_3(5)
+        assert count_coset_vectors(E8, discriminant_group(E8).zero(), 5) == 240 * 126
 
     @pytest.mark.parametrize("gram,bound,count,digest", [
         # E8, with the Gram of test_qseries, to Q <= 3

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import random
 import signal
@@ -28,6 +29,7 @@ from speccy.linalg import (
     symmetric_minors,
     transpose,
 )
+from speccy.imq import reduced_forms
 from speccy.lattice import QuadLattice
 
 import fraction_reference as reference
@@ -55,7 +57,8 @@ def time_limit(seconds):
 
 def smith_kernel(A):
     """A basis of {x : A x = 0} read off the Smith form U A V = D: the
-    columns of V past the rank, a route independent of the Hermite core."""
+    columns of V past the rank.  The Smith form shares its Euclid step
+    (linalg._clear_below) with the Hermite core, not its route."""
     U, V, D = snf_with_transforms(A)
     rank = sum(1 for t in range(min(len(A), len(A[0]))) if D[t][t])
     return [list(col) for col in zip(*V)][rank:]
@@ -105,6 +108,32 @@ class TestSNF:
         A = [[2, 0], [0, 4]]
         _, _, D = snf_with_transforms(A)
         assert [D[0][0], D[1][1]] == [2, 4]
+
+
+    def test_transforms_are_pinned(self):
+        # U and V fix the generators of every DiscriminantGroup, and so
+        # every coset label: a change to them (ROADMAP item 5, a bounded
+        # Smith form) must be made knowingly.  The Grams: L0(d) + E8, E8
+        # and the principal L0(d); then 300 seeded small matrices
+        from test_qseries import E8
+        e8 = [list(row) for row in E8.gram]
+
+        def l0(d):
+            a, b, c = reduced_forms(d)[0]
+            return [[-2 * a, -b], [-b, -2 * c]]
+
+        grams = ([[row + [0] * 8 for row in l0(d)] + [[0, 0] + row for row in e8]
+                  for d in (-3, -7, -11, -23)]
+                 + [e8] + [l0(d) for d in (-3, -7, -11, -19, -43)])
+        rng = random.Random(0)
+        small = [rand_matrix(rng, n, m, -9, 9)
+                 for n, m in ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300))]
+        pins = {"986bf6123a071dc5f99cd2cd25d863677892d8f9208a94a1ce219a3f973c67e7": grams,
+                "0ab010360fbc3c3b203c37d4fe8066f98ab28f016cd880f98b09156ce470ddee": small}
+        with time_limit(1):
+            for digest, cases in pins.items():
+                got = repr([snf_with_transforms(A) for A in cases])
+                assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 class TestHNF:
