@@ -23,7 +23,6 @@ from .lattice import InvariantError, discriminant_group
 from .pullback import EmbeddingContext, verify_ledger
 from .qseries import theta_series
 from .serialize import (
-    coset_label,
     frac_str,
     load_json,
     load_lattice,
@@ -49,14 +48,28 @@ class _Parser(argparse.ArgumentParser):
                          f"{self.format_usage().rstrip()}")
 
 
-def default_precision():
-    text = os.environ.get("SPECCY_PRECISION", "30")
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InputError(f"SPECCY_PRECISION: {text!r} is not an integer of at least 1")
+# Most working digits the CLI serves: chowla at d = -23 took 9 s at 200 and
+# did not finish d = -7 within 120 s at 1,000 (2-core x86, Python 3.11.7).
+MAX_PRECISION = 200
+
+
+def _precision(flag):
+    """The working digits: the --precision value flag, else SPECCY_PRECISION,
+    else 30.  A value under 1 or over MAX_PRECISION is an InputError naming
+    its source, raised before any work starts."""
+    source, value = "--precision", flag
+    if flag is None:
+        source, text = "SPECCY_PRECISION", os.environ.get("SPECCY_PRECISION", "30")
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise InputError(f"SPECCY_PRECISION: {text!r} is not an integer of at least 1")
+    elif value < 1:
+        raise InputError(f"--precision must be at least 1, got {value}")
+    if value > MAX_PRECISION:
+        raise InputError(f"{source}: {value} digits is over the bound of {MAX_PRECISION}")
     return value
 
 
@@ -87,7 +100,6 @@ def _flagged(flag, fn, *args, **flags):
 def cmd_disc(args):
     lat = _flagged("--lattice", load_lattice, args.lattice)
     group = _flagged("--lattice", discriminant_group, lat)
-    cosets = list(_flagged("--lattice", group.elements))
     payload = {
         "lattice": args.lattice,
         "rank": lat.rank,
@@ -98,11 +110,11 @@ def cmd_disc(args):
         "cosets": [
             {"index": i, "coords": list(c.coords),
              "q": frac_str(group.q_map(c)), "order": c.order()}
-            for i, c in enumerate(cosets)
+            for i, c in enumerate(_flagged("--lattice", group.elements))
         ],
     }
-    rows = [[i, coset_label(c), frac_str(group.q_map(c)), c.order()]
-            for i, c in enumerate(cosets)]
+    rows = [[c["index"], ",".join(map(str, c["coords"])), c["q"], c["order"]]
+            for c in payload["cosets"]]
     _emit(args, payload, rows, ["index", "coords", "q", "order"])
     return 0
 
@@ -111,9 +123,10 @@ def cmd_theta(args):
     lat = _flagged("--lattice", load_lattice, args.lattice)
     cutoff = parse_frac(args.cutoff, "--cutoff")
     th = _flagged("--lattice", theta_series, lat, cutoff, bound="--cutoff")
-    payload = {"lattice": args.lattice, "theta": _flagged("--lattice", qexp_json, th)}
-    rows = [[frac_str(m)] + [str(v) for v in vec] for m, vec in th.rows()]
-    header = ["exponent"] + [coset_label(c) or "0" for c in th.group.elements()]
+    qexp = _flagged("--lattice", qexp_json, th)
+    payload = {"lattice": args.lattice, "theta": qexp}
+    rows = [[c["exponent"], *c["vector"]] for c in qexp["coefficients"]]
+    header = ["exponent"] + [",".join(map(str, c)) or "0" for c in qexp["coset_order"]]
     _emit(args, payload, rows, header)
     return 0
 
@@ -153,8 +166,8 @@ def cmd_degrees(args):
             "degree": loglinear_json(res.degree, K, dps),
         },
     }
-    rows_entry = [frac_str(m), args.mu, frac_str(res.weighted_count),
-                  json.dumps(res.degree.to_json()["logs"])]
+    rows_entry = [payload["m"], args.mu, payload["formula"]["weighted_count"],
+                  json.dumps(payload["formula"]["degree"]["logs"])]
     header = ["m", "mu", "weighted_count", "degree_logs"]
     if args.oracle:
         oracle = _flagged("--m", degree_bruteforce, pkg, m, mu, lattice="--lattice")
@@ -163,7 +176,7 @@ def cmd_degrees(args):
             "degree": loglinear_json(oracle.degree, K, dps),
             "agrees": (oracle.degree - res.degree).is_zero(),
         }
-        rows_entry.append(json.dumps(oracle.degree.to_json()["logs"]))
+        rows_entry.append(json.dumps(payload["oracle"]["degree"]["logs"]))
         header.append("oracle_degree_logs")
     _emit(args, payload, [rows_entry], header)
     return 0
@@ -220,7 +233,7 @@ def build_parser():
                "3 internal invariant failed")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--precision", type=int, default=None,
-                        help="working decimal digits, at least 1 "
+                        help=f"working decimal digits, 1 to {MAX_PRECISION} "
                              "(default: SPECCY_PRECISION or 30)")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
@@ -271,10 +284,7 @@ def build_parser():
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.precision is None:
-            args.precision = default_precision()
-        if args.precision < 1:
-            raise InputError(f"--precision must be at least 1, got {args.precision}")
+        args.precision = _precision(args.precision)
         return args.func(args)
     except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,26 +114,24 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
 
 
 class QuaternionOrder:
-    """An order given by a basis (rows, coordinates in 1, i, j, k), divided
-    by den.
+    """An order spanned by rows (coordinates in 1, i, j, k, not necessarily
+    a basis) divided by den.
 
-    The rows are kept as given, scaled to integer rows over one
-    denominator (self.rows, self.den); the lattice they span is held in
-    the canonical integer form (H, den) of linalg.lattice_hnf.  Rank 4 is
-    the length of H, 1 in O is one reduction against H, and O * O = O
-    leaves the form unchanged when the products are adjoined.  Products,
-    trd and nrd run on ints, so the algebra's a and b must be integers; a
-    model with a non-integral one is refused by name."""
+    Only the canonical integer form self.hnf = (H, den) of lattice_hnf is
+    kept; self.rows, self.den are H and den, a basis.  Rank 4 is the
+    length of H, 1 in O is one reduction against H, and O * O = O leaves
+    the form unchanged when the products are adjoined.  Products, trd and
+    nrd run on ints, so the algebra's a and b must be integers; a model
+    with a non-integral one is refused by name."""
 
-    def __init__(self, algebra: QuaternionAlgebra, basis, den=1):
+    def __init__(self, algebra: QuaternionAlgebra, rows, den=1):
         if not all(isinstance(x, int) for x in algebra):
             raise ValueError(f"orders need an algebra with integral a and b, "
                              f"not ({algebra.a}, {algebra.b})")
         self.algebra = algebra
-        self.rows, scale = _scale_to_int(basis)
-        self.den = den * scale
-        self.hnf = lattice_hnf(self.rows, self.den)
-        if len(self.rows) != 4 or len(self.hnf[0]) != 4:
+        int_rows, scale = _scale_to_int(rows)
+        self.hnf = self.rows, self.den = lattice_hnf(int_rows, den * scale)
+        if len(self.rows) != 4:
             raise ValueError("order basis must have rank 4")
         if not self.contains((1, 0, 0, 0)):
             raise ValueError("order must contain 1")
@@ -206,7 +204,8 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: 
     increasing order, adjoin x = _defect_element.  l x is in O and x is
     not, so [O + Z x : O] = l, and a closure past O + Z x would lower the
     discriminant by l k, k >= 2: O + Z x is the next order, and its
-    constructor the one closure check.  A step it refuses, or one that
+    constructor, on the rows of O and x, the one HNF and closure check.
+    A step it refuses, or one that
     does not lower the discriminant by exactly l, is an InvariantError
     naming l; a defect that is not squarefree (d even or not fundamental)
     is a ValueError."""
@@ -221,7 +220,7 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: 
         rows = [[v * (den // order.den) for v in row] for row in order.rows]
         rows.append([v * (den // xden) for v in x])
         try:
-            order = QuaternionOrder(alg, *lattice_hnf(rows, den))
+            order = QuaternionOrder(alg, rows, den)
         except ValueError as exc:
             raise InvariantError(f"the step at l = {l} gave no order: {exc}") from None
         if order.reduced_discriminant() * l != disc:

@@ -290,9 +290,10 @@ class DiscriminantGroup:
                 for coords in itertools.product(*map(range, self.elementary_divisors)))
 
     def coset_by_index(self, k):
-        """The k-th coset of elements(): mixed radix over the divisors."""
-        if not 0 <= k < self.order:
-            raise ValueError(f"coset index {k} out of range: the group has "
+        """The k-th coset of elements(): mixed radix over the divisors.  Any
+        k but an int in range, a coordinate tuple say, is a ValueError."""
+        if not (isinstance(k, int) and 0 <= k < self.order):
+            raise ValueError(f"coset index {k!r} out of range: the group has "
                              f"{self.order} cosets")
         coords = []
         for d in reversed(self.elementary_divisors):

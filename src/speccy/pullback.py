@@ -212,8 +212,8 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
     ct_expanded = a00 * pp.constant
     # conclusion: residual of [Z(f):Y] + c+(0,0)[T:Y] + (h/w) L' = 0-side
     residual = t_hat * pp.constant
-    for (m, coords), cval in pp.items():
-        mu = Coset(pp.group, coords)
+    for (m, i), cval in pp.items():
+        mu = pp.group.coset_by_index(i)
         eis_side = heart = LogLinear.make(0)
         improper = 0
         for row in pullback_table(ctx, m, mu):
@@ -232,13 +232,13 @@ def verify_ledger(ctx: EmbeddingContext, pp: PrincipalPart,
             # (B)'s finite heart: the CM degree at (m1, mu1) times R(m2, mu2)
             heart = heart + row_a.lhs * row.count
         # (B): finite heart vs -(h/w) sum a+ R over m1 > 0
-        key = (m, _ledger_coords(pp.group, coords))
+        key = (m, _ledger_coords(pp.group, mu.coords))
         rows_b.append(LedgerRow("B", key, heart, eis_side))
         # (D) per improper slot, cross-checked against exact shells on Lambda
         lam = lambda_mmu_count(ctx, m, mu)
         if improper != lam:
             raise InvariantError(f"pullback table disagrees with lambda_mmu at "
-                                 f"({m}, {coords}): {improper} != {lam}")
+                                 f"({m}, {mu.coords}): {improper} != {lam}")
         rows_d.append(LedgerRow("D", (*key, "improper slot"),
                                 t_hat * (cval * lam), a00 * (-hw * cval * lam)))
         residual = residual + heart * cval + t_hat * (cval * lam)

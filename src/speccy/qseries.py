@@ -2,8 +2,9 @@
 definite lattices, constant-term extraction against an Eisenstein and a
 theta table, and formal principal parts of Hejhal-Poincare type.
 
-Exponents are exact Fractions throughout; support laws are congruences
-mod Z and would be meaningless in floating point.
+Coefficient data, tables and principal parts alike, is keyed by (m, coset
+index) with m an exact Fraction, and check_support is its one support-law
+check: the law is a congruence mod Z, meaningless in floating point.
 """
 
 from __future__ import annotations
@@ -24,6 +25,23 @@ from .lattice import (
     discriminant_group,
     glue_cosets,
 )
+
+
+def check_support(group: DiscriminantGroup, entries: dict, zero=0):
+    """The check of coefficient data keyed by (m, coset index), tables and
+    principal parts alike: every index in range, then the support law m =
+    Q(mu) mod Z at every entry before mu -> -mu symmetry (an absent entry
+    reads zero)."""
+    asymmetric = None
+    for (m, i), val in entries.items():
+        c = group.coset_by_index(i)
+        if (m - group.q_map(c)) % 1 != 0:
+            raise ValueError(f"support law violated at ({m}, {c})")
+        if asymmetric is None and entries.get((m, group.index_of(-c)), zero) != val:
+            asymmetric = f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry"
+    if asymmetric:
+        raise ValueError(asymmetric)
+    return True
 
 
 class VVFormQ:
@@ -65,16 +83,8 @@ class VVFormQ:
         return [(m, tuple(vec)) for m, vec in vecs.items()]
 
     def check_support(self):
-        """Support law m = Q(mu) mod Z and mu -> -mu symmetry of every
-        stored coefficient."""
-        group = self.group
-        for (m, i), val in self.entries.items():
-            c = group.coset_by_index(i)
-            if self.entries.get((m, group.index_of(-c)), self._zero) != val:
-                raise ValueError(f"coefficient at ({m}, {c}) breaks mu -> -mu symmetry")
-            if (m - group.q_map(c)) % 1 != 0:
-                raise ValueError(f"support law violated at ({m}, {c})")
-        return True
+        """The module's check_support on every stored coefficient."""
+        return check_support(self.group, self.entries, self._zero)
 
     def evaluate(self, tau):
         """(value vector, certified tail bound) of a theta table at tau in
@@ -156,28 +166,22 @@ class PrincipalPart:
     """Holomorphic principal data of a harmonic form: the finite map
     (m, mu) -> c^+(-m, mu) for m > 0, plus the constant c^+(0, 0).
 
-    Entries are stored as Fractions; is_integral reports whether the
-    principal part is integral in the sense required by the main theorem.
+    entries maps (m, coset index) to a nonzero Fraction, as VVFormQ's do,
+    after check_support has passed every given key, zeros included.
+    is_integral reports whether the principal part is integral in the
+    sense required by the main theorem.
     """
 
     def __init__(self, group: DiscriminantGroup, entries: dict, constant=Fraction(0)):
-        norm = {}
-        for (m, coords), c in entries.items():
+        coeffs = {}
+        for (m, i), c in entries.items():
             m = Fraction(m)
             if m <= 0:
                 raise ValueError("principal part exponents -m require m > 0")
-            mu = group.from_coords(coords)
-            if (m - group.q_map(mu)) % 1 != 0:
-                raise ValueError(f"support law violated at ({m}, {mu})")
-            c = Fraction(c)
-            if c:
-                norm[(m, mu.coords)] = c
-        for (m, coords), c in norm.items():
-            neg = Coset(group, coords)
-            if norm.get((m, (-neg).coords), Fraction(0)) != c:
-                raise ValueError("principal part must be symmetric under mu -> -mu")
+            coeffs[m, i] = Fraction(c)
+        check_support(group, coeffs)
         self.group = group
-        self.entries = norm    # {(Fraction m, coset coords tuple): Fraction}
+        self.entries = {key: c for key, c in coeffs.items() if c}
         self.constant = Fraction(constant)
 
     @property
@@ -185,6 +189,7 @@ class PrincipalPart:
         return all(c.denominator == 1 for c in self.entries.values())
 
     def items(self):
+        """Entries sorted by (m, index), which is (m, coordinates) order."""
         return sorted(self.entries.items())
 
     def support_exponents(self):
@@ -195,15 +200,9 @@ def hejhal_principal_part(m, mu: Coset) -> PrincipalPart:
     """Principal part of the Hejhal-Poincare series: half q^-m at mu and at
     -mu, merged to a single unit entry when mu = -mu."""
     group = mu.group
-    m = Fraction(m)
-    if m <= 0:
-        raise ValueError("m must be positive")
-    if (m - group.q_map(mu)) % 1 != 0:
-        raise ValueError("support law violated: m must equal Q(mu) mod Z")
-    if (-mu).coords == mu.coords:
-        entries = {(m, mu.coords): Fraction(1)}
-    else:
-        entries = {(m, mu.coords): Fraction(1, 2), (m, (-mu).coords): Fraction(1, 2)}
+    entries = {}
+    for i in (group.index_of(mu), group.index_of(-mu)):
+        entries[m, i] = entries.get((m, i), 0) + Fraction(1, 2)
     return PrincipalPart(group, entries)
 
 
@@ -221,8 +220,8 @@ def constant_term_pairing(pp: PrincipalPart, eis_table: VVFormQ, theta: VVFormQ,
     # and R(0, mu != 0) = 0
     if pp.constant:
         total = total + eis_table.coefficient(Fraction(0), eis_table.group.zero()) * pp.constant
-    for (m, coords), cval in pp.items():
-        for mu1, mu2 in glue_cosets(emb, Coset(pp.group, coords)):
+    for (m, i), cval in pp.items():
+        for mu1, mu2 in glue_cosets(emb, pp.group.coset_by_index(i)):
             # m2 + m3 = m with m3 in the theta support of mu2
             q3 = theta.group.q_map(mu2)
             m3 = q3

@@ -5,7 +5,8 @@ Sublattice files:   {"basis": [[int]]}  (columns in ambient coordinates)
 Rationals are "num/den" strings; LogLinear values render both symbolically
 and numerically at the requested precision.  Coset selectors are indices
 into the documented coset order (zero coset first, then lexicographic on
-the elementary-divisor coordinates).
+the elementary-divisor coordinates), and principal parts are keyed by
+(m, coset index) as parsed, the key of every coefficient table.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ def loglinear_json(value: LogLinear, field, dps=30):
     return blob
 
 
-def coset_label(coset) -> str:
-    return ",".join(str(c) for c in coset.coords)
-
-
 def qexp_json(form):
     """Schema for a vector-valued q-expansion: exponents as "num/den",
     coefficient vectors in the group's coset order."""
@@ -108,8 +105,9 @@ def parse_coset_key(key, field="key"):
 
 
 def parse_principal_part(text, group):
-    """Parse {"m,cosetindex": coeff} into a PrincipalPart; "const" keys the
-    constant coefficient c+(0,0).  Errors name the bad field."""
+    """Parse {"m,cosetindex": coeff} into a PrincipalPart, whose constructor
+    checks exponents, support and symmetry; "const" keys the constant
+    coefficient c+(0,0).  Errors name the bad field."""
     from .qseries import PrincipalPart
 
     blob = json.loads(text) if isinstance(text, str) else text
@@ -127,6 +125,5 @@ def parse_principal_part(text, group):
         if not 0 <= index < group.order:
             raise ValueError(f"key {key!r}: coset index out of range, the group "
                              f"has {group.order} cosets")
-        mu = group.coset_by_index(index)
-        entries[(m, mu.coords)] = entries.get((m, mu.coords), Fraction(0)) + value
+        entries[m, index] = entries.get((m, index), Fraction(0)) + value
     return PrincipalPart(group, entries, constant=constant)

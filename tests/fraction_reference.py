@@ -25,7 +25,8 @@ from speccy.linalg import _scale_to_int, solve_integer, transpose
 
 
 def basis(order):
-    """The rows of a QuaternionOrder as given, as lists of Fractions."""
+    """The basis of a QuaternionOrder, the rows of its canonical form, as
+    lists of Fractions."""
     return [[Fraction(x, order.den) for x in row] for row in order.rows]
 
 

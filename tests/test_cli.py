@@ -132,6 +132,58 @@ class TestEisenstein:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[d, cutoff, fmt]
 
 
+class TestCsvPinned:
+    # sha256 of the --format csv stdout, recorded before the CSV rows were
+    # read off the JSON payload
+    FILES = {
+        "l0_d7.json": {"gram": [[-2, -1], [-1, -4]]},
+        "L_d7_A1.json": {"gram": [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]},
+        "sub.json": {"basis": [[1, 0], [0, 1], [0, 0]]},
+        "a1.json": {"gram": [[2]]},
+        "a1a1.json": {"gram": [[2, 0], [0, 2]]},
+        "empty.json": {"gram": []},
+    }
+    PINS = [
+        (["disc", "--lattice", "l0_d7.json"],
+         "1d01c7f3c2150684d90c0c07c0c5ddaa85ab4b2f2f70067b9a6368c5bf6af562"),
+        (["disc", "--lattice", "a1a1.json"],
+         "bc7d8d7cba357d5d37f18b78246ab3c73b29be0d0fcdafe6696eb162e2b30f18"),
+        (["disc", "--lattice", "empty.json"],
+         "f4a26749cfe38db573acb477ffd7f6ead12b676070a46fcf7993fec59532c9a4"),
+        (["theta", "--lattice", "empty.json", "--cutoff", "2"],
+         "d6c5bd3d6e27c79fa8f16de378a4eaf194528772a1f1d871e50d813e9af5cb46"),
+        (["theta", "--lattice", "a1.json", "--cutoff", "3"],
+         "c8070b740ac7cd560f4ace0159cbd048533781d7a0490907007390ada6b7b09a"),
+        (["theta", "--lattice", "a1a1.json", "--cutoff", "2"],
+         "1330730360a45982dd70843b238aca0f3681da61228d3c07d2e07a018316e8eb"),
+        (["degrees", "--lattice", "l0_d7.json", "--m", "1", "--oracle"],
+         "1db3f444bf284020a1f5e2438ac9e3787aee22b8ea0602f17bac06d537a9895c"),
+        (["degrees", "--lattice", "l0_d7.json", "--m", "2", "--mu", "0", "--oracle"],
+         "86ff95f44d29349028d20d64f5716dc3880638a827ae6e4ade10b91c921a9b71"),
+        (["--precision", "15", "chowla", "--disc", "-7"],
+         "5ba8dc4b5f9fb9ae4f046b37ea9ecff019cf54f01fe3f1d54f41a78556242a6f"),
+        (["chowla", "--disc", "-23"],
+         "c20d874efb23b568278b3b5c85be29992ae305cccaf51a9d1447e2003319c0ff"),
+        (["verify", "--lattice", "L_d7_A1.json", "--sub", "sub.json", "--pp", '{"1,0":1}'],
+         "7af8e34610a010314c8bbe1669ac1582670c330dba2b4ac5078c8e5f523a26b6"),
+        (["verify", "--lattice", "L_d7_A1.json", "--sub", "sub.json", "--pp",
+          '{"1,0":1,"10/7,2":"1/2","10/7,12":"1/2","const":"1/2"}'],
+         "2d7e93c00f11c4de6e6ef4cddf5112588eab384ea14464bbbd830ce36ea965e5"),
+        (["verify", "--lattice", "L_d7_A1.json", "--sub", "sub.json", "--pp", '{"5/4,7":2}'],
+         "b6b5e3a70db180f5922f8440f10f0e0a66e38b57559cabf63499aa8b9641c147"),
+    ]
+
+    @pytest.mark.parametrize("argv,pin", PINS, ids=[" ".join(argv) for argv, _ in PINS])
+    def test_stdout_pinned(self, argv, pin, tmp_path, monkeypatch):
+        for name, blob in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(blob))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPECCY_PRECISION", raising=False)
+        code, out = capture(["--format", "csv", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 class TestDegrees:
     def test_two_agreeing_columns(self, files):
         code, out = capture(["degrees", "--lattice", files["l0"],
@@ -247,6 +299,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: --pp:") and "JSON object" in err and "list" in err
 
+    @pytest.mark.parametrize("pp,message", [
+        ('{"1/3,0":1}', "support law violated at (1/3, Coset(0,))"),
+        # the support law is tested at every entry before the symmetry
+        ('{"31/28,1":1,"1/3,0":1}', "support law violated at (1/3, Coset(0,))"),
+        ('{"31/28,1":1}', "coefficient at (31/28, Coset(1,)) breaks mu -> -mu symmetry"),
+        ('{"31/28,1":1,"31/28,13":2}',
+         "coefficient at (31/28, Coset(1,)) breaks mu -> -mu symmetry"),
+        ('{"1,14":0}', "key '1,14': coset index out of range, the group has 14 cosets"),
+    ])
+    def test_bad_principal_part_names_pp(self, files, capsys, pp, message):
+        # L0(-7) + A1 has 14 cosets, coset 1 with Q = 3/28 and -1 = 13
+        code, err = error_of(["verify", "--lattice", files["L"], "--sub", files["sub"],
+                              "--pp", pp], capsys)
+        assert (code, err) == (1, f"error: --pp: {message}\n")
+
     def test_pp_key_needs_m_and_coset(self, files, capsys):
         code, _ = capture(["verify", "--lattice", files["L"], "--sub", files["sub"],
                            "--pp", '{"1":1}'])
@@ -260,7 +327,7 @@ class TestVerify:
         g = discriminant_group(QuadLattice([[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]))
         pp = parse_principal_part('{"1,0": 1, "const": "2"}', g)
         assert pp.constant == 2
-        assert pp.entries == {(1, g.zero().coords): 1}
+        assert pp.entries == {(1, 0): 1}
 
 
 def l0_d7_e8(tmp_path):
@@ -315,14 +382,19 @@ class TestBadInput:
           "--fault-inject", "1,-1"], "--fault-inject"),
         (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp", '{{"1,0":1}}',
           "--fault-inject", "2,0"], "--fault-inject"),
+        # over cli.MAX_PRECISION: refused before the L-function sums start
+        (["chowla", "--disc", "-7", "--precision", "100000000000"], "--precision"),
+        (["--precision", "201", "chowla", "--disc", "-7"], "--precision"),
     ])
     def test_bad_numeric_flag(self, files, tmp_path, capsys, argv, flag):
         if "{l_e8}" in argv:
             files = dict(zip(("l_e8", "sub_e8"), l0_d7_e8(tmp_path)), **files)
         argv = [a.format(**files) for a in argv]
+        start = time.perf_counter()
         code, err = error_of(argv, capsys)
+        assert time.perf_counter() - start < 1
         assert code == 1
-        assert err.startswith(f"error: {flag}")
+        assert err.startswith(f"error: {flag}") and "Traceback" not in err
 
     INPUTS = {
         "a2": {"gram": [[2, 1], [1, 2]]},
@@ -484,12 +556,21 @@ class TestBadInput:
         assert exc.value.code == 0
         assert "exit codes" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("value", ["abc", "0", "201", "100000000000"])
     def test_bad_precision_environment(self, monkeypatch, capsys, value):
         monkeypatch.setenv("SPECCY_PRECISION", value)
+        start = time.perf_counter()
         code, err = error_of(["chowla", "--disc", "-7"], capsys)
+        assert time.perf_counter() - start < 1
         assert code == 1
-        assert err.startswith("error: SPECCY_PRECISION")
+        assert err.startswith("error: SPECCY_PRECISION") and err.count("\n") == 1
+
+    def test_precision_bound_message(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPECCY_PRECISION", "201")
+        assert error_of(["chowla", "--disc", "-7"], capsys) == (
+            1, "error: SPECCY_PRECISION: 201 digits is over the bound of 200\n")
+        assert error_of(["--precision", "100000000000", "chowla", "--disc", "-7"], capsys) == (
+            1, "error: --precision: 100000000000 digits is over the bound of 200\n")
 
     @pytest.mark.parametrize("gram", [
         [[2 ** 1100, 0], [0, 2]],

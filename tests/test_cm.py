@@ -287,6 +287,23 @@ class TestMaximalOrders:
                 assert abs(reference.det(reference.trace_gram(order))) == p * p, (p, d, skip)
                 assert order.contains((Fraction(d, 2), Fraction(1, 2), 0, 0))
 
+    def test_spanning_rows_keep_one_canonical_form(self, monkeypatch):
+        # an order keeps only the canonical form of what spans it: five
+        # rows give the hnf of its basis, and a saturation step takes one
+        # canonical form of its five rows besides the closure check's
+        alg = _algebra_model(3, -7, 0)
+        start = QuaternionOrder(alg, cm._starting_rows(alg), 2)
+        five = [[sum(col) for col in zip(*start.rows)], *reversed(start.rows)]
+        assert QuaternionOrder(alg, five, start.den).hnf == start.hnf
+        assert QuaternionOrder(alg, start.rows, start.den).hnf == start.hnf
+        sizes, real = [], cm.lattice_hnf
+        monkeypatch.setattr(cm, "lattice_hnf",
+                            lambda rows, den: sizes.append(len(rows)) or real(rows, den))
+        defect = factorization(start.reduced_discriminant() // 3)
+        saturate_to_maximal(alg, start, 3)
+        # the closure check adjoins the 16 products to the 4 basis rows
+        assert len(defect) >= 1 and sizes == [5, 20] * len(defect)
+
     def test_integral_forms(self):
         # the discriminant read off the integer norm form squares to |det|
         # of the norm form built through quaternion products, and of the

@@ -276,7 +276,7 @@ class TestPrincipalPart:
     def test_hejhal_zero_coset(self):
         g = discriminant_group(QuadLattice([[-2, -1], [-1, -4]]))
         pp = hejhal_principal_part(1, g.zero())
-        assert pp.entries == {(Fraction(1), g.zero().coords): Fraction(1)}
+        assert pp.entries == {(Fraction(1), 0): Fraction(1)}
         assert pp.is_integral
 
     def test_hejhal_order7(self):
@@ -284,8 +284,8 @@ class TestPrincipalPart:
         mu = g.from_coords((1,))
         m = g.q_map(mu) + 1
         pp = hejhal_principal_part(m, mu)
-        assert pp.entries[(m, mu.coords)] == Fraction(1, 2)
-        assert pp.entries[(m, (-mu).coords)] == Fraction(1, 2)
+        assert pp.entries == {(m, g.index_of(mu)): Fraction(1, 2),
+                              (m, g.index_of(-mu)): Fraction(1, 2)}
         assert not pp.is_integral
 
     def test_support_law_enforced(self):
@@ -293,15 +293,19 @@ class TestPrincipalPart:
         with pytest.raises(ValueError):
             hejhal_principal_part(Fraction(1, 3), g.zero())
 
-    def test_one_coordinate_per_divisor(self):
-        # L0(-7) has divisors (1, 7): a key padded for the unit one is refused
+    def test_index_out_of_range_with_coefficient_zero(self):
+        # L0(-7) has 7 cosets: index 7 is refused although its coefficient
+        # is 0 and would be dropped
         g = discriminant_group(QuadLattice([[-2, -1], [-1, -4]]))
-        with pytest.raises(ValueError, match="2 coordinates given, but the group has 1"):
-            PrincipalPart(g, {(Fraction(1), (0, 0)): Fraction(1)})
+        with pytest.raises(ValueError, match="coset index 7 out of range: the group has 7"):
+            PrincipalPart(g, {(Fraction(1), 7): Fraction(0)})
+        # a coordinate tuple is not an index
+        with pytest.raises(ValueError, match=r"coset index \(0,\) out of range"):
+            PrincipalPart(g, {(Fraction(1), (0,)): Fraction(1)})
 
     def test_symmetry_enforced(self):
         g = discriminant_group(QuadLattice([[-2, -1], [-1, -4]]))
         mu = g.from_coords((1,))
         m = g.q_map(mu)
-        with pytest.raises(ValueError):
-            PrincipalPart(g, {(m, mu.coords): Fraction(1)})
+        with pytest.raises(ValueError, match="breaks mu -> -mu symmetry"):
+            PrincipalPart(g, {(m, g.index_of(mu)): Fraction(1)})
