@@ -54,20 +54,22 @@ MAX_PRECISION = 200
 
 
 def _precision(flag):
-    """The working digits: the --precision value flag, else SPECCY_PRECISION,
-    else 30.  A value under 1 or over MAX_PRECISION is an InputError naming
-    its source, raised before any work starts."""
-    source, value = "--precision", flag
-    if flag is None:
-        source, text = "SPECCY_PRECISION", os.environ.get("SPECCY_PRECISION", "30")
-        try:
-            value = int(text)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise InputError(f"SPECCY_PRECISION: {text!r} is not an integer of at least 1")
-    elif value < 1:
-        raise InputError(f"--precision must be at least 1, got {value}")
+    """The working digits: the --precision text flag, else SPECCY_PRECISION,
+    else 30; anything but an integer from 1 to MAX_PRECISION is an InputError
+    naming its source.  Past 30 digits, a digit string is judged by length."""
+    source, text = (("--precision", flag) if flag is not None else
+                    ("SPECCY_PRECISION", os.environ.get("SPECCY_PRECISION", "30")))
+    digits = text.strip().removeprefix("+").lstrip("0")
+    if digits.isdecimal() and len(digits) > 30:
+        raise InputError(f"{source}: a {len(digits)}-digit value is over the bound "
+                         f"of {MAX_PRECISION}")
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        shown = repr(text) if len(text) <= 30 else f"a {len(text)}-character value"
+        raise InputError(f"{source}: {shown} is not an integer of at least 1")
     if value > MAX_PRECISION:
         raise InputError(f"{source}: {value} digits is over the bound of {MAX_PRECISION}")
     return value
@@ -212,7 +214,8 @@ def cmd_verify(args):
     pp_blob = _flagged("--pp", load_json, args.pp[1:]) if args.pp.startswith("@") else args.pp
     pp = _flagged("--pp", parse_principal_part, pp_blob, group)
     max_m = max(pp.support_exponents() or [Fraction(1)])
-    fault = parse_coset_key(args.fault_inject, "--fault-inject") if args.fault_inject else None
+    fault = (_flagged("--fault-inject", parse_coset_key, args.fault_inject)
+             if args.fault_inject else None)
     # the table cutoff max_m comes from --pp, so a "bound" refusal blames it
     ctx = _flagged("--lattice", EmbeddingContext.build, lat, sub, max_m,
                    sub_basis="--sub", bound="--pp")
@@ -232,13 +235,13 @@ def build_parser():
         epilog="exit codes: 0 success, 1 input error, 2 identity mismatch (verify), "
                "3 internal invariant failed")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--precision", type=int, default=None,
+    parser.add_argument("--precision", default=None,
                         help=f"working decimal digits, 1 to {MAX_PRECISION} "
                              "(default: SPECCY_PRECISION or 30)")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--precision", default=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=lambda **kw: _Parser(
                                      parents=[common], **kw))

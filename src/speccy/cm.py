@@ -230,13 +230,13 @@ def saturate_to_maximal(alg: QuaternionAlgebra, order: QuaternionOrder, target: 
 
 
 class CMDegree:
+    """The CM degree at (m, mu): weighted_count log p, zero with the count."""
+
     def __init__(self, m: Fraction, mu_coords: tuple, prime: int | None,
-                 weighted_count: Fraction, degree: LogLinear):
-        if (weighted_count == 0) != degree.is_zero():
-            raise InvariantError(f"weighted count {weighted_count} "
-                                 f"disagrees with degree {degree}")
+                 weighted_count: Fraction):
         self.m, self.mu_coords, self.prime = m, mu_coords, prime
-        self.weighted_count, self.degree = weighted_count, degree
+        self.weighted_count = weighted_count
+        self.degree = LogLinear(logs=((prime, weighted_count),)) if weighted_count else LogLinear()
 
 
 def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
@@ -248,10 +248,10 @@ def degree_formula(pkg: EisensteinPackage, m, mu: Coset) -> CMDegree:
         raise ValueError(f"degree_formula requires m > 0, got {m}")
     record = _local_record(pkg, m, mu)
     if record is None:
-        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear())
+        return CMDegree(m, mu.coords, None, Fraction(0))
     p, r, length, s = record
     wc = Fraction(r * length * 2 ** s, 2) if r and length > 0 else Fraction(0)
-    return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())
+    return CMDegree(m, mu.coords, p, wc)
 
 
 def _algebra_model(p, d, skip_models):
@@ -456,4 +456,4 @@ def degree_bruteforce(pkg: EisensteinPackage, m, mu: Coset,
                                    f"{ORACLE_SEARCH_BOUND}", "m")
             count = len(_search(frame.gram, c, e, target, True))
     wc = Fraction(count * length, K.w)
-    return CMDegree(m, mu.coords, p, wc, LogLinear(logs=((p, wc),)) if wc else LogLinear())
+    return CMDegree(m, mu.coords, p, wc)

@@ -42,18 +42,16 @@ _PHI_CACHE = {1: [-1, 1]}  # N -> integer coefficients of Phi_N, ascending
 
 
 def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
+    """(quotient, remainder) of integer polynomials (ascending coefficients),
+    exact for a monic den; the remainder keeps the length of num."""
     num = list(num)
     dden = len(den) - 1
     out = [0] * (max(len(num) - dden, 0))
     for i in range(len(num) - 1, dden - 1, -1):
-        q = num[i] // den[dden]
-        out[i - dden] = q
+        q = out[i - dden] = num[i] // den[dden]
         if q:
             for j in range(dden + 1):
                 num[i - dden + j] -= q * den[j]
-    while num and num[-1] == 0:
-        num.pop()
     return out, num
 
 
@@ -66,7 +64,7 @@ def cyclotomic_polynomial(N):
     for d in range(1, N):
         if N % d == 0:
             poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            if rem:
+            if any(rem):
                 raise InvariantError(f"Phi_{d} leaves a remainder in x^{N} - 1")
     _PHI_CACHE[N] = poly
     return poly
@@ -235,14 +233,7 @@ class CycNum:
             k //= g
             v = c.numerator * (den // c.denominator)
             poly[k % N] += -v if flip and k % 2 else v
-        phi = cyclotomic_polynomial(N)
-        deg = len(phi) - 1
-        for i in range(N - 1, deg - 1, -1):
-            c = poly[i]
-            if c:
-                for j in range(deg + 1):
-                    poly[i - deg + j] -= c * phi[j]
-        return not any(poly[:deg])
+        return not any(_poly_divmod_int(poly, cyclotomic_polynomial(N))[1])
 
     def __eq__(self, other):
         try:

@@ -17,7 +17,7 @@ lattice is read off the same table.
 Glue.  glue_cosets reads each pair in L0^vee/L0 x Lambda^vee/Lambda off
 the integer dual coordinates G x of a vector of mu + L, which restrict to
 those of its L0 and Lambda parts; the box of such x and the glue index
-come from one Hermite form of [S | C].
+come from one Hermite form of [S | C], taken once per embedding.
 
 Enumeration.  ball_sweep, enumerate_coset_vectors and count_coset_vectors
 share one Fincke-Pohst core that runs in integers only: each level's range
@@ -111,20 +111,13 @@ class QuadLattice:
         self.det = delta[-1]
         steps = [a * b for a, b in zip(delta, delta[1:])]
         self.signature = (sum(1 for x in steps if x > 0), sum(1 for x in steps if x < 0))
-        self._degenerate = self.det == 0
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, det={self.det}, signature={self.signature})"
 
-    def __eq__(self, other):
-        return isinstance(other, QuadLattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
-
     @property
     def is_degenerate(self):
-        return self._degenerate
+        return self.det == 0
 
     @property
     def disc(self):
@@ -139,14 +132,15 @@ class QuadLattice:
     def quadratic(self, x):
         return self.bilinear(x, x) / 2
 
+    # a signature of (rank, 0) or (0, rank) leaves no zero leading minor
     def is_positive_definite(self):
-        return self.signature == (self.rank, 0) and not self._degenerate
+        return self.signature == (self.rank, 0)
 
     def is_negative_definite(self):
-        return self.signature == (0, self.rank) and not self._degenerate
+        return self.signature == (0, self.rank)
 
     def gram_inverse(self):
-        if self._degenerate:
+        if self.is_degenerate:
             raise InputRefusal("degenerate lattice", "lattice")
         return inverse_fraction(self.gram) if self.rank else []
 
@@ -323,11 +317,17 @@ class DiscriminantGroup:
                 total += 2 * a[s] * sum(a[t] * P[s][t] for t in range(s))
         return Fraction(total % (2 * self.exponent), 2 * self.exponent)
 
+    def b_int(self, c1, c2):
+        """E [mu, nu] mod E, E the exponent, as an int in [0, E)."""
+        total = 0  # plain loops: omega_S calls this |D|^2 times
+        for x, row in zip(c1.coords, self.pairing):
+            for y, p in zip(c2.coords, row):
+                total += x * y * p
+        return total % self.exponent
+
     def b_map(self, c1, c2):
         """[mu, nu] mod Z, as a Fraction in [0, 1)."""
-        total = sum(x * sum(y * p for y, p in zip(c2.coords, row))
-                    for x, row in zip(c1.coords, self.pairing))
-        return Fraction(total % self.exponent, self.exponent)
+        return Fraction(self.b_int(c1, c2), self.exponent)
 
 
 def discriminant_group(lattice: QuadLattice) -> DiscriminantGroup:
@@ -353,23 +353,18 @@ def is_maximal(lattice: QuadLattice) -> bool:
 
 class SublatticeEmbedding:
     """A direct summand L0 of L together with its orthogonal complement.
-    The bases are columns of integer coordinates in the ambient basis;
-    index is [L : L0 + Lambda]."""
+    The bases are columns of integer coordinates in the ambient basis; box
+    holds the pivots of the Hermite form of J Z^n, J = [S | C] the n x n
+    matrix of the two bases' columns: the box of their ranges represents
+    L / (L0 + Lambda), and index = [L : L0 + Lambda] is their product."""
 
     def __init__(self, ambient: QuadLattice, sub_basis: tuple, sub: QuadLattice,
-                 complement_basis: tuple, complement: QuadLattice, index: int):
-        if sub.disc * complement.disc != ambient.disc * index ** 2:
+                 complement_basis: tuple, complement: QuadLattice, box: tuple):
+        self.box, self.index = box, math.prod(box)
+        if sub.disc * complement.disc != ambient.disc * self.index ** 2:
             raise InvariantError("disc(L0) disc(Lambda) != disc(L) [L : L0 + Lambda]^2")
         self.ambient, self.sub_basis, self.sub = ambient, sub_basis, sub
-        self.complement_basis, self.complement, self.index = complement_basis, complement, index
-
-
-def _glue_pivots(S, C):
-    """Pivots of the Hermite form of J Z^n, J = [S | C] the n x n matrix of
-    the two bases' columns: their product is [L : L0 + Lambda], and the box
-    of their ranges represents L / (L0 + Lambda)."""
-    H = row_hnf(transpose(S) + transpose(C))
-    return [H[t][t] for t in range(len(H))]
+        self.complement_basis, self.complement = complement_basis, complement
 
 
 def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbedding:
@@ -394,14 +389,14 @@ def orthogonal_complement(lattice: QuadLattice, sub_basis) -> SublatticeEmbeddin
     comp_gram = mat_mul(mat_mul(transpose(C), lattice.gram), C) if ncomp else []
     comp = QuadLattice([[int(x) for x in row] for row in comp_gram])
     S, C = tuple(map(tuple, S)) if r else (), tuple(map(tuple, C)) if ncomp else ()
-    index = math.prod(_glue_pivots(S, C))
-    return SublatticeEmbedding(lattice, S, sub, C, comp, index)
+    H = row_hnf(transpose(S) + transpose(C))
+    return SublatticeEmbedding(lattice, S, sub, C, comp, tuple(H[t][t] for t in range(len(H))))
 
 
 def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     """Representatives of (mu + L) / (L0 + Lambda) as coset pairs
     (mu1, mu2) in (L0^vee/L0) x (Lambda^vee/Lambda), sorted; length = glue
-    index.  Each x = sum a_s g_s + t, t in the box of _glue_pivots, has k =
+    index.  Each x = sum a_s g_s + t, t in the embedding's box, has k =
     G x integral, and S^T k, C^T k are the dual coordinates of its L0 and
     Lambda parts (S^T G C = 0)."""
     L = emb.ambient
@@ -411,7 +406,7 @@ def glue_cosets(emb: SublatticeEmbedding, mu: Coset):
     disc0, discc = discriminant_group(emb.sub), discriminant_group(emb.complement)
     k0 = [sum(a * g[i] for a, g in zip(mu.coords, mu.group._dual_gens)) for i in range(n)]
     seen = set()
-    for t in itertools.product(*map(range, _glue_pivots(S, C))):
+    for t in itertools.product(*map(range, emb.box)):
         k = [x + sum(g * y for g, y in zip(row, t)) for x, row in zip(k0, L.gram)]
         seen.add((disc0.dual_index([sum(s * x for s, x in zip(col, k)) for col in zip(*S)]),
                   discc.dual_index([sum(c * x for c, x in zip(col, k)) for col in zip(*C)])))

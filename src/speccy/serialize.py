@@ -90,17 +90,16 @@ def qexp_json(form):
     }
 
 
-def parse_coset_key(key, field="key"):
+def parse_coset_key(key):
     """Split an "m,cosetindex" selector into (Fraction m, int index)."""
     parts = key.split(",")
     if len(parts) != 2:
-        raise ValueError(f'{field} {key!r}: expected "m,cosetindex"')
-    m = parse_frac(parts[0], f"{field} {key!r}: exponent")
+        raise ValueError(f'key {key!r}: expected "m,cosetindex"')
+    m = parse_frac(parts[0], f"key {key!r}: exponent")
     try:
         index = int(parts[1])
     except ValueError:
-        raise ValueError(f"{field} {key!r}: coset index {parts[1]!r} "
-                         "is not an integer") from None
+        raise ValueError(f"key {key!r}: coset index {parts[1]!r} is not an integer") from None
     return m, index
 
 

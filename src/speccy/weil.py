@@ -8,13 +8,16 @@ Conventions.  With sig8 = (p - q) mod 8,
     omega(T)  is diagonal with entry e(-Q(mu)) at mu,
     omega(S)  has (nu, mu) entry e(sig8 / 8) * e([mu, nu]) / sqrt(|D|).
 
-Metaplectic elements are words in the generators S, T, T^-1; the cocycle
-is never needed because every computation composes generator matrices.
+E [mu, nu] mod E (E the exponent) is the group's one integer pairing,
+DiscriminantGroup.b_int.  Metaplectic elements are words in S, T, T^-1;
+the cocycle is never needed because every computation composes generator
+matrices.
 
 Square roots are folded once per word.  Matrices carry their power of
 1/sqrt(|D|) separately, so products of generators stay in integer
-cyclotomic entries, and WeilRep.apply scales its vector to integers, runs
-it through the letters and adds up their powers in the same way.  Only the
+cyclotomic entries.  One push (_push) scales a vector to integers, runs it
+through a list of matrices and adds up their powers: WeilRep.apply gives
+it the letters of a word, ScaledMatrix.apply one product.  Only the
 end result folds the power in (_fold: one Gauss-sum root of |D| for an
 odd power, then one rational scale); a comparison multiplies by
 that root only when the two powers differ in parity.  A product
@@ -58,12 +61,16 @@ def _fold(xs, D, s, den=1):
     return list(xs) if scale == 1 else [x * scale for x in xs]
 
 
-def _integral_column(vec):
-    """vec as a one-column matrix of CycNums with integer coefficients, and
-    the denominator cleared from it."""
+def _push(mats, vec, D):
+    """mats[0] ... mats[-1] vec, |D| = D: a column of CycNums with its
+    denominator cleared once, through the last matrix first, and one fold
+    of their summed powers of 1/sqrt(D)."""
     vec = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
     den = lcm(*(c.denominator for x in vec for c in x.terms.values()))
-    return [[x * den] for x in vec], den
+    col = [[x * den] for x in vec]
+    for M in reversed(mats):
+        col = _matmul(M.entries, col)
+    return _fold([row[0] for row in col], D, sum(M.sqrt_power for M in mats), den)
 
 
 class ScaledMatrix:
@@ -87,10 +94,7 @@ class ScaledMatrix:
                             self.sqrt_power + other.sqrt_power, self.form)
 
     def apply(self, vec):
-        # integer coefficients through the product, one fold after
-        col, den = _integral_column(vec)
-        out = _matmul(self.entries, col)
-        return _fold([row[0] for row in out], self.disc_order, self.sqrt_power, den)
+        return _push([self], vec, self.disc_order)
 
     def conjugate(self):
         return ScaledMatrix([[x.conjugate() for x in row] for row in self.entries],
@@ -127,50 +131,33 @@ class WeilRep:
         self._cosets = list(disc.elements())
         self._neg = [disc.index_of(-c) for c in self._cosets]
         self._q = [disc.q_map(c) for c in self._cosets]
-        # [g_s, g_t] = P[s][t] / E mod 1 for the generators g_s, with E
-        # the exponent of the group (the group's generator table); row i
-        # of _paired is the coordinates of mu_i times P
-        E = disc.exponent
-        P = disc.pairing
-        self._coords = [c.coords for c in self._cosets]
-        self._paired = [[sum(a * P[s][t] for s, a in enumerate(v)) % E
-                         for t in range(len(P))] for v in self._coords]
         self.form = (tuple(disc.elementary_divisors), tuple(self._q))
         self._gen_cache = {}
 
-    def _bilinear(self, i, j):
-        """[mu_i, mu_j] = k / E mod 1, E the exponent of the group; returns
-        the integer k in [0, E)."""
-        k = sum(x * y for x, y in zip(self._paired[i], self._coords[j]))
-        return k % self.disc.exponent
+    def _monomial(self, rows, values):
+        """The matrix with values[j] at (rows[j], j) and zeros elsewhere."""
+        ent = [[CycNum() for _ in rows] for _ in rows]
+        for j, (i, x) in enumerate(zip(rows, values)):
+            ent[i][j] = x
+        return ScaledMatrix(ent, 0, self.form)
 
     def omega_T(self) -> ScaledMatrix:
         """Diagonal matrix with entry e(-Q(mu))."""
-        n = self.dim
-        ent = [[CycNum() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            ent[i][i] = CycNum.e(-self._q[i])
-        return ScaledMatrix(ent, 0, self.form)
+        return self._monomial(range(self.dim), [CycNum.e(-q) for q in self._q])
 
     def omega_S(self) -> ScaledMatrix:
-        """(nu, mu) entry e(sig8/8) e([mu, nu]) / sqrt(|D|)."""
-        n = self.dim
-        E = self.disc.exponent
+        """(nu, mu) entry e(sig8/8) e([mu, nu]) / sqrt(|D|), via b_int."""
+        b, E = self.disc.b_int, self.disc.exponent
         cond = lcm(8, E)
         root8 = self.sig8 * (cond // 8)
         step = cond // E
-        ent = [[CycNum({root8 + step * self._bilinear(j, i): 1}, cond) for j in range(n)]
-               for i in range(n)]
+        ent = [[CycNum({root8 + step * b(mu, nu): 1}, cond) for mu in self._cosets]
+               for nu in self._cosets]
         return ScaledMatrix(ent, 1, self.form)
 
     def omega_Z(self) -> ScaledMatrix:
         """The center: phi_mu -> e(sig8/4) phi_{-mu}."""
-        n = self.dim
-        root4 = CycNum.e(Fraction(self.sig8, 4))
-        ent = [[CycNum() for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            ent[self._neg[j]][j] = root4
-        return ScaledMatrix(ent, 0, self.form)
+        return self._monomial(self._neg, [CycNum.e(Fraction(self.sig8, 4))] * self.dim)
 
     def generator_matrix(self, token, variant="omega") -> ScaledMatrix:
         if variant not in VARIANTS:
@@ -196,9 +183,7 @@ class WeilRep:
         """Matrix of the word g1 g2 ... gr: product of generator matrices."""
         mats = [self.generator_matrix(g, variant) for g in word]
         if not mats:
-            n = self.dim
-            return ScaledMatrix([[CycNum.from_rational(int(i == j)) for j in range(n)]
-                                 for i in range(n)], 0, self.form)
+            return self._monomial(range(self.dim), [CycNum.from_rational(1)] * self.dim)
         out = mats[0]
         for M in mats[1:]:
             out = out.matmul(M)
@@ -214,11 +199,4 @@ class WeilRep:
             raise ValueError(f"unknown representation variant {variant!r}")
         if len(vec) != self.dim:
             raise ValueError("vector length does not match discriminant group order")
-        col, den = _integral_column(vec)
-        power = 0
-        for g in reversed(word):
-            # rightmost generator acts first
-            M = self.generator_matrix(g, variant)
-            col = _matmul(M.entries, col)
-            power += M.sqrt_power
-        return _fold([row[0] for row in col], self.dim, power, den)
+        return _push([self.generator_matrix(g, variant) for g in word], vec, self.dim)

@@ -137,10 +137,10 @@ def degree_formula(pkg, m, mu) -> CMDegree:
         raise ValueError("degree_formula requires m > 0")
     K = pkg.K
     if (m - pkg.disc0.q_map(mu)) % 1 != 0:
-        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear.make(0))
+        return CMDegree(m, mu.coords, None, Fraction(0))
     diff_m = pkg.diff(m)
     if len(diff_m) != 1:
-        return CMDegree(m, mu.coords, None, Fraction(0), LogLinear.make(0))
+        return CMDegree(m, mu.coords, None, Fraction(0))
     (p,) = diff_m
     chi_p = K.chi(p)
     if chi_p == 1:
@@ -151,5 +151,4 @@ def degree_formula(pkg, m, mu) -> CMDegree:
     wc = Fraction(2) ** (s_mu(pkg, mu) - 1) * length * r
     if r == 0 or length <= 0:
         wc = Fraction(0)
-    return CMDegree(m, mu.coords, p, wc,
-                    LogLinear.make(0, {p: wc}) if wc else LogLinear.make(0))
+    return CMDegree(m, mu.coords, p, wc)

@@ -385,6 +385,10 @@ class TestBadInput:
         # over cli.MAX_PRECISION: refused before the L-function sums start
         (["chowla", "--disc", "-7", "--precision", "100000000000"], "--precision"),
         (["--precision", "201", "chowla", "--disc", "-7"], "--precision"),
+        # past Python's 4,300-digit int() limit, judged by length alone
+        (["chowla", "--disc", "-7", "--precision", "9" * 5000], "--precision"),
+        (["--precision", "0" * 10 + "9" * 5000, "chowla", "--disc", "-7"], "--precision"),
+        (["chowla", "--disc", "-7", "--precision", "-" + "9" * 5000], "--precision"),
     ])
     def test_bad_numeric_flag(self, files, tmp_path, capsys, argv, flag):
         if "{l_e8}" in argv:
@@ -394,7 +398,8 @@ class TestBadInput:
         code, err = error_of(argv, capsys)
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert err.startswith(f"error: {flag}") and "Traceback" not in err
+        assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+        assert len(err.splitlines()[0]) < 200
 
     INPUTS = {
         "a2": {"gram": [[2, 1], [1, 2]]},
@@ -416,6 +421,9 @@ class TestBadInput:
                                          [[2, 2 ** 41], [2 ** 41, 2 ** 81 + 2]])},
         "sub4": {"basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
         "l0_d27": {"gram": [[-2, -1], [-1, -14]]},  # d = -27, odd but not fundamental
+        "row": {"gram": [[2, 1]]},
+        # L0(-7) + U: the complement U is indefinite
+        "l0_d7_u": {"gram": [[-2, -1, 0, 0], [-1, -4, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
     }
 
     @pytest.mark.parametrize("argv,message", [
@@ -455,14 +463,31 @@ class TestBadInput:
          "over the listing bound of 1000000"),
         (["eisenstein", "--lattice", "{l0_d27}"],
          "--lattice: discriminant must be fundamental (squarefree, 1 mod 4), got -27"),
+        (["disc", "--lattice", "{row}"], "--lattice: gram matrix must be square"),
+        (["eisenstein", "--lattice", "{l0}", "--cutoff", "-1"],
+         "--cutoff: cutoff must be nonnegative, got -1"),
+        (["verify", "--lattice", "{L}", "--sub", "{sub}", "--pp", '{{"0,0":1}}'],
+         "--pp: principal part exponents -m require m > 0"),
+        (["verify", "--lattice", "{L}", "--sub", "{sub}", "--pp", '{{"1,x":1}}'],
+         "--pp: key '1,x': coset index 'x' is not an integer"),
+        (["verify", "--lattice", "{l0_d7_u}", "--sub", "{sub4}"],
+         "--lattice: complement must be positive definite"),
+        (["verify", "--lattice", "{L}", "--sub", "{sub}", "--fault-inject", "1,x"],
+         "--fault-inject: key '1,x': coset index 'x' is not an integer"),
+        (["verify", "--lattice", "{L}", "--sub", "{sub}", "--fault-inject", "1"],
+         '--fault-inject: key \'1\': expected "m,cosetindex"'),
+        (["verify", "--lattice", "{L}", "--sub", "{sub}", "--fault-inject", "x,0"],
+         "--fault-inject: key 'x,0': exponent: 'x' is not a rational number"),
     ])
     def test_refused_input_names_its_flag(self, files, tmp_path, capsys, argv, message):
         for name, blob in self.INPUTS.items():
             files[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(blob))
-        if argv[0] == "verify":
+        if argv[0] == "verify" and "--pp" not in argv:
             argv = argv + ["--pp", '{{"1,0":1}}']
+        start = time.perf_counter()
         code, err = error_of([a.format(**files) for a in argv], capsys)
+        assert time.perf_counter() - start < 1
         assert code == 1
         assert err == f"error: {message}\n"
 
@@ -556,14 +581,21 @@ class TestBadInput:
         assert exc.value.code == 0
         assert "exit codes" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["abc", "0", "201", "100000000000"])
+    @pytest.mark.parametrize("value", [
+        "abc", "0", "201", "100000000000",
+        # past Python's 4,300-digit int() limit, judged by length alone
+        pytest.param("9" * 5000, id="nines5000"),
+        pytest.param("0" * 10 + "9" * 5000, id="zeros10-nines5000"),
+        pytest.param("-" + "9" * 5000, id="minus-nines5000"),
+    ])
     def test_bad_precision_environment(self, monkeypatch, capsys, value):
         monkeypatch.setenv("SPECCY_PRECISION", value)
         start = time.perf_counter()
         code, err = error_of(["chowla", "--disc", "-7"], capsys)
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert err.startswith("error: SPECCY_PRECISION") and err.count("\n") == 1
+        assert err.startswith("error: SPECCY_PRECISION: ") and err.count("\n") == 1
+        assert len(err) < 200
 
     def test_precision_bound_message(self, monkeypatch, capsys):
         monkeypatch.setenv("SPECCY_PRECISION", "201")

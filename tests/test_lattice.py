@@ -230,6 +230,13 @@ class TestDiscriminantGroup:
         with pytest.raises(ValueError, match="not in group"):
             g.index_of(Coset(g, (0,) + g.zero().coords))
 
+    def test_coset_refusals(self):
+        g = discriminant_group(QuadLattice([[2, 1], [1, 4]]))  # Z/7
+        with pytest.raises(ValueError, match="not in group"):
+            g.index_of(Coset(g, (7,)))
+        with pytest.raises(ValueError, match="cosets from different discriminant groups"):
+            g.zero() + discriminant_group(QuadLattice([[2]])).zero()
+
     def test_dual_index_and_from_vector_random(self):
         # random even lattices of rank <= 5, indefinite ones included: every
         # coset comes back from its representative, dual_index(G rep) is its
@@ -731,7 +738,7 @@ class TestInvariants:
                                     [[1, 0], [0, 1], [0, 0]])
         with pytest.raises(InvariantError):
             SublatticeEmbedding(emb.ambient, emb.sub_basis, emb.sub,
-                                emb.complement_basis, emb.complement, 2)
+                                emb.complement_basis, emb.complement, box=(2,))
 
     def test_glue_pairs_are_fresh_lists(self):
         L, sub_basis = build_glued_index7()

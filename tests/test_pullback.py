@@ -359,14 +359,27 @@ def _l0_refusal(gram, m):
     (lambda ctx: verify_ledger(ctx, hejhal_principal_part(1, discriminant_group(ctx.ambient)
                                                           .zero()), (Fraction(1, 7), 0)),
      "fault_negate"),
+    (lambda ctx: QuadLattice([[2, 2], [2, 2]]).gram_inverse(), "lattice"),
 ], ids=["size_guard", "conditioning_guard", "negative_cutoff", "coset_bound", "a_plus_budget",
         "oracle_class_number", "oracle_diff", "oracle_m", "not_maximal", "non_primitive_sub",
-        "context_a_plus_budget", "fault_target"])
+        "context_a_plus_budget", "fault_target", "degenerate_gram_inverse"])
 def test_refusal_names_its_input(block_ctx, call, arg):
     # the CLI names the flag of the parameter arg blames
     with pytest.raises(InputRefusal) as exc:
         call(block_ctx)
     assert exc.value.arg == arg
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda ctx, zero: verify_ledger(ctx, hejhal_principal_part(5, zero)),
+     "context cutoff too small for this principal part"),
+    (lambda ctx, zero: pullback_table(ctx, 0, zero), "m must be positive"),
+    (lambda ctx, zero: lambda_mmu_count(ctx, -1, zero), "m must be positive"),
+], ids=["pp_past_cutoff", "pullback_table_m0", "lambda_mmu_negative_m"])
+def test_ledger_refusals(block_ctx, call, message):
+    # block_ctx tabulates to m = 4
+    with pytest.raises(ValueError, match=message):
+        call(block_ctx, discriminant_group(block_ctx.ambient).zero())
 
 
 class TestInvariants:

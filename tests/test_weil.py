@@ -48,13 +48,14 @@ class TestGenerators:
 
     @pytest.mark.parametrize("lat", LATTICES + [QuadLattice([[-2, 0, 0], [0, 2, 0], [0, 0, 6]])])
     def test_S_entries_from_the_pairing(self, lat):
-        # the pairing-matrix bilinear form against b_map on coset representatives
+        # each entry against [nu, mu] mod 1 on coset representatives, in
+        # Fractions, apart from the group's integer pairing that omega_S reads
         w = wrep(lat)
         M = w.omega_S()
         cosets = list(w.disc.elements())
         for i, mu in enumerate(cosets):
             for j, nu in enumerate(cosets):
-                want = CycNum.e(Fraction(w.sig8, 8) + w.disc.b_map(nu, mu))
+                want = CycNum.e(Fraction(w.sig8, 8) + lat.bilinear(nu.rep(), mu.rep()) % 1)
                 assert M.entries[i][j] == want
 
     def test_S_a1(self):
@@ -223,6 +224,14 @@ class TestApply:
             w.apply("omega", ("U",), [1, 0])
         with pytest.raises(ValueError, match="unknown generator 'U'"):
             w.rep_matrix(("U",))
+
+    def test_unknown_variant_refused(self):
+        w = wrep(QuadLattice([[2]]))
+        with pytest.raises(ValueError, match="unknown representation variant 'dual'"):
+            w.generator_matrix(S, "dual")
+        # the empty word reaches no generator matrix: apply checks it itself
+        with pytest.raises(ValueError, match="unknown representation variant 'dual'"):
+            w.apply("dual", (), [1, 0])
 
     def test_property_grams_cover_the_sizes(self):
         dims = sorted(property_rep(i).dim for i in range(len(PROPERTY_GRAMS)))
