@@ -40,12 +40,14 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: exit 1 naming the flag, not argparse's
-    exit 2, which means an identity mismatch here."""
+    """Usage errors are input errors: exit 1 with one line naming the flag
+    (a missing subcommand is `command`), not argparse's exit 2, which means
+    an identity mismatch here."""
 
     def error(self, message):
-        raise InputError(f"{message.removeprefix('argument ')}\n"
-                         f"{self.format_usage().rstrip()}")
+        message = message.removeprefix("argument ")
+        missing = message.removeprefix("the following arguments are required: ")
+        raise InputError(message if missing == message else f"{missing}: required, not given")
 
 
 # Most working digits the CLI serves: chowla at d = -23 took 9 s at 200 and

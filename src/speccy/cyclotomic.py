@@ -16,12 +16,17 @@ adds a one-term right-hand entry (every Weil generator entry is a single
 root of unity) inline as a shifted copy of the left-hand terms.
 _is_product tests a == b * c the same way, with one dict and one is_zero.
 
-Different sums can have equal values (1 + e(1/2) = 0).  With the true
-order N = n/g, g = gcd(n, all k), a number is P(zeta_N) for
-P = sum c_k x^(k/g), so equality and the zero test reduce P modulo the
-cyclotomic polynomial Phi_N: the number is zero exactly when the
-remainder is.  When N = 2m with m odd the reduction substitutes x -> -x
-and works modulo Phi_m (Phi_N(x) = Phi_m(-x)), which halves its length.
+Different sums can have equal values (1 + e(1/2) = 0).  The zero test
+writes a number in the power basis of Z[zeta_N], N = n/g the true order
+(g = gcd(n, all k)): Z[zeta_N] is the tensor product of the Z[zeta_q] over
+q = p^a exactly dividing N, each free on zeta_q^i, i < phi(q) (Washington,
+Introduction to Cyclotomic Fields, GTM 83, ch. 2).  An exponent k carries
+zeta_q to the power k mod q = u + p^(a-1) v, u < p^(a-1), v < p; it is off
+the basis exactly when v = p - 1, and Phi_q(y) = sum_{v<p} y^(v p^(a-1))
+moves its coefficient, negated, to the p - 1 exponents with the same u and
+a smaller v.  The idempotent E = 1 mod q, 0 mod N/q moves the q-part alone,
+so one pass per prime power leaves every exponent on the basis, and the
+number is zero exactly when no coefficient is left.
 
 Square roots of positive integers are cyclotomic by the classical Gauss
 sum evaluation, provided by sqrt_cyclotomic; this is what lets scale
@@ -33,41 +38,28 @@ count of the squares mod the squarefree part of n.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import InvariantError, factorization
-
-_PHI_CACHE = {1: [-1, 1]}  # N -> integer coefficients of Phi_N, ascending
+from .lattice import factorization
 
 
-def _poly_divmod_int(num, den):
-    """(quotient, remainder) of integer polynomials (ascending coefficients),
-    exact for a monic den; the remainder keeps the length of num."""
-    num = list(num)
-    dden = len(den) - 1
-    out = [0] * (max(len(num) - dden, 0))
-    for i in range(len(num) - 1, dden - 1, -1):
-        q = out[i - dden] = num[i] // den[dden]
-        if q:
-            for j in range(dden + 1):
-                num[i - dden + j] -= q * den[j]
-    return out, num
-
-
-def cyclotomic_polynomial(N):
-    """Integer coefficients (ascending) of Phi_N, cached."""
-    if N in _PHI_CACHE:
-        return _PHI_CACHE[N]
-    poly = [0] * N + [1]
-    poly[0] = -1  # x^N - 1
-    for d in range(1, N):
-        if N % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise InvariantError(f"Phi_{d} leaves a remainder in x^{N} - 1")
-    _PHI_CACHE[N] = poly
-    return poly
+@functools.lru_cache(maxsize=None)
+def _basis_steps(N):
+    """The moves onto the power basis of Z[zeta_N], in the order is_zero
+    makes them: per q = p^a exactly dividing N, each exponent k off the
+    basis in q (k mod q >= (p - 1) p^(a-1)) with the p - 1 exponents
+    k - j p^(a-1) E mod N, 0 < j < p, that take its coefficient negated;
+    E = 1 mod q and 0 mod N/q."""
+    table = []
+    for p, a in factorization(N):
+        q = p ** a
+        low, r = q // p, N // q
+        step = low * r * pow(r, -1, q)  # p^(a-1) E
+        table += [(k, [(k - j * step) % N for j in range(1, p)])
+                  for k in range(N) if k % q >= q - low]
+    return table
 
 
 def _rational(c):
@@ -221,19 +213,19 @@ class CycNum:
         # true order N; distinct exponents, so N > 1 here
         g = gcd(self.n, *terms)
         N = self.n // g
-        # Phi_N(x) = Phi_m(-x) for N = 2m with m odd: reduce in y = -x, which
-        # has y^m = 1, modulo Phi_m
-        flip = N % 4 == 2
-        if flip:
-            N //= 2
-        # clear coefficient denominators (1 for ints), reduce mod Phi_N
+        # clear coefficient denominators (1 for ints), then move every
+        # exponent onto the power basis, one prime power after the other
         den = lcm(*(c.denominator for c in terms.values()))
-        poly = [0] * N
+        acc = [0] * N
         for k, c in terms.items():
-            k //= g
-            v = c.numerator * (den // c.denominator)
-            poly[k % N] += -v if flip and k % 2 else v
-        return not any(_poly_divmod_int(poly, cyclotomic_polynomial(N))[1])
+            acc[k // g] = c.numerator * (den // c.denominator)
+        for k, targets in _basis_steps(N):
+            c = acc[k]
+            if c:
+                acc[k] = 0
+                for j in targets:
+                    acc[j] -= c
+        return not any(acc)
 
     def __eq__(self, other):
         try:

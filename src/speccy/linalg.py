@@ -108,6 +108,18 @@ def row_hnf(rows):
     return M[:r]
 
 
+def _clear_cross(D, t, U, Vt):
+    """Row steps (on D, U) then column steps (on D^T, V^T) from pivot (t, t),
+    until a round of both moves no pivot; returns the cleared D."""
+    moved = True
+    while moved:
+        moved = _clear_below(D, t, t, U)
+        D = transpose(D)
+        moved |= _clear_below(D, t, t, Vt)
+        D = transpose(D)
+    return D
+
+
 def snf_with_transforms(A):
     """Smith normal form with transforms: returns (U, V, D) with U A V = D.
 
@@ -134,27 +146,15 @@ def snf_with_transforms(A):
         for row in D:
             row[t], row[j] = row[j], row[t]
         Vt[t], Vt[j] = Vt[j], Vt[t]
-        # rows then columns, until a round of both moves no pivot
-        moved = True
-        while moved:
-            moved = _clear_below(D, t, t, U)
-            D = transpose(D)
-            moved |= _clear_below(D, t, t, Vt)
-            D = transpose(D)
+        D = _clear_cross(D, t, U, Vt)
         # divisibility fix-up: d_t must divide every later entry; if one
-        # does not, add its row to row t, clear columns then rows, and redo
-        # this pivot
+        # does not, add its row to row t, clear again and redo this pivot
         bad = next((i for i in range(t + 1, n) for j in range(t + 1, m)
                     if D[i][j] % D[t][t] != 0), None)
         if bad is not None:
             D[t] = [a + b for a, b in zip(D[t], D[bad])]
             U[t] = [a + b for a, b in zip(U[t], U[bad])]
-            moved = True
-            while moved:
-                D = transpose(D)
-                moved = _clear_below(D, t, t, Vt)
-                D = transpose(D)
-                moved |= _clear_below(D, t, t, U)
+            D = _clear_cross(D, t, U, Vt)
             continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]

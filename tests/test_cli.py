@@ -389,6 +389,11 @@ class TestBadInput:
         (["chowla", "--disc", "-7", "--precision", "9" * 5000], "--precision"),
         (["--precision", "0" * 10 + "9" * 5000, "chowla", "--disc", "-7"], "--precision"),
         (["chowla", "--disc", "-7", "--precision", "-" + "9" * 5000], "--precision"),
+        # usage errors name the subcommand or flag on one line, with no usage text
+        (["frob"], "command"),
+        ([], "command"),
+        (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp"], "--pp"),
+        (["--format", "xml", "chowla", "--disc", "-7"], "--format"),
     ])
     def test_bad_numeric_flag(self, files, tmp_path, capsys, argv, flag):
         if "{l_e8}" in argv:
@@ -399,7 +404,7 @@ class TestBadInput:
         assert time.perf_counter() - start < 1
         assert code == 1
         assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
-        assert len(err.splitlines()[0]) < 200
+        assert len(err.splitlines()) == 1 and len(err) < 200
 
     INPUTS = {
         "a2": {"gram": [[2, 1], [1, 2]]},

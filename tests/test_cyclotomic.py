@@ -10,25 +10,29 @@ from hypothesis import strategies as st
 
 from speccy import cyclotomic
 from speccy.cyclotomic import CycNum, sqrt_cyclotomic
-from speccy.lattice import InvariantError
 
-PRIMES = (2, 3, 5, 7)
 X = sympy.Symbol("x")
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_conductors = st.integers(1, 24)
+# conductors with three primes (60, 105, 120, 168, 360) or higher prime
+# powers (72 = 8 * 9, 248 = 8 * 31)
+large_conductors = st.sampled_from((60, 72, 105, 120, 168, 248, 360))
+conductors = st.one_of(small_conductors, large_conductors)
 
 
 @st.composite
-def cycnums(draw):
-    """A CycNum with exponent denominators up to 24: a few random terms plus
-    random multiples of the vanishing p-gon sums  sum_j e(k/n + j/p)  for
-    primes p dividing the conductor n, so that many draws are zero."""
-    n = draw(st.integers(1, 24))
+def cycnums(draw, conductors=conductors):
+    """A CycNum whose exponent denominators divide a drawn conductor n: a few
+    random terms plus random multiples of the vanishing p-gon sums
+    sum_j e(k/n + j/p)  for primes p dividing n, so that many draws are
+    zero."""
+    n = draw(conductors)
     x = CycNum()
     for _ in range(draw(st.integers(0, 3))):
         x = x + CycNum.e(Fraction(draw(st.integers(0, n - 1)), n)) * draw(coefficients)
-    for p in PRIMES:
-        if n % p == 0 and draw(st.booleans()):
+    for p in sympy.primefactors(n):
+        if draw(st.booleans()):
             k = draw(st.integers(0, n - 1))
             c = draw(coefficients)
             for j in range(p):
@@ -72,8 +76,19 @@ class TestRingAxioms:
         assert a.is_zero() == oracle_is_zero(a)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cycnums(), cycnums())
+    @given(cycnums(small_conductors), cycnums(small_conductors))
     def test_difference_is_zero_matches_sympy_reduction(self, a, b):
+        # any two conductors up to 24: the difference lives at their lcm
+        d = a - b
+        assert d.is_zero() == oracle_is_zero(d) == (a == b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_difference_at_a_large_conductor_matches_sympy_reduction(self, data):
+        # b's conductor divides a's, so the difference lives at a.n <= 360,
+        # where the oracle's remainder stays cheap
+        a = data.draw(cycnums(large_conductors))
+        b = data.draw(cycnums(st.sampled_from(sympy.divisors(a.n))))
         d = a - b
         assert d.is_zero() == oracle_is_zero(d) == (a == b)
 
@@ -133,16 +148,23 @@ class TestFixedCases:
         x = (CycNum.e(Fraction(1, 8)) + 3) * CycNum.from_rational(Fraction(4, 2))
         assert all(type(c) is int for c in x.terms.values())
 
+    @pytest.mark.parametrize("n", [30, 60, 105, 120, 248])
+    def test_full_coset_sums_vanish_and_one_move_does_not(self, n):
+        # sum_j e((k + j n/d)/n) over j < d runs over a coset of the order-d
+        # subgroup and vanishes for d > 1; moving any one coefficient by +-1
+        # leaves a number that is not zero
+        for d in sympy.divisors(n)[1:]:
+            for k in range(n // d):
+                coset = [k + j * n // d for j in range(d)]
+                assert CycNum(dict.fromkeys(coset, 1), n).is_zero(), (n, d, k)
+                for i in coset:
+                    for step in (1, -1):
+                        terms = dict.fromkeys(coset, 1)
+                        terms[i] += step
+                        assert not CycNum(terms, n).is_zero(), (n, d, k, i, step)
+
     def test_true_order_below_the_conductor(self):
         # 1 + e(2/4) = 1 + e(1/2) = 0, stored at conductor 4
         x = CycNum({0: 1, 2: 1}, 4)
         assert x.is_zero()
         assert not CycNum({0: 1, 1: 1}, 4).is_zero()
-
-
-class TestInvariants:
-    def test_wrong_cyclotomic_factor_is_an_invariant_error(self, monkeypatch):
-        # 2x + 1 in place of Phi_2 leaves a remainder in x^4 - 1
-        monkeypatch.setattr(cyclotomic, "_PHI_CACHE", {1: [-1, 1], 2: [1, 2]})
-        with pytest.raises(InvariantError):
-            cyclotomic.cyclotomic_polynomial(4)

@@ -113,8 +113,10 @@ class TestSNF:
     def test_transforms_are_pinned(self):
         # U and V fix the generators of every DiscriminantGroup, and so
         # every coset label: a change to them (ROADMAP item 5, a bounded
-        # Smith form) must be made knowingly.  The Grams: L0(d) + E8, E8
-        # and the principal L0(d); then 300 seeded small matrices
+        # Smith form) must be made knowingly.  The Grams: L0(d) + E8, E8,
+        # the principal L0(d), and one whose divisibility fix-up leaves a 1
+        # at (2, 3) below d_0 = 2, so the pivot is picked again (U[0] =
+        # (-2, -2, 1, 0)); then 300 seeded small matrices
         from test_qseries import E8
         e8 = [list(row) for row in E8.gram]
 
@@ -124,11 +126,12 @@ class TestSNF:
 
         grams = ([[row + [0] * 8 for row in l0(d)] + [[0, 0] + row for row in e8]
                   for d in (-3, -7, -11, -23)]
-                 + [e8] + [l0(d) for d in (-3, -7, -11, -19, -43)])
+                 + [e8] + [l0(d) for d in (-3, -7, -11, -19, -43)]
+                 + [[[4, 0, 0, 0], [0, 6, 4, 4], [0, 4, 10, 9], [0, 4, 9, 10]]])
         rng = random.Random(0)
         small = [rand_matrix(rng, n, m, -9, 9)
                  for n, m in ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300))]
-        pins = {"986bf6123a071dc5f99cd2cd25d863677892d8f9208a94a1ce219a3f973c67e7": grams,
+        pins = {"4dcc27a3f352d15827d95a675d22acc4867149d85768b95ecf7a5f402e3b57ef": grams,
                 "0ab010360fbc3c3b203c37d4fe8066f98ab28f016cd880f98b09156ce470ddee": small}
         with time_limit(1):
             for digest, cases in pins.items():
