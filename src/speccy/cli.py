@@ -41,13 +41,20 @@ class InputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: exit 1 with one line naming the flag
-    (a missing subcommand is `command`), not argparse's exit 2, which means
-    an identity mismatch here."""
+    (a missing subcommand is `command`, a missing one of a group its flags
+    joined by `/`, an unrecognized argument its first token), not
+    argparse's exit 2, which means an identity mismatch here."""
 
     def error(self, message):
         message = message.removeprefix("argument ")
-        missing = message.removeprefix("the following arguments are required: ")
-        raise InputError(message if missing == message else f"{missing}: required, not given")
+        head, _, rest = message.partition(": ")
+        if head == "the following arguments are required":
+            message = f"{rest}: required, not given"
+        elif head == "unrecognized arguments":
+            message = f"{rest.split(' ')[0]}: unrecognized argument"
+        elif message.startswith("one of the arguments "):  # ... --a --b is required
+            message = f"{'/'.join(message.split()[4:-2])}: one of them required, not given"
+        raise InputError(message)
 
 
 # Most working digits the CLI serves: chowla at d = -23 took 9 s at 200 and

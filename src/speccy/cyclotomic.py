@@ -10,11 +10,11 @@ The conductor is any multiple of the true order of the exponents.  An
 operation on two numbers of different conductors first lifts both to the
 lcm of the two (k/n = (k m/n)/m), so sums and products are integer maps on
 exponents.  The exponent arithmetic of a product is written once, in
-_mul_into; _matmul, the matrix product of the Weil representation, uses it
-to accumulate each entry's whole sum of products in one exponent dict, and
-adds a one-term right-hand entry (every Weil generator entry is a single
-root of unity) inline as a shifted copy of the left-hand terms.
-_is_product tests a == b * c the same way, with one dict and one is_zero.
+_mul_into, which adds a left operand times each entry of a sparse row into
+one exponent dict per column.  _matmul, the matrix product of the Weil
+representation, calls it once per nonzero left entry, so each entry's whole
+sum of products builds in one dict; a product and _is_product (a == b * c,
+with one is_zero) call it with a one-entry row.
 
 Different sums can have equal values (1 + e(1/2) = 0).  The zero test
 writes a number in the power basis of Z[zeta_N], N = n/g the true order
@@ -87,44 +87,34 @@ def _lift(x, n):
     return {k * s: c for k, c in x.terms.items()}
 
 
-def _mul_into(acc, n, at, bt):
-    """acc += a * b for a dict acc of exponents at the conductor n, with a
-    and b given as (exponent, coefficient) pairs at that conductor.  Zero
-    coefficients may be left in acc."""
-    get = acc.get
-    for ka, ca in at:
+def _mul_into(accs, n, at, row):
+    """accs[j] += a * b for each (j, b) of a sparse row, with a and every b
+    given as (exponent, coefficient) pairs at the conductor n and accs[j]
+    an exponent dict.  Zero coefficients may be left in accs."""
+    for j, bt in row:
+        acc = accs[j]
+        get = acc.get
         for kb, cb in bt:
-            k = (ka + kb) % n
-            acc[k] = get(k, 0) + ca * cb
+            for ka, ca in at:
+                k = (ka + kb) % n
+                acc[k] = get(k, 0) + ca * cb
 
 
 def _matmul(A, B):
     """Exact product of CycNum matrices (lists of rows).  Each entry
     sum_k A_ik B_kj is accumulated in one exponent dict at the lcm of the
-    conductors of all entries, so no partial sum is built as a CycNum.
-    A one-term B_kj = c e(k'/n) adds c times A_ik shifted by k', inline."""
+    conductors of all entries, so no partial sum is built as a CycNum."""
     n = lcm(*(x.n for M in (A, B) for row in M for x in row))
-    rows_b = []  # per row k of B: its one-term entries, then the others
-    for row in B:
-        lifted = [(j, list(_lift(x, n).items())) for j, x in enumerate(row) if x.terms]
-        rows_b.append(([(j, *bt[0]) for j, bt in lifted if len(bt) == 1],
-                       [(j, bt) for j, bt in lifted if len(bt) > 1]))
+    # per row k of B: (j, terms of B_kj) over its nonzero entries
+    rows_b = [[(j, list(_lift(x, n).items())) for j, x in enumerate(row) if x.terms]
+              for row in B]
     width = len(B[0]) if B else 0
     out = []
     for row in A:
         accs = [{} for _ in range(width)]
-        for a, (ones, dense) in zip(row, rows_b):
-            if not a.terms:
-                continue
-            at = list(_lift(a, n).items())
-            for j, kb, cb in ones:
-                acc = accs[j]
-                get = acc.get
-                for ka, ca in at:
-                    k = (ka + kb) % n
-                    acc[k] = get(k, 0) + ca * cb
-            for j, bt in dense:
-                _mul_into(accs[j], n, at, bt)
+        for a, row_b in zip(row, rows_b):
+            if a.terms:
+                _mul_into(accs, n, list(_lift(a, n).items()), row_b)
         out.append([_cyc(n, {k: c for k, c in acc.items() if c}) for acc in accs])
     return out
 
@@ -134,7 +124,7 @@ def _is_product(a, b, c):
     and one is_zero: no intermediate CycNum."""
     n = lcm(a.n, b.n, c.n)
     acc = {k: -v for k, v in _lift(a, n).items()}
-    _mul_into(acc, n, _lift(b, n).items(), _lift(c, n).items())
+    _mul_into([acc], n, _lift(b, n).items(), [(0, _lift(c, n).items())])
     return _cyc(n, {k: v for k, v in acc.items() if v}).is_zero()
 
 
@@ -197,7 +187,7 @@ class CycNum:
         other = _coerce(other)
         n = lcm(self.n, other.n)
         acc = {}
-        _mul_into(acc, n, _lift(self, n).items(), _lift(other, n).items())
+        _mul_into([acc], n, _lift(self, n).items(), [(0, _lift(other, n).items())])
         return _cyc(n, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__

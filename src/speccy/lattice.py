@@ -183,12 +183,7 @@ class Coset(namedtuple("Coset", "group coords")):
         return all(a == 0 for a in self.coords)
 
     def order(self):
-        o = 1
-        for a, d in zip(self.coords, self.group.elementary_divisors):
-            if a:
-                k = d // gcd(a, d)
-                o = o * k // gcd(o, k)
-        return o
+        return lcm(*(d // gcd(a, d) for a, d in zip(self.coords, self.group.elementary_divisors)))
 
     def __repr__(self):
         return f"Coset{self.coords}"

@@ -36,8 +36,8 @@ from .lattice import (
 from .qseries import (
     PrincipalPart,
     VVFormQ,
+    _splits,
     constant_term_pairing,
-    rep_coefficient,
     theta_series,
 )
 
@@ -99,17 +99,9 @@ def pullback_table(ctx: EmbeddingContext, m, mu: Coset) -> list:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("m must be positive")
-    rows = []
-    for mu1, mu2 in glue_cosets(ctx.emb, mu):
-        q2 = ctx.theta.group.q_map(mu2)
-        m2 = q2
-        while m2 <= m:
-            m1 = m - m2
-            if m1 > 0 or mu1.is_zero():
-                count = rep_coefficient(ctx.theta, m2, mu2)
-                if count:
-                    rows.append(PullbackRow(m1, mu1, m2, mu2, count))
-            m2 += 1
+    rows = [PullbackRow(m - m2, mu1, m2, mu2, r)
+            for mu1, m2, mu2, r in _splits(ctx.theta, ctx.emb, m, mu)
+            if m2 < m or mu1.is_zero()]
     rows.sort(key=lambda r: (r.m1, r.mu1.coords, r.mu2.coords))
     return rows
 

@@ -5,6 +5,10 @@ theta table, and formal principal parts of Hejhal-Poincare type.
 Coefficient data, tables and principal parts alike, is keyed by (m, coset
 index) with m an exact Fraction, and check_support is its one support-law
 check: the law is a congruence mod Z, meaningless in floating point.
+
+_splits walks the splits m = m1 + m2 of an exponent along the glue of L0 +
+Lambda, with R(m2, mu2) read off the theta table, once for both the
+pullback table and the constant-term pairing.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from fractions import Fraction
 from math import lcm
 
-from .imq import LogLinear
 from .lattice import (
     Coset,
     DiscriminantGroup,
@@ -206,6 +209,19 @@ def hejhal_principal_part(m, mu: Coset) -> PrincipalPart:
     return PrincipalPart(group, entries)
 
 
+def _splits(theta: VVFormQ, emb: SublatticeEmbedding, m, mu: Coset):
+    """(mu1, m2, mu2, R(m2, mu2)) over the glue pairs (mu1, mu2) of mu and
+    the exponents m2 <= m in the theta support of mu2, R != 0: the splits
+    m = m1 + m2 that the pullback table and the constant term both sum."""
+    for mu1, mu2 in glue_cosets(emb, mu):
+        m2 = theta.group.q_map(mu2)
+        while m2 <= m:
+            r = rep_coefficient(theta, m2, mu2)
+            if r:
+                yield mu1, m2, mu2, r
+            m2 += 1
+
+
 def constant_term_pairing(pp: PrincipalPart, eis_table: VVFormQ, theta: VVFormQ,
                           emb: SublatticeEmbedding):
     """CT {f^+, E (x) Theta} = sum over m1 + m2 + m3 = 0 of
@@ -215,24 +231,13 @@ def constant_term_pairing(pp: PrincipalPart, eis_table: VVFormQ, theta: VVFormQ,
     orthogonal complement; the pairing runs through the glue description of
     S_L inside S_{L0} (x) S_Lambda.
     """
-    total = LogLinear.make(0)
     # m1 = 0 term: only the (0, 0, 0) cell survives since a^+(0, mu != 0) = 0
     # and R(0, mu != 0) = 0
-    if pp.constant:
-        total = total + eis_table.coefficient(Fraction(0), eis_table.group.zero()) * pp.constant
+    total = eis_table.coefficient(0, eis_table.group.zero()) * pp.constant
     for (m, i), cval in pp.items():
-        for mu1, mu2 in glue_cosets(emb, pp.group.coset_by_index(i)):
-            # m2 + m3 = m with m3 in the theta support of mu2
-            q3 = theta.group.q_map(mu2)
-            m3 = q3
-            while m3 <= m:
-                m2 = m - m3
-                r = rep_coefficient(theta, m3, mu2)
-                if r:
-                    a = eis_table.coefficient(m2, mu1)
-                    if not a.is_zero():
-                        total = total + a * (cval * r)
-                m3 += 1
+        # m2 + m3 = m with R(m3, mu2) != 0
+        for mu1, m3, mu2, r in _splits(theta, emb, m, pp.group.coset_by_index(i)):
+            total = total + eis_table.coefficient(m - m3, mu1) * (cval * r)
     return total
 
 

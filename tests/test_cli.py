@@ -235,7 +235,7 @@ class TestChowla:
     def test_requires_input(self, capsys):
         code, err = error_of(["chowla"], capsys)
         assert code == 1
-        assert err.startswith("error: one of the arguments --lattice --disc is required")
+        assert err == "error: --lattice/--disc: one of them required, not given\n"
 
     def test_lattice_and_disc_exclude_each_other(self, files, capsys):
         code, err = error_of(["chowla", "--lattice", files["l0"], "--disc", "-23"], capsys)
@@ -394,6 +394,9 @@ class TestBadInput:
         ([], "command"),
         (["verify", "--lattice", "{l_e8}", "--sub", "{sub_e8}", "--pp"], "--pp"),
         (["--format", "xml", "chowla", "--disc", "-7"], "--format"),
+        (["chowla"], "--lattice/--disc"),
+        (["chowla", "--disc", "-7", "--foo"], "--foo"),
+        (["disc", "--lattice", "{a1}", "extra"], "extra"),
     ])
     def test_bad_numeric_flag(self, files, tmp_path, capsys, argv, flag):
         if "{l_e8}" in argv:

@@ -2,6 +2,7 @@ import cmath
 import copy
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -91,6 +92,52 @@ class TestRingAxioms:
         b = data.draw(cycnums(st.sampled_from(sympy.divisors(a.n))))
         d = a - b
         assert d.is_zero() == oracle_is_zero(d) == (a == b)
+
+
+def oracle_product(a, b):
+    """a * b as a sum of one-term CycNums, one per pair of terms, built with
+    addition alone: no product kernel."""
+    n = lcm(a.n, b.n)
+    total = CycNum()
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            total = total + CycNum({ka * (n // a.n) + kb * (n // b.n): ca * cb}, n)
+    return total
+
+
+@st.composite
+def entries(draw):
+    """A matrix entry: zero, a single root of unity, or a cycnums() sum."""
+    kind = draw(st.sampled_from(("zero", "root", "sum")))
+    if kind == "zero":
+        return CycNum()
+    if kind == "root":
+        n = draw(conductors)
+        return CycNum.e(Fraction(draw(st.integers(0, n - 1)), n))
+    return draw(cycnums())
+
+
+class TestProductKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matmul_is_the_sum_of_entry_products(self, data):
+        r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        A = [[data.draw(entries()) for _ in range(k)] for _ in range(r)]
+        B = [[data.draw(entries()) for _ in range(c)] for _ in range(k)]
+        M = cyclotomic._matmul(A, B)
+        assert len(M) == r and all(len(row) == c for row in M)
+        for i in range(r):
+            for j in range(c):
+                assert M[i][j] == sum(A[i][t] * B[t][j] for t in range(k))
+                assert M[i][j] == sum(oracle_product(A[i][t], B[t][j]) for t in range(k))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(entries(), entries(), entries(), st.booleans())
+    def test_is_product_matches_equality(self, a, b, c, near):
+        # near: a is b * c plus a drawn entry, often a zero-valued sum
+        if near:
+            a = oracle_product(b, c) + a
+        assert cyclotomic._is_product(a, b, c) == (a == b * c) == (a == oracle_product(b, c))
 
 
 class TestFixedCases:

@@ -237,6 +237,17 @@ class TestDiscriminantGroup:
         with pytest.raises(ValueError, match="cosets from different discriminant groups"):
             g.zero() + discriminant_group(QuadLattice([[2]])).zero()
 
+    @pytest.mark.parametrize("gram", [
+        [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0]] + [[0, 0] + row for row in A3],
+        [[2, 0], [0, 6]], D4], ids=["A1+A1+A3", "diag(2,6)", "D4"])
+    def test_order_is_the_least_multiple_that_vanishes(self, gram):
+        g = discriminant_group(QuadLattice(gram))
+        for mu in g.elements():
+            k, x = 1, mu
+            while not x.is_zero():
+                k, x = k + 1, x + mu
+            assert mu.order() == k, mu
+
     def test_dual_index_and_from_vector_random(self):
         # random even lattices of rank <= 5, indefinite ones included: every
         # coset comes back from its representative, dual_index(G rep) is its

@@ -14,17 +14,25 @@ from speccy.imq import LogLinear
 from speccy.lattice import (
     InputRefusal,
     QuadLattice,
+    count_coset_vectors,
     discriminant_group,
     enumerate_coset_vectors,
+    glue_cosets,
 )
 from speccy.pullback import (
     EmbeddingContext,
+    PullbackRow,
     cotaut_degree,
     lambda_mmu_count,
     pullback_table,
     verify_ledger,
 )
-from speccy.qseries import PrincipalPart, hejhal_principal_part, theta_series
+from speccy.qseries import (
+    PrincipalPart,
+    constant_term_pairing,
+    hejhal_principal_part,
+    theta_series,
+)
 from speccy.serialize import parse_principal_part
 
 BLOCK_GRAM = [[-2, -1, 0], [-1, -4, 0], [0, 0, 2]]
@@ -104,7 +112,41 @@ class TestLambda:
         assert lambda_mmu_count(glued_ctx, 1, g.zero()) == count > 0
 
 
+def shell_rows(ctx, m, mu):
+    """pullback_table's rows at (m, mu) from glue_cosets and exact shells on
+    Lambda, not from the theta table."""
+    comp = ctx.emb.complement
+    rows = []
+    for mu1, mu2 in glue_cosets(ctx.emb, mu):
+        m2 = discriminant_group(comp).q_map(mu2)
+        while m2 <= m:
+            count = count_coset_vectors(comp, mu2, m2)
+            if count and (m2 < m or mu1.is_zero()):
+                rows.append(PullbackRow(m - m2, mu1, m2, mu2, count))
+            m2 += 1
+    return sorted(rows, key=lambda r: (r.m1, r.mu1.coords, r.mu2.coords))
+
+
 class TestPullbackTable:
+    def test_rows_and_constant_term_match_exact_shells(self, block_ctx, glued_ctx):
+        # every coset mu of L and every m <= cutoff on its support; the
+        # constant term of the Hejhal part, given a constant c+(0,0), is
+        # a+(0,0) c+(0,0) plus its entries' sums over those rows
+        for ctx in (block_ctx, glued_ctx):
+            g = discriminant_group(ctx.ambient)
+            a00 = ctx.eis.coefficient(0, ctx.eis.group.zero())
+            for mu in g.elements():
+                m = g.q_map(mu) or Fraction(1)
+                while m <= ctx.cutoff:
+                    assert pullback_table(ctx, m, mu) == shell_rows(ctx, m, mu), (mu, m)
+                    pp = PrincipalPart(g, hejhal_principal_part(m, mu).entries, Fraction(5, 3))
+                    expected = a00 * pp.constant
+                    for (m_pp, i), c in pp.items():
+                        for r in shell_rows(ctx, m_pp, g.coset_by_index(i)):
+                            expected = expected + ctx.eis.coefficient(r.m1, r.mu1) * (c * r.count)
+                    assert constant_term_pairing(pp, ctx.eis, ctx.theta, ctx.emb) == expected
+                    m += 1
+
     def test_block_product(self, block_ctx):
         g = discriminant_group(block_ctx.ambient)
         rows = pullback_table(block_ctx, 1, g.zero())
