@@ -1,20 +1,23 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-A CycNum is a finite sum  sum_k c_k e(k/n),  e(x) = exp(2 pi i x).  It
-stores its conductor n and the dict terms = {k: c_k} of nonzero
-coefficients, keyed by integer exponents 0 <= k < n.  Coefficients are
-Python ints; they are Fractions only where a coefficient is not integral
-(rational input vectors, the 1/|D| of a folded square root).
+A CycNum is a finite sum  sum_k (c_k / den) e(k/n),  e(x) = exp(2 pi i x).
+It stores its conductor n, the dict terms = {k: c_k} of nonzero integer
+numerators, keyed by integer exponents 0 <= k < n, and one positive
+denominator den with gcd(den, all c_k) = 1 (den = 1 when every coefficient
+is an integer).  Sums, products and zero tests run on integers alone; a
+rational coefficient only changes den.
 
 The conductor is any multiple of the true order of the exponents.  An
 operation on two numbers of different conductors first lifts both to the
 lcm of the two (k/n = (k m/n)/m), so sums and products are integer maps on
 exponents.  The exponent arithmetic of a product is written once, in
-_mul_into, which adds a left operand times each entry of a sparse row into
-one exponent dict per column.  _matmul, the matrix product of the Weil
-representation, calls it once per nonzero left entry, so each entry's whole
-sum of products builds in one dict; a product and _is_product (a == b * c,
-with one is_zero) call it with a one-entry row.
+_mul_into, which adds a sparse row times the rows of a matrix into one
+exponent dict, keyed j n + k for the term e(k/n) of column j.  _matmul, the
+product of a chain of matrices, lifts every entry to one conductor and
+keeps each partial product, from the right, as one such dict per row; only
+the entries of the result become CycNums.  A product of two numbers and
+_is_product (a == b * c, with one zero test) call _mul_into on 1 x 1
+matrices.
 
 Different sums can have equal values (1 + e(1/2) = 0).  The zero test
 writes a number in the power basis of Z[zeta_N], N = n/g the true order
@@ -47,7 +50,7 @@ from .lattice import factorization
 
 @functools.lru_cache(maxsize=None)
 def _basis_steps(N):
-    """The moves onto the power basis of Z[zeta_N], in the order is_zero
+    """The moves onto the power basis of Z[zeta_N], in the order _vanishes
     makes them: per q = p^a exactly dividing N, each exponent k off the
     basis in q (k mod q >= (p - 1) p^(a-1)) with the p - 1 exponents
     k - j p^(a-1) E mod N, 0 < j < p, that take its coefficient negated;
@@ -62,21 +65,43 @@ def _basis_steps(N):
     return table
 
 
-def _rational(c):
-    """c as an int when integral, else as a Fraction."""
-    if isinstance(c, int):
-        return c
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _vanishes(n, terms):
+    """Whether sum c e(k/n) over a dict of nonzero integer terms is zero."""
+    if len(terms) < 2:
+        return not terms  # a single nonzero monomial never vanishes
+    # true order N; distinct exponents, so N > 1 here
+    g = gcd(n, *terms)
+    N = n // g
+    # move every exponent onto the power basis, one prime power after the other
+    acc = [0] * N
+    for k, c in terms.items():
+        acc[k // g] = c
+    for k, targets in _basis_steps(N):
+        c = acc[k]
+        if c:
+            acc[k] = 0
+            for j in targets:
+                acc[j] -= c
+    return not any(acc)
 
 
-def _cyc(n, terms):
-    """CycNum at conductor n from a dict of reduced nonzero terms."""
-    r = CycNum.__new__(CycNum)
+def _store(r, n, terms, den):
+    """r holding the nonzero integer terms over den > 0 at conductor n,
+    with the gcd of den and the numerators divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
     r.n = n
     r.terms = terms
+    r.den = den
     return r
+
+
+def _cyc(n, terms, den=1):
+    """CycNum at conductor n from a dict of nonzero integer terms over den."""
+    return _store(CycNum.__new__(CycNum), n, terms, den)
 
 
 def _lift(x, n):
@@ -87,62 +112,98 @@ def _lift(x, n):
     return {k * s: c for k, c in x.terms.items()}
 
 
-def _mul_into(accs, n, at, row):
-    """accs[j] += a * b for each (j, b) of a sparse row, with a and every b
-    given as (exponent, coefficient) pairs at the conductor n and accs[j]
-    an exponent dict.  Zero coefficients may be left in accs."""
-    for j, bt in row:
-        acc = accs[j]
-        get = acc.get
-        for kb, cb in bt:
-            for ka, ca in at:
-                k = (ka + kb) % n
-                acc[k] = get(k, 0) + ca * cb
+def _mul_into(acc, n, row, part):
+    """acc += sum of a * part[k] over the (k, a) of a sparse row, at the
+    conductor n, with each a given as (exponent, coefficient) pairs and each
+    part[k] as (key, coefficient) pairs, key = j n + kb for the term
+    e(kb/n) of column j: the product of e(ka/n) and that term lands at
+    j n + (ka + kb) mod n.  Zero coefficients may be left in acc."""
+    get = acc.get
+    for k, at in row:
+        bt = part[k]
+        for ka, ca in at:
+            for key, cb in bt:
+                key += ka
+                if key % n < ka:  # ka + kb wrapped past n
+                    key -= n
+                acc[key] = get(key, 0) + ca * cb
 
 
-def _matmul(A, B):
-    """Exact product of CycNum matrices (lists of rows).  Each entry
-    sum_k A_ik B_kj is accumulated in one exponent dict at the lcm of the
-    conductors of all entries, so no partial sum is built as a CycNum."""
-    n = lcm(*(x.n for M in (A, B) for row in M for x in row))
-    # per row k of B: (j, terms of B_kj) over its nonzero entries
-    rows_b = [[(j, list(_lift(x, n).items())) for j, x in enumerate(row) if x.terms]
-              for row in B]
-    width = len(B[0]) if B else 0
+def _lifted(M, n):
+    """(den, rows): the entries of a CycNum matrix at the conductor n as
+    integer numerators over their one denominator den, each row the
+    (column, terms) pairs of its nonzero entries, lifted as it is read."""
+    den = lcm(*{x.den for row in M for x in row})
+    return den, ([(j, x.terms.items() if x.n == n and x.den == den else
+                   [(k * (n // x.n), c * (den // x.den)) for k, c in x.terms.items()])
+                  for j, x in enumerate(row) if x.terms] for row in M)
+
+
+def _row_products(n, rows, part):
+    """The exponent dict of each sparse row times the rows part, one row at
+    a time, so that each is dropped once its caller has read it."""
+    for row in rows:
+        acc = {}
+        _mul_into(acc, n, row, part)
+        yield acc
+
+
+def _matmul(*mats):
+    """Exact product mats[0] mats[1] ... of CycNum matrices (lists of rows;
+    the last may be a column).  Every entry is lifted to the lcm n of all
+    conductors, and each partial product, from the right, is one exponent
+    dict per row keyed j n + k, over the product of the matrices'
+    denominators: no CycNum is built before the result's entries."""
+    for A, B in zip(mats, mats[1:]):
+        for row in A:
+            if len(row) != len(B):
+                raise ValueError(f"matrix product of a row of length {len(row)} "
+                                 f"and a matrix of {len(B)} rows")
+    n = lcm(*{x.n for M in mats for row in M for x in row})
+    den, rows = _lifted(mats[-1], n)
+    width = len(mats[-1][0]) if mats[-1] else 0
+    accs = [{j * n + k: c for j, t in row for k, c in t} for row in rows]
+    for A in reversed(mats[:-1]):
+        part = [[(key, c) for key, c in acc.items() if c] for acc in accs]
+        den_a, rows = _lifted(A, n)
+        den *= den_a
+        accs = _row_products(n, rows, part)
     out = []
-    for row in A:
-        accs = [{} for _ in range(width)]
-        for a, row_b in zip(row, rows_b):
-            if a.terms:
-                _mul_into(accs, n, list(_lift(a, n).items()), row_b)
-        out.append([_cyc(n, {k: c for k, c in acc.items() if c}) for acc in accs])
+    for acc in accs:
+        entries = [{} for _ in range(width)]
+        for key, c in acc.items():
+            if c:
+                j, k = divmod(key, n)
+                entries[j][k] = c
+        out.append([_cyc(n, t, den) for t in entries])
     return out
 
 
 def _is_product(a, b, c):
     """Whether a == b * c, from b * c - a accumulated in one exponent dict
-    and one is_zero: no intermediate CycNum."""
+    and one zero test: no intermediate CycNum."""
     n = lcm(a.n, b.n, c.n)
-    acc = {k: -v for k, v in _lift(a, n).items()}
-    _mul_into([acc], n, _lift(b, n).items(), [(0, _lift(c, n).items())])
-    return _cyc(n, {k: v for k, v in acc.items() if v}).is_zero()
+    s = b.den * c.den
+    acc = {k: -v * s for k, v in _lift(a, n).items()}
+    _mul_into(acc, n, [(0, [(k, v * a.den) for k, v in _lift(b, n).items()])],
+              [_lift(c, n).items()])
+    return _vanishes(n, {k: v for k, v in acc.items() if v})
 
 
 class CycNum:
-    """Element of Q(zeta_n): sum of c * e(k/n) over terms = {k: c}."""
+    """Element of Q(zeta_n): sum of (c / den) e(k/n) over terms = {k: c}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, terms=None, n=1):
-        self.n = n
-        self.terms = {}
-        for k, c in (terms or {}).items():
-            k %= n
-            c = self.terms.get(k, 0) + _rational(c)
-            if c:
-                self.terms[k] = c
-            else:
-                self.terms.pop(k, None)
+        self.n, self.terms, self.den = n, {}, 1
+        if terms:
+            acc = {}
+            for k, c in terms.items():
+                k %= n
+                acc[k] = acc.get(k, 0) + Fraction(c)
+            den = lcm(*(c.denominator for c in acc.values()))
+            _store(self, n, {k: int(c * den) for k, c in acc.items() if c}, den)
 
     @classmethod
     def e(cls, q):
@@ -152,25 +213,28 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, c):
-        c = _rational(c)
-        return _cyc(1, {0: c} if c else {})
+        if not isinstance(c, int):
+            c = Fraction(c)
+        return _cyc(1, {0: c.numerator} if c else {}, c.denominator)
 
     def __add__(self, other):
         other = _coerce(other)
         n = lcm(self.n, other.n)
-        out = dict(_lift(self, n))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = dict(_lift(self, n)) if s == 1 else {k: c * s for k, c in _lift(self, n).items()}
         for k, c in _lift(other, n).items():
-            v = out.get(k, 0) + c
+            v = out.get(k, 0) + c * t
             if v:
                 out[k] = v
             else:
                 del out[k]
-        return _cyc(n, out)
+        return _cyc(n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyc(self.n, {k: -c for k, c in self.terms.items()})
+        return _cyc(self.n, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -180,42 +244,23 @@ class CycNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _rational(other)
-            if not other:
-                return CycNum()
-            return _cyc(self.n, {k: _rational(c * other) for k, c in self.terms.items()})
+            p = other.numerator
+            return _cyc(self.n, {k: c * p for k, c in self.terms.items()} if p else {},
+                        self.den * other.denominator)
         other = _coerce(other)
         n = lcm(self.n, other.n)
         acc = {}
-        _mul_into([acc], n, _lift(self, n).items(), [(0, _lift(other, n).items())])
-        return _cyc(n, {k: c for k, c in acc.items() if c})
+        _mul_into(acc, n, [(0, _lift(self, n).items())], [_lift(other, n).items()])
+        return _cyc(n, {k: c for k, c in acc.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
     def conjugate(self):
         n = self.n
-        return _cyc(n, {-k % n: c for k, c in self.terms.items()})
+        return _cyc(n, {-k % n: c for k, c in self.terms.items()}, self.den)
 
     def is_zero(self):
-        terms = self.terms
-        if len(terms) < 2:
-            return not terms  # a single nonzero monomial never vanishes
-        # true order N; distinct exponents, so N > 1 here
-        g = gcd(self.n, *terms)
-        N = self.n // g
-        # clear coefficient denominators (1 for ints), then move every
-        # exponent onto the power basis, one prime power after the other
-        den = lcm(*(c.denominator for c in terms.values()))
-        acc = [0] * N
-        for k, c in terms.items():
-            acc[k // g] = c.numerator * (den // c.denominator)
-        for k, targets in _basis_steps(N):
-            c = acc[k]
-            if c:
-                acc[k] = 0
-                for j in targets:
-                    acc[j] -= c
-        return not any(acc)
+        return _vanishes(self.n, self.terms)
 
     def __eq__(self, other):
         try:
@@ -229,13 +274,14 @@ class CycNum:
 
     def to_complex(self):
         n = self.n
-        return sum(float(c) * cmath.exp(2j * cmath.pi * k / n)
-                   for k, c in self.terms.items()) if self.terms else 0j
+        return sum(c * cmath.exp(2j * cmath.pi * k / n)
+                   for k, c in self.terms.items()) / self.den if self.terms else 0j
 
     def __repr__(self):
         if not self.terms:
             return "CycNum(0)"
-        parts = [f"{c}*e({Fraction(k, self.n)})" if k else f"{c}"
+        parts = [f"{Fraction(c, self.den)}*e({Fraction(k, self.n)})" if k
+                 else f"{Fraction(c, self.den)}"
                  for k, c in sorted(self.terms.items())]
         return "CycNum(" + " + ".join(parts) + ")"
 

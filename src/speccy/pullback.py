@@ -94,14 +94,15 @@ PullbackRow = namedtuple("PullbackRow", "m1 mu1 m2 mu2 count")
 
 def pullback_table(ctx: EmbeddingContext, m, mu: Coset) -> list:
     """All rows (m1, mu1, m2, mu2, R(m2, mu2)) with m1 + m2 = m over the
-    glue pairs of mu; rows with count zero are omitted, and m1 = 0 rows
-    exist only for mu1 = 0 (they carry the improper part)."""
+    glue pairs of mu; rows with count zero are omitted.  An m1 = 0 row has
+    Q(mu1) = 0 mod 1, so mu1 = 0, since the discriminant form of L0 (cyclic
+    of odd squarefree order |d|) is anisotropic; these rows carry the
+    improper part."""
     m = Fraction(m)
     if m <= 0:
         raise ValueError("m must be positive")
     rows = [PullbackRow(m - m2, mu1, m2, mu2, r)
-            for mu1, m2, mu2, r in _splits(ctx.theta, ctx.emb, m, mu)
-            if m2 < m or mu1.is_zero()]
+            for mu1, m2, mu2, r in _splits(ctx.theta, ctx.emb, m, mu)]
     rows.sort(key=lambda r: (r.m1, r.mu1.coords, r.mu2.coords))
     return rows
 

@@ -15,16 +15,17 @@ matrices.
 
 Square roots are folded once per word.  Matrices carry their power of
 1/sqrt(|D|) separately, so products of generators stay in integer
-cyclotomic entries.  One push (_push) scales a vector to integers, runs it
-through a list of matrices and adds up their powers: WeilRep.apply gives
-it the letters of a word, ScaledMatrix.apply one product.  Only the
-end result folds the power in (_fold: one Gauss-sum root of |D| for an
-odd power, then one rational scale); a comparison multiplies by
-that root only when the two powers differ in parity.  A product
-accumulates each entry's sum of products in one exponent dict
-(cyclotomic._matmul).  Every matrix carries the discriminant form it acts
-on (elementary divisors and Q-values in coset order), and products and
-comparisons refuse matrices of two different forms.
+cyclotomic entries.  A word's product is one call of cyclotomic._matmul,
+which keeps the partial products as integer exponent dicts and builds
+CycNums only for the result: rep_matrix gives it the letters' matrices,
+and one push (_push) the letters (WeilRep.apply) or one product
+(ScaledMatrix.apply) followed by the vector as a column.  Only the end
+result folds the power in (_fold: one factor per entry, a rational scale,
+which only moves the entry's denominator, times the Gauss-sum root of |D|
+for an odd power); a comparison multiplies by that root only when the two
+powers differ in parity.  Every matrix carries the discriminant form it
+acts on (elementary divisors and Q-values in coset order), and products
+and comparisons refuse matrices of two different forms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycNum, _is_product, _matmul, sqrt_cyclotomic
+from .cyclotomic import CycNum, _cyc, _is_product, _matmul, sqrt_cyclotomic
 from .lattice import DiscriminantGroup
 
 VARIANTS = ("omega", "contragredient")
@@ -51,26 +52,22 @@ def _same_form(a, b):
         raise ValueError(f"matrices over different discriminant forms: {what} differ")
 
 
-def _fold(xs, D, s, den=1):
-    """xs * D^(-s/2) / den, exact: the square root of an odd power as a
-    Gauss sum with integer coefficients, then one rational scale."""
+def _fold(xs, D, s):
+    """xs * D^(-s/2), exact: one factor per entry, the square root of an
+    odd power as a Gauss sum times the rational scale."""
+    f = Fraction(1, D ** ((s + 1) // 2))
     if s % 2:
-        root = sqrt_cyclotomic(D)
-        xs = [x * root for x in xs]
-    scale = Fraction(1, den * D ** ((s + 1) // 2))
-    return list(xs) if scale == 1 else [x * scale for x in xs]
+        f = sqrt_cyclotomic(D) * f
+    return list(xs) if f == 1 else [x * f for x in xs]
 
 
 def _push(mats, vec, D):
-    """mats[0] ... mats[-1] vec, |D| = D: a column of CycNums with its
-    denominator cleared once, through the last matrix first, and one fold
-    of their summed powers of 1/sqrt(D)."""
-    vec = [x if isinstance(x, CycNum) else CycNum.from_rational(x) for x in vec]
-    den = lcm(*(c.denominator for x in vec for c in x.terms.values()))
-    col = [[x * den] for x in vec]
-    for M in reversed(mats):
-        col = _matmul(M.entries, col)
-    return _fold([row[0] for row in col], D, sum(M.sqrt_power for M in mats), den)
+    """mats[0] ... mats[-1] vec, |D| = D: one product of the matrices and
+    the vector as a column, and one fold of their summed powers of
+    1/sqrt(D)."""
+    col = [[x if isinstance(x, CycNum) else CycNum.from_rational(x)] for x in vec]
+    out = _matmul(*(M.entries for M in mats), col)
+    return _fold([row[0] for row in out], D, sum(M.sqrt_power for M in mats))
 
 
 class ScaledMatrix:
@@ -136,7 +133,8 @@ class WeilRep:
 
     def _monomial(self, rows, values):
         """The matrix with values[j] at (rows[j], j) and zeros elsewhere."""
-        ent = [[CycNum() for _ in rows] for _ in rows]
+        zero = CycNum()
+        ent = [[zero] * len(rows) for _ in rows]
         for j, (i, x) in enumerate(zip(rows, values)):
             ent[i][j] = x
         return ScaledMatrix(ent, 0, self.form)
@@ -151,7 +149,7 @@ class WeilRep:
         cond = lcm(8, E)
         root8 = self.sig8 * (cond // 8)
         step = cond // E
-        ent = [[CycNum({root8 + step * b(mu, nu): 1}, cond) for mu in self._cosets]
+        ent = [[_cyc(cond, {(root8 + step * b(mu, nu)) % cond: 1}) for mu in self._cosets]
                for nu in self._cosets]
         return ScaledMatrix(ent, 1, self.form)
 
@@ -184,10 +182,8 @@ class WeilRep:
         mats = [self.generator_matrix(g, variant) for g in word]
         if not mats:
             return self._monomial(range(self.dim), [CycNum.from_rational(1)] * self.dim)
-        out = mats[0]
-        for M in mats[1:]:
-            out = out.matmul(M)
-        return out
+        return ScaledMatrix(_matmul(*(M.entries for M in mats)),
+                            sum(M.sqrt_power for M in mats), self.form)
 
     def apply(self, variant, word, vec):
         """Apply the representation of a word to a vector of length dim.

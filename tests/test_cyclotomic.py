@@ -42,9 +42,8 @@ def cycnums(draw, conductors=conductors):
 
 
 def oracle_is_zero(x):
-    """x = P(zeta_n) with P = sum c x^k; zero iff Phi_n divides P."""
-    P = sum((sympy.Rational(c.numerator, c.denominator) * X ** k
-             for k, c in x.terms.items()), sympy.Integer(0))
+    """x = P(zeta_n) with P = sum (c / den) x^k; zero iff Phi_n divides P."""
+    P = sum((sympy.Rational(c, x.den) * X ** k for k, c in x.terms.items()), sympy.Integer(0))
     return sympy.rem(P, sympy.cyclotomic_poly(x.n, X), X) == 0
 
 
@@ -96,12 +95,14 @@ class TestRingAxioms:
 
 def oracle_product(a, b):
     """a * b as a sum of one-term CycNums, one per pair of terms, built with
-    addition alone: no product kernel."""
+    addition alone: no product kernel.  The terms are integer numerators
+    over each number's denominator."""
     n = lcm(a.n, b.n)
     total = CycNum()
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
-            total = total + CycNum({ka * (n // a.n) + kb * (n // b.n): ca * cb}, n)
+            term = Fraction(ca * cb, a.den * b.den)
+            total = total + CycNum({ka * (n // a.n) + kb * (n // b.n): term}, n)
     return total
 
 
@@ -130,6 +131,19 @@ class TestProductKernel:
             for j in range(c):
                 assert M[i][j] == sum(A[i][t] * B[t][j] for t in range(k))
                 assert M[i][j] == sum(oracle_product(A[i][t], B[t][j]) for t in range(k))
+
+    def test_matmul_refuses_mismatched_shapes(self):
+        # a 2 x 3 by 2 x 2 product is refused, not cut to a 2 x 2 result
+        one = CycNum.from_rational(1)
+        A = [[one] * 3 for _ in range(2)]
+        B = [[one] * 2 for _ in range(2)]
+        with pytest.raises(ValueError, match="row of length 3 and a matrix of 2 rows"):
+            cyclotomic._matmul(A, B)
+        with pytest.raises(ValueError, match="row of length 2 and a matrix of 3 rows"):
+            cyclotomic._matmul(B, [[one]] * 3)
+        with pytest.raises(ValueError, match="row of length 3 and a matrix of 2 rows"):
+            cyclotomic._matmul(B, B, A, [[one]] * 2)
+        assert len(cyclotomic._matmul(B, A)) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(entries(), entries(), entries(), st.booleans())

@@ -193,6 +193,41 @@ class TestApply:
         with pytest.raises(ValueError):
             w.apply("omega", (T,), [1])
 
+    def test_matrix_apply_refuses_a_wrong_length(self):
+        # |D| = 7: a vector of length 2 is refused, not cut to a zip's length
+        w = wrep(QuadLattice([[-2, -1], [-1, -4]]))
+        assert w.dim == 7
+        for M in (w.omega_S(), w.omega_T(), w.rep_matrix((S, T))):
+            with pytest.raises(ValueError, match="row of length 7 and a matrix of 2 rows"):
+                M.apply([1, 2])
+            with pytest.raises(ValueError, match="row of length 7 and a matrix of 8 rows"):
+                M.apply(list(range(8)))
+
+    def test_integer_path(self, monkeypatch):
+        # integer input keeps every coefficient an int over denominator 1:
+        # the word matrix, and the pushed column before its fold; a
+        # rational vector only moves the denominators
+        w = wrep(QuadLattice([[2, 1], [1, 6]]))
+        pushed = []
+        fold = weil._fold
+        monkeypatch.setattr(weil, "_fold",
+                            lambda xs, D, s: pushed.append(list(xs)) or fold(xs, D, s))
+
+        def integral(xs):
+            return all(x.den == 1 and all(type(c) is int for c in x.terms.values())
+                       for x in xs)
+
+        for word in ((S, T, S, T_INV), (T, S, S, T), (S,)):
+            M = w.rep_matrix(word)
+            assert integral(x for row in M.entries for x in row)
+            w.apply("omega", word, list(range(w.dim)))
+            M.apply([k - 5 for k in range(w.dim)])
+            assert len(pushed) == 2 and all(integral(xs) for xs in pushed)
+            pushed.clear()
+            w.apply("omega", word, [Fraction(k, 6) for k in range(w.dim)])
+            assert all(6 % x.den == 0 and all(type(c) is int for c in x.terms.values())
+                       for x in pushed.pop())
+
     def test_pairing_invariance(self):
         # <omega(g) u, contragredient(g) v> = <u, v> for the bilinear pairing
         rng = random.Random(3)
